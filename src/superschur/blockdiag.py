@@ -61,11 +61,15 @@ class BlockDecomposition:
 
     def reassembled(self) -> np.ndarray:
         """Dense matrix containing only the diagonal blocks."""
-        out = np.zeros_like(self.schur_matrix)
-        for b in self.blocks:
-            sl = self.basis.tableau_slice(b.shape, b.tableau_index)
-            out[sl, sl] = b.matrix
-        return out
+        return _direct_sum(self.basis, self.blocks, np.zeros_like(self.schur_matrix))
+
+
+def _direct_sum(basis: SuperSchurBasis, blocks: list[SectorBlock], out: np.ndarray) -> np.ndarray:
+    """Write the blocks onto the diagonal of ``out``, a zeroed frame matrix."""
+    for b in blocks:
+        sl = basis.tableau_slice(b.shape, b.tableau_index)
+        out[sl, sl] = b.matrix
+    return out
 
 
 def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.ndarray:
@@ -187,19 +191,17 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     blocks = [
         SectorBlock(b.shape, b.tableau_index, expm(t * b.matrix)) for b in decomp.blocks
     ]
-    out = BlockDecomposition(
+    return BlockDecomposition(
         d=decomp.d,
         n=decomp.n,
         kind="channel",
         tol=decomp.tol,
         basis=decomp.basis,
-        schur_matrix=np.zeros_like(decomp.schur_matrix),
+        schur_matrix=_direct_sum(decomp.basis, blocks, np.zeros_like(decomp.schur_matrix)),
         blocks=blocks,
         leakage=0.0,
         twin_deviation=_twin_deviations(decomp.basis, blocks),
     )
-    out.schur_matrix = out.reassembled()
-    return out
 
 
 def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0) -> float:

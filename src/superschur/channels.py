@@ -11,7 +11,6 @@ Hamiltonian for either classification.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -605,6 +604,8 @@ def _parse_matrix(obj, where: str, dim: int) -> np.ndarray:
             )
             if not ok:
                 raise ChannelSpecError(f"{where}[{r}][{c}]: expected a [re, im] pair of numbers")
+            if not all(math.isfinite(x) for x in entry):
+                raise ChannelSpecError(f"{where}[{r}][{c}]: entries must be finite")
             out[r, c] = complex(entry[0], entry[1])
     return out
 
@@ -681,15 +682,3 @@ def channel_from_dict(doc):
     return Lindbladian(
         d, n, QuditOperator(d, n, H), tuple(QuditOperator(d, n, m) for m in mats)
     )
-
-
-def load_channel_spec(path):
-    """Read a channel description file (JSON syntax) and build the channel."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ChannelSpecError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ChannelSpecError(f"{path}: not valid JSON: {exc}") from None
-    return channel_from_dict(doc)

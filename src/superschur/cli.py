@@ -452,8 +452,11 @@ def cmd_evolve(args) -> int:
         if args.verify_dense:
             dense = expm(t * decomp.schur_matrix)
             deviation = float(np.max(np.abs(evolved.schur_matrix - dense)))
+            del dense
             entry["dense_deviation"] = _measured(deviation, 1e-8)
             line += f"; dense cross-check deviation {deviation:.3e} (tol 1.0e-08)"
+        # the next time's frame matrix must not coexist with this one
+        del evolved
         results.append(entry)
         print(line)
         print(f"[time] blockwise exponential at t={t}: {dt:.3f} s")

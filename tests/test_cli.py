@@ -234,6 +234,19 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_entries_exit_2_with_field_path(tmp_path, capsys, literal):
+    # json.dumps writes nan/inf as the NaN/Infinity literals json.load accepts
+    ops = [matrix_doc(np.eye(2))]
+    ops[0][0][0] = [float(literal), 0.0]
+    spec = write_doc(
+        tmp_path / "nan.json", {"d": 2, "n": 1, "kind": "lindblad", "operators": ops}
+    )
+    assert literal in (tmp_path / "nan.json").read_text()
+    assert main(["analyze", spec]) == 2
+    assert "operators[0][0][0]: entries must be finite" in capsys.readouterr().err
+
+
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):
     f0 = np.array([[1, 0], [0, math.sqrt(0.5)]])
     spec = write_doc(

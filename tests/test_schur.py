@@ -16,13 +16,18 @@ from superschur import (
     weyl_dimension,
     young_orthogonal_generator,
 )
+from superschur import schur
 from superschur.combinatorics import letter_strings_by_weight
+from superschur.errors import InternalConsistencyError
 from superschur.permutations import (
     adjacent_transpositions,
     all_permutations,
     compose,
     string_index_map,
 )
+from superschur.schur import UNITARITY_TOL, SuperSchurBasis
+
+from schur_oracle import dense_unitarity_deviation, factorial_basis
 
 TWO_ONE = Partition((2, 1))
 
@@ -303,6 +308,91 @@ def test_two_qubit_sector_sizes_match_brute_force(schur_2_2):
     assert (sym_rank, anti_rank) == (10, 6)
     assert basis.multiplicity(Partition((2,))) == sym_rank
     assert basis.multiplicity(Partition((1, 1))) == anti_rank
+
+
+@pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
+def test_basis_matches_factorial_oracle(d, n):
+    basis = super_schur_basis(d, n)
+    oracle = factorial_basis(d, n)
+    assert basis.labels == oracle.labels
+    assert np.max(np.abs(basis.unitary - oracle.unitary)) < 1e-12
+    # the reference projector keeps the oracle's summation order, so the
+    # reference-tableau columns come out of the same SVD bit for bit
+    ref = [j for j, lab in enumerate(basis.labels) if lab.tableau_index == 0]
+    assert np.array_equal(basis.unitary[:, ref], oracle.unitary[:, ref])
+
+
+def test_builder_checks_still_raise(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(schur, "RANK_TOL", 10.0)
+        with pytest.raises(InternalConsistencyError, match="projector rank"):
+            super_schur_basis(2, 3)
+    with monkeypatch.context() as m:
+        m.setattr(schur, "weyl_dimension", lambda shape, q: weyl_dimension(shape, q) + 1)
+        with pytest.raises(InternalConsistencyError, match="expected"):
+            super_schur_basis(2, 3)
+    with monkeypatch.context() as m:
+        m.setattr(schur, "UNITARITY_TOL", 0.0)
+        with pytest.raises(InternalConsistencyError, match="not unitary"):
+            super_schur_basis(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the per-class unitarity check
+
+
+def perturbed(basis, row, col, value):
+    U = basis.unitary.copy()
+    U[row, col] += value
+    return SuperSchurBasis(d=basis.d, n=basis.n, unitary=U, labels=list(basis.labels))
+
+
+@pytest.mark.parametrize("fixture", ["schur_2_2", "schur_2_3", "schur_2_4", "schur_3_2"])
+def test_class_unitarity_matches_dense(fixture, request):
+    basis = request.getfixturevalue(fixture)
+    assert basis._class_blocks() is not None
+    dense = dense_unitarity_deviation(basis.unitary)
+    assert abs(basis.unitarity_deviation() - dense) < 1e-14
+
+
+def test_entry_outside_class_takes_dense_fallback(schur_2_3):
+    classes = letter_strings_by_weight(4, 3)
+    col = 5
+    outside = next(i for i in range(64) if i not in classes[schur_2_3.labels[col].weight])
+    broken = perturbed(schur_2_3, outside, col, 1e-300)
+    assert broken._class_blocks() is None
+    assert broken.unitarity_deviation() == dense_unitarity_deviation(broken.unitary)
+    worse = perturbed(schur_2_3, outside, col, 1e-3)
+    assert worse._class_blocks() is None
+    assert worse.unitarity_deviation() == dense_unitarity_deviation(worse.unitary)
+    assert worse.unitarity_deviation() > UNITARITY_TOL
+
+
+def test_imaginary_part_takes_dense_fallback(schur_2_3):
+    col = 7
+    row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][0]
+    broken = perturbed(schur_2_3, row, col, 1e-3j)
+    assert broken._class_blocks() is None
+    assert broken.unitarity_deviation() == dense_unitarity_deviation(broken.unitary)
+    assert broken.unitarity_deviation() > UNITARITY_TOL
+
+
+def test_within_class_perturbation_exceeds_tolerance(schur_2_3):
+    col = 30
+    row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][-1]
+    broken = perturbed(schur_2_3, row, col, 1e-6)
+    assert broken._class_blocks() is not None
+    dev = broken.unitarity_deviation()
+    assert dev > UNITARITY_TOL
+    assert abs(dev - dense_unitarity_deviation(broken.unitary)) < 1e-14
+
+
+def test_nan_within_class_is_reported(schur_2_3):
+    col = 30
+    row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][0]
+    broken = perturbed(schur_2_3, row, col, np.nan)
+    assert broken._class_blocks() is not None
+    assert math.isnan(broken.unitarity_deviation())
 
 
 def test_basis_size_guard():
