@@ -131,9 +131,15 @@ def _time_list(text: str) -> list[float]:
         if not piece:
             continue
         try:
-            out.append(float(piece))
+            t = float(piece)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad time value {piece!r}")
+        # exp(t G) of a Lindblad generator is a channel only for t >= 0
+        if not (np.isfinite(t) and t >= 0.0):
+            raise argparse.ArgumentTypeError(
+                f"time values must be finite and non-negative, got {piece!r}"
+            )
+        out.append(t)
     if not out:
         raise argparse.ArgumentTypeError("need at least one time value")
     return out
@@ -258,7 +264,8 @@ def read_basis_file(path: str) -> SuperSchurBasis:
     U = np.zeros((dim, columns), dtype=np.complex128)
     labels: list[ColumnLabel] = []
     col = -1
-    for line in lines[1:]:
+    seen: set[int] = set()  # rows already given for the current column
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         if line.startswith("lambda="):
@@ -269,9 +276,16 @@ def read_basis_file(path: str) -> SuperSchurBasis:
                 ColumnLabel(shape, int(fields["Y"]), weight, int(fields["w_index"]))
             )
             col += 1
+            seen.clear()
             continue
+        if col < 0:
+            raise ValueError(f"{path}:{lineno}: amplitude line before the first lambda= label")
         string, re_text, im_text = line.split()
-        U[_parse_string_label(string, q, n), col] = complex(float(re_text), float(im_text))
+        row = _parse_string_label(string, q, n)
+        if row in seen:
+            raise ValueError(f"{path}:{lineno}: repeated amplitude for {string} in column {col}")
+        seen.add(row)
+        U[row, col] = complex(float(re_text), float(im_text))
     if len(labels) != columns:
         raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
     return SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)

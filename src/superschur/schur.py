@@ -223,16 +223,22 @@ class SuperSchurBasis:
         a basis that fails either (for example a hand-edited basis file) is
         checked with the dense product instead.
         """
-        blocks = self._class_blocks()
-        if blocks is None:
+        classes = self._class_blocks()
+        if classes is None:
             G = self.unitary.conj().T @ self.unitary
             return float(np.max(np.abs(G - np.eye(G.shape[0]))))
         # np.max, unlike the builtin max, lets a NaN through to the caller
-        return float(np.max([np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) for B in blocks]))
+        return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for _, _, B in classes]))
 
-    def _class_blocks(self) -> list[np.ndarray] | None:
-        """Real per-class blocks U[class rows, class columns], or None when
-        some column is nonzero outside its class or U is not real."""
+    def _class_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+        """Per letter-content class: its row indices, the indices of the
+        columns labelled with it, and the real square block U[rows, cols].
+
+        Returns None unless U is block diagonal after sorting by class,
+        checked exactly: the labels match the columns, U has no imaginary
+        part, every column is zero outside the rows of its class, the class
+        rows tile 0..dim-1 and every block is square.
+        """
         U = self.unitary
         if len(self.labels) != U.shape[1]:
             return None
@@ -244,12 +250,19 @@ class SuperSchurBasis:
         cols: dict[tuple[int, ...], list[int]] = {}
         for j, lab in enumerate(self.labels):
             cols.setdefault(lab.weight, []).append(j)
-        if any(w not in rows for w in cols):
+        # the classes partition all q**n strings, so with every class labelled
+        # and q**n rows, the class rows tile 0..dim-1
+        if cols.keys() != rows.keys() or U.shape[0] != (self.d * self.d) ** self.n:
             return None
-        blocks = [U[np.ix_(rows[w], js)] for w, js in cols.items()]
-        if sum(np.count_nonzero(B) for B in blocks) != np.count_nonzero(U):
+        if any(len(rows[w]) != len(js) for w, js in cols.items()):
             return None
-        return blocks
+        classes = [
+            (np.asarray(rows[w]), np.asarray(js), U[np.ix_(rows[w], js)])
+            for w, js in cols.items()
+        ]
+        if sum(np.count_nonzero(B) for _, _, B in classes) != np.count_nonzero(U):
+            return None
+        return classes
 
 
 def _reference_blocks(q: int, n: int, shapes: list[Partition]) -> dict:
@@ -354,7 +367,7 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     reference = _reference_blocks(q, n, shapes)
     swaps = {i: string_index_map(adjacent_transposition(n, i - 1), q, n) for i in range(1, n)}
     width = sum(syt_dimension(s) * weyl_dimension(s, q) for s in shapes)
-    U = np.zeros((dim, width), dtype=np.complex128)
+    U = np.zeros((dim, width))
     labels: list[ColumnLabel] = []
     for shape in shapes:
         m_lam = weyl_dimension(shape, q)

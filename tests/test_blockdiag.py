@@ -26,6 +26,9 @@ from superschur import (
 )
 from scipy.linalg import expm
 
+from superschur.combinatorics import letter_strings_by_weight
+from superschur.schur import SuperSchurBasis
+
 TWO_ONE = Partition((2, 1))
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -93,6 +96,83 @@ def test_to_schur_frame_is_a_conjugation(schur_2_3, letters_3):
     assert np.max(np.abs(U @ A @ U.conj().T - S.matrix)) < 1e-10
     with pytest.raises(DimensionMismatchError):
         to_schur_frame(S, super_schur_basis(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# the class-blocked frame
+
+
+def random_superop(d, n, seed=0, scale=1.0):
+    dim = (d * d) ** n
+    rng = np.random.default_rng(seed)
+    M = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return SuperOperatorMatrix(d, n, "channel", M, operator_basis(d, n))
+
+
+def masked_leakage(decomp):
+    """Leakage as a masked copy of the frame matrix: zero every diagonal
+    block, then take the largest remaining entry."""
+    masked = decomp.schur_matrix.copy()
+    for b in decomp.blocks:
+        sl = decomp.basis.tableau_slice(b.shape, b.tableau_index)
+        masked[sl, sl] = 0.0
+    return float(np.max(np.abs(masked)))
+
+
+@pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
+def test_class_blocked_frame_matches_dense_product(d, n):
+    basis = super_schur_basis(d, n)
+    assert basis._class_blocks() is not None
+    for seed, scale in ((0, 1.0), (1, 1e6)):
+        superop = random_superop(d, n, seed, scale)
+        M = superop.matrix
+        U = basis.unitary
+        S = to_schur_frame(superop, basis)
+        assert S.shape == M.shape and S.dtype == M.dtype
+        assert np.max(np.abs(S - U.T @ M @ U)) <= 1e-12 * max(1.0, np.max(np.abs(M)))
+
+
+def test_basis_without_class_structure_takes_dense_product(schur_2_3):
+    classes = letter_strings_by_weight(4, 3)
+    col = 5
+    outside = next(i for i in range(64) if i not in classes[schur_2_3.labels[col].weight])
+    U = schur_2_3.unitary.copy()
+    U[outside, col] = 1e-3
+    broken = SuperSchurBasis(d=2, n=3, unitary=U, labels=list(schur_2_3.labels))
+    assert broken._class_blocks() is None
+    superop = random_superop(2, 3)
+    dense = U.conj().T @ superop.matrix @ U
+    assert np.array_equal(to_schur_frame(superop, broken), dense)
+
+
+def test_leakage_equals_masked_copy(schur_2_3, schur_2_4, letters_3):
+    superops = [
+        kraus_superop(example_channel("collective_damping", n=3, p=0.5), letters_3),
+        lindblad_superop(example_channel("single_jump", n=3), letters_3),
+        kraus_superop(lopsided_channel(3), letters_3),
+        random_superop(2, 3, seed=2),
+    ]
+    for superop in superops:
+        decomp = decompose(superop, schur_2_3)
+        assert decomp.leakage == masked_leakage(decomp)
+    decomp = decompose(random_superop(2, 4, seed=3), schur_2_4)
+    assert decomp.leakage == masked_leakage(decomp)
+
+
+def test_single_block_frame_has_zero_leakage():
+    # at n=1 one block covers the whole frame, so nothing lies outside it
+    decomp = decompose(random_superop(2, 1), super_schur_basis(2, 1))
+    assert len(decomp.blocks) == 1
+    assert decomp.leakage == 0.0
+
+
+def test_asymmetric_map_leaks_above_tol_on_the_class_path(schur_2_4):
+    ch = lopsided_channel(4)
+    assert classify_kraus_symmetry(ch).classification == "none"
+    assert schur_2_4._class_blocks() is not None
+    decomp = decompose(kraus_superop(ch, operator_basis(2, 4)), schur_2_4)
+    assert decomp.leakage > decomp.tol
+    assert not any(s.flagged for s in dfs_report(decomp, classify_kraus_symmetry(ch)).sectors)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,12 @@ def test_usage_errors_exit_1(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0.5,-inf"])
+def test_evolve_times_must_be_finite_and_non_negative(value, capsys):
+    assert main(["evolve", "f.json", "--times", value]) == 1
+    assert "finite and non-negative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # schur-basis files
 
@@ -127,6 +134,34 @@ def test_basis_file_is_deterministic(tmp_path, schur_2_2):
     write_basis_file(schur_2_2, str(a))
     write_basis_file(schur_2_2, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def single_site_basis_lines(tmp_path):
+    path = tmp_path / "b1.txt"
+    assert main(["schur-basis", "--n", "1", "--d", "2", "--out", str(path)]) == 0
+    return path, path.read_text().splitlines()
+
+
+def test_amplitude_before_first_label_is_rejected(tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    assert lines[1].startswith("lambda=") and lines[2] == "0 1.0 0.0"
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: amplitude line before")):
+        read_basis_file(str(path))
+
+
+def test_repeated_amplitude_is_rejected(tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    # column 1 (string 1) gets a second amplitude for string 1
+    assert lines[4] == "1 1.0 0.0"
+    lines.insert(5, "1 0.5 0.0")
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:6: repeated amplitude for 1 in column 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_basis_file(str(path))
 
 
 def test_schur_basis_size_guard_exit_2(tmp_path, capsys):

@@ -342,7 +342,8 @@ def test_builder_checks_still_raise(monkeypatch):
 
 
 def perturbed(basis, row, col, value):
-    U = basis.unitary.copy()
+    # complex copy: the built basis is real, and some perturbations are not
+    U = basis.unitary.astype(np.complex128)
     U[row, col] += value
     return SuperSchurBasis(d=basis.d, n=basis.n, unitary=U, labels=list(basis.labels))
 
@@ -393,6 +394,40 @@ def test_nan_within_class_is_reported(schur_2_3):
     broken = perturbed(schur_2_3, row, col, np.nan)
     assert broken._class_blocks() is not None
     assert math.isnan(broken.unitarity_deviation())
+
+
+def test_built_basis_is_real(schur_2_3):
+    assert schur_2_3.unitary.dtype == np.float64
+
+
+def test_class_index_tiles_the_basis(schur_2_3):
+    classes = schur_2_3._class_blocks()
+    rows = np.concatenate([r for r, _, _ in classes])
+    cols = np.concatenate([c for _, c, _ in classes])
+    assert np.array_equal(np.sort(rows), np.arange(64))
+    assert np.array_equal(np.sort(cols), np.arange(64))
+    for r, c, B in classes:
+        assert B.shape == (len(r), len(c)) == (len(r), len(r))
+        assert np.array_equal(B, schur_2_3.unitary[np.ix_(r, c)])
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_missing_column_takes_dense_fallback(schur_2_3, size):
+    # dropping the only column of a size-1 class leaves its rows untiled;
+    # dropping one column of a larger class leaves its block not square
+    classes = letter_strings_by_weight(4, 3)
+    drop = next(
+        j for j, lab in enumerate(schur_2_3.labels) if len(classes[lab.weight]) == size
+    )
+    keep = [j for j in range(64) if j != drop]
+    short = SuperSchurBasis(
+        d=2,
+        n=3,
+        unitary=schur_2_3.unitary[:, keep],
+        labels=[schur_2_3.labels[j] for j in keep],
+    )
+    assert short._class_blocks() is None
+    assert short.unitarity_deviation() == dense_unitarity_deviation(short.unitary)
 
 
 def test_basis_size_guard():
