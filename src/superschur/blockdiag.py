@@ -44,7 +44,8 @@ class BlockDecomposition:
     ``leakage`` is the largest entry outside all diagonal blocks and
     ``twin_deviation`` the largest difference between two blocks of the
     same shape; both are small exactly when the underlying map is
-    permutation symmetric.
+    permutation symmetric.  ``frame`` is the whole conjugated matrix, or
+    None when only the blocks are kept (an exponentiated generator).
     """
 
     d: int
@@ -52,7 +53,7 @@ class BlockDecomposition:
     kind: str
     tol: float
     basis: SuperSchurBasis
-    schur_matrix: np.ndarray
+    frame: np.ndarray | None
     blocks: list[SectorBlock]
     leakage: float
     twin_deviation: dict
@@ -64,17 +65,19 @@ class BlockDecomposition:
     def block(self, shape: Partition, tableau_index: int) -> SectorBlock:
         return self._index[(shape, tableau_index)]
 
+    @property
+    def schur_matrix(self) -> np.ndarray:
+        """The frame matrix; without a stored frame, the direct sum of the
+        blocks, built anew on every read."""
+        return self.frame if self.frame is not None else self.reassembled()
+
     def reassembled(self) -> np.ndarray:
         """Dense matrix containing only the diagonal blocks."""
-        return _direct_sum(self.basis, self.blocks, np.zeros_like(self.schur_matrix))
-
-
-def _direct_sum(basis: SuperSchurBasis, blocks: list[SectorBlock], out: np.ndarray) -> np.ndarray:
-    """Write the blocks onto the diagonal of ``out``, a zeroed frame matrix."""
-    for b in blocks:
-        sl = basis.tableau_slice(b.shape, b.tableau_index)
-        out[sl, sl] = b.matrix
-    return out
+        out = np.zeros((self.basis.dim, self.basis.dim), dtype=np.complex128)
+        for b in self.blocks:
+            sl = self.basis.tableau_slice(b.shape, b.tableau_index)
+            out[sl, sl] = b.matrix
+        return out
 
 
 def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.ndarray:
@@ -173,7 +176,7 @@ def decompose(
         kind=superop.kind,
         tol=tol,
         basis=basis,
-        schur_matrix=S,
+        frame=S,
         blocks=blocks,
         leakage=leakage,
         twin_deviation=_twin_deviations(basis, blocks),
@@ -230,8 +233,9 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     """Exponentiate a generator block by block: exp(t * block) per sector.
 
     Requires a generator whose leakage is below the decomposition
-    tolerance; the result is a channel-kind decomposition whose full
-    matrix is exactly the direct sum of the exponentiated blocks.
+    tolerance; the result is a channel-kind decomposition that keeps only
+    the exponentiated blocks (its ``schur_matrix`` is their direct sum,
+    built when read).
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
@@ -249,7 +253,7 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
         kind="channel",
         tol=decomp.tol,
         basis=decomp.basis,
-        schur_matrix=_direct_sum(decomp.basis, blocks, np.zeros_like(decomp.schur_matrix)),
+        frame=None,
         blocks=blocks,
         leakage=0.0,
         twin_deviation=_twin_deviations(decomp.basis, blocks),

@@ -6,6 +6,15 @@ merely mixes the Kraus operators by a unitary matrix.  Both notions are
 decided on the adjacent transpositions, which generate the full group.
 Lindblad generators additionally require a permutation-invariant
 Hamiltonian for either classification.
+
+Superoperator matrices in the letter basis come from one column kernel
+shared by channels and generators.  Every letter string is monomial, one
+nonzero per row and column (Pauli and clock-shift letters alike), so
+multiplying it into an operator is a gather with phases, not a product.
+Each chunk of columns takes one gathered stack and one matrix product for
+all the sandwich terms F B F^dag together; each scratch array is held to
+_CHUNK_BYTES (1 MB), so the stage never holds more than the output matrix
+and a few such arrays.  A letter basis that is not monomial is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +26,12 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ChannelInvariantError, ChannelSpecError, DimensionMismatchError
+from .errors import (
+    ChannelInvariantError,
+    ChannelSpecError,
+    DimensionMismatchError,
+    InternalConsistencyError,
+)
 from .liouville import (
     OperatorBasis,
     QuditOperator,
@@ -33,6 +47,9 @@ TRACELESS_TOL = 1e-10
 STRONG_TOL = 1e-10
 WEAK_TOL = 1e-8
 _NEGLIGIBLE_NORM_SQ = 1e-14
+# byte budget of each scratch array in the superoperator kernel; freed
+# scratch stays resident in the heap, so it adds to the later stages' peak
+_CHUNK_BYTES = 1 << 20
 
 
 def _as_operators(d: int, n: int, matrices) -> tuple[QuditOperator, ...]:
@@ -354,33 +371,148 @@ def _check_channel_basis(obj, basis: OperatorBasis) -> None:
         )
 
 
+def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of the one nonzero in each row of every letter.
+
+    Returns ``(cols, phases)`` of shape ``(d*d, d)``: letter a has the entry
+    ``phases[a, r]`` at ``(r, cols[a, r])`` and zeros elsewhere.  The
+    superoperator kernel rests on this structure, so a letter with any
+    other zero pattern is an error rather than a reason for a dense path.
+    """
+    d = basis.d
+    cols = np.empty((len(basis.letters), d), dtype=np.intp)
+    phases = np.empty((len(basis.letters), d), dtype=np.complex128)
+    for a, letter in enumerate(basis.letters):
+        rows, c = np.nonzero(letter)
+        if not (np.array_equal(rows, np.arange(d)) and np.unique(c).size == d):
+            raise InternalConsistencyError(
+                f"letter {a} is not monomial (one nonzero per row and column); "
+                "the superoperator kernel needs a monomial letter basis"
+            )
+        cols[a] = c
+        phases[a] = letter[rows, c]
+    return cols, phases
+
+
+def _string_monomials(
+    cols: np.ndarray, phases: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Site tables combined over the letter strings ``labels`` (c, n).
+
+    Row R of the tensor product has its nonzero in column ``index[b, R]``
+    with value ``phase[b, R]``; the phases multiply site by site in the
+    order ``np.kron`` uses.
+    """
+    c, n = labels.shape
+    d = cols.shape[1]
+    index = np.zeros((c, 1), dtype=np.intp)
+    phase = np.ones((c, 1), dtype=np.complex128)
+    for k in range(n):
+        lk = labels[:, k]
+        index = (index[:, :, None] * d + cols[lk][:, None, :]).reshape(c, -1)
+        phase = (phase[:, :, None] * phases[lk][:, None, :]).reshape(c, -1)
+    return index, phase
+
+
+def _letter_superop(
+    basis: OperatorBasis, sandwiched: list[np.ndarray], one_sided=None
+) -> np.ndarray:
+    """Letter-basis matrix of X -> A X + X A' + sum_F F X F^dag.
+
+    ``one_sided`` is the pair (A, A') or None.  Every letter string B_b is
+    monomial, so B_b F^dag and B_b A' are row gathers with phases and A B_b
+    is a column gather; the sandwiches of a chunk of columns take one
+    product, [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs
+    in real arithmetic when every F is real.  Each image is then
+    vectorized on its own.  A scratch array holds at most _CHUNK_BYTES,
+    unless a single column needs more (over 16 sandwiches at n = 6).
+    """
+    d, n, dim = basis.d, basis.n, basis.dim
+    D = d**n
+    cols, phases = _monomial_letters(basis)
+    labels = np.asarray(basis.labels, dtype=np.intp).reshape(dim, n)
+    K = len(sandwiched)
+    if K:
+        F_row = np.hstack(sandwiched)
+        if not np.any(F_row.imag):
+            # contiguous, or the product skips BLAS for the strided view
+            F_row = np.ascontiguousarray(F_row.real)
+        daggers = np.stack([F.conj().T for F in sandwiched])
+    if one_sided is not None:
+        A, A_right = one_sided
+        # column C of B_b holds its nonzero in row inv_cols[b](C)
+        inv_cols = np.argsort(cols, axis=1)
+        inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
+    step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
+    out = np.empty((dim, dim), dtype=np.complex128)
+    for b0 in range(0, dim, step):
+        lab = labels[b0 : b0 + step]
+        c = len(lab)
+        # (B_b X)[R, j] = phi[b, R] * X[sigma[b, R], j], stored [R, b, j]
+        sigma, phi = _string_monomials(cols, phases, lab)
+        row_phase = phi.T[:, :, None]
+        if K:
+            Y = daggers[:, sigma.T]
+            Y *= row_phase
+            Y = Y.reshape(K * D, c * D)
+            if F_row.dtype == np.float64:
+                # a complex row is a row of (re, im) pairs, so the real F
+                # multiplies real and imaginary parts in one real product
+                images = (F_row @ Y.view(np.float64)).view(np.complex128)
+            else:
+                images = F_row @ Y
+            images = images.reshape(D, c, D)
+        else:
+            images = np.zeros((D, c, D), dtype=np.complex128)
+        if one_sided is not None:
+            G = A_right[sigma.T]
+            G *= row_phase
+            images += G
+            # (A B_b)[i, C] = A[i, tau[b, C]] * psi[b, C]
+            tau, psi = _string_monomials(inv_cols, inv_phases, lab)
+            G = A[:, tau]
+            G *= psi
+            images += G
+        # out holds the transpose until the end, so each column is one
+        # contiguous row write instead of a 16-byte write per row
+        for j in range(c):
+            out[b0 + j] = vectorize(QuditOperator(d, n, images[:, j]), basis)
+    _transpose_in_place(out)
+    return out
+
+
+def _transpose_in_place(A: np.ndarray, tile: int = 64) -> None:
+    """A <- A.T for a square A, swapping tiles across the diagonal, so the
+    only temporary is one tile."""
+    N = A.shape[0]
+    for i in range(0, N, tile):
+        a = slice(i, i + tile)
+        A[a, a] = A[a, a].T.copy()
+        for j in range(i + tile, N, tile):
+            b = slice(j, j + tile)
+            upper = A[a, b].copy()
+            A[a, b] = A[b, a].T
+            A[b, a] = upper.T
+
+
 def kraus_superop(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:
     """Matrix of rho -> sum_mu F_mu rho F_mu^dag in the letter basis."""
     _check_channel_basis(channel, basis)
-    dim = basis.dim
-    mats = [op.matrix for op in channel.kraus_ops]
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for a in range(dim):
-        B = basis.element_matrix(a)
-        image = sum(F @ B @ F.conj().T for F in mats)
-        out[:, a] = vectorize(QuditOperator(basis.d, basis.n, image), basis)
+    out = _letter_superop(basis, [op.matrix for op in channel.kraus_ops])
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out, basis=basis)
 
 
 def lindblad_superop(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMatrix:
-    """Matrix of the generator rho -> -i[H, rho] + sum_k D[L_k](rho)."""
+    """Matrix of the generator rho -> -i[H, rho] + sum_k D[L_k](rho).
+
+    Written as rho -> A rho + rho A' + sum_k L_k rho L_k^dag with
+    A = -iH - K/2, A' = iH - K/2 and K = sum_k L_k^dag L_k.
+    """
     _check_channel_basis(lind, basis)
-    dim = basis.dim
     H = lind.hamiltonian.matrix
     jumps = [op.matrix for op in lind.jump_ops]
-    sinks = [L.conj().T @ L for L in jumps]
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for a in range(dim):
-        B = basis.element_matrix(a)
-        image = -1j * (H @ B - B @ H)
-        for L, K in zip(jumps, sinks):
-            image += L @ B @ L.conj().T - 0.5 * (K @ B + B @ K)
-        out[:, a] = vectorize(QuditOperator(basis.d, basis.n, image), basis)
+    K = sum((L.conj().T @ L for L in jumps), np.zeros_like(H))
+    out = _letter_superop(basis, jumps, (-1j * H - 0.5 * K, 1j * H - 0.5 * K))
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out, basis=basis)
 
 

@@ -269,6 +269,10 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         if not line:
             continue
         if line.startswith("lambda="):
+            if len(labels) == columns:
+                raise ValueError(
+                    f"{path}:{lineno}: more lambda= labels than the header's columns={columns}"
+                )
             fields = dict(piece.split("=") for piece in line.split())
             shape = Partition(tuple(int(x) for x in fields["lambda"].split(",")))
             weight = tuple(int(x) for x in fields["weight"].split(","))
@@ -280,7 +284,12 @@ def read_basis_file(path: str) -> SuperSchurBasis:
             continue
         if col < 0:
             raise ValueError(f"{path}:{lineno}: amplitude line before the first lambda= label")
-        string, re_text, im_text = line.split()
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(
+                f"{path}:{lineno}: amplitude line needs 3 fields (string re im), got {len(parts)}"
+            )
+        string, re_text, im_text = parts
         row = _parse_string_label(string, q, n)
         if row in seen:
             raise ValueError(f"{path}:{lineno}: repeated amplitude for {string} in column {col}")
@@ -337,7 +346,11 @@ def _input_echo(args, channel, builder) -> dict:
 
 
 def _pipeline(channel, tol: float):
-    """Superoperator, certificate, and block decomposition for a channel."""
+    """Certificate, basis and block decomposition for a channel.
+
+    The letter-basis superoperator is not returned, so it is freed as soon
+    as the decomposition holds the frame matrix.
+    """
     ob = operator_basis(channel.d, channel.n)
     t0 = time.perf_counter()
     if isinstance(channel, KrausChannel):
@@ -352,7 +365,7 @@ def _pipeline(channel, tol: float):
     decomp = decompose(superop, basis, tol=tol)
     t3 = time.perf_counter()
     times = {"superoperator": t1 - t0, "basis": t2 - t1, "decompose": t3 - t2}
-    return superop, cert, basis, decomp, times
+    return cert, basis, decomp, times
 
 
 def _certificate_payload(cert) -> dict:
@@ -372,7 +385,7 @@ def _certificate_payload(cert) -> dict:
 
 def cmd_analyze(args) -> int:
     channel, builder = _load_channel(args.channel_file)
-    superop, cert, basis, decomp, times = _pipeline(channel, args.tol)
+    cert, basis, decomp, times = _pipeline(channel, args.tol)
     report = dfs_report(decomp, cert)
     protection = None
     if any(basis.syt_count(s) >= 2 for s in basis.shapes):
@@ -440,7 +453,7 @@ def cmd_evolve(args) -> int:
     channel, builder = _load_channel(args.channel_file)
     if not isinstance(channel, Lindbladian):
         raise ChannelSpecError("evolve needs a Lindblad description (kind 'lindblad')")
-    superop, cert, basis, decomp, times = _pipeline(channel, args.tol)
+    cert, basis, decomp, times = _pipeline(channel, args.tol)
     echo = _input_echo(args, channel, builder)
     print(f"input: lindblad generator, d={echo['d']}, n={echo['n']}, "
           f"{echo['operator_count']} jump operators ({args.channel_file})")
@@ -469,8 +482,6 @@ def cmd_evolve(args) -> int:
             del dense
             entry["dense_deviation"] = _measured(deviation, 1e-8)
             line += f"; dense cross-check deviation {deviation:.3e} (tol 1.0e-08)"
-        # the next time's frame matrix must not coexist with this one
-        del evolved
         results.append(entry)
         print(line)
         print(f"[time] blockwise exponential at t={t}: {dt:.3f} s")

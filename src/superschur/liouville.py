@@ -191,13 +191,14 @@ def vectorize(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
     """Coefficient vector of ``op`` in the letter basis, site by site."""
     _check_basis_op(op, basis)
     d, n = basis.d, basis.n
+    q = d * d
     t = op.matrix.reshape((d,) * (2 * n))
-    # (i_1..i_n, j_1..j_n) -> (i_1, j_1, ..., i_n, j_n), then fuse per site
+    # (i_1..i_n, j_1..j_n) -> (i_1, j_1, ..., i_n, j_n): site k's index is i_k j_k
     t = np.transpose(t, axes=[ax for k in range(n) for ax in (k, n + k)])
-    t = t.reshape((d * d,) * n)
     M = basis.dual_matrix
-    for k in range(n):
-        t = np.moveaxis(np.tensordot(M, t, axes=(1, k)), 0, k)
+    for _ in range(n):
+        # contract the leading site; its letter index moves to the back
+        t = (M @ t.reshape(q, -1)).T
     return t.reshape(-1)
 
 

@@ -164,6 +164,28 @@ def test_repeated_amplitude_is_rejected(tmp_path, capsys):
         read_basis_file(str(path))
 
 
+def test_label_beyond_header_column_count_is_rejected(tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    lines[0] = "d=2 n=1 columns=1"
+    assert lines[3].startswith("lambda=") and lines[4] == "1 1.0 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:4: more lambda= labels than the header's columns=1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_basis_file(str(path))
+
+
+def test_amplitude_line_with_wrong_field_count_is_rejected(tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    assert lines[2] == "0 1.0 0.0"
+    lines[2] = "0 1.0"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}:3: amplitude line needs 3 fields (string re im), got 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_basis_file(str(path))
+
+
 def test_schur_basis_size_guard_exit_2(tmp_path, capsys):
     assert main(["schur-basis", "--n", "7", "--d", "2", "--out", str(tmp_path / "x")]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
