@@ -10,6 +10,11 @@ Every adapted-basis column lives on one letter-content class, so after
 sorting rows and columns by class the basis matrix is block diagonal, and
 the conjugation into the frame runs one class block at a time instead of
 as two dense products.
+
+On such a sector exp(tG) is the identity on the tableau index times
+exp(tB) on the multiplicity space, so the blockwise exponential computes
+one exp(tB) per shape and shares it among the twins when the measured twin
+deviation of that shape is below the decomposition tolerance.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ class BlockDecomposition:
     ``twin_deviation`` the largest difference between two blocks of the
     same shape; both are small exactly when the underlying map is
     permutation symmetric.  ``frame`` is the whole conjugated matrix, or
-    None when only the blocks are kept (an exponentiated generator).
+    None when only the blocks are kept (an exponentiated generator, whose
+    twin blocks may share one read-only array).
     """
 
     d: int
@@ -236,6 +242,14 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     tolerance; the result is a channel-kind decomposition that keeps only
     the exponentiated blocks (its ``schur_matrix`` is their direct sum,
     built when read).
+
+    A shape whose twin deviation is below the tolerance is exponentiated
+    once, from its tableau-0 block, and every twin of that shape gets the
+    same read-only array; the same test flags a sector in
+    :func:`dfs_report`.  Sharing replaces each twin by one that differs from
+    it by less than the tolerance entrywise, an error of the size already
+    accepted in the off-block entries this function drops.  A shape whose
+    twins differ by more (or by NaN) is exponentiated twin by twin.
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
@@ -244,9 +258,18 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
             f"leakage {decomp.leakage:.3e} exceeds tolerance {decomp.tol:.1e}; "
             "refusing blockwise exponential of a non-block-diagonal generator"
         )
-    blocks = [
-        SectorBlock(b.shape, b.tableau_index, expm(t * b.matrix)) for b in decomp.blocks
-    ]
+    shared: dict[Partition, np.ndarray] = {}
+    blocks = []
+    for b in decomp.blocks:
+        if not decomp.twin_deviation[b.shape] < decomp.tol:
+            E = expm(t * b.matrix)
+        elif b.shape in shared:
+            E = shared[b.shape]
+        else:
+            E = expm(t * decomp.block(b.shape, 0).matrix)
+            E.flags.writeable = False
+            shared[b.shape] = E
+        blocks.append(SectorBlock(b.shape, b.tableau_index, E))
     return BlockDecomposition(
         d=decomp.d,
         n=decomp.n,

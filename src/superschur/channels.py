@@ -69,6 +69,13 @@ def _gram(ops: tuple[QuditOperator, ...]) -> np.ndarray:
     return np.conj(stack) @ stack.T / ops[0].d ** ops[0].n
 
 
+def _orthogonality_bound(G: np.ndarray) -> float:
+    """ORTHOGONALITY_TOL scaled by the largest squared operator norm on the
+    Gram diagonal (never below the absolute tolerance), so that scaling
+    every operator by c scales overlap and bound alike by c**2."""
+    return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real)))
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map in canonical Kraus form.
@@ -99,7 +106,7 @@ class KrausChannel:
         if any(G[i, i].real < _NEGLIGIBLE_NORM_SQ for i in range(len(ops))):
             raise ChannelInvariantError("channel contains a zero Kraus operator")
         off = np.max(np.abs(G - np.diag(np.diag(G)))) if len(ops) > 1 else 0.0
-        if off > ORTHOGONALITY_TOL:
+        if off > _orthogonality_bound(G):
             raise ChannelInvariantError(
                 f"Kraus operators not mutually orthogonal: max overlap {off:.3e}; "
                 "run orthogonalize_kraus first"
@@ -147,7 +154,7 @@ class Lindbladian:
                 raise ChannelInvariantError("zero jump operator")
             if len(ops) > 1:
                 off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
-                if off > ORTHOGONALITY_TOL:
+                if off > _orthogonality_bound(G):
                     raise ChannelInvariantError(
                         f"jump operators not mutually orthogonal: max overlap {off:.3e}"
                     )

@@ -57,7 +57,7 @@ from .errors import (
     SizeGuardError,
 )
 from .liouville import operator_basis
-from .schur import ColumnLabel, SuperSchurBasis, super_schur_basis
+from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, super_schur_basis
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -252,7 +252,8 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
 
 def read_basis_file(path: str) -> SuperSchurBasis:
     """Inverse of :func:`write_basis_file` (amplitudes below the write
-    cutoff come back as zeros)."""
+    cutoff come back as zeros).  A file whose columns are not orthonormal
+    to ``UNITARITY_TOL`` is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines:
@@ -297,7 +298,14 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         U[row, col] = complex(float(re_text), float(im_text))
     if len(labels) != columns:
         raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
-    return SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
+    basis = SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
+    dev = basis.unitarity_deviation()
+    if not dev <= UNITARITY_TOL:
+        raise ValueError(
+            f"{path}: basis is not unitary: deviation {dev:.3e} "
+            f"> UNITARITY_TOL {UNITARITY_TOL:.1e}"
+        )
+    return basis
 
 
 def cmd_schur_basis(args) -> int:
@@ -475,7 +483,8 @@ def cmd_evolve(args) -> int:
                 for b in evolved.blocks
             ],
         }
-        line = f"t={t}: {len(evolved.blocks)} blocks exponentiated"
+        exponentials = len({id(b.matrix) for b in evolved.blocks})
+        line = f"t={t}: {len(evolved.blocks)} blocks from {exponentials} exponentials"
         if args.verify_dense:
             dense = expm(t * decomp.schur_matrix)
             deviation = float(np.max(np.abs(evolved.schur_matrix - dense)))

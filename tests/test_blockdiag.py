@@ -318,3 +318,85 @@ def test_protection_check_argument_errors(schur_2_2, letters_2_2, schur_2_3, let
     )
     with pytest.raises(ValueError, match="trials"):
         protection_check(decomp, trials=0)
+
+
+# ---------------------------------------------------------------------------
+# one exponential per shape
+
+
+LINDBLAD_FAMILIES = ("single_jump", "double_jump", "collective_jump", "transverse_ising")
+
+
+@pytest.fixture(scope="module")
+def bases_3_to_5(schur_2_3, schur_2_4):
+    return {3: schur_2_3, 4: schur_2_4, 5: super_schur_basis(2, 5)}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", LINDBLAD_FAMILIES)
+def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
+    basis = bases_3_to_5[n]
+    lind = example_channel(name, n=n)
+    decomp = decompose(lindblad_superop(lind, operator_basis(2, n)), basis)
+    assert max(decomp.twin_deviation.values()) < decomp.tol
+    for t in (0.0, 0.1, 1.0):
+        evolved = blockwise_exp(decomp, t)
+        assert len(evolved.blocks) == len(decomp.blocks)
+        # every twin of a shape holds the one array exponentiated for it
+        assert len({id(b.matrix) for b in evolved.blocks}) == len(basis.shapes)
+        for b, own in zip(evolved.blocks, decomp.blocks):
+            assert (b.shape, b.tableau_index) == (own.shape, own.tableau_index)
+            assert b.matrix is evolved.block(b.shape, 0).matrix
+            expected = expm(t * own.matrix)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(b.matrix - expected)) <= 1e-12 * scale
+
+
+def block_frame_generator(basis, letters, rng):
+    """U S U^T for a frame matrix S with one random block per (shape,
+    tableau): no leakage, but twins of equal size that differ."""
+    S = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for shape in basis.shapes:
+        for y in range(basis.syt_count(shape)):
+            sl = basis.tableau_slice(shape, y)
+            m = sl.stop - sl.start
+            S[sl, sl] = 0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    U = basis.unitary
+    return SuperOperatorMatrix(basis.d, basis.n, "generator", U @ S @ U.T, letters)
+
+
+def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3, letters_3):
+    G = block_frame_generator(schur_2_3, letters_3, np.random.default_rng(5))
+    decomp = decompose(G, schur_2_3)
+    assert decomp.leakage < 1e-12
+    assert decomp.twin_deviation[TWO_ONE] > decomp.tol
+    U = schur_2_3.unitary
+    for t in (0.1, 1.0):
+        evolved = blockwise_exp(decomp, t)
+        first, second = evolved.block(TWO_ONE, 0).matrix, evolved.block(TWO_ONE, 1).matrix
+        assert first is not second
+        for b, own in zip(evolved.blocks, decomp.blocks):
+            assert np.max(np.abs(b.matrix - expm(t * own.matrix))) < 1e-12
+        dense = expm(t * G.matrix)
+        assert np.max(np.abs(U @ evolved.schur_matrix @ U.T - dense)) < 1e-12
+
+
+def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3):
+    lind = example_channel("single_jump", n=3)
+    decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
+    decomp.twin_deviation[TWO_ONE] = float("nan")
+    evolved = blockwise_exp(decomp, 0.5)
+    assert evolved.block(TWO_ONE, 0).matrix is not evolved.block(TWO_ONE, 1).matrix
+    assert evolved.block(Partition((3,)), 0).matrix.flags.writeable is False
+
+
+def test_shared_exponential_is_read_only(schur_2_3, letters_3):
+    lind = example_channel("collective_jump", n=3)
+    decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
+    evolved = blockwise_exp(decomp, 1.0)
+    shared = evolved.block(TWO_ONE, 1).matrix
+    assert shared is evolved.block(TWO_ONE, 0).matrix
+    before = shared.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0, 0] = 0.0
+    assert np.array_equal(evolved.block(TWO_ONE, 0).matrix, before)

@@ -575,3 +575,42 @@ def test_channel_from_dict_builder_errors():
                 "orthogonalize": True,
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# orthogonality relative to the operators' size
+
+
+def random_traceless_jumps(seed, d=3, n=2, count=2):
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    mats = []
+    for _ in range(count):
+        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mats.append(A - np.trace(A) / dim * np.eye(dim))
+    return orthogonalize_kraus(d, n, mats)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scaled_orthogonal_jumps_are_accepted(seed):
+    # the Gram diagonal is ~1e6 here, so roundoff overlaps reach ~1e-9
+    jumps = tuple(1e3 * m for m in random_traceless_jumps(seed))
+    lind = Lindbladian(3, 2, np.zeros((9, 9)), jumps)
+    assert len(lind.jump_ops) == 2
+
+
+def test_scaled_non_orthogonal_jumps_are_refused():
+    a, b = random_traceless_jumps(0)
+    jumps = (1e3 * a, 1e3 * (b + 1e-6 * a))
+    with pytest.raises(ChannelInvariantError, match="orthogonal"):
+        Lindbladian(3, 2, np.zeros((9, 9)), jumps)
+
+
+def test_small_operators_keep_the_absolute_orthogonality_bound():
+    a, b = random_traceless_jumps(1)
+    # Gram diagonal 0.25 for a: the bound stays 1e-10, not 2.5e-11
+    small = 0.5 / np.sqrt(np.vdot(a, a).real / 9)
+    H = np.zeros((9, 9))
+    Lindbladian(3, 2, H, (small * a, small * (b + 2e-10 * a)))  # overlap ~5e-11
+    with pytest.raises(ChannelInvariantError, match="orthogonal"):
+        Lindbladian(3, 2, H, (small * a, small * (b + 1e-9 * a)))  # overlap ~2.5e-10

@@ -395,3 +395,33 @@ def test_verify_fast_passes(tmp_path, capsys):
 def test_verify_rejects_unknown_level(capsys):
     assert main(["verify", "--level", "extreme"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_written_basis_files_load(tmp_path, d, n):
+    path = tmp_path / "basis.txt"
+    assert main(["schur-basis", "--n", str(n), "--d", str(d), "--out", str(path)]) == 0
+    loaded = read_basis_file(str(path))
+    assert loaded.unitarity_deviation() <= 1e-10
+
+
+def test_non_unitary_basis_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "basis.txt"
+    assert main(["schur-basis", "--n", "2", "--d", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if i and not line.startswith("lambda="))
+    string, re_text, im_text = lines[k].split()
+    lines[k] = f"{string} {float(re_text) * 1.01!r} {im_text}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: basis is not unitary: deviation "
+    with pytest.raises(ValueError, match=re.escape(message) + r".* > UNITARITY_TOL 1\.0e-10"):
+        read_basis_file(str(path))
+
+
+def test_evolve_reports_blocks_and_exponentials(tmp_path, capsys):
+    path = builder_doc(tmp_path / "jump.json", "single_jump", "lindblad")
+    assert main(["evolve", path, "--times", "0.1,1.0"]) == 0
+    out = capsys.readouterr().out
+    assert "t=0.1: 4 blocks from 3 exponentials" in out
+    assert "t=1.0: 4 blocks from 3 exponentials" in out
