@@ -15,6 +15,13 @@ On such a sector exp(tG) is the identity on the tableau index times
 exp(tB) on the multiplicity space, so the blockwise exponential computes
 one exp(tB) per shape and shares it among the twins when the measured twin
 deviation of that shape is below the decomposition tolerance.
+
+The basis matrix is real, so every stage keeps the dtype of the
+superoperator it is given.  For qubits that is float64 (the Pauli transfer
+matrix; ``superschur.channels`` bounds the imaginary part it drops), and
+the frame, the blocks, the exponentials and their direct sum are float64
+too: half the memory of complex128, and real BLAS products.  Qutrits and
+above stay complex128.
 """
 
 from __future__ import annotations
@@ -78,8 +85,9 @@ class BlockDecomposition:
         return self.frame if self.frame is not None else self.reassembled()
 
     def reassembled(self) -> np.ndarray:
-        """Dense matrix containing only the diagonal blocks."""
-        out = np.zeros((self.basis.dim, self.basis.dim), dtype=np.complex128)
+        """Dense matrix containing only the diagonal blocks, of their dtype."""
+        dtype = np.result_type(*(b.matrix for b in self.blocks))
+        out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
         for b in self.blocks:
             sl = self.basis.tableau_slice(b.shape, b.tableau_index)
             out[sl, sl] = b.matrix
@@ -95,6 +103,7 @@ def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.n
     pass gathers the class rows of M with their columns already in class
     order, the column pass works on each class's contiguous columns in
     place, and a final column permutation restores the frame order.  A
+    real M takes real products throughout and gives a real frame.  A
     basis without that structure (for example a hand-edited basis file)
     takes the dense product.
     """
@@ -111,14 +120,15 @@ def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.n
     order = np.concatenate([rows for rows, _, _ in classes])
     S = np.empty(M.shape, dtype=M.dtype)
     # a complex row is a row of (re, im) pairs, so on the real view the real
-    # block multiplies real and imaginary parts in one real product
+    # block multiplies real and imaginary parts in one real product (on a
+    # real M the view is M itself)
     S_re = S.view(np.float64)
     for rows, cols, B in classes:
         S_re[cols] = B.T @ M[np.ix_(rows, order)].view(np.float64)
     start = 0
     for rows, _, B in classes:
         c = slice(start, start + len(rows))
-        S[:, c] = S[:, c] @ B.astype(S.dtype)
+        S[:, c] = S[:, c] @ B
         start = c.stop
     # class position i now holds frame column frame[i]
     frame = np.concatenate([cols for _, cols, _ in classes])
@@ -292,6 +302,9 @@ def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0)
     multiplicity index alone.  Returns the largest deviation observed;
     for a genuinely symmetric map this is at the leakage/twin level,
     while any cross-talk into the protected index shows up directly.
+    Only the sector's columns of the frame meet a probe, and a real frame
+    takes its real and imaginary parts as the two columns of one real
+    product instead of a complex copy of itself.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -309,12 +322,15 @@ def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0)
             C = rng.standard_normal((protected, noisy)) + 1j * rng.standard_normal(
                 (protected, noisy)
             )
-            v = np.zeros(basis.dim, dtype=np.complex128)
             sl = basis.sector_slice(shape)
-            v[sl] = C.reshape(-1)
-            out = S @ v
+            v = C.reshape(-1)
+            if np.iscomplexobj(S):
+                out = S[:, sl] @ v
+            else:
+                parts = S[:, sl] @ np.column_stack((v.real, v.imag))
+                out = parts[:, 0] + 1j * parts[:, 1]
             B = decomp.block(shape, 0).matrix
-            predicted = np.zeros_like(v)
+            predicted = np.zeros(basis.dim, dtype=np.complex128)
             predicted[sl] = (C @ B.T).reshape(-1)
             deviation = max(deviation, float(np.max(np.abs(out - predicted))))
     return deviation

@@ -15,6 +15,19 @@ Each chunk of columns takes one gathered stack and one matrix product for
 all the sandwich terms F B F^dag together; each scratch array is held to
 _CHUNK_BYTES (1 MB), so the stage never holds more than the output matrix
 and a few such arrays.  A letter basis that is not monomial is refused.
+
+With Hermitian letters (the Pauli strings, d = 2) every Kraus channel and
+every Lindbladian with a Hermitian H maps Hermitian letter strings to
+Hermitian operators, so its letter-basis matrix is real: the Pauli
+transfer matrix.  The kernel then stores float64, keeping the real part of
+every vectorized column, and measures the imaginary part it drops.  That
+part may reach IMAGINARY_PART_TOL * max|M| (roundoff) plus, for a
+generator, HERMITICITY_TOL: an anti-Hermitian part A of H with entries up
+to HERMITICITY_TOL / 2 has Pauli coefficients no larger, and -i[A, P_b]
+sends each of them to one coefficient at most twice as large, so dropping
+that part is the same as using the Hermitian part of H.  Anything larger
+is an InternalConsistencyError.  Weyl letters (d >= 3) are not Hermitian
+and keep complex128.
 """
 
 from __future__ import annotations
@@ -47,6 +60,9 @@ TRACELESS_TOL = 1e-10
 STRONG_TOL = 1e-10
 WEAK_TOL = 1e-8
 _NEGLIGIBLE_NORM_SQ = 1e-14
+# largest imaginary part the real (Hermitian-letter) kernel may drop, as a
+# share of max|M|; measured roundoff stays below 2e-16
+IMAGINARY_PART_TOL = 1e-12
 # byte budget of each scratch array in the superoperator kernel; freed
 # scratch stays resident in the heap, so it adds to the later stages' peak
 _CHUNK_BYTES = 1 << 20
@@ -353,7 +369,12 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
 
 @dataclass(frozen=True)
 class SuperOperatorMatrix:
-    """A superoperator as a dense matrix on letter-string coordinates."""
+    """A superoperator as a dense matrix on letter-string coordinates.
+
+    A real matrix is kept as float64 (the Pauli transfer matrix of a qubit
+    map), anything else as complex128; a complex matrix is never cast to
+    real, whatever its imaginary part.
+    """
 
     d: int
     n: int
@@ -365,7 +386,8 @@ class SuperOperatorMatrix:
         if self.kind not in ("channel", "generator"):
             raise ValueError(f"kind must be 'channel' or 'generator', got {self.kind!r}")
         dim = (self.d * self.d) ** self.n
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
         if m.shape != (dim, dim):
             raise DimensionMismatchError(f"matrix shape {m.shape} != ({dim}, {dim})")
         object.__setattr__(self, "matrix", m)
@@ -433,6 +455,11 @@ def _letter_superop(
     in real arithmetic when every F is real.  Each image is then
     vectorized on its own.  A scratch array holds at most _CHUNK_BYTES,
     unless a single column needs more (over 16 sandwiches at n = 6).
+
+    With Hermitian letters the result is float64: each column keeps its
+    real part, and the largest imaginary part dropped must stay within
+    IMAGINARY_PART_TOL * max|M|, plus HERMITICITY_TOL when ``one_sided``
+    carries a Hamiltonian (see the module docstring).
     """
     d, n, dim = basis.d, basis.n, basis.dim
     D = d**n
@@ -450,8 +477,11 @@ def _letter_superop(
         # column C of B_b holds its nonzero in row inv_cols[b](C)
         inv_cols = np.argsort(cols, axis=1)
         inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
+    real = all(np.array_equal(letter, letter.conj().T) for letter in basis.letters)
+    if real:
+        dropped = np.empty(dim)  # per column: the largest imaginary part dropped
     step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
-    out = np.empty((dim, dim), dtype=np.complex128)
+    out = np.empty((dim, dim), dtype=np.float64 if real else np.complex128)
     for b0 in range(0, dim, step):
         lab = labels[b0 : b0 + step]
         c = len(lab)
@@ -481,10 +511,26 @@ def _letter_superop(
             G *= psi
             images += G
         # out holds the transpose until the end, so each column is one
-        # contiguous row write instead of a 16-byte write per row
+        # contiguous row write instead of one scalar write per row
         for j in range(c):
-            out[b0 + j] = vectorize(QuditOperator(d, n, images[:, j]), basis)
+            v = vectorize(QuditOperator(d, n, images[:, j]), basis)
+            if real:
+                dropped[b0 + j] = np.max(np.abs(v.imag))
+                v = v.real
+            out[b0 + j] = v
     _transpose_in_place(out)
+    if real:
+        # a generator may also drop the anti-Hermitian part of an accepted H
+        allowance = HERMITICITY_TOL if one_sided is not None else 0.0
+        # max and -min instead of abs: no temporary the size of out
+        bound = IMAGINARY_PART_TOL * max(out.max(), -out.min()) + allowance
+        worst = dropped.max()  # a NaN comes through and fails the test
+        if not worst <= bound:
+            raise InternalConsistencyError(
+                f"letter-basis matrix has imaginary part {worst:.3e} above the bound "
+                f"{bound:.3e} ({IMAGINARY_PART_TOL:.0e} x max|M| + {allowance:.0e} for the "
+                "Hamiltonian); a Hermiticity-preserving map is real on Hermitian letters"
+            )
     return out
 
 

@@ -252,8 +252,10 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
 
 def read_basis_file(path: str) -> SuperSchurBasis:
     """Inverse of :func:`write_basis_file` (amplitudes below the write
-    cutoff come back as zeros).  A file whose columns are not orthonormal
-    to ``UNITARITY_TOL`` is refused."""
+    cutoff come back as zeros).  The unitary is float64, like a built
+    one, when every imaginary field is zero, and complex128 otherwise.  A
+    file whose columns are not orthonormal to ``UNITARITY_TOL`` is
+    refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines:
@@ -298,6 +300,8 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         U[row, col] = complex(float(re_text), float(im_text))
     if len(labels) != columns:
         raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
+    if not np.any(U.imag):
+        U = U.real.copy()
     basis = SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
