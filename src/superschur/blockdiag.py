@@ -6,10 +6,9 @@ fixed shape are copies of each other.  A shape whose tableau count
 exceeds one then carries a protected subsystem: the dynamics acts as
 identity on the tableau index and touches only the multiplicity space.
 
-Every adapted-basis column lives on one letter-content class, so after
-sorting rows and columns by class the basis matrix is block diagonal, and
-the conjugation into the frame runs one class block at a time instead of
-as two dense products.
+The adapted basis is stored as one block per letter-content class (every
+column lives on one class), so the conjugation into the frame runs one
+class block at a time instead of as two dense products.
 
 On such a sector exp(tG) is the identity on the tableau index times
 exp(tB) on the multiplicity space, so the blockwise exponential computes
@@ -97,15 +96,12 @@ class BlockDecomposition:
 def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.ndarray:
     """Conjugate a letter-basis superoperator matrix into the adapted frame.
 
-    Computes U^dagger M U.  With the basis's class index (U real, block
-    diagonal over letter-content classes) this takes one small product per
-    class on each side and holds one frame-sized array besides M: the row
-    pass gathers the class rows of M with their columns already in class
-    order, the column pass works on each class's contiguous columns in
-    place, and a final column permutation restores the frame order.  A
-    real M takes real products throughout and gives a real frame.  A
-    basis without that structure (for example a hand-edited basis file)
-    takes the dense product.
+    Computes U^T M U from the basis's real class blocks: one small product
+    per class on each side, holding one frame-sized array besides M.  The
+    row pass gathers the class rows of M with their columns already in
+    class order, the column pass works on each class's contiguous columns
+    in place, and a final column permutation restores the frame order.  A
+    real M takes real products throughout and gives a real frame.
     """
     if (superop.d, superop.n) != (basis.d, basis.n):
         raise DimensionMismatchError(
@@ -113,25 +109,21 @@ def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.n
             f"basis (d={basis.d}, n={basis.n})"
         )
     M = superop.matrix
-    classes = basis._class_blocks()
-    if classes is None:
-        U = basis.unitary
-        return U.conj().T @ M @ U
-    order = np.concatenate([rows for rows, _, _ in classes])
+    order = np.concatenate([rows for rows, _, _ in basis.classes])
     S = np.empty(M.shape, dtype=M.dtype)
     # a complex row is a row of (re, im) pairs, so on the real view the real
     # block multiplies real and imaginary parts in one real product (on a
     # real M the view is M itself)
     S_re = S.view(np.float64)
-    for rows, cols, B in classes:
+    for rows, cols, B in basis.classes:
         S_re[cols] = B.T @ M[np.ix_(rows, order)].view(np.float64)
     start = 0
-    for rows, _, B in classes:
+    for rows, _, B in basis.classes:
         c = slice(start, start + len(rows))
         S[:, c] = S[:, c] @ B
         start = c.stop
     # class position i now holds frame column frame[i]
-    frame = np.concatenate([cols for _, cols, _ in classes])
+    frame = np.concatenate([cols for _, cols, _ in basis.classes])
     _take_columns_in_place(S, np.argsort(frame))
     return S
 

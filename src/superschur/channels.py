@@ -165,7 +165,16 @@ class Lindbladian:
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
         if ops:
-            G = _gram(ops)
+            # operators whose products overflow float64 are refused as input
+            # here instead of reaching the superoperator kernel
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = _gram(ops)
+                K = sum(op.matrix.conj().T @ op.matrix for op in ops)
+            if not (np.all(np.isfinite(G)) and np.all(np.isfinite(K))):
+                raise ChannelSpecError(
+                    "jump operators too large: their Gram matrix or sum L^dag L "
+                    "is not finite in float64"
+                )
             if any(G[i, i].real < _NEGLIGIBLE_NORM_SQ for i in range(len(ops))):
                 raise ChannelInvariantError("zero jump operator")
             if len(ops) > 1:

@@ -49,6 +49,7 @@ from .combinatorics import (
     weyl_dimension,
 )
 from .errors import (
+    BasisLayoutError,
     BlockStructureError,
     ChannelInvariantError,
     ChannelSpecError,
@@ -56,7 +57,7 @@ from .errors import (
     InternalConsistencyError,
     SizeGuardError,
 )
-from .liouville import operator_basis
+from .liouville import check_liouville_dim, operator_basis
 from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, super_schur_basis
 from . import verify as _verify
 
@@ -234,12 +235,13 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     """Serialize the basis: a header, then per column a label record
     followed by its nonzero amplitudes (one letter string per line)."""
     q = basis.d * basis.d
+    U = basis.unitary
     lines = [f"d={basis.d} n={basis.n} columns={len(basis.labels)}"]
     for j, lab in enumerate(basis.labels):
         lam = ",".join(str(p) for p in lab.shape.parts)
         wt = ",".join(str(c) for c in lab.weight)
         lines.append(f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}")
-        col = basis.unitary[:, j]
+        col = U[:, j]
         for idx in np.nonzero(np.abs(col) >= AMPLITUDE_CUTOFF)[0]:
             amp = col[idx]
             lines.append(
@@ -250,59 +252,106 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _key_values(line: str, required: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of a header or label line."""
+    fields = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"token {token!r} is not key=value")
+        fields[key] = value
+    missing = [key + "=" for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return fields
+
+
 def read_basis_file(path: str) -> SuperSchurBasis:
     """Inverse of :func:`write_basis_file` (amplitudes below the write
-    cutoff come back as zeros).  The unitary is float64, like a built
-    one, when every imaginary field is zero, and complex128 otherwise.  A
-    file whose columns are not orthonormal to ``UNITARITY_TOL`` is
-    refused."""
+    cutoff come back as zeros).  The basis is real, like a built one.
+
+    Each refusal raises ValueError naming the file and the line at fault: a
+    header without d=, n= and columns=, or with d < 2, n < 1 or columns
+    other than (d*d)**n; a malformed label or amplitude line; a nonzero
+    imaginary amplitude; an amplitude whose letter string lies outside its
+    label's weight= class; and labels whose content classes do not tile
+    the space.  The size guard applies before anything is allocated.  A
+    file whose columns are not orthonormal to ``UNITARITY_TOL`` is refused
+    with the measured deviation.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty basis file")
+        try:
+            header = _key_values(first, ("d", "n", "columns"))
+            d, n, columns = int(header["d"]), int(header["n"]), int(header["columns"])
+            if d < 2 or n < 1:
+                raise ValueError(f"need d >= 2 and n >= 1, got d={d} n={n}")
+            if columns != (d * d) ** n:
+                raise ValueError(f"columns={columns}, but (d*d)**n = {(d * d) ** n}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
+        dim = check_liouville_dim(d, n)
         lines = [line.rstrip("\n") for line in fh]
-    if not lines:
-        raise ValueError(f"{path}: empty basis file")
-    header = dict(piece.split("=") for piece in lines[0].split())
-    d, n, columns = int(header["d"]), int(header["n"]), int(header["columns"])
     q = d * d
-    dim = q**n
-    U = np.zeros((dim, columns), dtype=np.complex128)
     labels: list[ColumnLabel] = []
-    col = -1
+    label_lines: list[int] = []
+    rows: list[int] = []
+    values: list[float] = []
+    value_lines: list[int] = []
+    cols: list[int] = []
     seen: set[int] = set()  # rows already given for the current column
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
-        if line.startswith("lambda="):
-            if len(labels) == columns:
-                raise ValueError(
-                    f"{path}:{lineno}: more lambda= labels than the header's columns={columns}"
+        try:
+            if line.startswith("lambda="):
+                if len(labels) == columns:
+                    raise ValueError(f"more lambda= labels than the header's columns={columns}")
+                fields = _key_values(line, ("lambda", "Y", "weight", "w_index"))
+                shape = Partition(tuple(int(x) for x in fields["lambda"].split(",")))
+                weight = tuple(int(x) for x in fields["weight"].split(","))
+                labels.append(
+                    ColumnLabel(shape, int(fields["Y"]), weight, int(fields["w_index"]))
                 )
-            fields = dict(piece.split("=") for piece in line.split())
-            shape = Partition(tuple(int(x) for x in fields["lambda"].split(",")))
-            weight = tuple(int(x) for x in fields["weight"].split(","))
-            labels.append(
-                ColumnLabel(shape, int(fields["Y"]), weight, int(fields["w_index"]))
-            )
-            col += 1
-            seen.clear()
-            continue
-        if col < 0:
-            raise ValueError(f"{path}:{lineno}: amplitude line before the first lambda= label")
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(
-                f"{path}:{lineno}: amplitude line needs 3 fields (string re im), got {len(parts)}"
-            )
-        string, re_text, im_text = parts
-        row = _parse_string_label(string, q, n)
-        if row in seen:
-            raise ValueError(f"{path}:{lineno}: repeated amplitude for {string} in column {col}")
-        seen.add(row)
-        U[row, col] = complex(float(re_text), float(im_text))
+                label_lines.append(lineno)
+                seen.clear()
+                continue
+            if not labels:
+                raise ValueError("amplitude line before the first lambda= label")
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(
+                    f"amplitude line needs 3 fields (string re im), got {len(parts)}"
+                )
+            string, re_text, im_text = parts
+            row = _parse_string_label(string, q, n)
+            if row in seen:
+                raise ValueError(f"repeated amplitude for {string} in column {len(labels) - 1}")
+            seen.add(row)
+            value = float(re_text)
+            if float(im_text) != 0.0:
+                raise ValueError(f"nonzero imaginary amplitude {im_text} for {string}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
+        cols.append(len(labels) - 1)
+        values.append(value)
+        value_lines.append(lineno)
     if len(labels) != columns:
         raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
-    if not np.any(U.imag):
-        U = U.real.copy()
-    basis = SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
+    U = np.zeros((dim, columns))
+    U[rows, cols] = values
+    try:
+        basis = SuperSchurBasis.from_unitary(d, n, U, labels)
+    except BasisLayoutError as exc:
+        # the counts are checked above, so the fault is one entry or one class
+        if exc.row is None:
+            lineno = label_lines[exc.column]
+        else:
+            lineno = value_lines[list(zip(rows, cols)).index((exc.row, exc.column))]
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise ValueError(

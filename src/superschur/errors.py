@@ -22,6 +22,17 @@ class ChannelInvariantError(SuperSchurError):
     orthogonality, hermiticity, ...)."""
 
 
+class BasisLayoutError(SuperSchurError, ValueError):
+    """A dense basis matrix is not block diagonal over the letter-content
+    classes of its column labels.  ``row`` and ``column`` locate the
+    offending entry or column when there is one, and are None otherwise."""
+
+    def __init__(self, message: str, row: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.column = column
+
+
 class BlockStructureError(SuperSchurError):
     """A matrix does not have the block structure an operation requires."""
 

@@ -9,12 +9,14 @@ generates the columns of every other tableau from a neighbouring one
 through a single adjacent transposition, so no stage sums over the group
 per tableau.  In the resulting frame every site permutation is block
 diagonal with the sector pattern D x I (irrep matrix times identity on the
-multiplicity space).  Every column lives on one letter-content class,
-which lets unitarity be checked one class at a time.
+multiplicity space).  Every column lives on one letter-content class, so
+the basis is stored as one real square block per class, and unitarity is
+checked one class at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,11 +28,10 @@ from .combinatorics import (
     letter_strings_by_weight,
     partitions,
     standard_tableaux,
-    syt_dimension,
     weight_vectors,
     weyl_dimension,
 )
-from .errors import InternalConsistencyError, SizeGuardError
+from .errors import BasisLayoutError, InternalConsistencyError, SizeGuardError
 from .liouville import check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
@@ -167,31 +168,77 @@ class SuperSchurBasis:
     Columns are grouped by shape (largest first), then tableau index, then
     letter content in lexicographic order.  In this frame every site
     permutation acts as a direct sum over shapes of D(pi) x I.
+
+    Every column lives on the strings of its label's letter content, so
+    ``classes`` stores, per content class in order of first appearance in
+    ``labels``, its ascending rows, the ascending columns labelled with it
+    and the real square block U[rows, cols].
     """
 
     d: int
     n: int
-    unitary: np.ndarray
+    classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     labels: list[ColumnLabel]
     _sectors: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         start = 0
-        pos = 0
-        while pos < len(self.labels):
-            shape = self.labels[pos].shape
-            start = pos
-            while pos < len(self.labels) and self.labels[pos].shape == shape:
-                pos += 1
-            count = pos - start
-            syt = max(lab.tableau_index for lab in self.labels[start:pos]) + 1
-            if count % syt:
+        for shape, group in itertools.groupby(self.labels, key=lambda lab: lab.shape):
+            tableaux = [lab.tableau_index for lab in group]
+            syt = max(tableaux) + 1
+            if len(tableaux) % syt:
                 raise InternalConsistencyError(f"ragged sector for shape {shape}")
-            self._sectors[shape] = (start, syt, count // syt)
+            self._sectors[shape] = (start, syt, len(tableaux) // syt)
+            start += len(tableaux)
+
+    @classmethod
+    def from_unitary(
+        cls, d: int, n: int, unitary: np.ndarray, labels: list[ColumnLabel]
+    ) -> SuperSchurBasis:
+        """The basis whose dense matrix is ``unitary``, split into class blocks.
+
+        Raises :class:`BasisLayoutError` unless, checked exactly, the matrix
+        is real and square with one label per column, every class labels as
+        many columns as it has rows, and no nonzero entry leaves the rows of
+        its column's class."""
+        dim = (d * d) ** n
+        if unitary.shape != (dim, dim) or len(labels) != dim:
+            raise BasisLayoutError(f"need {dim} labels and {dim} x {dim} amplitudes")
+        if np.iscomplexobj(unitary) and np.any(unitary.imag):
+            raise BasisLayoutError("nonzero imaginary amplitude")
+        rows = letter_strings_by_weight(d * d, n)
+        cols: dict[tuple[int, ...], list[int]] = {}
+        for j, lab in enumerate(labels):
+            cols.setdefault(lab.weight, []).append(j)
+        outside = unitary != 0  # NaN included
+        # with dim labels in all, square blocks leave no class unlabelled
+        for w, js in cols.items():
+            size = len(rows.get(w, ()))
+            if len(js) != size:
+                message = f"content {w} has {size} letter strings but labels {len(js)} columns"
+                raise BasisLayoutError("classes do not tile the space: " + message, column=js[0])
+            outside[np.ix_(rows[w], js)] = False
+        if outside.any():
+            row, col = (int(x) for x in np.argwhere(outside)[0])
+            message = f"amplitude at row {row} lies outside its content class {labels[col].weight}"
+            raise BasisLayoutError(f"column {col}: {message}", row, col)
+        classes = [
+            (np.asarray(rows[w]), np.asarray(js), unitary.real[np.ix_(rows[w], js)])
+            for w, js in cols.items()
+        ]
+        return cls(d=d, n=n, classes=classes, labels=labels)
 
     @property
     def dim(self) -> int:
-        return self.unitary.shape[0]
+        return (self.d * self.d) ** self.n
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense dim x dim basis matrix, assembled anew on every read."""
+        U = np.zeros((self.dim, self.dim))
+        for rows, cols, B in self.classes:
+            U[np.ix_(rows, cols)] = B
+        return U
 
     @property
     def shapes(self) -> list[Partition]:
@@ -214,55 +261,10 @@ class SuperSchurBasis:
         return slice(start + y * mult, start + (y + 1) * mult)
 
     def unitarity_deviation(self) -> float:
-        """max |U^dagger U - I|, one real Gram matrix per letter-content class.
-
-        Columns labelled with different contents are orthogonal exactly when
-        each column is zero outside the rows of its own class, so the Gram
-        matrix is block diagonal and the classes can be checked one by one.
-        That support, and a zero imaginary part, are checked exactly first;
-        a basis that fails either (for example a hand-edited basis file) is
-        checked with the dense product instead.
-        """
-        classes = self._class_blocks()
-        if classes is None:
-            G = self.unitary.conj().T @ self.unitary
-            return float(np.max(np.abs(G - np.eye(G.shape[0]))))
+        """max |U^T U - I|, one Gram matrix per letter-content class (columns
+        of different classes have disjoint supports)."""
         # np.max, unlike the builtin max, lets a NaN through to the caller
-        return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for _, _, B in classes]))
-
-    def _class_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """Per letter-content class: its row indices, the indices of the
-        columns labelled with it, and the real square block U[rows, cols].
-
-        Returns None unless U is block diagonal after sorting by class,
-        checked exactly: the labels match the columns, U has no imaginary
-        part, every column is zero outside the rows of its class, the class
-        rows tile 0..dim-1 and every block is square.
-        """
-        U = self.unitary
-        if len(self.labels) != U.shape[1]:
-            return None
-        if np.iscomplexobj(U):
-            if np.count_nonzero(U.imag):
-                return None
-            U = U.real
-        rows = letter_strings_by_weight(self.d * self.d, self.n)
-        cols: dict[tuple[int, ...], list[int]] = {}
-        for j, lab in enumerate(self.labels):
-            cols.setdefault(lab.weight, []).append(j)
-        # the classes partition all q**n strings, so with every class labelled
-        # and q**n rows, the class rows tile 0..dim-1
-        if cols.keys() != rows.keys() or U.shape[0] != (self.d * self.d) ** self.n:
-            return None
-        if any(len(rows[w]) != len(js) for w, js in cols.items()):
-            return None
-        classes = [
-            (np.asarray(rows[w]), np.asarray(js), U[np.ix_(rows[w], js)])
-            for w, js in cols.items()
-        ]
-        if sum(np.count_nonzero(B) for _, _, B in classes) != np.count_nonzero(U):
-            return None
-        return classes
+        return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for _, _, B in self.classes]))
 
 
 def _reference_blocks(q: int, n: int, shapes: list[Partition]) -> dict:
@@ -366,25 +368,31 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     shapes = partitions(n, min(n, q))
     reference = _reference_blocks(q, n, shapes)
     swaps = {i: string_index_map(adjacent_transposition(n, i - 1), q, n) for i in range(1, n)}
-    width = sum(syt_dimension(s) * weyl_dimension(s, q) for s in shapes)
-    U = np.zeros((dim, width))
+    # per content class, in order of first appearance: its rows, its column
+    # indices and the matching column slices of the twin blocks
+    filled: dict[tuple[int, ...], tuple[np.ndarray, list[int], list[np.ndarray]]] = {}
     labels: list[ColumnLabel] = []
     for shape in shapes:
         m_lam = weyl_dimension(shape, q)
         V0 = np.zeros((dim, m_lam))
-        col_meta: list[tuple[tuple[int, ...], int]] = []
+        spans = []  # (content, class rows, first column in V0, column count)
+        start = 0
         for content, cls, block in reference.pop(shape):
-            rank = block.shape[1]
-            V0[cls, len(col_meta) : len(col_meta) + rank] = block
-            col_meta.extend((content, j) for j in range(rank))
-        if len(col_meta) != m_lam:
+            V0[cls, start : start + block.shape[1]] = block
+            spans.append((content, cls, start, block.shape[1]))
+            start += block.shape[1]
+        if start != m_lam:
             raise InternalConsistencyError(
-                f"shape {shape}: found {len(col_meta)} columns, expected {m_lam}"
+                f"shape {shape}: found {start} columns, expected {m_lam}"
             )
         for y, Vy in enumerate(_twin_columns(shape, V0, swaps)):
-            U[:, len(labels) : len(labels) + m_lam] = Vy
-            labels.extend(ColumnLabel(shape, y, content, j) for content, j in col_meta)
-    basis = SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
+            for content, cls, a, rank in spans:
+                _, cols, parts = filled.setdefault(content, (cls, [], []))
+                cols.extend(range(len(labels), len(labels) + rank))
+                parts.append(Vy[cls, a : a + rank])
+                labels.extend(ColumnLabel(shape, y, content, j) for j in range(rank))
+    classes = [(cls, np.asarray(cols), np.hstack(parts)) for cls, cols, parts in filled.values()]
+    basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise InternalConsistencyError(f"basis not unitary: deviation {dev:.3e}")
@@ -406,11 +414,10 @@ def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> Permuta
     """Conjugate the string shuffle of ``pi`` into the adapted basis and
     measure the leakage outside the predicted D(pi) x I block pattern."""
     pi = check_permutation(pi, basis.n)
-    dim = basis.dim
     t = string_index_map(pi, basis.d * basis.d, basis.n)
-    S = np.zeros((dim, dim))
-    S[t, np.arange(dim)] = 1.0
-    A = basis.unitary.conj().T @ S @ basis.unitary
+    U = basis.unitary
+    # the shuffle sends string i to t[i], so it gathers row k of U from t^-1[k]
+    A = U.T @ U[np.argsort(t)]
     predicted = np.zeros_like(A)
     irrep_blocks = {}
     mults = {}

@@ -128,10 +128,11 @@ def _suite_reference_column_n3() -> float:
     target[int("121", 4)] = -np.sqrt(1.0 / 6.0)
     target[int("211", 4)] = -np.sqrt(1.0 / 6.0)
     shape = Partition((2, 1))
+    U = basis.unitary
     best = np.inf
     for j, lab in enumerate(basis.labels):
         if lab.shape == shape and lab.weight == (0, 2, 1, 0):
-            col = basis.unitary[:, j]
+            col = U[:, j]
             best = min(
                 best,
                 float(np.max(np.abs(col - target))),

@@ -90,6 +90,6 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
         for y, Vy in enumerate(sector):
             blocks.append(Vy)
             labels.extend(ColumnLabel(shape, y, content, j) for content, j in col_meta)
-    U = np.hstack(blocks).astype(np.complex128)
+    U = np.hstack(blocks)
     assert dense_unitarity_deviation(U) < 1e-10
-    return SuperSchurBasis(d=d, n=n, unitary=U, labels=labels)
+    return SuperSchurBasis.from_unitary(d, n, U, labels)

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from superschur import example_channel
+from superschur import SizeGuardError, example_channel
 from superschur.cli import main, read_basis_file, write_basis_file
 
 
@@ -167,10 +168,10 @@ def test_repeated_amplitude_is_rejected(tmp_path, capsys):
 def test_label_beyond_header_column_count_is_rejected(tmp_path, capsys):
     path, lines = single_site_basis_lines(tmp_path)
     capsys.readouterr()
-    lines[0] = "d=2 n=1 columns=1"
-    assert lines[3].startswith("lambda=") and lines[4] == "1 1.0 0.0"
+    assert len(lines) == 9 and lines[7].startswith("lambda=")
+    lines.append(lines[7])
     path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:4: more lambda= labels than the header's columns=1"
+    message = f"{path}:10: more lambda= labels than the header's columns=4"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_basis_file(str(path))
 
@@ -183,6 +184,61 @@ def test_amplitude_line_with_wrong_field_count_is_rejected(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     message = f"{path}:3: amplitude line needs 3 fields (string re im), got 2"
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_basis_file(str(path))
+
+
+# line index to replace, its new text, the line the refusal names, message
+LOADER_REFUSALS = {
+    "header_without_columns": (0, "d=2 n=1", 1, "missing columns="),
+    "header_token_without_equals": (
+        0, "d=2 n=1 columns=4 junk", 1, "token 'junk' is not key=value"),
+    "d_below_2": (0, "d=1 n=1 columns=1", 1, "need d >= 2 and n >= 1, got d=1 n=1"),
+    "n_below_1": (0, "d=2 n=0 columns=1", 1, "need d >= 2 and n >= 1, got d=2 n=0"),
+    "columns_not_liouville_dim": (0, "d=2 n=1 columns=3", 1, "columns=3, but (d*d)**n = 4"),
+    "label_without_Y": (1, "lambda=1 weight=1,0,0,0 w_index=0", 2, "missing Y="),
+    "letter_string_a": (2, "a 1.0 0.0", 3, "invalid literal for int()"),
+    "amplitude_x": (2, "0 x 0.0", 3, "could not convert string to float: 'x'"),
+    "imaginary_amplitude": (2, "0 1.0 1e-300", 3, "nonzero imaginary amplitude 1e-300 for 0"),
+    "string_outside_class": (
+        2, "1 1.0 0.0", 3,
+        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
+    "three_entry_weight": (
+        1, "lambda=1 Y=0 weight=1,0,0 w_index=0", 2,
+        "classes do not tile the space: content (1, 0, 0) has 0 letter strings"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
+def test_basis_loader_refusal_names_file_and_line(case, tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    index, text, lineno, message = LOADER_REFUSALS[case]
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}")):
+        read_basis_file(str(path))
+
+
+def test_basis_file_whose_classes_do_not_tile_is_refused(tmp_path, capsys):
+    # column 0 moves, without its amplitude, to the content of column 1
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    assert lines[1] == "lambda=1 Y=0 weight=1,0,0,0 w_index=0" and lines[2] == "0 1.0 0.0"
+    lines[1] = "lambda=1 Y=0 weight=0,1,0,0 w_index=0"
+    del lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    message = (
+        f"{path}:2: classes do not tile the space: content (0, 1, 0, 0) "
+        "has 1 letter strings but labels 2 columns"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_basis_file(str(path))
+
+
+def test_basis_loader_applies_the_size_guard_first(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("d=2 n=7 columns=16384\n")
+    with pytest.raises(SizeGuardError, match="exceeds the limit"):
         read_basis_file(str(path))
 
 
@@ -304,6 +360,30 @@ def test_non_finite_entries_exit_2_with_field_path(tmp_path, capsys, literal):
     assert "operators[0][0][0]: entries must be finite" in capsys.readouterr().err
 
 
+def overflowing_jumps(case):
+    """Finite jump operators whose products overflow float64: one whose Gram
+    diagonal overflows, or two with finite Gram diagonals whose sum L^dag L
+    overflows in its (1, 1) entry."""
+    if case == "gram":
+        jump = np.zeros((4, 4))
+        jump[0, 1] = 1e200
+        return 2, [jump]
+    a, b = math.sqrt(1.5e308), math.sqrt(0.8e308)
+    return 1, [np.array([[0.0, a], [0.0, 0.0]]), np.diag([-b, b])]
+
+
+@pytest.mark.parametrize("case", ["gram", "sum"])
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_overflowing_jump_operators_exit_2(command, case, tmp_path, capsys):
+    n, jumps = overflowing_jumps(case)
+    doc = {"d": 2, "n": n, "kind": "lindblad", "operators": [matrix_doc(m) for m in jumps]}
+    spec = write_doc(tmp_path / "big.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, spec]) == 2
+    assert "Gram matrix or sum L^dag L is not finite" in capsys.readouterr().err
+
+
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):
     f0 = np.array([[1, 0], [0, math.sqrt(0.5)]])
     spec = write_doc(
@@ -390,6 +470,13 @@ def test_verify_fast_passes(tmp_path, capsys):
     names = {s["name"] for s in payload["suites"]}
     assert "reference_column_n3" in names
     assert "example_block_structure_n3" in names
+
+
+def test_verify_full_passes(capsys):
+    assert main(["verify", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "16/16 suites passed (full)" in out
 
 
 def test_verify_rejects_unknown_level(capsys):

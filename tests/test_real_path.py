@@ -8,6 +8,8 @@ complex128 copy, check the guard on the imaginary part the kernel drops,
 and check that qutrits and complex inputs stay complex.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -199,14 +201,13 @@ def test_basis_file_loads_real_and_rewrites_identically(d, n, tmp_path):
     path, again = tmp_path / "basis.txt", tmp_path / "again.txt"
     cli.write_basis_file(super_schur_basis(d, n), str(path))
     loaded = cli.read_basis_file(str(path))
-    assert loaded.unitary.dtype == np.float64
-    assert loaded._class_blocks() is not None
+    assert all(B.dtype == np.float64 for _, _, B in loaded.classes)
     cli.write_basis_file(loaded, str(again))
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_basis_file_with_imaginary_amplitude_loads_complex(schur_2_2, tmp_path):
-    # multiplying one column by i keeps the basis unitary
+def test_basis_file_with_imaginary_amplitude_is_refused(schur_2_2, tmp_path):
+    # multiplying one column by i keeps the basis unitary, but not real
     path = tmp_path / "basis.txt"
     cli.write_basis_file(schur_2_2, str(path))
     lines = path.read_text().splitlines()
@@ -216,11 +217,9 @@ def test_basis_file_with_imaginary_amplitude_loads_complex(schur_2_2, tmp_path):
         string, re_text, _ = lines[k].split()
         lines[k] = f"{string} 0.0 {re_text}"
     path.write_text("\n".join(lines) + "\n")
-    loaded = cli.read_basis_file(str(path))
-    assert loaded.unitary.dtype == np.complex128
-    expected = schur_2_2.unitary.astype(np.complex128)
-    expected[:, col] *= 1j
-    assert np.max(np.abs(loaded.unitary - expected)) < 1e-14
+    message = f"{path}:{labels[col] + 2}: nonzero imaginary amplitude"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.read_basis_file(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -18,7 +19,7 @@ from superschur import (
 )
 from superschur import schur
 from superschur.combinatorics import letter_strings_by_weight
-from superschur.errors import InternalConsistencyError
+from superschur.errors import BasisLayoutError, InternalConsistencyError
 from superschur.permutations import (
     adjacent_transpositions,
     all_permutations,
@@ -266,8 +267,9 @@ def test_basis_sector_bookkeeping(schur_2_3):
 def test_basis_columns_live_on_single_weight_classes(schur_2_3):
     basis = schur_2_3
     classes = letter_strings_by_weight(4, 3)
+    U = basis.unitary
     for col, lab in enumerate(basis.labels):
-        v = basis.unitary[:, col]
+        v = U[:, col]
         support = np.flatnonzero(np.abs(v) > 1e-12)
         allowed = set(classes[lab.weight])
         assert set(support.tolist()) <= allowed
@@ -275,9 +277,10 @@ def test_basis_columns_live_on_single_weight_classes(schur_2_3):
 
 def test_reference_tableau_sign_convention(schur_2_3, schur_3_2):
     for basis in (schur_2_3, schur_3_2):
+        U = basis.unitary
         for shape in basis.shapes:
             for col in range(*basis.tableau_slice(shape, 0).indices(basis.dim)[:2]):
-                v = basis.unitary[:, col]
+                v = U[:, col]
                 lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
                 assert lead.real > 0
                 assert abs(lead.imag) < 1e-12
@@ -289,10 +292,11 @@ def test_known_reference_column(schur_2_3):
     target[int("112", 4)] = math.sqrt(2 / 3)
     target[int("121", 4)] = -math.sqrt(1 / 6)
     target[int("211", 4)] = -math.sqrt(1 / 6)
+    U = basis.unitary
     hits = []
     for col, lab in enumerate(basis.labels):
         if lab.shape == TWO_ONE and lab.weight == (0, 2, 1, 0):
-            v = basis.unitary[:, col]
+            v = U[:, col]
             hits.append(min(np.max(np.abs(v - target)), np.max(np.abs(v + target))))
     assert len(hits) == 2  # one column per tableau sector
     assert min(hits) < 1e-10
@@ -315,11 +319,12 @@ def test_basis_matches_factorial_oracle(d, n):
     basis = super_schur_basis(d, n)
     oracle = factorial_basis(d, n)
     assert basis.labels == oracle.labels
-    assert np.max(np.abs(basis.unitary - oracle.unitary)) < 1e-12
+    U, V = basis.unitary, oracle.unitary
+    assert np.max(np.abs(U - V)) < 1e-12
     # the reference projector keeps the oracle's summation order, so the
     # reference-tableau columns come out of the same SVD bit for bit
     ref = [j for j, lab in enumerate(basis.labels) if lab.tableau_index == 0]
-    assert np.array_equal(basis.unitary[:, ref], oracle.unitary[:, ref])
+    assert np.array_equal(U[:, ref], V[:, ref])
 
 
 def test_builder_checks_still_raise(monkeypatch):
@@ -338,51 +343,44 @@ def test_builder_checks_still_raise(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the per-class unitarity check
+# the per-class storage and unitarity check
 
 
 def perturbed(basis, row, col, value):
     # complex copy: the built basis is real, and some perturbations are not
     U = basis.unitary.astype(np.complex128)
     U[row, col] += value
-    return SuperSchurBasis(d=basis.d, n=basis.n, unitary=U, labels=list(basis.labels))
+    return SuperSchurBasis.from_unitary(basis.d, basis.n, U, list(basis.labels))
 
 
 @pytest.mark.parametrize("fixture", ["schur_2_2", "schur_2_3", "schur_2_4", "schur_3_2"])
 def test_class_unitarity_matches_dense(fixture, request):
     basis = request.getfixturevalue(fixture)
-    assert basis._class_blocks() is not None
     dense = dense_unitarity_deviation(basis.unitary)
     assert abs(basis.unitarity_deviation() - dense) < 1e-14
 
 
-def test_entry_outside_class_takes_dense_fallback(schur_2_3):
+def test_entry_outside_class_is_refused(schur_2_3):
     classes = letter_strings_by_weight(4, 3)
     col = 5
     outside = next(i for i in range(64) if i not in classes[schur_2_3.labels[col].weight])
-    broken = perturbed(schur_2_3, outside, col, 1e-300)
-    assert broken._class_blocks() is None
-    assert broken.unitarity_deviation() == dense_unitarity_deviation(broken.unitary)
-    worse = perturbed(schur_2_3, outside, col, 1e-3)
-    assert worse._class_blocks() is None
-    assert worse.unitarity_deviation() == dense_unitarity_deviation(worse.unitary)
-    assert worse.unitarity_deviation() > UNITARITY_TOL
+    for value in (1e-300, 1e-3, np.nan):
+        with pytest.raises(BasisLayoutError, match="outside its content class") as info:
+            perturbed(schur_2_3, outside, col, value)
+        assert (info.value.row, info.value.column) == (outside, col)
 
 
-def test_imaginary_part_takes_dense_fallback(schur_2_3):
+def test_imaginary_part_is_refused(schur_2_3):
     col = 7
     row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][0]
-    broken = perturbed(schur_2_3, row, col, 1e-3j)
-    assert broken._class_blocks() is None
-    assert broken.unitarity_deviation() == dense_unitarity_deviation(broken.unitary)
-    assert broken.unitarity_deviation() > UNITARITY_TOL
+    with pytest.raises(BasisLayoutError, match="nonzero imaginary amplitude"):
+        perturbed(schur_2_3, row, col, 1e-300j)
 
 
 def test_within_class_perturbation_exceeds_tolerance(schur_2_3):
     col = 30
     row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][-1]
     broken = perturbed(schur_2_3, row, col, 1e-6)
-    assert broken._class_blocks() is not None
     dev = broken.unitarity_deviation()
     assert dev > UNITARITY_TOL
     assert abs(dev - dense_unitarity_deviation(broken.unitary)) < 1e-14
@@ -392,42 +390,50 @@ def test_nan_within_class_is_reported(schur_2_3):
     col = 30
     row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][0]
     broken = perturbed(schur_2_3, row, col, np.nan)
-    assert broken._class_blocks() is not None
     assert math.isnan(broken.unitarity_deviation())
 
 
 def test_built_basis_is_real(schur_2_3):
+    assert all(B.dtype == np.float64 for _, _, B in schur_2_3.classes)
     assert schur_2_3.unitary.dtype == np.float64
 
 
 def test_class_index_tiles_the_basis(schur_2_3):
-    classes = schur_2_3._class_blocks()
+    # the class blocks are the only matrix data the basis stores
+    assert not any(isinstance(v, np.ndarray) for v in vars(schur_2_3).values())
+    classes = schur_2_3.classes
     rows = np.concatenate([r for r, _, _ in classes])
     cols = np.concatenate([c for _, c, _ in classes])
     assert np.array_equal(np.sort(rows), np.arange(64))
     assert np.array_equal(np.sort(cols), np.arange(64))
+    U = schur_2_3.unitary
     for r, c, B in classes:
         assert B.shape == (len(r), len(c)) == (len(r), len(r))
-        assert np.array_equal(B, schur_2_3.unitary[np.ix_(r, c)])
+        assert np.array_equal(B, U[np.ix_(r, c)])
+    # classes in the order they first appear in the labels
+    first = list(dict.fromkeys(lab.weight for lab in schur_2_3.labels))
+    assert [schur_2_3.labels[c[0]].weight for _, c, _ in classes] == first
 
 
 @pytest.mark.parametrize("size", [1, 3])
-def test_missing_column_takes_dense_fallback(schur_2_3, size):
-    # dropping the only column of a size-1 class leaves its rows untiled;
-    # dropping one column of a larger class leaves its block not square
+def test_missing_column_is_refused(schur_2_3, size):
+    # one column of a class of this size moves, without amplitudes, to
+    # another class's label: that class gets one column too many
     classes = letter_strings_by_weight(4, 3)
     drop = next(
         j for j, lab in enumerate(schur_2_3.labels) if len(classes[lab.weight]) == size
     )
+    other = next(w for w in classes if w != schur_2_3.labels[drop].weight)
+    U = schur_2_3.unitary
+    U[:, drop] = 0.0
+    labels = list(schur_2_3.labels)
+    labels[drop] = dataclasses.replace(labels[drop], weight=other)
+    with pytest.raises(BasisLayoutError, match="do not tile the space"):
+        SuperSchurBasis.from_unitary(2, 3, U, labels)
+    # dropped outright, the column leaves the matrix short of square
     keep = [j for j in range(64) if j != drop]
-    short = SuperSchurBasis(
-        d=2,
-        n=3,
-        unitary=schur_2_3.unitary[:, keep],
-        labels=[schur_2_3.labels[j] for j in keep],
-    )
-    assert short._class_blocks() is None
-    assert short.unitarity_deviation() == dense_unitarity_deviation(short.unitary)
+    with pytest.raises(BasisLayoutError, match="need 64 labels"):
+        SuperSchurBasis.from_unitary(2, 3, U[:, keep], [schur_2_3.labels[j] for j in keep])
 
 
 def test_basis_size_guard():
