@@ -14,7 +14,10 @@ multiplying it into an operator is a gather with phases, not a product.
 Each chunk of columns takes one gathered stack and one matrix product for
 all the sandwich terms F B F^dag together; each scratch array is held to
 _CHUNK_BYTES (1 MB), so the stage never holds more than the output matrix
-and a few such arrays.  A letter basis that is not monomial is refused.
+and a few such arrays.  Each image is vectorized by its own ``vectorize``
+call, and the chunk's vectors are stacked, so the copy into the output
+and the imaginary-part bookkeeping below run once per chunk.  A letter
+basis that is not monomial is refused.
 
 With Hermitian letters (the Pauli strings, d = 2) every Kraus channel and
 every Lindbladian with a Hermitian H maps Hermitian letter strings to
@@ -48,6 +51,8 @@ from .errors import (
 from .liouville import (
     OperatorBasis,
     QuditOperator,
+    _monomial_letters,
+    _string_monomials,
     hilbert_permutation_matrix,
     vectorize,
 )
@@ -155,6 +160,13 @@ class Lindbladian:
             object.__setattr__(self, "hamiltonian", ham)
         if (ham.d, ham.n) != (self.d, self.n):
             raise DimensionMismatchError("Hamiltonian does not match (d, n)")
+        # the same overflow test the jumps get through their Gram matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.vdot(ham.matrix, ham.matrix).real
+        if not np.isfinite(size):
+            raise ChannelSpecError(
+                "Hamiltonian too large: sum |H_ij|^2 is not finite in float64"
+            )
         herm = float(np.max(np.abs(ham.matrix - ham.matrix.conj().T)))
         if herm > HERMITICITY_TOL:
             raise ChannelInvariantError(f"Hamiltonian not Hermitian: {herm:.3e}")
@@ -409,49 +421,6 @@ def _check_channel_basis(obj, basis: OperatorBasis) -> None:
         )
 
 
-def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Column and value of the one nonzero in each row of every letter.
-
-    Returns ``(cols, phases)`` of shape ``(d*d, d)``: letter a has the entry
-    ``phases[a, r]`` at ``(r, cols[a, r])`` and zeros elsewhere.  The
-    superoperator kernel rests on this structure, so a letter with any
-    other zero pattern is an error rather than a reason for a dense path.
-    """
-    d = basis.d
-    cols = np.empty((len(basis.letters), d), dtype=np.intp)
-    phases = np.empty((len(basis.letters), d), dtype=np.complex128)
-    for a, letter in enumerate(basis.letters):
-        rows, c = np.nonzero(letter)
-        if not (np.array_equal(rows, np.arange(d)) and np.unique(c).size == d):
-            raise InternalConsistencyError(
-                f"letter {a} is not monomial (one nonzero per row and column); "
-                "the superoperator kernel needs a monomial letter basis"
-            )
-        cols[a] = c
-        phases[a] = letter[rows, c]
-    return cols, phases
-
-
-def _string_monomials(
-    cols: np.ndarray, phases: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Site tables combined over the letter strings ``labels`` (c, n).
-
-    Row R of the tensor product has its nonzero in column ``index[b, R]``
-    with value ``phase[b, R]``; the phases multiply site by site in the
-    order ``np.kron`` uses.
-    """
-    c, n = labels.shape
-    d = cols.shape[1]
-    index = np.zeros((c, 1), dtype=np.intp)
-    phase = np.ones((c, 1), dtype=np.complex128)
-    for k in range(n):
-        lk = labels[:, k]
-        index = (index[:, :, None] * d + cols[lk][:, None, :]).reshape(c, -1)
-        phase = (phase[:, :, None] * phases[lk][:, None, :]).reshape(c, -1)
-    return index, phase
-
-
 def _letter_superop(
     basis: OperatorBasis, sandwiched: list[np.ndarray], one_sided=None
 ) -> np.ndarray:
@@ -462,11 +431,12 @@ def _letter_superop(
     is a column gather; the sandwiches of a chunk of columns take one
     product, [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs
     in real arithmetic when every F is real.  Each image is then
-    vectorized on its own.  A scratch array holds at most _CHUNK_BYTES,
-    unless a single column needs more (over 16 sandwiches at n = 6).
+    vectorized on its own, into one stack per chunk.  A scratch array holds
+    at most _CHUNK_BYTES, unless a single column needs more (over 16
+    sandwiches at n = 6).
 
-    With Hermitian letters the result is float64: each column keeps its
-    real part, and the largest imaginary part dropped must stay within
+    With Hermitian letters the result is float64: each chunk keeps the real
+    part of its stack, and the largest imaginary part dropped must stay within
     IMAGINARY_PART_TOL * max|M|, plus HERMITICITY_TOL when ``one_sided``
     carries a Hamiltonian (see the module docstring).
     """
@@ -487,8 +457,7 @@ def _letter_superop(
         inv_cols = np.argsort(cols, axis=1)
         inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
     real = all(np.array_equal(letter, letter.conj().T) for letter in basis.letters)
-    if real:
-        dropped = np.empty(dim)  # per column: the largest imaginary part dropped
+    dropped = []  # per chunk: the largest imaginary part dropped
     step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
     out = np.empty((dim, dim), dtype=np.float64 if real else np.complex128)
     for b0 in range(0, dim, step):
@@ -519,21 +488,23 @@ def _letter_superop(
             G = A[:, tau]
             G *= psi
             images += G
+        # one contiguous image per column, so vectorize gathers without a copy
+        images = np.ascontiguousarray(images.transpose(1, 0, 2))
         # out holds the transpose until the end, so each column is one
-        # contiguous row write instead of one scalar write per row
+        # contiguous row; a real out takes the chunk's stack in one copy
+        V = np.empty((c, dim), dtype=np.complex128) if real else out[b0 : b0 + c]
         for j in range(c):
-            v = vectorize(QuditOperator(d, n, images[:, j]), basis)
-            if real:
-                dropped[b0 + j] = np.max(np.abs(v.imag))
-                v = v.real
-            out[b0 + j] = v
+            V[j] = vectorize(QuditOperator(d, n, images[j]), basis)
+        if real:
+            dropped.append(np.abs(V.imag).max())
+            out[b0 : b0 + c] = V.real
     _transpose_in_place(out)
     if real:
         # a generator may also drop the anti-Hermitian part of an accepted H
         allowance = HERMITICITY_TOL if one_sided is not None else 0.0
         # max and -min instead of abs: no temporary the size of out
         bound = IMAGINARY_PART_TOL * max(out.max(), -out.min()) + allowance
-        worst = dropped.max()  # a NaN comes through and fails the test
+        worst = np.max(dropped)  # a NaN comes through and fails the test
         if not worst <= bound:
             raise InternalConsistencyError(
                 f"letter-basis matrix has imaginary part {worst:.3e} above the bound "

@@ -274,8 +274,13 @@ def read_basis_file(path: str) -> SuperSchurBasis:
     header without d=, n= and columns=, or with d < 2, n < 1 or columns
     other than (d*d)**n; a malformed label or amplitude line; a nonzero
     imaginary amplitude; an amplitude whose letter string lies outside its
-    label's weight= class; and labels whose content classes do not tile
-    the space.  The size guard applies before anything is allocated.  A
+    label's weight= class; labels whose content classes do not tile the
+    space; and labels that break the layout ``write_basis_file`` emits: a
+    ``lambda=`` that is not a partition of n with at most d*d rows, a
+    ``Y=`` outside ``[0, syt_dimension(shape))``, a shape whose labels are
+    not contiguous, tableau indices of one shape with unequal counts, or a
+    ``w_index=`` that does not count up from 0 within its (shape, Y,
+    weight).  The size guard applies before anything is allocated.  A
     file whose columns are not orthonormal to ``UNITARITY_TOL`` is refused
     with the measured deviation.
     """

@@ -5,6 +5,18 @@ The inner product throughout is the normalized trace pairing
 basis is orthonormal.  Vectorization writes an operator as its coefficient
 vector in that basis, so superoperators become ordinary matrices acting on
 letter-string coordinates.
+
+Vectorization runs from a plan built once per basis.  Every letter is
+monomial (one nonzero per row and column), and the d*d letters fall into d
+groups that share one permutation of the columns; the phases of group g
+are ``diag(lambda_g) W`` with one d x d matrix W for every group (the +-1
+Hadamard matrix for the Paulis, the Fourier matrix for clock-shift
+letters).  The coefficient of the string with groups s and rows k is then
+``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
+gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
+with its Kronecker halves) and one gather with phases into letter order.
+A letter set without this structure is refused; :func:`operator_basis`
+always builds one that has it.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeGuardError
+from .errors import DimensionMismatchError, InternalConsistencyError, SizeGuardError
 from .permutations import check_permutation, string_index_map
 
 DEFAULT_MAX_DIM = 4096
@@ -143,7 +155,7 @@ class OperatorBasis:
     letters: list[np.ndarray]
     labels: list[tuple[int, ...]]
     _elements: list = field(default_factory=list, repr=False)
-    _dual: np.ndarray | None = field(default=None, repr=False)
+    _plan: _VectorizePlan | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -161,16 +173,12 @@ class OperatorBasis:
         return self._elements
 
     @property
-    def dual_matrix(self) -> np.ndarray:
-        """M with M[a, s] = conj(letter_a[s]) / d; contracting every site
-        of an operator with M yields its coefficient vector."""
-        if self._dual is None:
-            q = self.d * self.d
-            M = np.empty((q, q), dtype=np.complex128)
-            for a, letter in enumerate(self.letters):
-                M[a] = np.conj(letter.reshape(-1)) / self.d
-            self._dual = M
-        return self._dual
+    def vectorize_plan(self) -> _VectorizePlan:
+        """The gather-and-transform plan :func:`vectorize` runs, built on
+        first use from the letters as they are then."""
+        if self._plan is None:
+            self._plan = _VectorizePlan.build(self)
+        return self._plan
 
 
 def operator_basis(d: int, n: int) -> OperatorBasis:
@@ -178,6 +186,118 @@ def operator_basis(d: int, n: int) -> OperatorBasis:
     letters = single_site_letters(d)
     labels = list(itertools.product(range(d * d), repeat=n))
     return OperatorBasis(d=d, n=n, letters=letters, labels=labels)
+
+
+def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of the one nonzero in each row of every letter.
+
+    Returns ``(cols, phases)`` of shape ``(d*d, d)``: letter a has the entry
+    ``phases[a, r]`` at ``(r, cols[a, r])`` and zeros elsewhere.
+    Vectorization and the superoperator kernel rest on this structure, so
+    a letter with any other zero pattern is an error rather than a reason
+    for a dense path.
+    """
+    d = basis.d
+    cols = np.empty((len(basis.letters), d), dtype=np.intp)
+    phases = np.empty((len(basis.letters), d), dtype=np.complex128)
+    for a, letter in enumerate(basis.letters):
+        rows, c = np.nonzero(letter)
+        if not (np.array_equal(rows, np.arange(d)) and np.unique(c).size == d):
+            raise InternalConsistencyError(
+                f"letter {a} is not monomial (one nonzero per row and column); "
+                "vectorize and the superoperator kernel need a monomial letter basis"
+            )
+        cols[a] = c
+        phases[a] = letter[rows, c]
+    return cols, phases
+
+
+def _string_monomials(
+    cols: np.ndarray, phases: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Site tables combined over the letter strings ``labels`` (c, n).
+
+    Row R of the tensor product has its nonzero in column ``index[b, R]``
+    with value ``phase[b, R]``; the phases multiply site by site in the
+    order ``np.kron`` uses.
+    """
+    c, n = labels.shape
+    d = cols.shape[1]
+    index = np.zeros((c, 1), dtype=np.intp)
+    phase = np.ones((c, 1), dtype=np.complex128)
+    for k in range(n):
+        lk = labels[:, k]
+        index = (index[:, :, None] * d + cols[lk][:, None, :]).reshape(c, -1)
+        phase = (phase[:, :, None] * phases[lk][:, None, :]).reshape(c, -1)
+    return index, phase
+
+
+# largest distance, as a share of max|W|, between a letter's phase row
+# (scaled to start at 1) and the row of W it is matched to
+_FACTOR_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class _VectorizePlan:
+    """Index tables and transforms that :func:`vectorize` runs.
+
+    Letter a has permutation group ``g(a)``, row ``k(a)`` of W and phase
+    ``lambda_a``: its entry in row r is ``lambda_a W[k(a), r]`` at column
+    ``perm_g(a)(r)``.  For a string b with groups s and rows k,
+    ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
+    ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
+    """
+
+    gather: np.ndarray  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
+    w_outer: np.ndarray  # conj(W)^{(x) ceil(n/2)}, float64 when W is real
+    w_inner: np.ndarray  # conj(W)^{(x) floor(n/2)}
+    real: bool
+    order: np.ndarray  # (dim,) flat position k*D + s of each label in T
+    phase: np.ndarray  # (dim,) conj(Lambda_b) / D
+
+    @classmethod
+    def build(cls, basis: OperatorBasis) -> _VectorizePlan:
+        d, n = basis.d, basis.n
+        D = d**n
+        cols, phases = _monomial_letters(basis)
+        perms, group = np.unique(cols, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        sizes = np.bincount(group)
+        if len(perms) != d or np.any(sizes != d):
+            raise InternalConsistencyError(
+                f"letters fall into column-permutation groups of sizes {sizes.tolist()}; "
+                f"vectorize needs {d} groups of {d} letters"
+            )
+        rows = phases / phases[:, :1]
+        W = rows[group == group[0]]
+        dist = np.max(np.abs(rows[:, None, :] - W[None, :, :]), axis=2)
+        row = np.argmin(dist, axis=1)
+        worst = float(np.max(dist[np.arange(len(row)), row]))
+        if not worst <= _FACTOR_TOL * np.max(np.abs(W)) or np.any(
+            np.bincount(group * d + row, minlength=d * d) != 1
+        ):
+            raise InternalConsistencyError(
+                "letter phases do not factor as diag(lambda_g) W with one W shared "
+                f"by every permutation group (closest match off by {worst:.3e}); "
+                "vectorize needs that structure"
+            )
+        Wc = np.conj(W)
+        real = not np.any(Wc.imag)
+        if real:
+            Wc = np.ascontiguousarray(Wc.real)
+        one = np.ones((1, 1), dtype=Wc.dtype)
+        labels = np.asarray(basis.labels, dtype=np.intp).reshape(-1, n)
+        place = d ** np.arange(n - 1, -1, -1)
+        strings = np.asarray(list(itertools.product(range(d), repeat=n)), dtype=np.intp)
+        col_s, _ = _string_monomials(perms, np.ones((d, d)), strings)
+        return cls(
+            gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
+            w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
+            w_inner=reduce(np.kron, [Wc] * (n // 2), one),
+            real=real,
+            order=(row[labels] @ place) * D + group[labels] @ place,
+            phase=np.conj(np.prod(phases[labels, 0], axis=1)) / D,
+        )
 
 
 def _check_basis_op(op: QuditOperator, basis: OperatorBasis) -> None:
@@ -188,18 +308,26 @@ def _check_basis_op(op: QuditOperator, basis: OperatorBasis) -> None:
 
 
 def vectorize(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
-    """Coefficient vector of ``op`` in the letter basis, site by site."""
+    """Coefficient vector of ``op`` in the letter basis.
+
+    Runs the basis's cached :class:`_VectorizePlan`: one gather of the
+    matrix, two small products with the Kronecker halves of
+    ``conj(W)^{(x)n}`` (real at d = 2) and one gather with phases into
+    letter order.  A letter set that is not monomial, or whose groups do
+    not share one phase matrix W, raises InternalConsistencyError.
+    """
     _check_basis_op(op, basis)
-    d, n = basis.d, basis.n
-    q = d * d
-    t = op.matrix.reshape((d,) * (2 * n))
-    # (i_1..i_n, j_1..j_n) -> (i_1, j_1, ..., i_n, j_n): site k's index is i_k j_k
-    t = np.transpose(t, axes=[ax for k in range(n) for ax in (k, n + k)])
-    M = basis.dual_matrix
-    for _ in range(n):
-        # contract the leading site; its letter index moves to the back
-        t = (M @ t.reshape(q, -1)).T
-    return t.reshape(-1)
+    p = basis.vectorize_plan
+    D1, D2 = p.w_outer.shape[0], p.w_inner.shape[0]
+    G = op.matrix.ravel().take(p.gather)
+    if p.real:
+        # a complex row is a row of (re, im) pairs, so the real W acts on
+        # real and imaginary parts in one real product
+        G = G.view(np.float64)
+    T = p.w_outer @ (p.w_inner @ G.reshape(D1, D2, -1)).reshape(D1, -1)
+    if p.real:
+        T = T.view(np.complex128)
+    return T.ravel().take(p.order) * p.phase
 
 
 def devectorize(v: np.ndarray, basis: OperatorBasis) -> QuditOperator:
@@ -209,8 +337,8 @@ def devectorize(v: np.ndarray, basis: OperatorBasis) -> QuditOperator:
         raise DimensionMismatchError(f"vector length {v.shape} != basis dimension {basis.dim}")
     d, n = basis.d, basis.n
     q = d * d
-    # N[a, s] = letter_a[s]; inverse of dual_matrix contraction since
-    # dual_matrix @ N.T is the identity (letter orthonormality).
+    # N[a, s] = letter_a[s]; the coefficients are <letter_a, op>, so by
+    # letter orthonormality contracting every site with N rebuilds op
     N = np.stack([letter.reshape(-1) for letter in basis.letters])
     t = v.reshape((q,) * n)
     for k in range(n):

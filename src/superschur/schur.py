@@ -28,6 +28,7 @@ from .combinatorics import (
     letter_strings_by_weight,
     partitions,
     standard_tableaux,
+    syt_dimension,
     weight_vectors,
     weyl_dimension,
 )
@@ -161,6 +162,55 @@ class ColumnLabel:
     weight_index: int
 
 
+def _check_label_layout(d: int, n: int, labels: list[ColumnLabel]) -> None:
+    """Raise :class:`BasisLayoutError` at the first label that breaks the
+    layout of a built basis: its shape must be a partition of n with at
+    most d*d rows, its tableau index lie in ``[0, syt_dimension(shape))``,
+    the labels of each shape be contiguous, no tableau index label more
+    than ``weyl_dimension(shape, d*d)`` columns, and ``weight_index`` count
+    up from 0 within each (shape, tableau index, weight).  With one label
+    per column in all, the bound makes every tableau index of a shape
+    label the same number of columns."""
+    q = d * d
+    finished: set[Partition] = set()
+    columns: dict[tuple, int] = {}  # per (shape, Y)
+    next_index: dict[tuple, int] = {}  # per (shape, Y, weight)
+    current = None
+    for j, lab in enumerate(labels):
+        shape, y = lab.shape, lab.tableau_index
+        if shape != current:
+            if shape.n != n or shape.rows > q:
+                raise BasisLayoutError(
+                    f"lambda={shape} is not a partition of n={n} with at most {q} rows",
+                    column=j,
+                )
+            if shape in finished:
+                raise BasisLayoutError(f"the columns of shape {shape} are not contiguous", column=j)
+            if current is not None:
+                finished.add(current)
+            current = shape
+            syt, mult = syt_dimension(shape), weyl_dimension(shape, q)
+        if not 0 <= y < syt:
+            raise BasisLayoutError(f"Y={y} outside [0, {syt}) for shape {shape}", column=j)
+        key = (shape, y)
+        columns[key] = columns.get(key, 0) + 1
+        if columns[key] > mult:
+            raise BasisLayoutError(
+                f"shape {shape} labels more than {mult} columns with Y={y}; every "
+                f"tableau index labels weyl_dimension(shape, {q}) = {mult}",
+                column=j,
+            )
+        key = (shape, y, lab.weight)
+        expected = next_index.get(key, 0)
+        if lab.weight_index != expected:
+            raise BasisLayoutError(
+                f"w_index={lab.weight_index} where {expected} comes next for shape "
+                f"{shape}, Y={y} and weight {','.join(map(str, lab.weight))}",
+                column=j,
+            )
+        next_index[key] = expected + 1
+
+
 @dataclass
 class SuperSchurBasis:
     """Orthonormal letter-string basis adapted to site permutations.
@@ -199,8 +249,9 @@ class SuperSchurBasis:
 
         Raises :class:`BasisLayoutError` unless, checked exactly, the matrix
         is real and square with one label per column, every class labels as
-        many columns as it has rows, and no nonzero entry leaves the rows of
-        its column's class."""
+        many columns as it has rows, no nonzero entry leaves the rows of
+        its column's class, and the labels keep the layout
+        :func:`super_schur_basis` builds (see :func:`_check_label_layout`)."""
         dim = (d * d) ** n
         if unitary.shape != (dim, dim) or len(labels) != dim:
             raise BasisLayoutError(f"need {dim} labels and {dim} x {dim} amplitudes")
@@ -222,6 +273,7 @@ class SuperSchurBasis:
             row, col = (int(x) for x in np.argwhere(outside)[0])
             message = f"amplitude at row {row} lies outside its content class {labels[col].weight}"
             raise BasisLayoutError(f"column {col}: {message}", row, col)
+        _check_label_layout(d, n, labels)
         classes = [
             (np.asarray(rows[w]), np.asarray(js), unitary.real[np.ix_(rows[w], js)])
             for w, js in cols.items()

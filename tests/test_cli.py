@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from superschur import SizeGuardError, example_channel
+from superschur import SizeGuardError, example_channel, super_schur_basis
 from superschur.cli import main, read_basis_file, write_basis_file
 
 
@@ -235,6 +235,77 @@ def test_basis_file_whose_classes_do_not_tile_is_refused(tmp_path, capsys):
         read_basis_file(str(path))
 
 
+def basis_file_lines(tmp_path, d, n):
+    path = tmp_path / f"b{d}{n}.txt"
+    write_basis_file(super_schur_basis(d, n), str(path))
+    return path, path.read_text().splitlines()
+
+
+def label_line_numbers(lines):
+    return [i for i, line in enumerate(lines) if line.startswith("lambda=")]
+
+
+def assert_refused_at(path, lines, index, message):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{index + 1}: {message}")):
+        read_basis_file(str(path))
+
+
+def test_basis_label_with_tableau_index_out_of_range_is_refused(tmp_path):
+    path, lines = basis_file_lines(tmp_path, 2, 2)
+    assert lines[1] == "lambda=2 Y=0 weight=2,0,0,0 w_index=0"
+    lines[1] = "lambda=2 Y=5 weight=2,0,0,0 w_index=0"
+    assert_refused_at(path, lines, 1, "Y=5 outside [0, 1) for shape {2}")
+
+
+def test_basis_label_whose_shape_is_not_a_partition_of_n_is_refused(tmp_path):
+    path, lines = basis_file_lines(tmp_path, 2, 2)
+    lines[1] = lines[1].replace("lambda=2 ", "lambda=2,1 ")
+    assert_refused_at(path, lines, 1, "lambda={2,1} is not a partition of n=2 with at most 4 rows")
+
+
+def test_basis_label_whose_shape_has_too_many_rows_is_refused(tmp_path):
+    # five rows: a partition of n = 5, but beyond the d*d = 4 letters
+    path, lines = basis_file_lines(tmp_path, 2, 5)
+    index = next(i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1,1,1 "))
+    lines[index] = lines[index].replace("lambda=2,1,1,1 ", "lambda=1,1,1,1,1 ")
+    assert_refused_at(
+        path, lines, index, "lambda={1,1,1,1,1} is not a partition of n=5 with at most 4 rows"
+    )
+
+
+def test_basis_file_whose_shape_labels_are_split_is_refused(tmp_path):
+    # the first column of shape {2} (label and amplitude) moves to the end
+    path, lines = basis_file_lines(tmp_path, 2, 2)
+    assert lines[1].startswith("lambda=2 ") and not lines[3].startswith("lambda=1,1")
+    lines = lines[:1] + lines[3:] + lines[1:3]
+    assert_refused_at(path, lines, len(lines) - 2, "the columns of shape {2} are not contiguous")
+
+
+def test_basis_file_with_unequal_tableau_counts_is_refused(tmp_path):
+    # the last Y=0 column of shape {2,1} is relabelled Y=1, with every
+    # w_index renumbered: Y=1 then labels 21 columns, one more than
+    # weyl_dimension({2,1}, 4) = 20
+    path, lines = basis_file_lines(tmp_path, 2, 3)
+    shape_lines = [i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1 ")]
+    last_y0 = max(i for i in shape_lines if " Y=0 " in lines[i])
+    lines[last_y0] = lines[last_y0].replace(" Y=0 ", " Y=1 ")
+    seen = {}
+    for i in label_line_numbers(lines):
+        key = lines[i].rsplit(" w_index=", 1)[0]
+        lines[i] = f"{key} w_index={seen.get(key, 0)}"
+        seen[key] = seen.get(key, 0) + 1
+    message = "shape {2,1} labels more than 20 columns with Y=1"
+    assert_refused_at(path, lines, shape_lines[-1], message)
+
+
+def test_basis_label_whose_w_index_skips_is_refused(tmp_path):
+    path, lines = basis_file_lines(tmp_path, 2, 2)
+    lines[1] = lines[1].replace("w_index=0", "w_index=1")
+    message = "w_index=1 where 0 comes next for shape {2}, Y=0 and weight 2,0,0,0"
+    assert_refused_at(path, lines, 1, message)
+
+
 def test_basis_loader_applies_the_size_guard_first(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("d=2 n=7 columns=16384\n")
@@ -382,6 +453,18 @@ def test_overflowing_jump_operators_exit_2(command, case, tmp_path, capsys):
         warnings.simplefilter("error")
         assert main([command, spec]) == 2
     assert "Gram matrix or sum L^dag L is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
+    # Hermitian and finite, but sum |H_ij|^2 overflows float64
+    H = np.array([[0.0, 1e308], [1e308, 0.0]])
+    doc = {"d": 2, "n": 1, "kind": "lindblad", "operators": [], "hamiltonian": matrix_doc(H)}
+    spec = write_doc(tmp_path / "big_h.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, spec]) == 2
+    assert "Hamiltonian too large: sum |H_ij|^2 is not finite" in capsys.readouterr().err
 
 
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """The batched monomial-letter superoperator kernel against the per-column oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -17,9 +15,9 @@ from superschur import (
     orthogonalize_kraus,
 )
 from superschur.channels import EXAMPLE_CHANNELS
-from superschur.liouville import OperatorBasis, pauli_letters
 
 from superop_oracle import kraus_superop_columns, lindblad_superop_columns
+from vectorize_oracle import hadamard_pauli_basis, rotated_pauli_basis
 
 
 def assert_matches_oracle(channel, basis):
@@ -78,19 +76,10 @@ def test_kernel_matches_oracle_on_random_lindbladians(d, n, scale):
     assert_matches_oracle(random_lindbladian(d, n, scale, rng), operator_basis(d, n))
 
 
-def rotated_pauli_basis(V, n):
-    letters = [V.conj().T @ P @ V for P in pauli_letters()]
-    labels = list(itertools.product(range(4), repeat=n))
-    return OperatorBasis(d=2, n=n, letters=letters, labels=labels)
-
-
 def test_kernel_reads_permutations_and_phases_from_the_letters():
     # conjugating by the Hadamard permutes the Paulis up to sign (I, Z, -Y, X):
     # still a monomial basis, in another order and with other phases
-    Had = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    basis = rotated_pauli_basis(Had, 2)
-    for letter in basis.letters:
-        letter[np.abs(letter) < 1e-15] = 0.0
+    basis = hadamard_pauli_basis(2)
     assert_matches_oracle(example_channel("collective_damping", n=2), basis)
     assert_matches_oracle(example_channel("collective_jump", n=2), basis)
 
