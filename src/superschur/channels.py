@@ -51,8 +51,6 @@ from .errors import (
 from .liouville import (
     OperatorBasis,
     QuditOperator,
-    _monomial_letters,
-    _string_monomials,
     hilbert_permutation_matrix,
     vectorize,
 )
@@ -428,9 +426,11 @@ def _letter_superop(
 
     ``one_sided`` is the pair (A, A') or None.  Every letter string B_b is
     monomial, so B_b F^dag and B_b A' are row gathers with phases and A B_b
-    is a column gather; the sandwiches of a chunk of columns take one
-    product, [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs
-    in real arithmetic when every F is real.  Each image is then
+    is a column gather; each chunk combines their indices and phases from
+    the basis's half-string tables in one broadcast.  The sandwiches of a
+    chunk of columns take one product,
+    [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs in real
+    arithmetic when every F is real.  Each image is then
     vectorized on its own, into one stack per chunk.  A scratch array holds
     at most _CHUNK_BYTES, unless a single column needs more (over 16
     sandwiches at n = 6).
@@ -442,8 +442,7 @@ def _letter_superop(
     """
     d, n, dim = basis.d, basis.n, basis.dim
     D = d**n
-    cols, phases = _monomial_letters(basis)
-    labels = np.asarray(basis.labels, dtype=np.intp).reshape(dim, n)
+    tables = basis.string_tables
     K = len(sandwiched)
     if K:
         F_row = np.hstack(sandwiched)
@@ -453,18 +452,15 @@ def _letter_superop(
         daggers = np.stack([F.conj().T for F in sandwiched])
     if one_sided is not None:
         A, A_right = one_sided
-        # column C of B_b holds its nonzero in row inv_cols[b](C)
-        inv_cols = np.argsort(cols, axis=1)
-        inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
     real = all(np.array_equal(letter, letter.conj().T) for letter in basis.letters)
     dropped = []  # per chunk: the largest imaginary part dropped
     step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
     out = np.empty((dim, dim), dtype=np.float64 if real else np.complex128)
     for b0 in range(0, dim, step):
-        lab = labels[b0 : b0 + step]
-        c = len(lab)
+        chunk = slice(b0, b0 + step)
         # (B_b X)[R, j] = phi[b, R] * X[sigma[b, R], j], stored [R, b, j]
-        sigma, phi = _string_monomials(cols, phases, lab)
+        sigma, phi = tables.rows(chunk)
+        c = len(sigma)
         row_phase = phi.T[:, :, None]
         if K:
             Y = daggers[:, sigma.T]
@@ -484,7 +480,7 @@ def _letter_superop(
             G *= row_phase
             images += G
             # (A B_b)[i, C] = A[i, tau[b, C]] * psi[b, C]
-            tau, psi = _string_monomials(inv_cols, inv_phases, lab)
+            tau, psi = tables.columns(chunk)
             G = A[:, tau]
             G *= psi
             images += G

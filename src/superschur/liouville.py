@@ -17,10 +17,15 @@ gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
 with its Kronecker halves) and one gather with phases into letter order.
 A letter set without this structure is refused; :func:`operator_basis`
 always builds one that has it.
+
+:func:`operator_basis` builds the basis of each (d, n) once per process
+and returns that one read-only object on every later call; the size guard
+still runs on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -154,8 +159,8 @@ class OperatorBasis:
     n: int
     letters: list[np.ndarray]
     labels: list[tuple[int, ...]]
-    _elements: list = field(default_factory=list, repr=False)
     _plan: _VectorizePlan | None = field(default=None, repr=False)
+    _tables: _StringTables | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -166,11 +171,8 @@ class OperatorBasis:
 
     @property
     def elements(self) -> list[QuditOperator]:
-        if not self._elements:
-            self._elements = [
-                QuditOperator(self.d, self.n, self.element_matrix(a)) for a in range(self.dim)
-            ]
-        return self._elements
+        """Every basis element as an operator, built anew on every read."""
+        return [QuditOperator(self.d, self.n, self.element_matrix(a)) for a in range(self.dim)]
 
     @property
     def vectorize_plan(self) -> _VectorizePlan:
@@ -180,12 +182,44 @@ class OperatorBasis:
             self._plan = _VectorizePlan.build(self)
         return self._plan
 
+    @property
+    def string_tables(self) -> _StringTables:
+        """Half-string monomial tables for the superoperator kernel, built
+        on first use from the letters as they are then."""
+        if self._tables is None:
+            self._tables = _StringTables.build(self)
+        return self._tables
+
 
 def operator_basis(d: int, n: int) -> OperatorBasis:
+    """The Pauli (d = 2) or clock-shift letter basis of n qudits.
+
+    Built once per (d, n) per process: every later call returns the same
+    object, whose letters, vectorize plan and string tables are read-only
+    arrays.  The size guard (SCHUR_DFS_MAX_DIM) is checked on every call,
+    cache hits included, and a build that raises is not kept.
+    """
     check_liouville_dim(d, n)
-    letters = single_site_letters(d)
+    return _operator_basis(d, n)
+
+
+@functools.cache
+def _operator_basis(d: int, n: int) -> OperatorBasis:
+    letters = _read_only(*single_site_letters(d))
     labels = list(itertools.product(range(d * d), repeat=n))
-    return OperatorBasis(d=d, n=n, letters=letters, labels=labels)
+    basis = OperatorBasis(d=d, n=n, letters=letters, labels=labels)
+    # built here so the shared object is never written after it is returned
+    basis.vectorize_plan
+    basis.string_tables
+    return basis
+
+
+def _read_only(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays themselves, each marked read-only, so a stray write into
+    an object shared between callers raises instead of corrupting it."""
+    for a in arrays:
+        a.flags.writeable = False
+    return list(arrays)
 
 
 def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +266,66 @@ def _string_monomials(
     return index, phase
 
 
+@dataclass(frozen=True)
+class _StringTables:
+    """Monomial tables of every letter string, kept per half of the sites.
+
+    As with the Kronecker halves of :class:`_VectorizePlan`, the first
+    ceil(n/2) sites form the outer half and the rest the inner half, so a
+    row is R = R_o * D_i + R_i.  ``row`` holds :func:`_string_monomials`
+    of every outer and every inner half string, ``(index_o, phase_o,
+    index_i, phase_i)``: row R of string b has its nonzero in column
+    ``index_o[b_o, R_o] * D_i + index_i[b_i, R_i]`` with value
+    ``phase_o[b_o, R_o] * phase_i[b_i, R_i]``.  ``col`` is laid out the
+    same for columns: column C has its nonzero in row ``index[b, C]``.  A
+    half table is (d*d)**half x d**half, so the tables stay tiny.
+    """
+
+    outer: np.ndarray  # (dim,) outer-half string of each label
+    inner: np.ndarray  # (dim,) inner-half string of each label
+    row: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    col: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    def __post_init__(self) -> None:
+        _read_only(self.outer, self.inner, *self.row, *self.col)
+
+    @classmethod
+    def build(cls, basis: OperatorBasis) -> _StringTables:
+        q, n = basis.d * basis.d, basis.n
+        cols, phases = _monomial_letters(basis)
+        # column C of a letter holds its nonzero in row inv_cols[C]
+        inv_cols = np.argsort(cols, axis=1)
+        inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
+        labels = np.asarray(basis.labels, dtype=np.intp).reshape(-1, n)
+        split = (n + 1) // 2
+        halves, row, col = [], [], []
+        for sites in (labels[:, :split], labels[:, split:]):
+            m = sites.shape[1]
+            strings = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.intp)
+            strings = strings.reshape(q**m, m)
+            halves.append(sites @ q ** np.arange(m - 1, -1, -1))
+            row.extend(_string_monomials(cols, phases, strings))
+            col.extend(_string_monomials(inv_cols, inv_phases, strings))
+        return cls(*halves, tuple(row), tuple(col))
+
+    def _combine(self, labels: slice, index_o, phase_o, index_i, phase_i):
+        o, i = self.outer[labels], self.inner[labels]
+        c = len(o)
+        index = (index_o[o][:, :, None] * index_i.shape[1] + index_i[i][:, None, :]).reshape(c, -1)
+        phase = (phase_o[o][:, :, None] * phase_i[i][:, None, :]).reshape(c, -1)
+        return index, phase
+
+    def rows(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(column index, value) of the nonzero in each row of the strings
+        ``basis.labels[labels]``, each of shape (c, d**n)."""
+        return self._combine(labels, *self.row)
+
+    def columns(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(row index, value) of the nonzero in each column of the strings
+        ``basis.labels[labels]``, each of shape (c, d**n)."""
+        return self._combine(labels, *self.col)
+
+
 # largest distance, as a share of max|W|, between a letter's phase row
 # (scaled to start at 1) and the row of W it is matched to
 _FACTOR_TOL = 1e-12
@@ -254,6 +348,9 @@ class _VectorizePlan:
     real: bool
     order: np.ndarray  # (dim,) flat position k*D + s of each label in T
     phase: np.ndarray  # (dim,) conj(Lambda_b) / D
+
+    def __post_init__(self) -> None:
+        _read_only(self.gather, self.w_outer, self.w_inner, self.order, self.phase)
 
     @classmethod
     def build(cls, basis: OperatorBasis) -> _VectorizePlan:

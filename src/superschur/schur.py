@@ -12,10 +12,16 @@ diagonal with the sector pattern D x I (irrep matrix times identity on the
 multiplicity space).  Every column lives on one letter-content class, so
 the basis is stored as one real square block per class, and unitarity is
 checked one class at a time.
+
+:func:`super_schur_basis` builds the basis of each (d, n) once per process
+and returns that one read-only object on every later call: the basis
+depends on the symmetry alone, never on a channel.  The size guard still
+runs on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -33,7 +39,7 @@ from .combinatorics import (
     weyl_dimension,
 )
 from .errors import BasisLayoutError, InternalConsistencyError, SizeGuardError
-from .liouville import check_liouville_dim, max_liouville_dim
+from .liouville import _read_only, check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
     all_permutations,
@@ -414,9 +420,21 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     transpositions, one row gather per tableau, which reproduces the
     matrix-unit intertwiners without summing over the group.  Unitarity is
     checked one letter-content class at a time.
+
+    Built once per (d, n) per process: every later call returns the same
+    object, whose class rows, columns and blocks are read-only arrays
+    (``unitary`` still assembles a fresh array on every read).  The size
+    guard (SCHUR_DFS_MAX_DIM) is checked on every call, cache hits
+    included, and a build that raises is not kept.
     """
+    check_liouville_dim(d, n)
+    return _super_schur_basis(d, n)
+
+
+@functools.cache
+def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     q = d * d
-    dim = check_liouville_dim(d, n)
+    dim = q**n
     shapes = partitions(n, min(n, q))
     reference = _reference_blocks(q, n, shapes)
     swaps = {i: string_index_map(adjacent_transposition(n, i - 1), q, n) for i in range(1, n)}
@@ -443,7 +461,10 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
                 cols.extend(range(len(labels), len(labels) + rank))
                 parts.append(Vy[cls, a : a + rank])
                 labels.extend(ColumnLabel(shape, y, content, j) for j in range(rank))
-    classes = [(cls, np.asarray(cols), np.hstack(parts)) for cls, cols, parts in filled.values()]
+    classes = [
+        tuple(_read_only(cls, np.asarray(cols), np.hstack(parts)))
+        for cls, cols, parts in filled.values()
+    ]
     basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:

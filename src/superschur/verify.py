@@ -67,11 +67,9 @@ def _suite_dimension_sum_full() -> float:
 def _suite_letter_basis_orthonormal() -> float:
     worst = 0.0
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1)]:
-        basis = operator_basis(d, n)
-        G = np.array(
-            [[hs_inner(a, b) for b in basis.elements] for a in basis.elements]
-        )
-        worst = max(worst, float(np.max(np.abs(G - np.eye(basis.dim)))))
+        elements = operator_basis(d, n).elements
+        G = np.array([[hs_inner(a, b) for b in elements] for a in elements])
+        worst = max(worst, float(np.max(np.abs(G - np.eye(len(elements))))))
     return worst
 
 

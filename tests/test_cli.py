@@ -537,6 +537,24 @@ def test_evolve_refuses_leaky_generator(tmp_path, capsys):
     assert "leakage" in capsys.readouterr().err
 
 
+def test_repeated_job_in_one_process_writes_the_same_bytes(tmp_path, capsys, fresh_builders):
+    # the first analyze builds the d = 2 bases, the evolve builds and uses
+    # the d = 3 ones, and the repeated analyze runs on the cached d = 2 ones
+    spec = builder_doc(tmp_path / "ch.json", "collective_damping", "kraus", p=0.3)
+    lower = np.diag([1.0, 1.0], k=1)  # |0><1| + |1><2|
+    jump = np.kron(lower, np.eye(3)) + np.kron(np.eye(3), lower)
+    qutrits = write_doc(
+        tmp_path / "qutrits.json",
+        {"d": 3, "n": 2, "kind": "lindblad", "operators": [matrix_doc(jump)]},
+    )
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main(["analyze", spec, "--seed", "3", "--out", str(first)]) == 0
+    assert main(["evolve", qutrits, "--times", "0.5", "--out", str(tmp_path / "e.json")]) == 0
+    assert main(["analyze", spec, "--seed", "3", "--out", str(again)]) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == again.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -6,6 +6,7 @@ import pytest
 
 from superschur import (
     DimensionMismatchError,
+    InternalConsistencyError,
     QuditOperator,
     SizeGuardError,
     devectorize,
@@ -18,6 +19,7 @@ from superschur import (
     single_site_letters,
     vectorize,
 )
+from superschur import liouville
 from superschur.permutations import all_permutations, compose
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -280,3 +282,62 @@ def test_size_guard(monkeypatch):
     monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "not-a-number")
     with pytest.raises(SizeGuardError):
         max_liouville_dim()
+
+
+# ---------------------------------------------------------------------------
+# one letter basis per (d, n) per process
+
+
+def test_operator_basis_is_built_once_per_process():
+    basis = operator_basis(2, 3)
+    assert operator_basis(2, 3) is basis
+    assert operator_basis(2, 2) is not basis
+
+
+def test_cached_letter_basis_arrays_are_read_only():
+    basis = operator_basis(2, 2)
+    for letter in basis.letters:
+        with pytest.raises(ValueError, match="read-only"):
+            letter[0, 0] = 0
+    plan, tables = basis.vectorize_plan, basis.string_tables
+    shared = [plan.gather, plan.w_outer, plan.w_inner, plan.order, plan.phase]
+    shared += [tables.outer, tables.inner, *tables.row, *tables.col]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_letter_basis_size_guard_runs_on_a_cache_hit(monkeypatch):
+    operator_basis(2, 2)
+    monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "10")
+    with pytest.raises(SizeGuardError):
+        operator_basis(2, 2)
+
+
+def test_failed_letter_basis_build_is_not_cached(monkeypatch, fresh_builders):
+    s = 1 / math.sqrt(2)
+    mixed = [I2, s * (X + Z), Y, s * (X - Z)]  # orthonormal, not monomial
+    with monkeypatch.context() as m:
+        m.setattr(liouville, "single_site_letters", lambda d: [a.copy() for a in mixed])
+        with pytest.raises(InternalConsistencyError, match="not monomial"):
+            operator_basis(2, 2)
+    basis = operator_basis(2, 2)
+    assert np.array_equal(basis.letters[1], X)
+    assert operator_basis(2, 2) is basis
+
+
+@pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
+def test_string_tables_match_site_by_site_tables(d, n):
+    basis = operator_basis(d, n)
+    cols, phases = liouville._monomial_letters(basis)
+    inv_cols = np.argsort(cols, axis=1)
+    inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
+    labels = np.asarray(basis.labels)
+    chunk = slice(basis.dim // 3, basis.dim // 3 + 7)
+    for got, (site_cols, site_phases) in (
+        (basis.string_tables.rows(chunk), (cols, phases)),
+        (basis.string_tables.columns(chunk), (inv_cols, inv_phases)),
+    ):
+        index, phase = liouville._string_monomials(site_cols, site_phases, labels[chunk])
+        assert np.array_equal(got[0], index)
+        assert np.allclose(got[1], phase, rtol=0, atol=1e-15)

@@ -327,7 +327,7 @@ def test_basis_matches_factorial_oracle(d, n):
     assert np.array_equal(U[:, ref], V[:, ref])
 
 
-def test_builder_checks_still_raise(monkeypatch):
+def test_builder_checks_still_raise(monkeypatch, fresh_builders):
     with monkeypatch.context() as m:
         m.setattr(schur, "RANK_TOL", 10.0)
         with pytest.raises(InternalConsistencyError, match="projector rank"):
@@ -439,6 +439,45 @@ def test_missing_column_is_refused(schur_2_3, size):
 def test_basis_size_guard():
     with pytest.raises(SizeGuardError):
         super_schur_basis(2, 7)
+
+
+# ---------------------------------------------------------------------------
+# one basis per (d, n) per process
+
+
+def test_basis_is_built_once_per_process():
+    basis = super_schur_basis(2, 3)
+    assert super_schur_basis(2, 3) is basis
+    assert super_schur_basis(2, 2) is not basis
+
+
+def test_cached_basis_arrays_are_read_only():
+    basis = super_schur_basis(2, 2)
+    for rows, cols, block in basis.classes:
+        for array in (rows, cols, block):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    # the dense matrix is assembled anew, so writing into it is harmless
+    U = basis.unitary
+    U[0, 0] = 7.0
+    assert basis.unitary[0, 0] == 1.0
+
+
+def test_size_guard_runs_on_a_cache_hit(monkeypatch):
+    super_schur_basis(2, 2)
+    monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "10")
+    with pytest.raises(SizeGuardError):
+        super_schur_basis(2, 2)
+
+
+def test_failed_build_is_not_cached(monkeypatch, fresh_builders):
+    with monkeypatch.context() as m:
+        m.setattr(schur, "RANK_TOL", 10.0)
+        with pytest.raises(InternalConsistencyError, match="projector rank"):
+            super_schur_basis(2, 3)
+    basis = super_schur_basis(2, 3)
+    assert basis.unitarity_deviation() <= UNITARITY_TOL
+    assert super_schur_basis(2, 3) is basis
 
 
 # ---------------------------------------------------------------------------
