@@ -95,6 +95,16 @@ def _orthogonality_bound(G: np.ndarray) -> float:
     return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real)))
 
 
+def _check_operator_set(G: np.ndarray, noun: str, hint: str = "") -> None:
+    """Refuse a zero operator, or two operators that overlap, among the
+    operators with Gram matrix ``G``."""
+    if np.any(G.diagonal().real < _NEGLIGIBLE_NORM_SQ):
+        raise ChannelInvariantError(f"zero {noun}")
+    off = float(np.max(np.abs(G - np.diag(G.diagonal()))))
+    if off > _orthogonality_bound(G):
+        raise ChannelInvariantError(f"{noun}s not mutually orthogonal: max overlap {off:.3e}{hint}")
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map in canonical Kraus form.
@@ -121,15 +131,7 @@ class KrausChannel:
             raise ChannelInvariantError(
                 f"Kraus closure violated: max deviation {dev:.3e} > {CLOSURE_TOL}"
             )
-        G = _gram(ops)
-        if any(G[i, i].real < _NEGLIGIBLE_NORM_SQ for i in range(len(ops))):
-            raise ChannelInvariantError("channel contains a zero Kraus operator")
-        off = np.max(np.abs(G - np.diag(np.diag(G)))) if len(ops) > 1 else 0.0
-        if off > _orthogonality_bound(G):
-            raise ChannelInvariantError(
-                f"Kraus operators not mutually orthogonal: max overlap {off:.3e}; "
-                "run orthogonalize_kraus first"
-            )
+        _check_operator_set(_gram(ops), "Kraus operator", "; run orthogonalize_kraus first")
 
     @property
     def closure_deviation(self) -> float:
@@ -185,14 +187,7 @@ class Lindbladian:
                     "jump operators too large: their Gram matrix or sum L^dag L "
                     "is not finite in float64"
                 )
-            if any(G[i, i].real < _NEGLIGIBLE_NORM_SQ for i in range(len(ops))):
-                raise ChannelInvariantError("zero jump operator")
-            if len(ops) > 1:
-                off = float(np.max(np.abs(G - np.diag(np.diag(G)))))
-                if off > _orthogonality_bound(G):
-                    raise ChannelInvariantError(
-                        f"jump operators not mutually orthogonal: max overlap {off:.3e}"
-                    )
+            _check_operator_set(G, "jump operator")
 
 
 def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
@@ -335,16 +330,16 @@ def _generator_symmetry(
     return unitaries, commutator, expansion, unitarity
 
 
-def classify_kraus_symmetry(channel: KrausChannel) -> SymmetryCertificate:
-    """Strong/weak/none certificate for a Kraus channel."""
-    unitaries, comm, expansion, unitarity = _generator_symmetry(
-        channel.kraus_ops, channel.d, channel.n
+def _operator_certificate(
+    ops: tuple[QuditOperator, ...], d: int, n: int, residuals: dict
+) -> SymmetryCertificate:
+    """Strong when every operator commutes with the generators, weak when
+    they only mix by unitaries, else none; ``residuals`` gains the three
+    measured values behind that rule."""
+    unitaries, comm, expansion, unitarity = _generator_symmetry(ops, d, n)
+    residuals.update(
+        strong_commutator=comm, expansion_residual=expansion, unitarity=unitarity
     )
-    residuals = {
-        "strong_commutator": comm,
-        "expansion_residual": expansion,
-        "unitarity": unitarity,
-    }
     if comm < STRONG_TOL:
         classification = "strong"
     elif expansion < WEAK_TOL and unitarity < WEAK_TOL:
@@ -352,6 +347,11 @@ def classify_kraus_symmetry(channel: KrausChannel) -> SymmetryCertificate:
     else:
         classification = "none"
     return SymmetryCertificate(classification, unitaries, residuals)
+
+
+def classify_kraus_symmetry(channel: KrausChannel) -> SymmetryCertificate:
+    """Strong/weak/none certificate for a Kraus channel."""
+    return _operator_certificate(channel.kraus_ops, channel.d, channel.n, {})
 
 
 def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
@@ -366,24 +366,12 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     for g in adjacent_transpositions(lind.n):
         P = hilbert_permutation_matrix(g, lind.d, lind.n)
         ham_dev = max(ham_dev, float(np.max(np.abs(P @ H @ P.T - H))))
-    unitaries, comm, expansion, unitarity = _generator_symmetry(
-        lind.jump_ops, lind.d, lind.n
+    cert = _operator_certificate(
+        lind.jump_ops, lind.d, lind.n, {"hamiltonian_invariance": ham_dev}
     )
-    residuals = {
-        "hamiltonian_invariance": ham_dev,
-        "strong_commutator": comm,
-        "expansion_residual": expansion,
-        "unitarity": unitarity,
-    }
     if ham_dev >= STRONG_TOL:
-        classification = "none"
-    elif comm < STRONG_TOL:
-        classification = "strong"
-    elif expansion < WEAK_TOL and unitarity < WEAK_TOL:
-        classification = "weak"
-    else:
-        classification = "none"
-    return SymmetryCertificate(classification, unitaries, residuals)
+        return SymmetryCertificate("none", cert.generator_unitaries, cert.residuals)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -560,14 +548,10 @@ def _damping_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
 
-def _embed_site(op: np.ndarray, site: int, n: int) -> np.ndarray:
+def _on_sites(op: np.ndarray, sites, n: int) -> np.ndarray:
+    """``op`` on each of ``sites`` and the identity on the other qubits."""
     eye = np.eye(2, dtype=np.complex128)
-    return reduce(np.kron, (op if k == site else eye for k in range(n)))
-
-
-def _pair_product(op: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    eye = np.eye(2, dtype=np.complex128)
-    return reduce(np.kron, (op if k in (i, j) else eye for k in range(n)))
+    return reduce(np.kron, (op if k in sites else eye for k in range(n)))
 
 
 def _completion_op(ops: list[np.ndarray], dim: int) -> np.ndarray | None:
@@ -586,12 +570,10 @@ def _ising_hamiltonian(n: int, h_x: float, J: float) -> np.ndarray:
     dim = 2**n
     H = np.zeros((dim, dim), dtype=np.complex128)
     for k in range(n):
-        H += h_x * _embed_site(X, k, n)
+        H += h_x * _on_sites(X, {k}, n)
     for i in range(n):
         for j in range(i + 1, n):
-            Zi = _embed_site(Z, i, n)
-            Zj = _embed_site(Z, j, n)
-            H += J * (Zi @ Zj)
+            H += J * _on_sites(Z, {i, j}, n)
     return H
 
 
@@ -650,14 +632,14 @@ def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
 
 def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
     _check_rate("gamma1", gamma1)
-    jumps = [math.sqrt(gamma1) * _embed_site(_LOWER, k, n) for k in range(n)]
+    jumps = [math.sqrt(gamma1) * _on_sites(_LOWER, {k}, n) for k in range(n)]
     return Lindbladian(2, n, QuditOperator(2, n, _ising_hamiltonian(n, h_x, J)), tuple(jumps))
 
 
 def _build_double_jump(n: int, gamma2: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
     _check_rate("gamma2", gamma2)
     jumps = [
-        math.sqrt(gamma2) * _pair_product(_LOWER, i, j, n)
+        math.sqrt(gamma2) * _on_sites(_LOWER, {i, j}, n)
         for i in range(n)
         for j in range(i + 1, n)
     ]
@@ -676,11 +658,11 @@ def _build_collective_jump(
         _check_rate(name, rate)
     jumps = []
     if gamma3 > 0.0:
-        jumps.append(math.sqrt(gamma3) * sum(_embed_site(_LOWER, k, n) for k in range(n)))
+        jumps.append(math.sqrt(gamma3) * sum(_on_sites(_LOWER, {k}, n) for k in range(n)))
     if gamma4 > 0.0:
         jumps.append(
             math.sqrt(gamma4)
-            * sum(_pair_product(_LOWER, i, j, n) for i in range(n) for j in range(i + 1, n))
+            * sum(_on_sites(_LOWER, {i, j}, n) for i in range(n) for j in range(i + 1, n))
         )
     if gamma5 > 0.0:
         jumps.append(math.sqrt(gamma5) * reduce(np.kron, [_LOWER] * n))

@@ -575,9 +575,7 @@ def cmd_verify(args) -> int:
     suites = _verify.run_suites(args.level)
     failed = 0
     for result in suites:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: measured {result.measured:.3e} "
-              f"(tol {result.tol:.1e}) [{result.seconds:.3f} s]")
+        print(result.line())
         failed += 0 if result.passed else 1
     print(f"{len(suites) - failed}/{len(suites)} suites passed ({args.level})")
     if args.out:

@@ -146,21 +146,28 @@ def single_site_letters(d: int) -> list[np.ndarray]:
     return pauli_letters() if d == 2 else weyl_letters(d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorBasis:
     """Tensor-product letter basis of the operator space of n qudits.
 
     Element a is the tensor product of single-site letters indexed by the
     digits of the lexicographically ordered letter string ``labels[a]``;
-    element 0 is the identity.
+    element 0 is the identity.  The instance is frozen and ``letters`` and
+    ``labels`` are tuples, so a basis shared between callers cannot be
+    edited; the vectorize plan and string tables are filled in once, on
+    first use.
     """
 
     d: int
     n: int
-    letters: list[np.ndarray]
-    labels: list[tuple[int, ...]]
+    letters: tuple[np.ndarray, ...]
+    labels: tuple[tuple[int, ...], ...]
     _plan: _VectorizePlan | None = field(default=None, repr=False)
     _tables: _StringTables | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def dim(self) -> int:
@@ -170,16 +177,11 @@ class OperatorBasis:
         return reduce(np.kron, (self.letters[i] for i in self.labels[a]))
 
     @property
-    def elements(self) -> list[QuditOperator]:
-        """Every basis element as an operator, built anew on every read."""
-        return [QuditOperator(self.d, self.n, self.element_matrix(a)) for a in range(self.dim)]
-
-    @property
     def vectorize_plan(self) -> _VectorizePlan:
         """The gather-and-transform plan :func:`vectorize` runs, built on
         first use from the letters as they are then."""
         if self._plan is None:
-            self._plan = _VectorizePlan.build(self)
+            object.__setattr__(self, "_plan", _VectorizePlan.build(self))
         return self._plan
 
     @property
@@ -187,7 +189,7 @@ class OperatorBasis:
         """Half-string monomial tables for the superoperator kernel, built
         on first use from the letters as they are then."""
         if self._tables is None:
-            self._tables = _StringTables.build(self)
+            object.__setattr__(self, "_tables", _StringTables.build(self))
         return self._tables
 
 
@@ -206,7 +208,7 @@ def operator_basis(d: int, n: int) -> OperatorBasis:
 @functools.cache
 def _operator_basis(d: int, n: int) -> OperatorBasis:
     letters = _read_only(*single_site_letters(d))
-    labels = list(itertools.product(range(d * d), repeat=n))
+    labels = itertools.product(range(d * d), repeat=n)
     basis = OperatorBasis(d=d, n=n, letters=letters, labels=labels)
     # built here so the shared object is never written after it is returned
     basis.vectorize_plan
@@ -214,12 +216,12 @@ def _operator_basis(d: int, n: int) -> OperatorBasis:
     return basis
 
 
-def _read_only(*arrays: np.ndarray) -> list[np.ndarray]:
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """The arrays themselves, each marked read-only, so a stray write into
     an object shared between callers raises instead of corrupting it."""
     for a in arrays:
         a.flags.writeable = False
-    return list(arrays)
+    return arrays
 
 
 def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -217,7 +218,7 @@ def _check_label_layout(d: int, n: int, labels: list[ColumnLabel]) -> None:
         next_index[key] = expected + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperSchurBasis:
     """Orthonormal letter-string basis adapted to site permutations.
 
@@ -228,24 +229,29 @@ class SuperSchurBasis:
     Every column lives on the strings of its label's letter content, so
     ``classes`` stores, per content class in order of first appearance in
     ``labels``, its ascending rows, the ascending columns labelled with it
-    and the real square block U[rows, cols].
+    and the real square block U[rows, cols].  The instance is frozen, with
+    ``classes`` and ``labels`` kept as tuples and the sector table as a
+    read-only mapping, so a basis shared between callers cannot be edited.
     """
 
     d: int
     n: int
-    classes: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    labels: list[ColumnLabel]
-    _sectors: dict = field(default_factory=dict, repr=False)
+    classes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    labels: tuple[ColumnLabel, ...]
+    _sectors: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        start = 0
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        sectors, start = {}, 0
         for shape, group in itertools.groupby(self.labels, key=lambda lab: lab.shape):
             tableaux = [lab.tableau_index for lab in group]
             syt = max(tableaux) + 1
             if len(tableaux) % syt:
                 raise InternalConsistencyError(f"ragged sector for shape {shape}")
-            self._sectors[shape] = (start, syt, len(tableaux) // syt)
+            sectors[shape] = (start, syt, len(tableaux) // syt)
             start += len(tableaux)
+        object.__setattr__(self, "_sectors", MappingProxyType(sectors))
 
     @classmethod
     def from_unitary(
@@ -462,8 +468,7 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
                 parts.append(Vy[cls, a : a + rank])
                 labels.extend(ColumnLabel(shape, y, content, j) for j in range(rank))
     classes = [
-        tuple(_read_only(cls, np.asarray(cols), np.hstack(parts)))
-        for cls, cols, parts in filled.values()
+        _read_only(cls, np.asarray(cols), np.hstack(parts)) for cls, cols, parts in filled.values()
     ]
     basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
     dev = basis.unitarity_deviation()

@@ -1,19 +1,25 @@
-"""Self-check suites for the `verify` CLI command.
+"""The package's self-checks, shared by ``superschur verify`` and pytest.
 
-Each suite measures one deviation and compares it to a fixed tolerance;
-exact integer checks use tolerance zero.  The fast level stays at n <= 3;
-full adds the four-site and qutrit cases.
+Every check is one :class:`Check` record in :data:`CHECKS`: a name, a
+level, a tolerance and a function that returns the measured deviation.
+Exact integer checks use tolerance zero; a check whose premise fails (a
+reference column missing, a family put in the wrong class) measures
+infinity.  The fast level stays at n <= 3; full adds the four-site and
+qutrit cases, long dimension sums and the dense oracles.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
 
-from .blockdiag import blockwise_exp, decompose, protection_check
+from .blockdiag import blockwise_exp, decompose, dfs_report, protection_check
 from .channels import (
     KrausChannel,
     classify_kraus_symmetry,
@@ -23,16 +29,11 @@ from .channels import (
     lindblad_superop,
 )
 from .combinatorics import Partition, partitions, syt_dimension, weyl_dimension
-from .liouville import (
-    QuditOperator,
-    devectorize,
-    hs_inner,
-    operator_basis,
-    perm_rep,
-    vectorize,
-)
+from .liouville import QuditOperator, devectorize, operator_basis, perm_rep, vectorize
 from .permutations import adjacent_transpositions
 from .schur import matrix_unit, permutation_in_schur, super_schur_basis
+
+TWO_ONE = Partition((2, 1))
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,27 @@ class SuiteResult:
     passed: bool
     seconds: float
 
+    def line(self) -> str:
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.name}: measured "
+                f"{self.measured:.3e} (tol {self.tol:.1e}) [{self.seconds:.3f} s]")
 
-def _dimension_sum(cases) -> float:
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    level: str  # "fast" or "full"
+    tol: float
+    measure: Callable[[], float]
+
+    def run(self) -> SuiteResult:
+        t0 = time.perf_counter()
+        measured = float(self.measure())
+        seconds = time.perf_counter() - t0
+        return SuiteResult(self.name, measured, self.tol, measured <= self.tol, seconds)
+
+
+def _dimension_sum(*cases) -> float:
+    """Largest |sum_lambda syt * weyl - (d*d)**n| over d and n <= n_max."""
     worst = 0
     for d, n_max in cases:
         for n in range(1, n_max + 1):
@@ -56,94 +76,62 @@ def _dimension_sum(cases) -> float:
     return float(worst)
 
 
-def _suite_dimension_sum_fast() -> float:
-    return _dimension_sum([(2, 4), (3, 2)])
-
-
-def _suite_dimension_sum_full() -> float:
-    return _dimension_sum([(2, 6), (3, 3)])
-
-
-def _suite_letter_basis_orthonormal() -> float:
+def _letter_basis_orthonormal() -> float:
     worst = 0.0
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1)]:
-        elements = operator_basis(d, n).elements
-        G = np.array([[hs_inner(a, b) for b in elements] for a in elements])
-        worst = max(worst, float(np.max(np.abs(G - np.eye(len(elements))))))
+        ob = operator_basis(d, n)
+        E = np.stack([ob.element_matrix(a).ravel() for a in range(ob.dim)])
+        G = E.conj() @ E.T / d**n
+        worst = max(worst, float(np.max(np.abs(G - np.eye(ob.dim)))))
     return worst
 
 
-def _suite_vectorize_round_trip() -> float:
+def _vectorize_round_trip() -> float:
     rng = np.random.default_rng(0)
     worst = 0.0
     for d, n in [(2, 2), (2, 3), (3, 1)]:
         basis = operator_basis(d, n)
-        dim = d**n
-        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = QuditOperator(d, n, m)
-        back = devectorize(vectorize(op, basis), basis)
+        m = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+        back = devectorize(vectorize(QuditOperator(d, n, m), basis), basis)
         worst = max(worst, float(np.max(np.abs(back.matrix - m))))
     return worst
 
 
-def _basis_unitarity(cases) -> float:
+def _basis_unitarity(*cases) -> float:
     return max(super_schur_basis(d, n).unitarity_deviation() for d, n in cases)
 
 
-def _suite_basis_unitary_small() -> float:
-    return _basis_unitarity([(2, 1), (2, 2), (2, 3)])
-
-
-def _suite_basis_unitary_n4() -> float:
-    return _basis_unitarity([(2, 4)])
-
-
-def _suite_basis_unitary_qutrit() -> float:
-    return _basis_unitarity([(3, 2)])
-
-
-def _equivariance(d: int, n: int) -> float:
-    basis = super_schur_basis(d, n)
+def _equivariance(*cases) -> float:
+    """Largest leakage of an adjacent transposition outside its predicted
+    D(pi) x I pattern, over the whole frame matrix."""
     return max(
-        permutation_in_schur(g, basis).leakage for g in adjacent_transpositions(n)
+        permutation_in_schur(g, super_schur_basis(d, n)).leakage
+        for d, n in cases
+        for g in adjacent_transpositions(n)
     )
 
 
-def _suite_equivariance_n3() -> float:
-    return max(_equivariance(2, 2), _equivariance(2, 3))
-
-
-def _suite_equivariance_n4() -> float:
-    return _equivariance(2, 4)
-
-
-def _suite_reference_column_n3() -> float:
-    """The known mixed-symmetry column at n=3: letters X,X,Y in content
-    (0,2,1,0) with amplitudes sqrt(2/3), -sqrt(1/6), -sqrt(1/6)."""
+def _reference_column_n3() -> float:
+    """The known mixed-symmetry column at d=2, n=3: letters X,X,Y in content
+    (0,2,1,0) with amplitudes sqrt(2/3), -sqrt(1/6), -sqrt(1/6), matched up
+    to sign by one of exactly two {2,1} columns of that content."""
     basis = super_schur_basis(2, 3)
-    target = np.zeros(64, dtype=np.complex128)
-    target[int("112", 4)] = np.sqrt(2.0 / 3.0)
-    target[int("121", 4)] = -np.sqrt(1.0 / 6.0)
-    target[int("211", 4)] = -np.sqrt(1.0 / 6.0)
-    shape = Partition((2, 1))
+    target = np.zeros(64)
+    target[[int("112", 4), int("121", 4), int("211", 4)]] = (
+        math.sqrt(2 / 3), -math.sqrt(1 / 6), -math.sqrt(1 / 6)
+    )
     U = basis.unitary
-    best = np.inf
-    for j, lab in enumerate(basis.labels):
-        if lab.shape == shape and lab.weight == (0, 2, 1, 0):
-            col = U[:, j]
-            best = min(
-                best,
-                float(np.max(np.abs(col - target))),
-                float(np.max(np.abs(col + target))),
-            )
-    return best
+    cols = [
+        U[:, j] for j, lab in enumerate(basis.labels)
+        if lab.shape == TWO_ONE and lab.weight == (0, 2, 1, 0)
+    ]
+    if len(cols) != 2:
+        return math.inf
+    return min(min(np.max(np.abs(v - target)), np.max(np.abs(v + target))) for v in cols)
 
 
-def _suite_matrix_unit_algebra_n3() -> float:
-    shape = Partition((2, 1))
-    units = {
-        (i, j): matrix_unit(shape, i, j, 2, 3) for i in range(2) for j in range(2)
-    }
+def _matrix_unit_algebra_n3() -> float:
+    units = {(i, j): matrix_unit(TWO_ONE, i, j, 2, 3) for i in range(2) for j in range(2)}
     worst = 0.0
     for (i, j), E in units.items():
         for (k, l), F in units.items():
@@ -156,120 +144,134 @@ def _suite_matrix_unit_algebra_n3() -> float:
         for s in partitions(3, 3)
         for y in range(syt_dimension(s))
     )
-    worst = max(worst, float(np.max(np.abs(total - np.eye(64)))))
-    return worst
+    return max(worst, float(np.max(np.abs(total - np.eye(64)))))
 
 
-def _example_set_n3():
-    yield example_channel("collective_damping", n=3, p=0.3)
-    yield example_channel("correlated_damping", n=3, p=0.3)
-    yield example_channel("single_site_damping", n=3, p=0.3)
-    yield example_channel("independent_damping", n=3, p=0.3)
-    yield example_channel("single_jump", n=3, gamma1=1.0)
-    yield example_channel("double_jump", n=3, gamma2=1.0)
-    yield example_channel("collective_jump", n=3)
-    yield example_channel("transverse_ising", n=3)
+_DAMPING_CLASSES = {"collective_damping": "strong", "correlated_damping": "strong",
+                    "single_site_damping": "weak", "independent_damping": "weak"}
+_JUMP_RATES = {"single_jump": ("weak", ("gamma1",)), "double_jump": ("weak", ("gamma2",)),
+               "collective_jump": ("strong", ("gamma3", "gamma4", "gamma5"))}
 
 
-def _suite_example_block_structure_n3() -> float:
-    ob = operator_basis(2, 3)
-    basis = super_schur_basis(2, 3)
+def _examples():
+    """(channel, expected class) at n = 3: every damping family at p in
+    {0.1, 0.5, 0.9}, every jump family with its rates at 0.5 and at 1.0,
+    and the transverse Ising generator."""
+    for name, want in _DAMPING_CLASSES.items():
+        for p in (0.1, 0.5, 0.9):
+            yield example_channel(name, n=3, p=p), want
+    for name, (want, rates) in _JUMP_RATES.items():
+        for rate in (0.5, 1.0):
+            yield example_channel(name, n=3, **dict.fromkeys(rates, rate)), want
+    yield example_channel("transverse_ising", n=3), "strong"
+
+
+def _classify(channel):
+    if isinstance(channel, KrausChannel):
+        return classify_kraus_symmetry(channel)
+    return classify_lindblad_symmetry(channel)
+
+
+def _decomposed_examples():
+    letters, basis = operator_basis(2, 3), super_schur_basis(2, 3)
+    for channel, _ in _examples():
+        build = kraus_superop if isinstance(channel, KrausChannel) else lindblad_superop
+        yield channel, decompose(build(channel, letters), basis)
+
+
+def _example_block_structure_n3() -> float:
+    return max(
+        max(decomp.leakage, *decomp.twin_deviation.values())
+        for _, decomp in _decomposed_examples()
+    )
+
+
+def _classification_table_n3() -> float:
+    """Largest residual behind each expected class (the Hamiltonian's, then
+    the commutator for strong, the expansion and unitarity for weak)."""
     worst = 0.0
-    for channel in _example_set_n3():
-        if isinstance(channel, KrausChannel):
-            superop = kraus_superop(channel, ob)
-        else:
-            superop = lindblad_superop(channel, ob)
-        decomp = decompose(superop, basis)
-        worst = max(worst, decomp.leakage, max(decomp.twin_deviation.values()))
+    for channel, want in _examples():
+        cert = _classify(channel)
+        if cert.classification != want:
+            return math.inf
+        r = cert.residuals
+        keys = ["strong_commutator"] if want == "strong" else ["expansion_residual", "unitarity"]
+        worst = max(worst, r.get("hamiltonian_invariance", 0.0), *(r[k] for k in keys))
     return worst
 
 
-def _suite_classification_table_n3() -> float:
-    expected = {
-        "collective_damping": "strong",
-        "correlated_damping": "strong",
-        "single_site_damping": "weak",
-        "independent_damping": "weak",
-        "single_jump": "weak",
-        "double_jump": "weak",
-        "collective_jump": "strong",
-        "transverse_ising": "strong",
-    }
-    mistakes = 0
-    for name, want in expected.items():
-        channel = example_channel(name, n=3)
-        if isinstance(channel, KrausChannel):
-            got = classify_kraus_symmetry(channel).classification
-        else:
-            got = classify_lindblad_symmetry(channel).classification
-        mistakes += got != want
-    return float(mistakes)
+def _protection_probe_n3() -> float:
+    return max(protection_check(decomp, trials=5, seed=0) for _, decomp in _decomposed_examples())
 
 
-def _suite_protection_probe_n3() -> float:
-    ob = operator_basis(2, 3)
-    basis = super_schur_basis(2, 3)
-    channel = example_channel("collective_damping", n=3, p=0.3)
-    decomp = decompose(kraus_superop(channel, ob), basis)
-    return protection_check(decomp, trials=5, seed=0)
+def _dfs_flags_n3() -> float:
+    """Number of example maps whose {2,1} sector is not flagged as a
+    decoherence-free subsystem of protected dimension 2."""
+    misses = 0
+    for channel, decomp in _decomposed_examples():
+        sector = next(s for s in dfs_report(decomp, _classify(channel)).sectors if s.shape == TWO_ONE)
+        misses += not (sector.flagged and sector.protected_dim == 2)
+    return float(misses)
 
 
-def _suite_sector_sizes_brute_n2() -> float:
-    """Two-site sector sizes against the plain (anti)symmetrizer ranks."""
-    ob = operator_basis(2, 2)
-    swap = perm_rep((1, 0), 2, 2, ob).liouville_matrix
-    sym_rank = int(np.linalg.matrix_rank((np.eye(16) + swap) / 2))
-    anti_rank = int(np.linalg.matrix_rank((np.eye(16) - swap) / 2))
-    off = abs(sym_rank - weyl_dimension(Partition((2,)), 4))
-    off += abs(anti_rank - weyl_dimension(Partition((1, 1)), 4))
-    return float(off)
+def _kraus_closure_n3() -> float:
+    return max(ch.closure_deviation for ch, _ in _examples() if isinstance(ch, KrausChannel))
 
 
-def _suite_blockwise_exp_dense_n3() -> float:
-    ob = operator_basis(2, 3)
+def _sector_sizes_brute_force_n2() -> float:
+    """Ranks of the two-site (anti)symmetrizers against weyl_dimension, the
+    built basis's multiplicities and the hand count (10, 6)."""
+    swap = perm_rep((1, 0), 2, 2, operator_basis(2, 2)).liouville_matrix
+    ranks = [np.linalg.matrix_rank((np.eye(16) + sign * swap) / 2) for sign in (1, -1)]
+    shapes = [Partition((2,)), Partition((1, 1))]
+    basis = super_schur_basis(2, 2)
+    wanted = [[weyl_dimension(s, 4) for s in shapes], [basis.multiplicity(s) for s in shapes], [10, 6]]
+    return float(sum(abs(r - w) for want in wanted for r, w in zip(ranks, want)))
+
+
+def _blockwise_exp_dense_n3() -> float:
+    """U exp(t B) U^T, from the blocks of a weak generator, against the
+    dense exponential of its letter-basis matrix at t = 0.1 and 1."""
     basis = super_schur_basis(2, 3)
     lind = example_channel("single_jump", n=3, gamma1=1.0, h_x=1.0, J=1.0)
-    decomp = decompose(lindblad_superop(lind, ob), basis)
-    worst = 0.0
-    for t in (0.1, 1.0):
-        evolved = blockwise_exp(decomp, t)
-        dense = expm(t * decomp.schur_matrix)
-        worst = max(worst, float(np.max(np.abs(evolved.schur_matrix - dense))))
-    return worst
+    G = lindblad_superop(lind, operator_basis(2, 3))
+    decomp = decompose(G, basis)
+    U = basis.unitary
+    return max(
+        float(np.max(np.abs(U @ blockwise_exp(decomp, t).schur_matrix @ U.T - expm(t * G.matrix))))
+        for t in (0.1, 1.0)
+    )
 
 
-_FAST_SUITES = [
-    ("dimension_sum", 0.0, _suite_dimension_sum_fast),
-    ("letter_basis_orthonormal", 1e-12, _suite_letter_basis_orthonormal),
-    ("vectorize_round_trip", 1e-12, _suite_vectorize_round_trip),
-    ("basis_unitary", 1e-10, _suite_basis_unitary_small),
-    ("permutation_equivariance", 1e-10, _suite_equivariance_n3),
-    ("reference_column_n3", 1e-10, _suite_reference_column_n3),
-    ("matrix_unit_algebra_n3", 1e-10, _suite_matrix_unit_algebra_n3),
-    ("example_block_structure_n3", 1e-10, _suite_example_block_structure_n3),
-    ("classification_table_n3", 0.0, _suite_classification_table_n3),
-    ("protection_probe_n3", 1e-10, _suite_protection_probe_n3),
-]
+CHECKS = (
+    Check("dimension_sum", "fast", 0.0, partial(_dimension_sum, (2, 4), (3, 2))),
+    Check("letter_basis_orthonormal", "fast", 1e-12, _letter_basis_orthonormal),
+    Check("vectorize_round_trip", "fast", 1e-12, _vectorize_round_trip),
+    Check("basis_unitary", "fast", 1e-10, partial(_basis_unitarity, (2, 1), (2, 2), (2, 3))),
+    Check("permutation_equivariance", "fast", 1e-10, partial(_equivariance, (2, 2), (2, 3))),
+    Check("reference_column_n3", "fast", 1e-10, _reference_column_n3),
+    Check("matrix_unit_algebra_n3", "fast", 1e-10, _matrix_unit_algebra_n3),
+    Check("example_block_structure_n3", "fast", 1e-10, _example_block_structure_n3),
+    Check("classification_table_n3", "fast", 1e-8, _classification_table_n3),
+    Check("protection_probe_n3", "fast", 1e-10, _protection_probe_n3),
+    Check("dfs_flags_n3", "fast", 0.0, _dfs_flags_n3),
+    Check("kraus_closure_n3", "fast", 1e-12, _kraus_closure_n3),
+    Check("dimension_sum_extended", "full", 0.0, partial(_dimension_sum, (2, 6), (3, 6))),
+    Check("basis_unitary_n4", "full", 1e-10, partial(_basis_unitarity, (2, 4))),
+    Check("permutation_equivariance_n4", "full", 1e-10, partial(_equivariance, (2, 4))),
+    Check("basis_unitary_qutrit_n2", "full", 1e-10, partial(_basis_unitarity, (3, 2))),
+    Check("permutation_equivariance_qutrit_n2", "full", 1e-10, partial(_equivariance, (3, 2))),
+    Check("sector_sizes_brute_force_n2", "full", 0.0, _sector_sizes_brute_force_n2),
+    Check("blockwise_exp_dense_n3", "full", 1e-8, _blockwise_exp_dense_n3),
+)
 
-_FULL_SUITES = _FAST_SUITES + [
-    ("dimension_sum_extended", 0.0, _suite_dimension_sum_full),
-    ("basis_unitary_n4", 1e-10, _suite_basis_unitary_n4),
-    ("permutation_equivariance_n4", 1e-10, _suite_equivariance_n4),
-    ("basis_unitary_qutrit_n2", 1e-10, _suite_basis_unitary_qutrit),
-    ("sector_sizes_brute_force_n2", 0.0, _suite_sector_sizes_brute_n2),
-    ("blockwise_exp_dense_n3", 1e-8, _suite_blockwise_exp_dense_n3),
-]
+
+def checks(level: str) -> list[Check]:
+    """The checks of ``level``, in registry order: full runs them all."""
+    if level not in ("fast", "full"):
+        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+    return [c for c in CHECKS if level == "full" or c.level == "fast"]
 
 
 def run_suites(level: str) -> list[SuiteResult]:
-    if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    suites = _FAST_SUITES if level == "fast" else _FULL_SUITES
-    results = []
-    for name, tol, fn in suites:
-        t0 = time.perf_counter()
-        measured = float(fn())
-        seconds = time.perf_counter() - t0
-        results.append(SuiteResult(name, measured, tol, measured <= tol, seconds))
-    return results
+    return [c.run() for c in checks(level)]

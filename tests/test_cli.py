@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -577,7 +581,21 @@ def test_verify_full_passes(capsys):
     assert main(["verify", "--level", "full"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "16/16 suites passed (full)" in out
+    assert "19/19 suites passed (full)" in out
+
+
+def test_cli_import_builds_no_basis():
+    probe = (
+        "import superschur.cli\n"
+        "from superschur import liouville, schur\n"
+        "print(schur._super_schur_basis.cache_info().currsize,"
+        " liouville._operator_basis.cache_info().currsize)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
 
 
 def test_verify_rejects_unknown_level(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -95,16 +96,16 @@ def test_qudit_operator_validation():
 
 def test_operator_basis_single_qubit_is_pauli():
     basis = operator_basis(2, 1)
-    assert basis.labels == [(0,), (1,), (2,), (3,)]
-    for element, want in zip(basis.elements, (I2, X, Y, Z)):
-        assert np.array_equal(element.matrix, want)
+    assert basis.labels == ((0,), (1,), (2,), (3,))
+    for a, want in enumerate((I2, X, Y, Z)):
+        assert np.array_equal(basis.element_matrix(a), want)
 
 
 def test_operator_basis_two_qubits():
     basis = operator_basis(2, 2)
-    assert len(basis.elements) == 16
-    assert np.array_equal(basis.elements[0].matrix, np.eye(4))
-    assert basis.labels == list(itertools.product(range(4), repeat=2))
+    assert basis.dim == len(basis.labels) == 16
+    assert np.array_equal(basis.element_matrix(0), np.eye(4))
+    assert basis.labels == tuple(itertools.product(range(4), repeat=2))
     # letter-string (1, 2) is X (x) Y
     assert np.array_equal(basis.element_matrix(1 * 4 + 2), np.kron(X, Y))
 
@@ -305,6 +306,19 @@ def test_cached_letter_basis_arrays_are_read_only():
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+def test_cached_letter_basis_containers_are_immutable():
+    basis = operator_basis(2, 2)
+    with pytest.raises(AttributeError):
+        basis.letters.pop()
+    with pytest.raises(AttributeError):
+        basis.labels.reverse()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.letters = basis.letters[::-1]
+    again = operator_basis(2, 2)
+    assert len(again.letters) == 4
+    assert again.labels == tuple(itertools.product(range(4), repeat=2))
 
 
 def test_letter_basis_size_guard_runs_on_a_cache_hit(monkeypatch):

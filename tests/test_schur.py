@@ -463,6 +463,21 @@ def test_cached_basis_arrays_are_read_only():
     assert basis.unitary[0, 0] == 1.0
 
 
+def test_cached_basis_containers_are_immutable():
+    basis = super_schur_basis(2, 2)
+    with pytest.raises(AttributeError):
+        basis.labels.pop()
+    with pytest.raises(AttributeError):
+        basis.classes.pop()
+    with pytest.raises(TypeError):
+        basis._sectors[Partition((2,))] = (0, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.labels = basis.labels[:3]
+    again = super_schur_basis(2, 2)
+    assert len(again.labels) == 16 and len(again.classes) == 10
+    assert again.multiplicity(Partition((2,))) == 10
+
+
 def test_size_guard_runs_on_a_cache_hit(monkeypatch):
     super_schur_basis(2, 2)
     monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "10")
