@@ -4,7 +4,9 @@ The package decomposes the operator space of n identical qudits into
 sectors adapted to site permutations, certifies strong or weak
 permutation symmetry of Kraus channels and Lindblad generators, block
 diagonalizes their superoperator matrices, and reports which sectors
-carry decoherence-free subsystems.
+carry decoherence-free subsystems.  Dense and whole-group reference
+constructions live in :mod:`superschur.oracle`, which this package does not
+import.
 """
 
 from .blockdiag import (
@@ -60,26 +62,19 @@ from .errors import (
 )
 from .liouville import (
     OperatorBasis,
-    PermutationRep,
     QuditOperator,
-    devectorize,
-    hilbert_permutation_matrix,
     hs_inner,
     hs_norm,
     max_liouville_dim,
     operator_basis,
-    perm_rep,
     single_site_letters,
     vectorize,
 )
 from .schur import (
     ColumnLabel,
     IrrepMatrices,
-    PermutationBlockStructure,
     SuperSchurBasis,
     irrep_matrices,
-    matrix_unit,
-    permutation_in_schur,
     super_schur_basis,
     young_orthogonal_generator,
 )
@@ -103,8 +98,6 @@ __all__ = [
     "Lindbladian",
     "OperatorBasis",
     "Partition",
-    "PermutationBlockStructure",
-    "PermutationRep",
     "QuditOperator",
     "SectorBlock",
     "SizeGuardError",
@@ -120,24 +113,19 @@ __all__ = [
     "count_irreps",
     "count_partitions_k_rows",
     "decompose",
-    "devectorize",
     "dfs_report",
     "example_channel",
-    "hilbert_permutation_matrix",
     "hs_inner",
     "hs_norm",
     "irrep_matrices",
     "kraus_superop",
     "letter_strings_by_weight",
     "lindblad_superop",
-    "matrix_unit",
     "max_liouville_dim",
     "mixing_unitary",
     "operator_basis",
     "orthogonalize_kraus",
     "partitions",
-    "perm_rep",
-    "permutation_in_schur",
     "protection_check",
     "psd_sqrt",
     "single_site_letters",

@@ -3,7 +3,9 @@
 A channel is *strongly* symmetric when every Kraus operator commutes with
 every site permutation, and *weakly* symmetric when permuting the sites
 merely mixes the Kraus operators by a unitary matrix.  Both notions are
-decided on the adjacent transpositions, which generate the full group.
+decided on the adjacent transpositions, which generate the full group, each
+applied to an operator matrix as an index gather, never as a dense
+permutation matrix.
 Lindblad generators additionally require a permutation-invariant
 Hamiltonian for either classification.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -48,13 +50,8 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .liouville import (
-    OperatorBasis,
-    QuditOperator,
-    hilbert_permutation_matrix,
-    vectorize,
-)
-from .permutations import adjacent_transpositions
+from .liouville import OperatorBasis, QuditOperator, vectorize
+from .permutations import adjacent_transpositions, string_index_map
 
 CLOSURE_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
@@ -113,11 +110,14 @@ class KrausChannel:
     under the normalized trace pairing (every orthogonal Kraus set
     diagonalizes the process matrix, so this is a choice of canonical
     representative, not a restriction -- see orthogonalize_kraus).
+    ``closure_deviation``, max |sum F^dag F - I|, is measured once, on
+    construction.
     """
 
     d: int
     n: int
     kraus_ops: tuple[QuditOperator, ...]
+    closure_deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ops = _as_operators(self.d, self.n, self.kraus_ops)
@@ -131,13 +131,8 @@ class KrausChannel:
             raise ChannelInvariantError(
                 f"Kraus closure violated: max deviation {dev:.3e} > {CLOSURE_TOL}"
             )
+        object.__setattr__(self, "closure_deviation", dev)
         _check_operator_set(_gram(ops), "Kraus operator", "; run orthogonalize_kraus first")
-
-    @property
-    def closure_deviation(self) -> float:
-        dim = self.d**self.n
-        closure = sum(op.matrix.conj().T @ op.matrix for op in self.kraus_ops)
-        return float(np.max(np.abs(closure - np.eye(dim))))
 
 
 @dataclass(frozen=True)
@@ -290,14 +285,15 @@ def mixing_unitary(
     the largest entry of the unexplained remainder; it vanishes exactly
     when the permuted operators stay inside the original span.
     """
-    P = hilbert_permutation_matrix(pi, d, n)
+    # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
+    s = np.argsort(string_index_map(pi, d, n))
     mats = [op.matrix for op in ops]
     norms2 = [np.vdot(F, F).real for F in mats]
     k = len(mats)
     U = np.empty((k, k), dtype=np.complex128)
     residual = 0.0
     for nu, F in enumerate(mats):
-        Ft = P @ F @ P.T
+        Ft = F[np.ix_(s, s)]
         for mu, G in enumerate(mats):
             U[mu, nu] = np.vdot(G, Ft) / norms2[mu]
         recon = sum(U[mu, nu] * mats[mu] for mu in range(k))
@@ -315,11 +311,11 @@ def _generator_symmetry(
     unitarity = 0.0
     unitaries = {}
     for g in gens:
-        P = hilbert_permutation_matrix(g, d, n)
+        # P F = F[s]; a transposition is its own inverse, so F P = F[:, s]
+        s = np.argsort(string_index_map(g, d, n))
         for op in ops:
-            commutator = max(
-                commutator, float(np.max(np.abs(op.matrix @ P - P @ op.matrix)))
-            )
+            F = op.matrix
+            commutator = max(commutator, float(np.max(np.abs(F[:, s] - F[s, :]))))
         if ops:
             U, res, udev = mixing_unitary(ops, g, d, n)
         else:
@@ -364,8 +360,8 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     ham_dev = 0.0
     H = lind.hamiltonian.matrix
     for g in adjacent_transpositions(lind.n):
-        P = hilbert_permutation_matrix(g, lind.d, lind.n)
-        ham_dev = max(ham_dev, float(np.max(np.abs(P @ H @ P.T - H))))
+        s = np.argsort(string_index_map(g, lind.d, lind.n))
+        ham_dev = max(ham_dev, float(np.max(np.abs(H[np.ix_(s, s)] - H))))
     cert = _operator_certificate(
         lind.jump_ops, lind.d, lind.n, {"hamiltonian_invariance": ham_dev}
     )
@@ -428,8 +424,7 @@ def _letter_superop(
     IMAGINARY_PART_TOL * max|M|, plus HERMITICITY_TOL when ``one_sided``
     carries a Hamiltonian (see the module docstring).
     """
-    d, n, dim = basis.d, basis.n, basis.dim
-    D = d**n
+    dim, D = basis.dim, basis.d**basis.n
     tables = basis.string_tables
     K = len(sandwiched)
     if K:
@@ -478,7 +473,7 @@ def _letter_superop(
         # contiguous row; a real out takes the chunk's stack in one copy
         V = np.empty((c, dim), dtype=np.complex128) if real else out[b0 : b0 + c]
         for j in range(c):
-            V[j] = vectorize(QuditOperator(d, n, images[j]), basis)
+            V[j] = vectorize(images[j], basis)
         if real:
             dropped.append(np.abs(V.imag).max())
             out[b0 : b0 + c] = V.real

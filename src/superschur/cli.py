@@ -59,7 +59,6 @@ from .errors import (
 )
 from .liouville import check_liouville_dim, operator_basis
 from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, super_schur_basis
-from . import verify as _verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -572,7 +571,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = _verify.run_suites(args.level)
+    # the self-checks and their dense oracles load only for this command
+    from .verify import run_suites
+
+    suites = run_suites(args.level)
     failed = 0
     for result in suites:
         print(result.line())

@@ -34,7 +34,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError, SizeGuardError
-from .permutations import check_permutation, string_index_map
 
 DEFAULT_MAX_DIM = 4096
 _MAX_DIM_ENV = "SCHUR_DFS_MAX_DIM"
@@ -399,26 +398,28 @@ class _VectorizePlan:
         )
 
 
-def _check_basis_op(op: QuditOperator, basis: OperatorBasis) -> None:
-    if (op.d, op.n) != (basis.d, basis.n):
-        raise DimensionMismatchError(
-            f"operator (d={op.d}, n={op.n}) does not match basis (d={basis.d}, n={basis.n})"
-        )
-
-
-def vectorize(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
-    """Coefficient vector of ``op`` in the letter basis.
+def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Coefficient vector of the d**n x d**n array ``matrix`` in the letter
+    basis.
 
     Runs the basis's cached :class:`_VectorizePlan`: one gather of the
     matrix, two small products with the Kronecker halves of
     ``conj(W)^{(x)n}`` (real at d = 2) and one gather with phases into
-    letter order.  A letter set that is not monomial, or whose groups do
-    not share one phase matrix W, raises InternalConsistencyError.
+    letter order.  A matrix of another shape raises
+    DimensionMismatchError; a letter set that is not monomial, or whose
+    groups do not share one phase matrix W, raises
+    InternalConsistencyError.
     """
-    _check_basis_op(op, basis)
+    X = np.asarray(matrix, dtype=np.complex128)
+    D = basis.d**basis.n
+    if X.shape != (D, D):
+        raise DimensionMismatchError(
+            f"matrix shape {X.shape} does not match basis (d={basis.d}, n={basis.n}): "
+            f"need ({D}, {D})"
+        )
     p = basis.vectorize_plan
     D1, D2 = p.w_outer.shape[0], p.w_inner.shape[0]
-    G = op.matrix.ravel().take(p.gather)
+    G = X.ravel().take(p.gather)
     if p.real:
         # a complex row is a row of (re, im) pairs, so the real W acts on
         # real and imaginary parts in one real product
@@ -427,59 +428,3 @@ def vectorize(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
     if p.real:
         T = T.view(np.complex128)
     return T.ravel().take(p.order) * p.phase
-
-
-def devectorize(v: np.ndarray, basis: OperatorBasis) -> QuditOperator:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (basis.dim,):
-        raise DimensionMismatchError(f"vector length {v.shape} != basis dimension {basis.dim}")
-    d, n = basis.d, basis.n
-    q = d * d
-    # N[a, s] = letter_a[s]; the coefficients are <letter_a, op>, so by
-    # letter orthonormality contracting every site with N rebuilds op
-    N = np.stack([letter.reshape(-1) for letter in basis.letters])
-    t = v.reshape((q,) * n)
-    for k in range(n):
-        t = np.moveaxis(np.tensordot(N, t, axes=(0, k)), 0, k)
-    t = t.reshape((d, d) * n)
-    t = np.transpose(t, axes=[2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-    return QuditOperator(d, n, t.reshape(d**n, d**n))
-
-
-@dataclass(frozen=True)
-class PermutationRep:
-    """A site permutation as a matrix on states and on letter strings."""
-
-    d: int
-    n: int
-    pi: tuple[int, ...]
-    hilbert_matrix: np.ndarray
-    liouville_matrix: np.ndarray
-
-
-def hilbert_permutation_matrix(pi: tuple[int, ...], d: int, n: int) -> np.ndarray:
-    """Matrix of the permutation on the n-qudit state space."""
-    pi = check_permutation(pi, n)
-    dim = d**n
-    P = np.zeros((dim, dim))
-    P[string_index_map(pi, d, n), np.arange(dim)] = 1.0
-    return P
-
-
-def perm_rep(pi: tuple[int, ...], d: int, n: int, basis: OperatorBasis) -> PermutationRep:
-    """Permutation matrices on states and on the letter basis.
-
-    On letter strings the action is the same digit shuffle as on state
-    strings because the basis elements are site-wise tensor products.
-    """
-    if (d, n) != (basis.d, basis.n):
-        raise DimensionMismatchError(
-            f"(d={d}, n={n}) does not match basis (d={basis.d}, n={basis.n})"
-        )
-    pi = check_permutation(pi, n)
-    H = hilbert_permutation_matrix(pi, d, n)
-    dim = basis.dim
-    L = np.zeros((dim, dim))
-    L[string_index_map(pi, d * d, n), np.arange(dim)] = 1.0
-    return PermutationRep(d=d, n=n, pi=pi, hilbert_matrix=H, liouville_matrix=L)

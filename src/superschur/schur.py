@@ -137,27 +137,6 @@ def irrep_matrices(shape: Partition, n: int) -> IrrepMatrices:
     return IrrepMatrices(shape=shape, n=n, dim=dim, matrices=mats)
 
 
-def matrix_unit(shape: Partition, y: int, y0: int, d: int, n: int) -> np.ndarray:
-    """Dense group-algebra matrix unit on letter strings.
-
-    E_{y,y0} = (dim / n!) * sum_pi D(pi)[y, y0] * S_pi, with S_pi the
-    string shuffle.  These satisfy E_{ij} E_{kl} = delta_{jk} E_{il}; the
-    diagonal units are orthogonal projections.  The matrix is real.
-    """
-    full = check_liouville_dim(d, n)
-    rep = irrep_matrices(shape, n)
-    if not (0 <= y < rep.dim and 0 <= y0 < rep.dim):
-        raise ValueError(f"tableau indices out of range for {shape}: {y}, {y0}")
-    scale = rep.dim / math.factorial(n)
-    M = np.zeros((full, full))
-    cols = np.arange(full)
-    for p in all_permutations(n):
-        c = rep.matrices[p][y, y0] * scale
-        if c != 0.0:
-            M[string_index_map(p, d * d, n), cols] += c
-    return M
-
-
 @dataclass(frozen=True)
 class ColumnLabel:
     """Label of one basis column: sector shape, tableau index within the
@@ -475,38 +454,3 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     if not dev <= UNITARITY_TOL:
         raise InternalConsistencyError(f"basis not unitary: deviation {dev:.3e}")
     return basis
-
-
-@dataclass(frozen=True)
-class PermutationBlockStructure:
-    """A site permutation expressed in the adapted basis."""
-
-    pi: tuple[int, ...]
-    matrix: np.ndarray
-    irrep_blocks: dict
-    multiplicities: dict
-    leakage: float
-
-
-def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> PermutationBlockStructure:
-    """Conjugate the string shuffle of ``pi`` into the adapted basis and
-    measure the leakage outside the predicted D(pi) x I block pattern."""
-    pi = check_permutation(pi, basis.n)
-    t = string_index_map(pi, basis.d * basis.d, basis.n)
-    U = basis.unitary
-    # the shuffle sends string i to t[i], so it gathers row k of U from t^-1[k]
-    A = U.T @ U[np.argsort(t)]
-    predicted = np.zeros_like(A)
-    irrep_blocks = {}
-    mults = {}
-    for shape in basis.shapes:
-        D = irrep_matrices(shape, basis.n).matrices[pi]
-        m = basis.multiplicity(shape)
-        sl = basis.sector_slice(shape)
-        predicted[sl, sl] = np.kron(D, np.eye(m))
-        irrep_blocks[shape] = D
-        mults[shape] = m
-    leakage = float(np.max(np.abs(A - predicted)))
-    return PermutationBlockStructure(
-        pi=pi, matrix=A, irrep_blocks=irrep_blocks, multiplicities=mults, leakage=leakage
-    )

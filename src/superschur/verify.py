@@ -5,7 +5,9 @@ level, a tolerance and a function that returns the measured deviation.
 Exact integer checks use tolerance zero; a check whose premise fails (a
 reference column missing, a family put in the wrong class) measures
 infinity.  The fast level stays at n <= 3; full adds the four-site and
-qutrit cases, long dimension sums and the dense oracles.
+qutrit cases, long dimension sums and the dense oracles of
+:mod:`superschur.oracle`.  The n = 3 example maps are decomposed once per
+process and shared by the three checks that read them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -29,9 +31,10 @@ from .channels import (
     lindblad_superop,
 )
 from .combinatorics import Partition, partitions, syt_dimension, weyl_dimension
-from .liouville import QuditOperator, devectorize, operator_basis, perm_rep, vectorize
+from .liouville import operator_basis, vectorize
+from .oracle import devectorize, matrix_unit, permutation_in_schur, permutation_matrix
 from .permutations import adjacent_transpositions
-from .schur import matrix_unit, permutation_in_schur, super_schur_basis
+from .schur import super_schur_basis
 
 TWO_ONE = Partition((2, 1))
 
@@ -92,7 +95,7 @@ def _vectorize_round_trip() -> float:
     for d, n in [(2, 2), (2, 3), (3, 1)]:
         basis = operator_basis(d, n)
         m = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
-        back = devectorize(vectorize(QuditOperator(d, n, m), basis), basis)
+        back = devectorize(vectorize(m, basis), basis)
         worst = max(worst, float(np.max(np.abs(back.matrix - m))))
     return worst
 
@@ -172,11 +175,16 @@ def _classify(channel):
     return classify_lindblad_symmetry(channel)
 
 
-def _decomposed_examples():
+@cache
+def _decomposed_examples() -> tuple:
+    """(channel, decomposition) of every example map, built once per process
+    and shared by the checks that read them."""
     letters, basis = operator_basis(2, 3), super_schur_basis(2, 3)
+    out = []
     for channel, _ in _examples():
         build = kraus_superop if isinstance(channel, KrausChannel) else lindblad_superop
-        yield channel, decompose(build(channel, letters), basis)
+        out.append((channel, decompose(build(channel, letters), basis)))
+    return tuple(out)
 
 
 def _example_block_structure_n3() -> float:
@@ -221,7 +229,7 @@ def _kraus_closure_n3() -> float:
 def _sector_sizes_brute_force_n2() -> float:
     """Ranks of the two-site (anti)symmetrizers against weyl_dimension, the
     built basis's multiplicities and the hand count (10, 6)."""
-    swap = perm_rep((1, 0), 2, 2, operator_basis(2, 2)).liouville_matrix
+    swap = permutation_matrix((1, 0), 4, 2)
     ranks = [np.linalg.matrix_rank((np.eye(16) + sign * swap) / 2) for sign in (1, -1)]
     shapes = [Partition((2,)), Partition((1, 1))]
     basis = super_schur_basis(2, 2)

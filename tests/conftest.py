@@ -1,18 +1,20 @@
 import pytest
 
-from superschur import liouville, operator_basis, schur, super_schur_basis
+from superschur import liouville, operator_basis, schur, super_schur_basis, verify
 
 
 def _clear_builder_caches():
     schur._super_schur_basis.cache_clear()
     liouville._operator_basis.cache_clear()
+    verify._decomposed_examples.cache_clear()
 
 
 @pytest.fixture
 def fresh_builders():
-    """Empty both per-process basis caches before and after the test, so a
-    test that patches builder internals really builds, and nothing it
-    builds is handed to later tests."""
+    """Empty the per-process basis caches and the self-checks' cached
+    example decompositions before and after the test, so a test that
+    patches builder internals really builds, and nothing it builds is
+    handed to later tests."""
     _clear_builder_caches()
     yield
     _clear_builder_caches()

@@ -17,7 +17,7 @@ from superschur.channels import (
     SuperOperatorMatrix,
     _check_channel_basis,
 )
-from superschur.liouville import OperatorBasis, QuditOperator, vectorize
+from superschur.liouville import OperatorBasis, vectorize
 
 
 def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:
@@ -29,7 +29,7 @@ def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperO
     for a in range(dim):
         B = basis.element_matrix(a)
         image = sum(F @ B @ F.conj().T for F in mats)
-        out[:, a] = vectorize(QuditOperator(basis.d, basis.n, image), basis)
+        out[:, a] = vectorize(image, basis)
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out, basis=basis)
 
 
@@ -46,5 +46,5 @@ def lindblad_superop_columns(lind: Lindbladian, basis: OperatorBasis) -> SuperOp
         image = -1j * (H @ B - B @ H)
         for L, K in zip(jumps, sinks):
             image += L @ B @ L.conj().T - 0.5 * (K @ B + B @ K)
-        out[:, a] = vectorize(QuditOperator(basis.d, basis.n, image), basis)
+        out[:, a] = vectorize(image, basis)
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out, basis=basis)

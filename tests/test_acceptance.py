@@ -24,10 +24,11 @@ from superschur import (
     example_channel,
     kraus_superop,
     orthogonalize_kraus,
-    perm_rep,
     protection_check,
 )
+from superschur import verify
 from superschur.cli import main
+from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions
 from superschur.verify import checks
 
@@ -61,6 +62,18 @@ def test_registry_names_are_unique_and_fast_is_an_ordered_subset():
     assert len(fast) < len(full)
     with pytest.raises(ValueError, match="level"):
         checks("extreme")
+
+
+def test_example_maps_are_decomposed_once_per_process(monkeypatch, fresh_builders):
+    built = []
+    decompose = verify.decompose
+    monkeypatch.setattr(verify, "decompose", lambda *args: built.append(1) or decompose(*args))
+    shared = ("example_block_structure_n3", "protection_probe_n3", "dfs_flags_n3")
+    results = [c.run() for c in checks("fast") if c.name in shared]
+    assert [r.name for r in results] == list(shared)
+    assert all(r.passed for r in results)
+    # one decomposition per example map, not one per map and check
+    assert len(built) == len(list(verify._examples())) == 19
 
 
 def test_criterion_1_decomposition_counts(capsys):
@@ -130,10 +143,7 @@ def test_criterion_8_property_suite(schur_2_2, schur_2_3, letters_2_2, letters_2
     checked = 0
     for n in (2, 3):
         basis, letters = contexts[n]
-        shuffles = [
-            perm_rep(g, 2, n, letters).liouville_matrix
-            for g in adjacent_transpositions(n)
-        ]
+        shuffles = [permutation_matrix(g, 4, n) for g in adjacent_transpositions(n)]
         channels = [random_weak_channel(n, rng) for _ in range(10)]
         channels += [random_asymmetric_channel(n, rng) for _ in range(2)]
         channels.append(lopsided_channel(n))

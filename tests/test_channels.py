@@ -19,12 +19,12 @@ from superschur import (
     mixing_unitary,
     operator_basis,
     orthogonalize_kraus,
-    perm_rep,
     psd_sqrt,
     symmetrize_local_kraus,
     vectorize,
 )
 from superschur.channels import SuperOperatorMatrix, channel_from_dict
+from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions, all_permutations, compose
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -48,6 +48,14 @@ def single_qubit_channel(*mats):
 def test_kraus_channel_accepts_amplitude_damping():
     ch = single_qubit_channel(*damping_pair(0.3))
     assert ch.closure_deviation < 1e-12
+
+
+def test_kraus_closure_deviation_is_measured_once_on_construction():
+    ch = example_channel("independent_damping", n=3, p=0.3)
+    closure = sum(op.matrix.conj().T @ op.matrix for op in ch.kraus_ops)
+    assert ch.closure_deviation == float(np.max(np.abs(closure - np.eye(8))))
+    # a stored field, not a property that sums F^dag F again on each read
+    assert vars(ch)["closure_deviation"] == ch.closure_deviation
 
 
 def test_kraus_channel_rejects_broken_closure():
@@ -190,8 +198,8 @@ def test_full_damping_sends_excited_to_ground():
     basis = operator_basis(2, 1)
     ch = single_qubit_channel(*damping_pair(1.0))
     S = kraus_superop(ch, basis).matrix
-    excited = vectorize(QuditOperator(2, 1, np.diag([0.0, 1.0])), basis)
-    ground = vectorize(QuditOperator(2, 1, np.diag([1.0, 0.0])), basis)
+    excited = vectorize(np.diag([0.0, 1.0]), basis)
+    ground = vectorize(np.diag([1.0, 0.0]), basis)
     assert np.max(np.abs(S @ excited - ground)) < 1e-12
 
 
@@ -352,9 +360,7 @@ def test_classification_matches_superoperator_commutation():
     # classification != none exactly when the superoperator matrix
     # commutes with every permutation shuffle
     basis = operator_basis(2, 3)
-    shuffles = [
-        perm_rep(g, 2, 3, basis).liouville_matrix for g in adjacent_transpositions(3)
-    ]
+    shuffles = [permutation_matrix(g, 4, 3) for g in adjacent_transpositions(3)]
 
     def superop_commutator(channel):
         if isinstance(channel, KrausChannel):

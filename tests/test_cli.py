@@ -598,6 +598,28 @@ def test_cli_import_builds_no_basis():
     assert done.stdout.split() == ["0", "0"]
 
 
+def test_analyze_and_evolve_load_no_oracle(tmp_path):
+    path = builder_doc(tmp_path / "jump.json", "single_jump", "lindblad", n=3)
+    probe = (
+        "import sys\n"
+        "from superschur.cli import main\n"
+        "def loaded():\n"
+        "    names = ('superschur.oracle', 'superschur.verify')\n"
+        "    print('loaded', *[name in sys.modules for name in names])\n"
+        f"assert main(['analyze', {path!r}]) == 0\n"
+        f"assert main(['evolve', {path!r}, '--times', '0.1,1.0']) == 0\n"
+        "loaded()\n"
+        "assert main(['verify', '--level', 'fast']) == 0\n"
+        "loaded()\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    marks = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded ")]
+    assert marks == [["False", "False"], ["True", "True"]]
+
+
 def test_verify_rejects_unknown_level(capsys):
     assert main(["verify", "--level", "extreme"]) == 1
     capsys.readouterr()

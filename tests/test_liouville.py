@@ -10,17 +10,15 @@ from superschur import (
     InternalConsistencyError,
     QuditOperator,
     SizeGuardError,
-    devectorize,
-    hilbert_permutation_matrix,
     hs_inner,
     hs_norm,
     max_liouville_dim,
     operator_basis,
-    perm_rep,
     single_site_letters,
     vectorize,
 )
 from superschur import liouville
+from superschur.oracle import devectorize, permutation_matrix
 from superschur.permutations import all_permutations, compose
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -125,13 +123,12 @@ def test_operator_basis_gram_is_identity(d, n):
 
 def test_vectorize_identity_and_pure_strings():
     basis = operator_basis(2, 3)
-    v = vectorize(op(np.eye(8), n=3), basis)
+    v = vectorize(np.eye(8), basis)
     want = np.zeros(64)
     want[0] = 1.0
     assert np.max(np.abs(v - want)) < 1e-12
 
-    xxy = op(np.kron(np.kron(X, X), Y), n=3)
-    v = vectorize(xxy, basis)
+    v = vectorize(np.kron(np.kron(X, X), Y), basis)
     want = np.zeros(64)
     want[basis.labels.index((1, 1, 2))] = 1.0
     assert np.max(np.abs(v - want)) < 1e-12
@@ -139,10 +136,9 @@ def test_vectorize_identity_and_pure_strings():
 
 def test_vectorize_known_coefficients():
     basis = operator_basis(2, 1)
-    v = vectorize(op(I2 + Z), basis)
+    v = vectorize(I2 + Z, basis)
     assert np.max(np.abs(v - np.array([1.0, 0, 0, 1.0]))) < 1e-12
-    ground = op(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    v = vectorize(ground, basis)
+    v = vectorize(np.array([[1.0, 0.0], [0.0, 0.0]]), basis)
     assert np.max(np.abs(v - np.array([0.5, 0, 0, 0.5]))) < 1e-12
 
 
@@ -153,11 +149,10 @@ def test_devectorize_inverts_vectorize():
         dim = d**n
         for _ in range(5):
             m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            a = QuditOperator(d, n, m)
-            back = devectorize(vectorize(a, basis), basis)
+            back = devectorize(vectorize(m, basis), basis)
             assert np.max(np.abs(back.matrix - m)) < 1e-12
         v = rng.standard_normal((d * d) ** n) + 1j * rng.standard_normal((d * d) ** n)
-        round_trip = vectorize(devectorize(v, basis), basis)
+        round_trip = vectorize(devectorize(v, basis).matrix, basis)
         assert np.max(np.abs(round_trip - v)) < 1e-12
 
 
@@ -190,25 +185,24 @@ def test_vectorize_preserves_inner_product():
     for _ in range(10):
         a = QuditOperator(2, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         b = QuditOperator(2, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert np.vdot(vectorize(a, basis), vectorize(b, basis)) == pytest.approx(
+        assert np.vdot(vectorize(a.matrix, basis), vectorize(b.matrix, basis)) == pytest.approx(
             hs_inner(a, b), abs=1e-12
         )
 
 
 # ---------------------------------------------------------------------------
-# permutation representations
+# permutation representations: oracle.permutation_matrix with base d acts
+# on states, with base d*d on letter strings
 
 
 def test_perm_rep_identity():
-    basis = operator_basis(2, 2)
-    rep = perm_rep((0, 1), 2, 2, basis)
-    assert np.array_equal(rep.hilbert_matrix, np.eye(4))
-    assert np.array_equal(rep.liouville_matrix, np.eye(16))
+    assert np.array_equal(permutation_matrix((0, 1), 2, 2), np.eye(4))
+    assert np.array_equal(permutation_matrix((0, 1), 4, 2), np.eye(16))
 
 
 def test_hilbert_swap_moves_computational_strings():
     # |01> (index 1) goes to |10> (index 2)
-    P = hilbert_permutation_matrix((1, 0), 2, 2)
+    P = permutation_matrix((1, 0), 2, 2)
     e01 = np.zeros(4)
     e01[1] = 1.0
     assert np.argmax(P @ e01) == 2
@@ -216,10 +210,8 @@ def test_hilbert_swap_moves_computational_strings():
 
 
 def test_perm_rep_matrices_are_permutation_matrices():
-    basis = operator_basis(2, 3)
     for p in all_permutations(3):
-        rep = perm_rep(p, 2, 3, basis)
-        for m in (rep.hilbert_matrix, rep.liouville_matrix):
+        for m in (permutation_matrix(p, 2, 3), permutation_matrix(p, 4, 3)):
             assert np.array_equal(m, m.astype(bool).astype(m.dtype))
             assert np.array_equal(m.sum(axis=0), np.ones(m.shape[0]))
             assert np.array_equal(m.sum(axis=1), np.ones(m.shape[0]))
@@ -227,20 +219,13 @@ def test_perm_rep_matrices_are_permutation_matrices():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_perm_rep_homomorphism_exhaustive(n):
-    basis = operator_basis(2, n)
-    reps = {p: perm_rep(p, 2, n, basis) for p in all_permutations(n)}
-    for p, q in itertools.product(all_permutations(n), repeat=2):
-        pq = reps[compose(p, q)]
-        assert np.array_equal(
-            pq.hilbert_matrix, reps[p].hilbert_matrix @ reps[q].hilbert_matrix
-        )
-        assert np.array_equal(
-            pq.liouville_matrix, reps[p].liouville_matrix @ reps[q].liouville_matrix
-        )
+    for base in (2, 4):
+        reps = {p: permutation_matrix(p, base, n) for p in all_permutations(n)}
+        for p, q in itertools.product(all_permutations(n), repeat=2):
+            assert np.array_equal(reps[compose(p, q)], reps[p] @ reps[q])
 
 
 def test_perm_rep_homomorphism_sampled_n4():
-    basis = operator_basis(2, 4)
     perms = all_permutations(4)
     rng = np.random.default_rng(3)
     picks = rng.choice(len(perms), size=(20, 2))
@@ -248,15 +233,12 @@ def test_perm_rep_homomorphism_sampled_n4():
 
     def rep(p):
         if p not in cache:
-            cache[p] = perm_rep(p, 2, 4, basis)
+            cache[p] = permutation_matrix(p, 4, 4)
         return cache[p]
 
     for i, j in picks:
         p, q = perms[i], perms[j]
-        assert np.array_equal(
-            rep(compose(p, q)).liouville_matrix,
-            rep(p).liouville_matrix @ rep(q).liouville_matrix,
-        )
+        assert np.array_equal(rep(compose(p, q)), rep(p) @ rep(q))
 
 
 def test_liouville_matrix_matches_conjugation():
@@ -264,13 +246,11 @@ def test_liouville_matrix_matches_conjugation():
     rng = np.random.default_rng(7)
     basis = operator_basis(2, 3)
     for p in all_permutations(3):
-        rep = perm_rep(p, 2, 3, basis)
-        P = rep.hilbert_matrix
+        P, L = permutation_matrix(p, 2, 3), permutation_matrix(p, 4, 3)
         for _ in range(17):
             m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            rho = QuditOperator(2, 3, m)
-            direct = vectorize(QuditOperator(2, 3, P @ m @ P.conj().T), basis)
-            via_rep = rep.liouville_matrix @ vectorize(rho, basis)
+            direct = vectorize(P @ m @ P.conj().T, basis)
+            via_rep = L @ vectorize(m, basis)
             assert np.max(np.abs(direct - via_rep)) < 1e-12
 
 

@@ -9,9 +9,7 @@ from superschur import (
     Partition,
     SizeGuardError,
     irrep_matrices,
-    matrix_unit,
     partitions,
-    permutation_in_schur,
     super_schur_basis,
     syt_dimension,
     weyl_dimension,
@@ -20,6 +18,7 @@ from superschur import (
 from superschur import schur
 from superschur.combinatorics import letter_strings_by_weight
 from superschur.errors import BasisLayoutError, InternalConsistencyError
+from superschur.oracle import matrix_unit, permutation_in_schur
 from superschur.permutations import (
     adjacent_transpositions,
     all_permutations,

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from superschur import InternalConsistencyError, QuditOperator, operator_basis, vectorize
+from superschur import (
+    DimensionMismatchError,
+    InternalConsistencyError,
+    QuditOperator,
+    operator_basis,
+    vectorize,
+)
 from superschur.liouville import OperatorBasis
 
 from vectorize_oracle import hadamard_pauli_basis, rotated_pauli_basis, vectorize_by_sites
@@ -18,9 +24,8 @@ def random_operators(d, n, rng):
 
 
 def assert_matches_oracle(matrix, basis):
-    op = QuditOperator(basis.d, basis.n, matrix)
-    want = vectorize_by_sites(op, basis)
-    assert np.max(np.abs(vectorize(op, basis) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    want = vectorize_by_sites(QuditOperator(basis.d, basis.n, matrix), basis)
+    assert np.max(np.abs(vectorize(matrix, basis) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("d,n", SIZES)
@@ -44,8 +49,15 @@ def test_vectorize_reads_groups_and_phases_from_the_letters(n):
 def test_vectorize_of_a_letter_string_is_a_unit_vector():
     basis = operator_basis(3, 2)
     for b in (0, 5, 40, 80):
-        v = vectorize(QuditOperator(3, 2, basis.element_matrix(b)), basis)
+        v = vectorize(basis.element_matrix(b), basis)
         assert np.max(np.abs(v - np.eye(81)[b])) < 1e-14
+
+
+def test_vectorize_refuses_a_matrix_of_another_shape():
+    basis = operator_basis(2, 2)
+    for shape in [(2, 2), (4, 2), (16,), (8, 8)]:
+        with pytest.raises(DimensionMismatchError, match=r"need \(4, 4\)"):
+            vectorize(np.zeros(shape), basis)
 
 
 def test_plan_is_built_once_per_basis():
@@ -68,7 +80,7 @@ def test_vectorize_refuses_letters_that_do_not_factor():
     assert np.max(np.abs(gram - np.eye(4))) == 0.0
     basis = OperatorBasis(d=2, n=2, letters=letters, labels=operator_basis(2, 2).labels)
     with pytest.raises(InternalConsistencyError, match="do not factor"):
-        vectorize(QuditOperator(2, 2, np.eye(4)), basis)
+        vectorize(np.eye(4), basis)
 
 
 def test_vectorize_refuses_unbalanced_permutation_groups():
@@ -77,11 +89,11 @@ def test_vectorize_refuses_unbalanced_permutation_groups():
     basis = OperatorBasis(d=2, n=1, letters=[np.asarray(a, complex) for a in letters],
                           labels=[(a,) for a in range(4)])
     with pytest.raises(InternalConsistencyError, match=r"groups of sizes \[3, 1\]"):
-        vectorize(QuditOperator(2, 1, np.eye(2)), basis)
+        vectorize(np.eye(2), basis)
 
 
 def test_vectorize_refuses_letters_that_are_not_monomial():
     _, V = np.linalg.eigh(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
     basis = rotated_pauli_basis(V.astype(np.complex128), 1)
     with pytest.raises(InternalConsistencyError, match="not monomial"):
-        vectorize(QuditOperator(2, 1, np.eye(2)), basis)
+        vectorize(np.eye(2), basis)
