@@ -559,6 +559,27 @@ def test_channel_from_dict_entry_errors_carry_field_paths():
         channel_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([[0.0, 0.0], [True, 0.0]], "operators[1][1][1]: expected a [re, im] pair of numbers"),
+        ([[0.0, 0.0], [1.0, 0.0, 0.0]], "operators[1][1][1]: expected a [re, im] pair of numbers"),
+        ([[0.0, 0.0]], "operators[1][1]: expected a row of 2 entries"),
+    ],
+    ids=["true-entry", "three-element-entry", "short-row"],
+)
+def test_channel_from_dict_refusals_name_the_entry(row, message):
+    # the second operator's second row is bad; the first operator and the
+    # first row before it are well formed
+    f0, f1 = damping_pair(0.5)
+    second = matrix_doc(f1)
+    second[1] = row
+    doc = {"d": 2, "n": 1, "kind": "kraus", "operators": [matrix_doc(f0), second]}
+    with pytest.raises(ChannelSpecError) as info:
+        channel_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_channel_from_dict_builder_errors():
     base = {"d": 2, "n": 3, "kind": "kraus"}
     with pytest.raises(ChannelSpecError, match="builder"):

@@ -25,17 +25,15 @@ from superschur.permutations import adjacent_transpositions
 
 
 def dense_mixing(mats, P):
-    """(U, expansion residual, unitarity deviation) by dense conjugation."""
-    norms2 = [np.vdot(F, F).real for F in mats]
+    """(U, expansion residual, unitarity deviation) by dense conjugation,
+    with the stacked overlap and reconstruction products of
+    ``mixing_unitary``, so that equal inputs give equal bits."""
     k = len(mats)
-    U = np.empty((k, k), dtype=np.complex128)
-    residual = 0.0
-    for nu, F in enumerate(mats):
-        Ft = P @ F @ P.T
-        for mu, G in enumerate(mats):
-            U[mu, nu] = np.vdot(G, Ft) / norms2[mu]
-        recon = sum(U[mu, nu] * mats[mu] for mu in range(k))
-        residual = max(residual, float(np.max(np.abs(Ft - recon))))
+    S = np.stack(mats).reshape(k, -1)
+    T = np.stack([P @ F @ P.T for F in mats]).reshape(k, -1)
+    norms2 = np.einsum("ij,ij->i", S.conj(), S).real
+    U = (S.conj() @ T.T) / norms2[:, None]
+    residual = float(np.max(np.abs(T - U.T @ S)))
     return U, residual, float(np.max(np.abs(U.conj().T @ U - np.eye(k))))
 
 
