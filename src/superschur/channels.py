@@ -13,11 +13,12 @@ Superoperator matrices in the letter basis come from one column kernel
 shared by channels and generators.  Both write the map as
 X -> sum_j L_j X R_j, over the pairs (F, F^dag) and, for a generator,
 (A, I) and (I, A').  Every letter string is monomial, one nonzero per row
-and column (Pauli and clock-shift letters alike), so the kernel forms the
-images of a chunk of columns in one of two ways, chosen by the operators
-alone.  When the map's Liouville matrix N = sum_j L_j (x) R_j^T is sparse
-(sum_j nnz(L_j) nnz(R_j) at most _SPARSE_SHARE of its dim**2 entries), N^T
-is built once as a sparse matrix and each chunk's images are one sparse
+and column (Pauli and clock-shift letters alike), with positions and phases
+read from the basis's vectorize plan, so the kernel forms the images of a
+chunk of columns in one of two ways, chosen by the operators alone.  When
+the map's Liouville matrix N = sum_j L_j (x) R_j^T is sparse (sum_j
+nnz(L_j) nnz(R_j) at most _SPARSE_SHARE of its dim**2 entries), N^T is
+built once as a sparse matrix and each chunk's images are one sparse
 product with the chunk's letter strings.  Otherwise each chunk takes one
 gathered stack and one dense matrix product for all the sandwich terms
 F B F^dag together, the one-sided terms being gathers with phases.  The two
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -487,10 +489,10 @@ class _SparseImages:
     With X flattened row by row, vec(L X R) = (L (x) R^T) vec(X), so the
     flattened images are the rows of Bt @ N^T with N^T = sum_j L_j^T (x) R_j,
     built once per map as a complex CSR matrix; row b of Bt holds the D
-    nonzeros of B_b, phi_b(R) at R * D + sigma_b(R).  Both carry int32
-    indices and complex data, so no chunk converts N^T.  The images land in
-    one reused buffer of at most _CHUNK_BYTES, which ``toarray`` clears
-    before it writes.
+    nonzeros of B_b, phi_b(R) at R * D + sigma_b(R) (the vectorize plan's
+    ``rows``).  Both carry int32 indices and complex data, so no chunk
+    converts N^T.  The images land in one reused buffer of at most
+    _CHUNK_BYTES, which ``toarray`` clears before it writes.
     """
 
     def __init__(self, basis: OperatorBasis, pairs, sizes: list[int]) -> None:
@@ -514,7 +516,7 @@ class _SparseImages:
             start += size
         # the conversion sums the duplicate entries of different pairs
         self.transfer = coo_array((vals, (rows, cols)), shape=(D * D, D * D)).tocsr()
-        self.tables = basis.string_tables
+        self.plan = basis.vectorize_plan
         self.step = max(1, _CHUNK_BYTES // (16 * D * D))
         self.buffer = np.empty((min(self.step, basis.dim), D * D), dtype=np.complex128)
         self.slots = np.arange(D, dtype=np.int32) * D
@@ -522,7 +524,7 @@ class _SparseImages:
     def __call__(self, chunk: slice) -> np.ndarray:
         from scipy.sparse import csr_array
 
-        sigma, phi = self.tables.rows(chunk)
+        sigma, phi = self.plan.rows(chunk)
         c, D = sigma.shape
         Bt = csr_array(
             (
@@ -540,9 +542,9 @@ class _DenseImages:
     """Images of a chunk of letter strings from the dense sandwich product.
 
     Every letter string B_b is monomial, so B_b F^dag and B_b A' are row
-    gathers with phases and A B_b is a column gather; each chunk combines
-    their indices and phases from the basis's half-string tables in one
-    broadcast.  The sandwiches of a chunk take one product,
+    gathers with phases and A B_b is a column gather; each chunk reads
+    their indices and phases from the basis's vectorize plan, its
+    ``rows`` and ``columns``.  The sandwiches of a chunk take one product,
     [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs in real
     arithmetic when every F is real.
     """
@@ -558,12 +560,12 @@ class _DenseImages:
             self.F_row = F_row
             self.daggers = np.stack([F.conj().T for F in sandwiched])
         self.one_sided = one_sided
-        self.tables = basis.string_tables
+        self.plan = basis.vectorize_plan
         self.step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
 
     def __call__(self, chunk: slice) -> np.ndarray:
         # (B_b X)[R, j] = phi[b, R] * X[sigma[b, R], j], stored [R, b, j]
-        sigma, phi = self.tables.rows(chunk)
+        sigma, phi = self.plan.rows(chunk)
         c, D = sigma.shape
         K = self.K
         row_phase = phi.T[:, :, None]
@@ -586,7 +588,7 @@ class _DenseImages:
             G *= row_phase
             images += G
             # (A B_b)[i, C] = A[i, tau[b, C]] * psi[b, C]
-            tau, psi = self.tables.columns(chunk)
+            tau, psi = self.plan.columns(chunk)
             G = A[:, tau]
             G *= psi
             images += G
@@ -883,7 +885,8 @@ def _parse_entrywise(obj: list, where: str, dim: int) -> np.ndarray:
             )
             if not ok:
                 raise ChannelSpecError(f"{where}[{r}][{c}]: expected a [re, im] pair of numbers")
-            if not all(math.isfinite(x) for x in entry):
+            # False for nan, inf and an integer beyond float64 alike
+            if not all(abs(x) <= sys.float_info.max for x in entry):
                 raise ChannelSpecError(f"{where}[{r}][{c}]: entries must be finite")
             out[r, c] = complex(entry[0], entry[1])
     return out

@@ -119,8 +119,9 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    # nan passes no comparison, and an infinite tolerance flags every block
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
     return value
 
 

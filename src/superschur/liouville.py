@@ -6,12 +6,16 @@ basis is orthonormal.  Vectorization writes an operator as its coefficient
 vector in that basis, so superoperators become ordinary matrices acting on
 letter-string coordinates.
 
-Vectorization runs from a plan built once per basis.  Every letter is
-monomial (one nonzero per row and column), and the d*d letters fall into d
-groups that share one permutation of the columns; the phases of group g
-are ``diag(lambda_g) W`` with one d x d matrix W for every group (the +-1
+Vectorization runs from a plan built once per basis, which is also the
+basis's one monomial table.  Every letter is monomial (one nonzero per
+row and column), and the d*d letters fall into d groups that share one
+permutation of the columns; the phases of group g are
+``diag(lambda_g) W`` with one d x d matrix W for every group (the +-1
 Hadamard matrix for the Paulis, the Fourier matrix for clock-shift
-letters).  The coefficient of the string with groups s and rows k is then
+letters).  The string with groups s and rows k then has its nonzero in
+row R at column ``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``; the
+superoperator kernel reads these through the plan's ``rows`` and
+``columns``.  Its coefficient of X is
 ``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
 gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
 with its Kronecker halves) and one gather with phases into letter order.
@@ -153,8 +157,9 @@ class OperatorBasis:
     digits of the lexicographically ordered letter string ``labels[a]``;
     element 0 is the identity.  The instance is frozen and ``letters`` and
     ``labels`` are tuples, so a basis shared between callers cannot be
-    edited; the vectorize plan and string tables are filled in once, on
-    first use.
+    edited.  Its one monomial table, the vectorize plan, is filled in once,
+    on first use; :func:`vectorize` and the superoperator kernel both read
+    it.
     """
 
     d: int
@@ -162,7 +167,6 @@ class OperatorBasis:
     letters: tuple[np.ndarray, ...]
     labels: tuple[tuple[int, ...], ...]
     _plan: _VectorizePlan | None = field(default=None, repr=False)
-    _tables: _StringTables | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -177,28 +181,21 @@ class OperatorBasis:
 
     @property
     def vectorize_plan(self) -> _VectorizePlan:
-        """The gather-and-transform plan :func:`vectorize` runs, built on
-        first use from the letters as they are then."""
+        """The monomial table of the letter strings and the
+        gather-and-transform plan :func:`vectorize` runs, built on first
+        use from the letters as they are then."""
         if self._plan is None:
             object.__setattr__(self, "_plan", _VectorizePlan.build(self))
         return self._plan
-
-    @property
-    def string_tables(self) -> _StringTables:
-        """Half-string monomial tables for the superoperator kernel, built
-        on first use from the letters as they are then."""
-        if self._tables is None:
-            object.__setattr__(self, "_tables", _StringTables.build(self))
-        return self._tables
 
 
 def operator_basis(d: int, n: int) -> OperatorBasis:
     """The Pauli (d = 2) or clock-shift letter basis of n qudits.
 
     Built once per (d, n) per process: every later call returns the same
-    object, whose letters, vectorize plan and string tables are read-only
-    arrays.  The size guard (SCHUR_DFS_MAX_DIM) is checked on every call,
-    cache hits included, and a build that raises is not kept.
+    object, whose letters and vectorize plan are read-only arrays.  The
+    size guard (SCHUR_DFS_MAX_DIM) is checked on every call, cache hits
+    included, and a build that raises is not kept.
     """
     check_liouville_dim(d, n)
     return _operator_basis(d, n)
@@ -211,7 +208,6 @@ def _operator_basis(d: int, n: int) -> OperatorBasis:
     basis = OperatorBasis(d=d, n=n, letters=letters, labels=labels)
     # built here so the shared object is never written after it is returned
     basis.vectorize_plan
-    basis.string_tables
     return basis
 
 
@@ -267,66 +263,6 @@ def _string_monomials(
     return index, phase
 
 
-@dataclass(frozen=True)
-class _StringTables:
-    """Monomial tables of every letter string, kept per half of the sites.
-
-    As with the Kronecker halves of :class:`_VectorizePlan`, the first
-    ceil(n/2) sites form the outer half and the rest the inner half, so a
-    row is R = R_o * D_i + R_i.  ``row`` holds :func:`_string_monomials`
-    of every outer and every inner half string, ``(index_o, phase_o,
-    index_i, phase_i)``: row R of string b has its nonzero in column
-    ``index_o[b_o, R_o] * D_i + index_i[b_i, R_i]`` with value
-    ``phase_o[b_o, R_o] * phase_i[b_i, R_i]``.  ``col`` is laid out the
-    same for columns: column C has its nonzero in row ``index[b, C]``.  A
-    half table is (d*d)**half x d**half, so the tables stay tiny.
-    """
-
-    outer: np.ndarray  # (dim,) outer-half string of each label
-    inner: np.ndarray  # (dim,) inner-half string of each label
-    row: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    col: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def __post_init__(self) -> None:
-        _read_only(self.outer, self.inner, *self.row, *self.col)
-
-    @classmethod
-    def build(cls, basis: OperatorBasis) -> _StringTables:
-        q, n = basis.d * basis.d, basis.n
-        cols, phases = _monomial_letters(basis)
-        # column C of a letter holds its nonzero in row inv_cols[C]
-        inv_cols = np.argsort(cols, axis=1)
-        inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
-        labels = np.asarray(basis.labels, dtype=np.intp).reshape(-1, n)
-        split = (n + 1) // 2
-        halves, row, col = [], [], []
-        for sites in (labels[:, :split], labels[:, split:]):
-            m = sites.shape[1]
-            strings = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.intp)
-            strings = strings.reshape(q**m, m)
-            halves.append(sites @ q ** np.arange(m - 1, -1, -1))
-            row.extend(_string_monomials(cols, phases, strings))
-            col.extend(_string_monomials(inv_cols, inv_phases, strings))
-        return cls(*halves, tuple(row), tuple(col))
-
-    def _combine(self, labels: slice, index_o, phase_o, index_i, phase_i):
-        o, i = self.outer[labels], self.inner[labels]
-        c = len(o)
-        index = (index_o[o][:, :, None] * index_i.shape[1] + index_i[i][:, None, :]).reshape(c, -1)
-        phase = (phase_o[o][:, :, None] * phase_i[i][:, None, :]).reshape(c, -1)
-        return index, phase
-
-    def rows(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(column index, value) of the nonzero in each row of the strings
-        ``basis.labels[labels]``, each of shape (c, d**n)."""
-        return self._combine(labels, *self.row)
-
-    def columns(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(row index, value) of the nonzero in each column of the strings
-        ``basis.labels[labels]``, each of shape (c, d**n)."""
-        return self._combine(labels, *self.col)
-
-
 # largest distance, as a share of max|W|, between a letter's phase row
 # (scaled to start at 1) and the row of W it is matched to
 _FACTOR_TOL = 1e-12
@@ -334,15 +270,22 @@ _FACTOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class _VectorizePlan:
-    """Index tables and transforms that :func:`vectorize` runs.
+    """The monomial table of a letter basis, and the transforms that
+    :func:`vectorize` runs.
 
     Letter a has permutation group ``g(a)``, row ``k(a)`` of W and phase
     ``lambda_a``: its entry in row r is ``lambda_a W[k(a), r]`` at column
-    ``perm_g(a)(r)``.  For a string b with groups s and rows k,
+    ``perm_g(a)(r)``.  So a string b with groups s and rows k has the entry
+    ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``, which :meth:`rows` and
+    :meth:`columns` read off for the superoperator kernel, and
     ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
     ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
     """
 
+    col_s: np.ndarray  # (D, D): col_s[s, R] = col_s(R)
+    row_s: np.ndarray  # (D, D): the row-wise inverse, col_s[s, row_s[s, C]] = C
+    w: np.ndarray  # W^{(x)n}, complex
+    lam: np.ndarray  # (dim,) Lambda_b
     gather: np.ndarray  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
     w_outer: np.ndarray  # conj(W)^{(x) ceil(n/2)}, float64 when W is real
     w_inner: np.ndarray  # conj(W)^{(x) floor(n/2)}
@@ -351,7 +294,8 @@ class _VectorizePlan:
     phase: np.ndarray  # (dim,) conj(Lambda_b) / D
 
     def __post_init__(self) -> None:
-        _read_only(self.gather, self.w_outer, self.w_inner, self.order, self.phase)
+        _read_only(self.col_s, self.row_s, self.w, self.lam, self.gather)
+        _read_only(self.w_outer, self.w_inner, self.order, self.phase)
 
     @classmethod
     def build(cls, basis: OperatorBasis) -> _VectorizePlan:
@@ -388,14 +332,32 @@ class _VectorizePlan:
         place = d ** np.arange(n - 1, -1, -1)
         strings = np.asarray(list(itertools.product(range(d), repeat=n)), dtype=np.intp)
         col_s, _ = _string_monomials(perms, np.ones((d, d)), strings)
+        lam = np.prod(phases[labels, 0], axis=1)
         return cls(
+            col_s=col_s,
+            row_s=np.argsort(col_s, axis=1),
+            w=reduce(np.kron, [W] * n, np.ones((1, 1), dtype=np.complex128)),
+            lam=lam,
             gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
             w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
             w_inner=reduce(np.kron, [Wc] * (n // 2), one),
             real=real,
             order=(row[labels] @ place) * D + group[labels] @ place,
-            phase=np.conj(np.prod(phases[labels, 0], axis=1)) / D,
+            phase=np.conj(lam) / D,
         )
+
+    def rows(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(column index, value) of the nonzero in each row of the strings
+        ``basis.labels[labels]``, each of shape (c, d**n)."""
+        k, s = np.divmod(self.order[labels], len(self.col_s))
+        return self.col_s[s], self.lam[labels, None] * self.w[k]
+
+    def columns(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(row index, value) of the nonzero in each column of the strings
+        ``basis.labels[labels]``, each of shape (c, d**n)."""
+        k, s = np.divmod(self.order[labels], len(self.col_s))
+        tau = self.row_s[s]
+        return tau, self.lam[labels, None] * self.w[k[:, None], tau]
 
 
 def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:

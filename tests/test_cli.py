@@ -92,6 +92,10 @@ def test_decompose_n4_totals(capsys):
         ["analyze"],
         ["evolve", "f.json", "--times", "1.0,abc"],
         ["evolve", "f.json", "--times", ","],
+        ["analyze", "f.json", "--tol", "nan"],
+        ["analyze", "f.json", "--tol", "inf"],
+        ["evolve", "f.json", "--tol", "nan"],
+        ["evolve", "f.json", "--tol", "inf"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -422,11 +426,14 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert "oops" in err
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digit-int"),
+])
 def test_non_finite_entries_exit_2_with_field_path(tmp_path, capsys, literal):
-    # json.dumps writes nan/inf as the NaN/Infinity literals json.load accepts
+    # json.dumps writes nan/inf as the NaN/Infinity literals json.load accepts,
+    # and a Python int digit for digit: here one beyond float64
     ops = [matrix_doc(np.eye(2))]
-    ops[0][0][0] = [float(literal), 0.0]
+    ops[0][0][0] = [json.loads(literal), 0.0]
     spec = write_doc(
         tmp_path / "nan.json", {"d": 2, "n": 1, "kind": "lindblad", "operators": ops}
     )
@@ -585,17 +592,20 @@ def test_verify_full_passes(capsys):
 
 
 def test_cli_import_builds_no_basis():
+    # scipy.sparse is imported on first use by the superoperator kernel
     probe = (
+        "import sys\n"
         "import superschur.cli\n"
         "from superschur import liouville, schur\n"
         "print(schur._super_schur_basis.cache_info().currsize,"
-        " liouville._operator_basis.cache_info().currsize)"
+        " liouville._operator_basis.cache_info().currsize,"
+        " 'scipy.sparse' in sys.modules)"
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "False"]
 
 
 def test_analyze_and_evolve_load_no_oracle(tmp_path):
