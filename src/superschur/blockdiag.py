@@ -255,7 +255,7 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
-    if decomp.leakage > decomp.tol:
+    if not decomp.leakage <= decomp.tol:
         raise BlockStructureError(
             f"leakage {decomp.leakage:.3e} exceeds tolerance {decomp.tol:.1e}; "
             "refusing blockwise exponential of a non-block-diagonal generator"

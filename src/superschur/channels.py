@@ -141,14 +141,23 @@ class KrausChannel:
             raise ChannelInvariantError("channel needs at least one Kraus operator")
         object.__setattr__(self, "kraus_ops", ops)
         dim = self.d**self.n
-        closure = sum(op.matrix.conj().T @ op.matrix for op in ops)
-        dev = float(np.max(np.abs(closure - np.eye(dim))))
-        if dev > CLOSURE_TOL:
+        # operators whose products overflow float64 are refused as input,
+        # as the jump operators of a Lindbladian are
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = _gram(ops)
+            closure = sum(op.matrix.conj().T @ op.matrix for op in ops)
+            dev = float(np.max(np.abs(closure - np.eye(dim))))
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(closure))):
+            raise ChannelSpecError(
+                "Kraus operators too large: their Gram matrix or sum F^dag F "
+                "is not finite in float64"
+            )
+        if not dev <= CLOSURE_TOL:
             raise ChannelInvariantError(
                 f"Kraus closure violated: max deviation {dev:.3e} > {CLOSURE_TOL}"
             )
         object.__setattr__(self, "closure_deviation", dev)
-        _check_operator_set(_gram(ops), "Kraus operator", "; run orthogonalize_kraus first")
+        _check_operator_set(G, "Kraus operator", "; run orthogonalize_kraus first")
 
 
 @dataclass(frozen=True)

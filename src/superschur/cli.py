@@ -107,6 +107,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _local_dim(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
@@ -628,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel_file", help="channel description file (JSON)")
     p.add_argument("--tol", type=_positive_float, default=1e-8,
                    help="block-structure tolerance (default 1e-8)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the protection probe")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the protection probe")
     p.add_argument("--out", help="write a JSON report to this path")
     p.set_defaults(func=cmd_analyze)
 

@@ -2,15 +2,18 @@
 
 The symmetric group acts on length-n letter strings by shuffling sites.
 This module builds, per partition shape, an orthogonal basis splitting
-that action into irreducible blocks.  The group-algebra matrix unit seeded
-on a reference tableau, restricted to each letter-content class, projects
-onto the highest-multiplicity columns.  Young's orthogonal form then
-generates the columns of every other tableau from a neighbouring one
-through a single adjacent transposition, so no stage sums over the group
-per tableau.  In the resulting frame every site permutation is block
-diagonal with the sector pattern D x I (irrep matrix times identity on the
-multiplicity space).  Every column lives on one letter-content class, so
-the basis is stored as one real square block per class, and unitarity is
+that action into irreducible blocks.  Site shuffles keep the letter
+content of a string, so the basis is built one letter-content class at a
+time.  Within a class, the columns of a shape's reference tableau are the
+joint eigenvectors of the Jucys-Murphy elements X_k = sum_{j<k} (j k),
+with the contents of the reference tableau as eigenvalues (Okounkov and
+Vershik); each X_k acts as a sum of transposition gathers on the class,
+and its spectrum is integer.  Young's orthogonal form then generates the
+columns of every other tableau from a neighbouring one through a single
+adjacent transposition, so no stage enumerates the group.  In the
+resulting frame every site permutation is block diagonal with the sector
+pattern D x I (irrep matrix times identity on the multiplicity space).
+The basis is stored as one real square block per class, and unitarity is
 checked one class at a time.
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
@@ -43,7 +46,6 @@ from .errors import BasisLayoutError, InternalConsistencyError, SizeGuardError
 from .liouville import _read_only, check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
-    all_permutations,
     check_permutation,
     compose,
     identity,
@@ -51,7 +53,6 @@ from .permutations import (
 )
 
 UNITARITY_TOL = 1e-10
-RANK_TOL = 1e-8
 SIGN_TOL = 1e-12
 
 
@@ -310,101 +311,56 @@ class SuperSchurBasis:
         return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for _, _, B in self.classes]))
 
 
-def _reference_blocks(q: int, n: int, shapes: list[Partition]) -> dict:
-    """Orthonormal reference-tableau columns per shape and content class.
+def _tableau_walk(shape: Partition) -> list[tuple[int, int, int, int]]:
+    """Young's orthogonal-form walk over the tableaux of ``shape``, as steps
+    (source, i, target, r) in breadth-first order from the reference
+    tableau.
 
-    The matrix unit E_00 = (dim / n!) sum_pi D(pi)[0, 0] S_pi restricted
-    to one letter-content class is accumulated by one bincount over the
-    images of the class strings under every permutation.  The index array
-    is built once per class and shared by all shapes; its terms run
-    permutation-major, the order of a term-by-term sum over the group.
-    This matters because E_00 is a degenerate projector, so its singular
-    vectors move with the last bit of the restricted matrix.
-    """
-    perms = all_permutations(n)
-    coeffs = {}
-    for shape in shapes:
-        rep = irrep_matrices(shape, n)
-        scale = rep.dim / len(perms)
-        coeffs[shape] = np.array([rep.matrices[p][0, 0] for p in perms]) * scale
-    # the letter at site j moves to site p[j], where its place value is
-    # q**(n-1-p[j]): place @ digits gives every permuted string index at once
-    place = q ** (n - 1 - np.array(perms))
-    kostka = {s: {w.counts: k for w, k in weight_vectors(s, q)} for s in shapes}
-    classes = letter_strings_by_weight(q, n)
-    local = np.empty(q**n, dtype=np.intp)
-    out: dict[Partition, list] = {s: [] for s in shapes}
-    # classes ordered by their lexicographically first member string, so
-    # the all-zeros (identity) class always comes first
-    for content in sorted(classes, key=lambda w: classes[w][0]):
-        wanted = [s for s in shapes if kostka[s].get(content, 0)]
-        if not wanted:
-            continue
-        cls = np.asarray(classes[content])
-        size = len(cls)
-        local[cls] = np.arange(size)
-        images = place @ np.array(np.unravel_index(cls, (q,) * n))
-        # entry (row of pi(c), c) of the restricted unit, for every pi and c
-        flat = (local[images] * size + np.arange(size)).ravel()
-        for shape in wanted:
-            expected = kostka[shape][content]
-            A = np.bincount(flat, weights=np.repeat(coeffs[shape], size), minlength=size * size)
-            u, s, _ = np.linalg.svd(A.reshape(size, size))
-            rank = int(np.sum(s > RANK_TOL))
-            if rank != expected:
-                raise InternalConsistencyError(
-                    f"shape {shape}, content {content}: projector rank {rank} "
-                    f"!= multiplicity {expected}"
-                )
-            block = u[:, :rank]
-            for j in range(rank):
-                lead = block[np.argmax(np.abs(block[:, j]) > SIGN_TOL), j]
-                if lead < 0:
-                    block[:, j] = -block[:, j]
-            out[shape].append((content, cls, block))
-    return out
-
-
-def _twin_columns(shape: Partition, V0: np.ndarray, swaps: dict) -> list[np.ndarray]:
-    """Columns of every tableau of ``shape``, in ``standard_tableaux`` order,
-    from the reference columns V0 by Young's orthogonal form.
-
-    For T' = T with i and i+1 exchanged and r the axial distance from i to
-    i+1 in T, S_i V_T = V_T / r + sqrt(1 - 1/r^2) V_T', so
-    V_T' = (S_i V_T - V_T / r) / sqrt(1 - 1/r^2), S_i being the row gather
-    ``swaps[i]``.  The walk goes outward from the reference tableau.
+    The target tableau is the source with i and i+1 exchanged, and r the
+    axial distance from i to i+1 in the source.  With S_i the swap of sites
+    i and i+1, S_i V_T = V_T / r + sqrt(1 - 1/r^2) V_T', so
+    V_T' = (S_i V_T - V_T / r) / sqrt(1 - 1/r^2).
     """
     tabs = standard_tableaux(shape)
     index = {t: k for k, t in enumerate(tabs)}
-    sector: list[np.ndarray | None] = [V0] + [None] * (len(tabs) - 1)
-    queue = deque([0])
+    steps, seen, queue = [], {0}, deque([0])
     while queue:
         y = queue.popleft()
-        for i, gather in swaps.items():
+        for i in range(1, shape.n):
             twin = tabs[y].swap_adjacent(i)
-            if twin is None or sector[index[twin]] is not None:
+            if twin is None or index[twin] in seen:
                 continue
-            r = tabs[y].axial_distance(i)
-            V = sector[y]
-            sector[index[twin]] = (V[gather] - V / r) / math.sqrt(1.0 - 1.0 / r**2)
+            seen.add(index[twin])
+            steps.append((y, i, index[twin], tabs[y].axial_distance(i)))
             queue.append(index[twin])
-    if any(V is None for V in sector):
+    if len(seen) != len(tabs):
         raise InternalConsistencyError(f"shape {shape}: tableau walk left tableaux unfilled")
-    return sector
+    return steps
+
+
+def _transposition(n: int, j: int, k: int) -> tuple[int, ...]:
+    p = list(range(n))
+    p[j], p[k] = k, j
+    return tuple(p)
 
 
 def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     """Build the permutation-adapted letter-string basis for n qudits.
 
-    Per shape, the diagonal matrix unit seeded on the reference tableau is
-    restricted to each letter-content class and its range orthonormalized
-    by singular value decomposition; the class ranks must reproduce the
-    semistandard multiplicities.  Reference-tableau columns get a fixed
-    sign (first sizable component positive).  The remaining tableaux are
-    generated by the Young orthogonal-form recursion over adjacent
-    transpositions, one row gather per tableau, which reproduces the
-    matrix-unit intertwiners without summing over the group.  Unitarity is
-    checked one letter-content class at a time.
+    One letter-content class at a time: the reference-tableau columns of
+    each shape are the joint eigenvectors of the Jucys-Murphy elements
+    X_k = sum_{j<k} (j k), k = 2..n, with the contents of the reference
+    tableau as eigenvalues.  Each X_k acts on the class as a sum of
+    transposition gathers; the space is narrowed one k at a time by
+    ``eigh`` of its restriction, keeping the eigenvalues within 1/2 of the
+    content (the spectrum is integer), and the spaces of a shared content
+    prefix serve every shape of the class.  The eigenspace dimensions must
+    reproduce the semistandard multiplicities.  Reference-tableau columns
+    get a fixed sign (first sizable component positive); within a class of
+    multiplicity above one, the orthonormal basis is the one ``eigh``
+    returns.  Young's orthogonal-form walk then generates the columns of
+    every other tableau, one row gather per step on the class block.
+    Unitarity is checked one letter-content class at a time.
 
     Built once per (d, n) per process: every later call returns the same
     object, whose class rows, columns and blocks are read-only arrays
@@ -419,35 +375,73 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
 @functools.cache
 def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     q = d * d
-    dim = q**n
     shapes = partitions(n, min(n, q))
-    reference = _reference_blocks(q, n, shapes)
-    swaps = {i: string_index_map(adjacent_transposition(n, i - 1), q, n) for i in range(1, n)}
-    # per content class, in order of first appearance: its rows, its column
-    # indices and the matching column slices of the twin blocks
-    filled: dict[tuple[int, ...], tuple[np.ndarray, list[int], list[np.ndarray]]] = {}
-    labels: list[ColumnLabel] = []
+    kostka = {s: {w.counts: k for w, k in weight_vectors(s, q)} for s in shapes}
+    mult = {s: weyl_dimension(s, q) for s in shapes}
+    walks = {s: _tableau_walk(s) for s in shapes}
+    # contents of the reference tableau's entries 2..n (row reading order)
+    contents = {s: tuple(c - r for r, c in s.cells())[1:] for s in shapes}
+    starts, column = {}, 0  # first column of each shape's sector
+    for s in shapes:
+        starts[s] = column
+        column += syt_dimension(s) * mult[s]
+    transpositions = {
+        (j, k): string_index_map(_transposition(n, j, k), q, n)
+        for k in range(n)
+        for j in range(k)
+    }
+    strings = letter_strings_by_weight(q, n)
+    # classes ordered by their lexicographically first member string, so
+    # the all-zeros (identity) class always comes first
+    order = sorted(strings, key=lambda w: strings[w][0])
+    local = np.empty(q**n, dtype=np.intp)
+    offset = dict.fromkeys(shapes, 0)  # columns filled per tableau slice
+    classes = []
+    for content in order:
+        rows = np.asarray(strings[content])
+        local[rows] = np.arange(len(rows))
+        swaps = {jk: local[t[rows]] for jk, t in transpositions.items()}
+        spaces = {(): np.eye(len(rows))}  # joint eigenspace per content prefix
+        cols, parts = [], []
+        for shape in shapes:
+            expected = kostka[shape].get(content, 0)
+            if not expected:
+                continue
+            V = spaces[()]
+            for k in range(1, n):
+                prefix = contents[shape][:k]
+                if prefix not in spaces:
+                    XV = sum(V[swaps[j, k]] for j in range(k))
+                    w, W = np.linalg.eigh(V.T @ XV)
+                    spaces[prefix] = V @ W[:, np.abs(w - prefix[-1]) < 0.5]
+                V = spaces[prefix]
+            if V.shape[1] != expected:
+                raise InternalConsistencyError(
+                    f"shape {shape}, content {content}: reference eigenspace has "
+                    f"dimension {V.shape[1]} != multiplicity {expected}"
+                )
+            lead = V[np.argmax(np.abs(V) > SIGN_TOL, axis=0), np.arange(expected)]
+            blocks = [V * np.where(lead < 0, -1.0, 1.0)] + [None] * len(walks[shape])
+            for source, i, target, r in walks[shape]:
+                B = blocks[source]
+                blocks[target] = (B[swaps[i - 1, i]] - B / r) / math.sqrt(1.0 - 1.0 / r**2)
+            for y, B in enumerate(blocks):
+                first = starts[shape] + y * mult[shape] + offset[shape]
+                cols.extend(range(first, first + expected))
+                parts.append(B)
+            offset[shape] += expected
+        classes.append(_read_only(rows, np.asarray(cols), np.hstack(parts)))
     for shape in shapes:
-        m_lam = weyl_dimension(shape, q)
-        V0 = np.zeros((dim, m_lam))
-        spans = []  # (content, class rows, first column in V0, column count)
-        start = 0
-        for content, cls, block in reference.pop(shape):
-            V0[cls, start : start + block.shape[1]] = block
-            spans.append((content, cls, start, block.shape[1]))
-            start += block.shape[1]
-        if start != m_lam:
+        if offset[shape] != mult[shape]:
             raise InternalConsistencyError(
-                f"shape {shape}: found {start} columns, expected {m_lam}"
+                f"shape {shape}: found {offset[shape]} columns, expected {mult[shape]}"
             )
-        for y, Vy in enumerate(_twin_columns(shape, V0, swaps)):
-            for content, cls, a, rank in spans:
-                _, cols, parts = filled.setdefault(content, (cls, [], []))
-                cols.extend(range(len(labels), len(labels) + rank))
-                parts.append(Vy[cls, a : a + rank])
-                labels.extend(ColumnLabel(shape, y, content, j) for j in range(rank))
-    classes = [
-        _read_only(cls, np.asarray(cols), np.hstack(parts)) for cls, cols, parts in filled.values()
+    labels = [
+        ColumnLabel(shape, y, content, j)
+        for shape in shapes
+        for y in range(syt_dimension(shape))
+        for content in order
+        for j in range(kostka[shape].get(content, 0))
     ]
     basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
     dev = basis.unitarity_deviation()

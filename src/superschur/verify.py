@@ -133,6 +133,22 @@ def _reference_column_n3() -> float:
     return min(min(np.max(np.abs(v - target)), np.max(np.abs(v + target))) for v in cols)
 
 
+def _reference_projectors_n4() -> float:
+    """Largest deviation, per shape at d=2, n=4, of the projector onto the
+    reference-tableau columns (one block per content class) from the
+    group-sum matrix unit E_00 = (dim / n!) sum_pi D(pi)[0, 0] S_pi; E_00
+    preserves every class, so one dense comparison covers each class
+    restriction and the zero blocks between classes."""
+    basis = super_schur_basis(2, 4)
+    U = basis.unitary
+    worst = 0.0
+    for shape in basis.shapes:
+        V0 = U[:, basis.tableau_slice(shape, 0)]
+        deviation = V0 @ V0.T - matrix_unit(shape, 0, 0, 2, 4)
+        worst = max(worst, float(np.max(np.abs(deviation))))
+    return worst
+
+
 def _matrix_unit_algebra_n3() -> float:
     units = {(i, j): matrix_unit(TWO_ONE, i, j, 2, 3) for i in range(2) for j in range(2)}
     worst = 0.0
@@ -267,6 +283,7 @@ CHECKS = (
     Check("dimension_sum_extended", "full", 0.0, partial(_dimension_sum, (2, 6), (3, 6))),
     Check("basis_unitary_n4", "full", 1e-10, partial(_basis_unitarity, (2, 4))),
     Check("permutation_equivariance_n4", "full", 1e-10, partial(_equivariance, (2, 4))),
+    Check("reference_projectors_n4", "full", 1e-12, _reference_projectors_n4),
     Check("basis_unitary_qutrit_n2", "full", 1e-10, partial(_basis_unitarity, (3, 2))),
     Check("permutation_equivariance_qutrit_n2", "full", 1e-10, partial(_equivariance, (3, 2))),
     Check("sector_sizes_brute_force_n2", "full", 0.0, _sector_sizes_brute_force_n2),

@@ -1,8 +1,9 @@
 """Reference construction of the adapted basis by full group sums.
 
 This is the factorial builder the package used before the orthogonal-form
-recursion: the reference-tableau columns come from the n!-term matrix unit
-restricted to each letter-content class, every other tableau from the
+recursion and the Jucys-Murphy eigenspaces: the reference-tableau columns
+come from the SVD of the n!-term matrix unit restricted to each
+letter-content class, cut at ``RANK_TOL``, every other tableau from the
 n!-term intertwiner E_{y,0}, and unitarity from the dense product
 U^dagger U.  It is kept only as a test oracle for the production builder.
 """
@@ -21,13 +22,9 @@ from superschur.combinatorics import (
 )
 from superschur.liouville import check_liouville_dim
 from superschur.permutations import all_permutations, inverse, string_index_map
-from superschur.schur import (
-    RANK_TOL,
-    SIGN_TOL,
-    ColumnLabel,
-    SuperSchurBasis,
-    irrep_matrices,
-)
+from superschur.schur import SIGN_TOL, ColumnLabel, SuperSchurBasis, irrep_matrices
+
+RANK_TOL = 1e-8
 
 
 def dense_unitarity_deviation(U: np.ndarray) -> float:

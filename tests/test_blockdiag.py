@@ -373,6 +373,14 @@ def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3):
     assert evolved.block(Partition((3,)), 0).matrix.flags.writeable is False
 
 
+def test_nan_leakage_is_refused(schur_2_3, letters_3):
+    lind = example_channel("single_jump", n=3)
+    decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
+    decomp.leakage = float("nan")
+    with pytest.raises(BlockStructureError, match="leakage nan exceeds tolerance"):
+        blockwise_exp(decomp, 0.5)
+
+
 def test_shared_exponential_is_read_only(schur_2_3, letters_3):
     lind = example_channel("collective_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)

@@ -96,6 +96,7 @@ def test_decompose_n4_totals(capsys):
         ["analyze", "f.json", "--tol", "inf"],
         ["evolve", "f.json", "--tol", "nan"],
         ["evolve", "f.json", "--tol", "inf"],
+        ["analyze", "f.json", "--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -466,6 +467,20 @@ def test_overflowing_jump_operators_exit_2(command, case, tmp_path, capsys):
     assert "Gram matrix or sum L^dag L is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_overflowing_kraus_operators_exit_2(d, tmp_path, capsys):
+    # finite, but F^dag F overflows float64: |1e200 (1 + i)|^2 = 2e400
+    F = 1e200 * (1 + 1j) * np.eye(d * d)
+    doc = {"d": d, "n": 2, "kind": "kraus", "operators": [matrix_doc(F)]}
+    spec = write_doc(tmp_path / "big_kraus.json", doc)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", spec, "--out", str(out)]) == 2
+    assert "Gram matrix or sum F^dag F is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
     # Hermitian and finite, but sum |H_ij|^2 overflows float64
@@ -588,7 +603,7 @@ def test_verify_full_passes(capsys):
     assert main(["verify", "--level", "full"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "19/19 suites passed (full)" in out
+    assert "20/20 suites passed (full)" in out
 
 
 def test_cli_import_builds_no_basis():

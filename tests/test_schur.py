@@ -15,8 +15,8 @@ from superschur import (
     weyl_dimension,
     young_orthogonal_generator,
 )
-from superschur import schur
-from superschur.combinatorics import letter_strings_by_weight
+from superschur import permutations, schur
+from superschur.combinatorics import letter_strings_by_weight, weight_vectors
 from superschur.errors import BasisLayoutError, InternalConsistencyError
 from superschur.oracle import matrix_unit, permutation_in_schur
 from superschur.permutations import (
@@ -313,23 +313,43 @@ def test_two_qubit_sector_sizes_match_brute_force(schur_2_2):
     assert basis.multiplicity(Partition((1, 1))) == anti_rank
 
 
+def class_projectors(basis):
+    """Per (shape, tableau index, content): the class rows and the projector
+    B B^T onto the class block's columns with that label."""
+    out = {}
+    for rows, cols, B in basis.classes:
+        groups = {}
+        for a, c in enumerate(cols):
+            lab = basis.labels[c]
+            groups.setdefault((lab.shape, lab.tableau_index, lab.weight), []).append(a)
+        for key, sel in groups.items():
+            out[key] = (rows, B[:, sel] @ B[:, sel].T)
+    return out
+
+
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
 def test_basis_matches_factorial_oracle(d, n):
     basis = super_schur_basis(d, n)
     oracle = factorial_basis(d, n)
     assert basis.labels == oracle.labels
-    U, V = basis.unitary, oracle.unitary
-    assert np.max(np.abs(U - V)) < 1e-12
-    # the reference projector keeps the oracle's summation order, so the
-    # reference-tableau columns come out of the same SVD bit for bit
-    ref = [j for j, lab in enumerate(basis.labels) if lab.tableau_index == 0]
-    assert np.array_equal(U[:, ref], V[:, ref])
+    # within a class of multiplicity above one the two builders pick
+    # different orthonormal bases of the same space, so they are compared
+    # through the projector of every (shape, tableau, content class)
+    got, want = class_projectors(basis), class_projectors(oracle)
+    assert got.keys() == want.keys()
+    for key, (rows, P) in got.items():
+        assert np.array_equal(rows, want[key][0])
+        assert np.max(np.abs(P - want[key][1])) < 1e-12
+
+
+def kostka_plus_one(shape, q):
+    return [(w, k + 1) for w, k in weight_vectors(shape, q)]
 
 
 def test_builder_checks_still_raise(monkeypatch, fresh_builders):
     with monkeypatch.context() as m:
-        m.setattr(schur, "RANK_TOL", 10.0)
-        with pytest.raises(InternalConsistencyError, match="projector rank"):
+        m.setattr(schur, "weight_vectors", kostka_plus_one)
+        with pytest.raises(InternalConsistencyError, match="reference eigenspace has dimension"):
             super_schur_basis(2, 3)
     with monkeypatch.context() as m:
         m.setattr(schur, "weyl_dimension", lambda shape, q: weyl_dimension(shape, q) + 1)
@@ -339,6 +359,56 @@ def test_builder_checks_still_raise(monkeypatch, fresh_builders):
         m.setattr(schur, "UNITARITY_TOL", 0.0)
         with pytest.raises(InternalConsistencyError, match="not unitary"):
             super_schur_basis(2, 3)
+
+
+def test_build_enumerates_no_group(monkeypatch, fresh_builders):
+    def refuse(*args):
+        raise AssertionError("the basis build enumerated the symmetric group")
+
+    monkeypatch.setattr(schur, "irrep_matrices", refuse)
+    monkeypatch.setattr(permutations, "all_permutations", refuse)
+    # a name imported into schur is looked up there, not in permutations
+    monkeypatch.setattr(schur, "all_permutations", refuse, raising=False)
+    for d, n in [(2, 4), (3, 2)]:
+        assert super_schur_basis(d, n).unitarity_deviation() <= UNITARITY_TOL
+
+
+def transposition_gather(n, j, k):
+    p = list(range(n))
+    p[j], p[k] = k, j
+    return string_index_map(tuple(p), 4, n)
+
+
+def test_seven_qubit_reference_columns_are_jucys_murphy_eigenvectors(
+    monkeypatch, fresh_builders
+):
+    # X_k = sum_{j<k} (j k) acts on a reference column of shape lambda as the
+    # content of entry k in the row-reading tableau of lambda
+    monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "16384")
+    n = 7
+    basis = super_schur_basis(2, n)
+    assert len(basis.labels) == 16384
+    assert basis.unitarity_deviation() <= 1e-10
+    gathers = {(j, k): transposition_gather(n, j, k) for k in range(n) for j in range(k)}
+    local = np.empty(4**n, dtype=np.intp)
+    worst, checked = 0.0, 0
+    for rows, cols, B in basis.classes:
+        local[rows] = np.arange(len(rows))
+        for shape in basis.shapes:
+            sel = [
+                a for a, c in enumerate(cols)
+                if basis.labels[c].shape == shape and basis.labels[c].tableau_index == 0
+            ]
+            if not sel:
+                continue
+            V = B[:, sel]
+            contents = [c - r for r, c in shape.cells()]
+            for k in range(1, n):
+                XV = sum(V[local[gathers[j, k][rows]]] for j in range(k))
+                worst = max(worst, float(np.max(np.abs(XV - contents[k] * V))))
+            checked += len(sel)
+    assert checked == sum(basis.multiplicity(s) for s in basis.shapes)
+    assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +556,8 @@ def test_size_guard_runs_on_a_cache_hit(monkeypatch):
 
 def test_failed_build_is_not_cached(monkeypatch, fresh_builders):
     with monkeypatch.context() as m:
-        m.setattr(schur, "RANK_TOL", 10.0)
-        with pytest.raises(InternalConsistencyError, match="projector rank"):
+        m.setattr(schur, "weight_vectors", kostka_plus_one)
+        with pytest.raises(InternalConsistencyError, match="reference eigenspace has dimension"):
             super_schur_basis(2, 3)
     basis = super_schur_basis(2, 3)
     assert basis.unitarity_deviation() <= UNITARITY_TOL
