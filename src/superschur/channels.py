@@ -108,14 +108,29 @@ def _orthogonality_bound(G: np.ndarray) -> float:
     return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real)))
 
 
-def _check_operator_set(G: np.ndarray, noun: str, hint: str = "") -> None:
-    """Refuse a zero operator, or two operators that overlap, among the
-    operators with Gram matrix ``G``."""
+def _checked_operator_set(
+    ops: tuple[QuditOperator, ...], noun: str, symbol: str, hint: str = ""
+) -> np.ndarray:
+    """The sum of op^dag op over ``ops``, once the set passes its checks.
+
+    A set whose Gram matrix or that sum overflows float64 is refused as
+    input (ChannelSpecError) instead of reaching the superoperator kernel;
+    a zero operator, or two operators that overlap, breaks an invariant
+    (ChannelInvariantError)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gram(ops)
+        total = sum(op.matrix.conj().T @ op.matrix for op in ops)
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(total))):
+        raise ChannelSpecError(
+            f"{noun}s too large: their Gram matrix or sum {symbol}^dag {symbol} "
+            "is not finite in float64"
+        )
     if np.any(G.diagonal().real < _NEGLIGIBLE_NORM_SQ):
         raise ChannelInvariantError(f"zero {noun}")
     off = float(np.max(np.abs(G - np.diag(G.diagonal()))))
     if off > _orthogonality_bound(G):
         raise ChannelInvariantError(f"{noun}s not mutually orthogonal: max overlap {off:.3e}{hint}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -140,24 +155,13 @@ class KrausChannel:
         if not ops:
             raise ChannelInvariantError("channel needs at least one Kraus operator")
         object.__setattr__(self, "kraus_ops", ops)
-        dim = self.d**self.n
-        # operators whose products overflow float64 are refused as input,
-        # as the jump operators of a Lindbladian are
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = _gram(ops)
-            closure = sum(op.matrix.conj().T @ op.matrix for op in ops)
-            dev = float(np.max(np.abs(closure - np.eye(dim))))
-        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(closure))):
-            raise ChannelSpecError(
-                "Kraus operators too large: their Gram matrix or sum F^dag F "
-                "is not finite in float64"
-            )
+        closure = _checked_operator_set(ops, "Kraus operator", "F", "; run orthogonalize_kraus first")
+        dev = float(np.max(np.abs(closure - np.eye(self.d**self.n))))
         if not dev <= CLOSURE_TOL:
             raise ChannelInvariantError(
                 f"Kraus closure violated: max deviation {dev:.3e} > {CLOSURE_TOL}"
             )
         object.__setattr__(self, "closure_deviation", dev)
-        _check_operator_set(G, "Kraus operator", "; run orthogonalize_kraus first")
 
 
 @dataclass(frozen=True)
@@ -197,17 +201,7 @@ class Lindbladian:
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
         if ops:
-            # operators whose products overflow float64 are refused as input
-            # here instead of reaching the superoperator kernel
-            with np.errstate(over="ignore", invalid="ignore"):
-                G = _gram(ops)
-                K = sum(op.matrix.conj().T @ op.matrix for op in ops)
-            if not (np.all(np.isfinite(G)) and np.all(np.isfinite(K))):
-                raise ChannelSpecError(
-                    "jump operators too large: their Gram matrix or sum L^dag L "
-                    "is not finite in float64"
-                )
-            _check_operator_set(G, "jump operator")
+            _checked_operator_set(ops, "jump operator", "L")
 
 
 def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
@@ -939,6 +933,9 @@ def channel_from_dict(doc):
         params = b.get("params", {})
         if not isinstance(params, dict):
             raise ChannelSpecError("builder.params: expected an object")
+        for key, value in params.items():
+            if not _is_number_type(type(value)):
+                raise ChannelSpecError(f"builder.params.{key}: expected a number, got {value!r}")
         if d != 2:
             raise ChannelSpecError("builder: example families are qubit models; requires d = 2")
         try:

@@ -44,6 +44,7 @@ from .channels import (
 from .combinatorics import (
     Partition,
     count_partitions_k_rows,
+    letter_strings_by_weight,
     partitions,
     syt_dimension,
     weyl_dimension,
@@ -59,6 +60,7 @@ from .errors import (
 )
 from .liouville import check_liouville_dim, operator_basis
 from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, super_schur_basis
+from .schur import _check_label_layout
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -243,23 +245,23 @@ AMPLITUDE_CUTOFF = 1e-14
 
 def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     """Serialize the basis: a header, then per column a label record
-    followed by its nonzero amplitudes (one letter string per line)."""
-    q = basis.d * basis.d
-    U = basis.unitary
-    lines = [f"d={basis.d} n={basis.n} columns={len(basis.labels)}"]
-    for j, lab in enumerate(basis.labels):
-        lam = ",".join(str(p) for p in lab.shape.parts)
-        wt = ",".join(str(c) for c in lab.weight)
-        lines.append(f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}")
-        col = U[:, j]
-        for idx in np.nonzero(np.abs(col) >= AMPLITUDE_CUTOFF)[0]:
-            amp = col[idx]
-            lines.append(
-                f"{_string_label(int(idx), q, basis.n)} "
-                f"{float(amp.real)!r} {float(amp.imag)!r}"
-            )
+    followed by its nonzero amplitudes (one letter string per line), read
+    from the column's class block: no dim x dim array is built."""
+    q, n = basis.d * basis.d, basis.n
+    amplitudes = {}  # column -> (rows, values) above the cutoff
+    for rows, cols, B in basis.classes:
+        keep = np.abs(B) >= AMPLITUDE_CUTOFF
+        for a, j in enumerate(cols.tolist()):
+            amplitudes[j] = (rows[keep[:, a]], B[keep[:, a], a])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"d={basis.d} n={n} columns={len(basis.labels)}\n")
+        for j, lab in enumerate(basis.labels):
+            lam = ",".join(str(p) for p in lab.shape.parts)
+            wt = ",".join(str(c) for c in lab.weight)
+            fh.write(f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}\n")
+            rows, values = amplitudes[j]
+            for row, amp in zip(rows.tolist(), values.tolist()):
+                fh.write(f"{_string_label(row, q, n)} {amp!r} 0.0\n")
 
 
 def _key_values(line: str, required: tuple[str, ...]) -> dict[str, str]:
@@ -283,16 +285,16 @@ def read_basis_file(path: str) -> SuperSchurBasis:
     Each refusal raises ValueError naming the file and the line at fault: a
     header without d=, n= and columns=, or with d < 2, n < 1 or columns
     other than (d*d)**n; a malformed label or amplitude line; a nonzero
-    imaginary amplitude; an amplitude whose letter string lies outside its
-    label's weight= class; labels whose content classes do not tile the
-    space; and labels that break the layout ``write_basis_file`` emits: a
+    imaginary amplitude; labels whose classes do not tile the space; a
+    nonzero or NaN amplitude outside its label's weight= class; and labels
+    that break the layout ``write_basis_file`` emits: a
     ``lambda=`` that is not a partition of n with at most d*d rows, a
     ``Y=`` outside ``[0, syt_dimension(shape))``, a shape whose labels are
     not contiguous, tableau indices of one shape with unequal counts, or a
     ``w_index=`` that does not count up from 0 within its (shape, Y,
     weight).  The size guard applies before anything is allocated.  A
     file whose columns are not orthonormal to ``UNITARITY_TOL`` is refused
-    with the measured deviation.
+    with the measured deviation.  No dim x dim array is built.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -356,17 +358,46 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         value_lines.append(lineno)
     if len(labels) != columns:
         raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
-    U = np.zeros((dim, columns))
-    U[rows, cols] = values
+    strings = letter_strings_by_weight(q, n)
+    members: dict[tuple[int, ...], list[int]] = {}  # content -> its columns
+    for j, lab in enumerate(labels):
+        members.setdefault(lab.weight, []).append(j)
+    # each content labels one column per letter string (with dim labels in
+    # all, that leaves none unlabelled); entry (row, col) of a class block
+    # sits at row_start[row] + col_pos[col] of one flat array of all blocks
+    row_class, row_start, col_class, col_pos = np.empty((4, dim), np.intp)
+    filled = 0
+    for c, (w, js) in enumerate(members.items()):
+        size = len(strings.get(w, ()))
+        if len(js) != size:
+            raise ValueError(
+                f"{path}:{label_lines[js[0]]}: classes do not tile the space: "
+                f"content {w} has {size} letter strings but labels {len(js)} columns"
+            )
+        row_class[strings[w]], row_start[strings[w]] = c, filled + size * np.arange(size)
+        col_class[js], col_pos[js] = c, np.arange(size)
+        filled += size * size
+    rows, cols, values = np.asarray(rows, np.intp), np.asarray(cols, np.intp), np.asarray(values)
+    inside = row_class[rows] == col_class[cols]
+    outside = np.flatnonzero(~inside & (values != 0))  # NaN included
+    if len(outside):
+        k, col = outside[0], cols[outside[0]]
+        raise ValueError(
+            f"{path}:{value_lines[k]}: column {col}: amplitude at row {rows[k]} lies "
+            f"outside its content class {labels[col].weight}"
+        )
     try:
-        basis = SuperSchurBasis.from_unitary(d, n, U, labels)
+        _check_label_layout(d, n, labels)
     except BasisLayoutError as exc:
-        # the counts are checked above, so the fault is one entry or one class
-        if exc.row is None:
-            lineno = label_lines[exc.column]
-        else:
-            lineno = value_lines[list(zip(rows, cols)).index((exc.row, exc.column))]
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise ValueError(f"{path}:{label_lines[exc.column]}: {exc}") from None
+    flat = np.zeros(filled)
+    flat[row_start[rows[inside]] + col_pos[cols[inside]]] = values[inside]
+    blocks = np.split(flat, np.cumsum([len(js) ** 2 for js in members.values()])[:-1])
+    classes = [
+        (np.asarray(strings[w]), np.asarray(js), B.reshape(len(js), len(js)))
+        for (w, js), B in zip(members.items(), blocks)
+    ]
+    basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise ValueError(
@@ -525,6 +556,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _check_finite(value: float, t: float, what: str) -> None:
+    # an exponential that overflowed float64 would put NaN into the report
+    if not np.isfinite(value):
+        raise ValueError(f"t={t}: {what} is not finite in float64; choose a smaller --times value")
+
+
 def cmd_evolve(args) -> int:
     channel, builder = _load_channel(args.channel_file)
     if not isinstance(channel, Lindbladian):
@@ -551,11 +588,14 @@ def cmd_evolve(args) -> int:
                 for b in evolved.blocks
             ],
         }
+        for b, block in zip(evolved.blocks, entry["blocks"]):
+            _check_finite(block["max_abs"], t, f"the exponential of {b.shape} block {b.matrix.shape}")
         exponentials = len({id(b.matrix) for b in evolved.blocks})
         line = f"t={t}: {len(evolved.blocks)} blocks from {exponentials} exponentials"
         if args.verify_dense:
             dense = expm(t * decomp.schur_matrix)
             deviation = float(np.max(np.abs(evolved.schur_matrix - dense)))
+            _check_finite(deviation, t, f"the dense cross-check {dense.shape}")
             del dense
             entry["dense_deviation"] = _measured(deviation, 1e-8)
             line += f"; dense cross-check deviation {deviation:.3e} (tol 1.0e-08)"

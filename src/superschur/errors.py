@@ -23,13 +23,14 @@ class ChannelInvariantError(SuperSchurError):
 
 
 class BasisLayoutError(SuperSchurError, ValueError):
-    """A dense basis matrix is not block diagonal over the letter-content
-    classes of its column labels.  ``row`` and ``column`` locate the
-    offending entry or column when there is one, and are None otherwise."""
+    """Column labels break the layout of a built adapted basis: each shape
+    a partition of n with at most d*d rows and its labels contiguous,
+    tableau indices in range, at most ``weyl_dimension(shape, d*d)``
+    columns per tableau index, and ``weight_index`` counting up from 0.
+    ``column`` is the index of the first label at fault."""
 
-    def __init__(self, message: str, row: int | None = None, column: int | None = None):
+    def __init__(self, message: str, column: int):
         super().__init__(message)
-        self.row = row
         self.column = column
 
 

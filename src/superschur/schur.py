@@ -233,45 +233,6 @@ class SuperSchurBasis:
             start += len(tableaux)
         object.__setattr__(self, "_sectors", MappingProxyType(sectors))
 
-    @classmethod
-    def from_unitary(
-        cls, d: int, n: int, unitary: np.ndarray, labels: list[ColumnLabel]
-    ) -> SuperSchurBasis:
-        """The basis whose dense matrix is ``unitary``, split into class blocks.
-
-        Raises :class:`BasisLayoutError` unless, checked exactly, the matrix
-        is real and square with one label per column, every class labels as
-        many columns as it has rows, no nonzero entry leaves the rows of
-        its column's class, and the labels keep the layout
-        :func:`super_schur_basis` builds (see :func:`_check_label_layout`)."""
-        dim = (d * d) ** n
-        if unitary.shape != (dim, dim) or len(labels) != dim:
-            raise BasisLayoutError(f"need {dim} labels and {dim} x {dim} amplitudes")
-        if np.iscomplexobj(unitary) and np.any(unitary.imag):
-            raise BasisLayoutError("nonzero imaginary amplitude")
-        rows = letter_strings_by_weight(d * d, n)
-        cols: dict[tuple[int, ...], list[int]] = {}
-        for j, lab in enumerate(labels):
-            cols.setdefault(lab.weight, []).append(j)
-        outside = unitary != 0  # NaN included
-        # with dim labels in all, square blocks leave no class unlabelled
-        for w, js in cols.items():
-            size = len(rows.get(w, ()))
-            if len(js) != size:
-                message = f"content {w} has {size} letter strings but labels {len(js)} columns"
-                raise BasisLayoutError("classes do not tile the space: " + message, column=js[0])
-            outside[np.ix_(rows[w], js)] = False
-        if outside.any():
-            row, col = (int(x) for x in np.argwhere(outside)[0])
-            message = f"amplitude at row {row} lies outside its content class {labels[col].weight}"
-            raise BasisLayoutError(f"column {col}: {message}", row, col)
-        _check_label_layout(d, n, labels)
-        classes = [
-            (np.asarray(rows[w]), np.asarray(js), unitary.real[np.ix_(rows[w], js)])
-            for w, js in cols.items()
-        ]
-        return cls(d=d, n=n, classes=classes, labels=labels)
-
     @property
     def dim(self) -> int:
         return (self.d * self.d) ** self.n

@@ -89,4 +89,11 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
             labels.extend(ColumnLabel(shape, y, content, j) for content, j in col_meta)
     U = np.hstack(blocks)
     assert dense_unitarity_deviation(U) < 1e-10
-    return SuperSchurBasis.from_unitary(d, n, U, labels)
+    members: dict[tuple[int, ...], list[int]] = {}
+    for j, lab in enumerate(labels):
+        members.setdefault(lab.weight, []).append(j)
+    class_blocks = [
+        (np.asarray(classes[w]), np.asarray(js), U[np.ix_(classes[w], js)])
+        for w, js in members.items()
+    ]
+    return SuperSchurBasis(d, n, class_blocks, labels)

@@ -520,6 +520,13 @@ def test_channel_from_dict_builder():
     assert ch.n == 3
 
 
+def builder_with_p(value):
+    def mutate(doc):
+        del doc["operators"]
+        doc.update(n=2, builder={"name": "collective_damping", "params": {"p": value}})
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -533,6 +540,8 @@ def test_channel_from_dict_builder():
         (lambda d: d.update(operators=[[[0.0, 0.0]]]), "operators[0]"),
         (lambda d: d.update(orthogonalize="yes"), "orthogonalize"),
         (lambda d: d.update(hamiltonian=matrix_doc(I2)), "hamiltonian"),
+        (builder_with_p(True), "builder.params.p: expected a number, got True"),
+        (builder_with_p("x"), "builder.params.p: expected a number, got 'x'"),
     ],
 )
 def test_channel_from_dict_schema_errors(mutate, fragment):

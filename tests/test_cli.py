@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,18 +6,30 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superschur import SizeGuardError, example_channel, super_schur_basis
+from superschur import SizeGuardError, cli, example_channel, super_schur_basis
 from superschur.cli import main, read_basis_file, write_basis_file
+from superschur.combinatorics import letter_strings_by_weight
+from superschur.schur import SuperSchurBasis
 
 
 def write_doc(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_report(path):
+    """An --out report, parsed as strict JSON: NaN and Infinity fail."""
+    return json.loads(Path(path).read_text(), parse_constant=refuse_constant)
 
 
 def matrix_doc(m):
@@ -56,7 +69,7 @@ def test_decompose_json_report(tmp_path, capsys):
     out_path = tmp_path / "decomp.json"
     assert main(["decompose", "--n", "3", "--d", "2", "--out", str(out_path)]) == 0
     capsys.readouterr()
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload == {
         "command": "decompose",
         "d": 2,
@@ -211,6 +224,12 @@ LOADER_REFUSALS = {
     "string_outside_class": (
         2, "1 1.0 0.0", 3,
         "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
+    "string_outside_class_tiny": (
+        2, "1 1e-300 0.0", 3,
+        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
+    "string_outside_class_nan": (
+        2, "1 nan 0.0", 3,
+        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
     "three_entry_weight": (
         1, "lambda=1 Y=0 weight=1,0,0 w_index=0", 2,
         "classes do not tile the space: content (1, 0, 0) has 0 letter strings"),
@@ -244,6 +263,15 @@ def test_basis_file_whose_classes_do_not_tile_is_refused(tmp_path, capsys):
         read_basis_file(str(path))
 
 
+def test_basis_file_with_one_label_fewer_than_columns_is_refused(tmp_path, capsys):
+    path, lines = single_site_basis_lines(tmp_path)
+    capsys.readouterr()
+    assert lines[7].startswith("lambda=") and len(lines) == 9
+    path.write_text("\n".join(lines[:7]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header says 4 columns, found 3")):
+        read_basis_file(str(path))
+
+
 def basis_file_lines(tmp_path, d, n):
     path = tmp_path / f"b{d}{n}.txt"
     write_basis_file(super_schur_basis(d, n), str(path))
@@ -258,6 +286,32 @@ def assert_refused_at(path, lines, index, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{index + 1}: {message}")):
         read_basis_file(str(path))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_basis_file_with_a_column_moved_to_another_class_is_refused(tmp_path, size):
+    # one column of a class of this size moves, without its amplitudes, to
+    # another content; the line named is the first label of the first class,
+    # in label order, that no longer labels one column per letter string
+    path, lines = basis_file_lines(tmp_path, 2, 3)
+    strings = letter_strings_by_weight(4, 3)
+    labels = list(super_schur_basis(2, 3).labels)
+    drop = next(j for j, lab in enumerate(labels) if len(strings[lab.weight]) == size)
+    old, new = labels[drop].weight, next(w for w in strings if w != labels[drop].weight)
+    at = label_line_numbers(lines)
+    lines[at[drop]] = lines[at[drop]].replace(
+        f"weight={','.join(map(str, old))} ", f"weight={','.join(map(str, new))} "
+    )
+    del lines[at[drop] + 1 : at[drop + 1]]
+    labels[drop] = dataclasses.replace(labels[drop], weight=new)
+    counts = Counter(lab.weight for lab in labels)
+    first = next(j for j, lab in enumerate(labels) if counts[lab.weight] != len(strings[lab.weight]))
+    w = labels[first].weight
+    message = (
+        f"classes do not tile the space: content {w} has {len(strings[w])} letter strings "
+        f"but labels {counts[w]} columns"
+    )
+    assert_refused_at(path, lines, label_line_numbers(lines)[first], message)
 
 
 def test_basis_label_with_tableau_index_out_of_range_is_refused(tmp_path):
@@ -315,6 +369,23 @@ def test_basis_label_whose_w_index_skips_is_refused(tmp_path):
     assert_refused_at(path, lines, 1, message)
 
 
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_basis_files_are_written_and_read_without_the_dense_matrix(d, n, tmp_path, monkeypatch):
+    def refuse(basis):
+        raise AssertionError("the dense basis matrix was assembled")
+
+    built = super_schur_basis(d, n)
+    monkeypatch.setattr(SuperSchurBasis, "unitary", property(refuse))
+    path = tmp_path / "basis.txt"
+    write_basis_file(built, str(path))
+    loaded = read_basis_file(str(path))
+    assert loaded.labels == built.labels
+    for (rows, cols, B), (want_rows, want_cols, want) in zip(loaded.classes, built.classes):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        # amplitudes below the write cutoff come back as zeros
+        assert np.max(np.abs(B - want)) < 1e-14
+
+
 def test_basis_loader_applies_the_size_guard_first(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("d=2 n=7 columns=16384\n")
@@ -339,7 +410,7 @@ def test_analyze_strong_builder(tmp_path, capsys):
     assert "classification: strong" in out
     assert "DFS" in out
 
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["classification"] == "strong"
     assert payload["input"]["builder"] == {"name": "collective_damping", "params": {"p": 0.3}}
     assert payload["input"]["kind"] == "kraus"
@@ -372,7 +443,7 @@ def test_analyze_explicit_identity_channel(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["analyze", spec, "--out", str(out_path)]) == 0
     capsys.readouterr()
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["classification"] == "strong"
     assert payload["leakage"]["value"] < 1e-12
     for sector in payload["sectors"]:
@@ -399,7 +470,7 @@ def test_analyze_asymmetric_channel_reports_none(tmp_path, capsys):
     assert main(["analyze", spec, "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "classification: none" in out
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["classification"] == "none"
     assert payload["leakage"]["value"] > 1e-3
     assert not any(s["flagged"] for s in payload["sectors"])
@@ -517,7 +588,7 @@ def test_evolve_with_dense_check(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "dense cross-check" in out
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["times"] == [0.1, 1.0]
     assert len(payload["results"]) == 2
     for entry in payload["results"]:
@@ -535,10 +606,31 @@ def test_evolve_at_time_zero(tmp_path, capsys):
         ["evolve", spec, "--times", "0.0", "--verify-dense", "--out", str(out_path)]
     ) == 0
     capsys.readouterr()
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["results"][0]["dense_deviation"]["value"] < 1e-12
     for block in payload["results"][0]["blocks"]:
         assert block["max_abs"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evolve_refuses_a_time_whose_exponential_overflows(tmp_path, capsys):
+    # exp(t B) overflows float64 at t = 1e300; NaN would not be valid JSON
+    spec = builder_doc(tmp_path / "ising.json", "transverse_ising", "lindblad")
+    out_path = tmp_path / "evolve.json"
+    assert main(["evolve", spec, "--times", "1.0,1e300", "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert "t=1e+300: the exponential of {3} block (20, 20) is not finite" in err
+    assert not out_path.exists()
+
+
+def test_evolve_refuses_a_dense_deviation_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "expm", lambda M: np.full(M.shape, np.nan))
+    spec = builder_doc(tmp_path / "ising.json", "transverse_ising", "lindblad")
+    out_path = tmp_path / "evolve.json"
+    argv = ["evolve", spec, "--times", "0.5", "--verify-dense", "--out", str(out_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "t=0.5: the dense cross-check (64, 64) is not finite" in err
+    assert not out_path.exists()
 
 
 def test_evolve_rejects_kraus_input(tmp_path, capsys):
@@ -591,7 +683,7 @@ def test_verify_fast_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "suites passed (fast)" in out
-    payload = json.loads(out_path.read_text())
+    payload = read_report(out_path)
     assert payload["passed"] is True
     assert all(s["passed"] for s in payload["suites"])
     names = {s["name"] for s in payload["suites"]}

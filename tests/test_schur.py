@@ -17,7 +17,7 @@ from superschur import (
 )
 from superschur import permutations, schur
 from superschur.combinatorics import letter_strings_by_weight, weight_vectors
-from superschur.errors import BasisLayoutError, InternalConsistencyError
+from superschur.errors import InternalConsistencyError
 from superschur.oracle import matrix_unit, permutation_in_schur
 from superschur.permutations import (
     adjacent_transpositions,
@@ -416,10 +416,14 @@ def test_seven_qubit_reference_columns_are_jucys_murphy_eigenvectors(
 
 
 def perturbed(basis, row, col, value):
-    # complex copy: the built basis is real, and some perturbations are not
-    U = basis.unitary.astype(np.complex128)
-    U[row, col] += value
-    return SuperSchurBasis.from_unitary(basis.d, basis.n, U, list(basis.labels))
+    # a copy of the class blocks with one entry inside a class changed
+    classes = []
+    for rows, cols, B in basis.classes:
+        B = B.copy()
+        if col in cols:
+            B[list(rows).index(row), list(cols).index(col)] += value
+        classes.append((rows, cols, B))
+    return SuperSchurBasis(basis.d, basis.n, classes, basis.labels)
 
 
 @pytest.mark.parametrize("fixture", ["schur_2_2", "schur_2_3", "schur_2_4", "schur_3_2"])
@@ -427,23 +431,6 @@ def test_class_unitarity_matches_dense(fixture, request):
     basis = request.getfixturevalue(fixture)
     dense = dense_unitarity_deviation(basis.unitary)
     assert abs(basis.unitarity_deviation() - dense) < 1e-14
-
-
-def test_entry_outside_class_is_refused(schur_2_3):
-    classes = letter_strings_by_weight(4, 3)
-    col = 5
-    outside = next(i for i in range(64) if i not in classes[schur_2_3.labels[col].weight])
-    for value in (1e-300, 1e-3, np.nan):
-        with pytest.raises(BasisLayoutError, match="outside its content class") as info:
-            perturbed(schur_2_3, outside, col, value)
-        assert (info.value.row, info.value.column) == (outside, col)
-
-
-def test_imaginary_part_is_refused(schur_2_3):
-    col = 7
-    row = letter_strings_by_weight(4, 3)[schur_2_3.labels[col].weight][0]
-    with pytest.raises(BasisLayoutError, match="nonzero imaginary amplitude"):
-        perturbed(schur_2_3, row, col, 1e-300j)
 
 
 def test_within_class_perturbation_exceeds_tolerance(schur_2_3):
@@ -482,27 +469,6 @@ def test_class_index_tiles_the_basis(schur_2_3):
     # classes in the order they first appear in the labels
     first = list(dict.fromkeys(lab.weight for lab in schur_2_3.labels))
     assert [schur_2_3.labels[c[0]].weight for _, c, _ in classes] == first
-
-
-@pytest.mark.parametrize("size", [1, 3])
-def test_missing_column_is_refused(schur_2_3, size):
-    # one column of a class of this size moves, without amplitudes, to
-    # another class's label: that class gets one column too many
-    classes = letter_strings_by_weight(4, 3)
-    drop = next(
-        j for j, lab in enumerate(schur_2_3.labels) if len(classes[lab.weight]) == size
-    )
-    other = next(w for w in classes if w != schur_2_3.labels[drop].weight)
-    U = schur_2_3.unitary
-    U[:, drop] = 0.0
-    labels = list(schur_2_3.labels)
-    labels[drop] = dataclasses.replace(labels[drop], weight=other)
-    with pytest.raises(BasisLayoutError, match="do not tile the space"):
-        SuperSchurBasis.from_unitary(2, 3, U, labels)
-    # dropped outright, the column leaves the matrix short of square
-    keep = [j for j in range(64) if j != drop]
-    with pytest.raises(BasisLayoutError, match="need 64 labels"):
-        SuperSchurBasis.from_unitary(2, 3, U[:, keep], [schur_2_3.labels[j] for j in keep])
 
 
 def test_basis_size_guard():
