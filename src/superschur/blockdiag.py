@@ -21,6 +21,9 @@ matrix; ``superschur.channels`` bounds the imaginary part it drops), and
 the frame, the blocks, the exponentials and their direct sum are float64
 too: half the memory of complex128, and real BLAS products.  Qutrits and
 above stay complex128.
+
+``scipy.linalg.expm`` is imported inside :func:`blockwise_exp`, so importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channels import SuperOperatorMatrix, SymmetryCertificate
 from .combinatorics import Partition
@@ -260,6 +262,9 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
             f"leakage {decomp.leakage:.3e} exceeds tolerance {decomp.tol:.1e}; "
             "refusing blockwise exponential of a non-block-diagonal generator"
         )
+    # loaded here, after the refusals: only an exponential needs scipy.linalg
+    from scipy.linalg import expm
+
     shared: dict[Partition, np.ndarray] = {}
     blocks = []
     for b in decomp.blocks:

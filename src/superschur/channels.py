@@ -500,7 +500,8 @@ class _SparseImages:
 
     def __init__(self, basis: OperatorBasis, pairs, sizes: list[int]) -> None:
         # imported on first use: a run that builds no sparse matrix
-        # (decompose, schur-basis, dense maps) skips its ~20 ms import
+        # (decompose, schur-basis, dense maps) skips its import, about
+        # 0.2 s in a fresh process (python -X importtime)
         from scipy.sparse import coo_array
 
         D = basis.d**basis.n
@@ -936,6 +937,9 @@ def channel_from_dict(doc):
         for key, value in params.items():
             if not _is_number_type(type(value)):
                 raise ChannelSpecError(f"builder.params.{key}: expected a number, got {value!r}")
+            # NaN, inf or an integer beyond float64 would overflow in the builder
+            if not abs(value) <= sys.float_info.max:
+                raise ChannelSpecError(f"builder.params.{key}: not finite in float64")
         if d != 2:
             raise ChannelSpecError("builder: example families are qubit models; requires d = 2")
         try:

@@ -14,12 +14,12 @@ violating a structural invariant, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 
 import numpy as np
-from scipy.linalg import expm
 
 from .blockdiag import (
     BlockDecomposition,
@@ -216,15 +216,12 @@ def cmd_decompose(args) -> int:
 # schur-basis
 
 
-def _string_label(index: int, base: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(index % base)
-        index //= base
-    digits.reverse()
-    if base <= 10:
-        return "".join(str(x) for x in digits)
-    return ",".join(str(x) for x in digits)
+def _string_labels(base: int, n: int) -> list[str]:
+    """The label of every letter string, in index order: its base-``base``
+    digits, most significant first, comma-separated from base 11 on."""
+    sep = "" if base <= 10 else ","
+    digits = [str(x) for x in range(base)]
+    return [sep.join(p) for p in itertools.product(digits, repeat=n)]
 
 
 def _parse_string_label(text: str, base: int, n: int) -> int:
@@ -248,6 +245,7 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     followed by its nonzero amplitudes (one letter string per line), read
     from the column's class block: no dim x dim array is built."""
     q, n = basis.d * basis.d, basis.n
+    names = _string_labels(q, n)
     amplitudes = {}  # column -> (rows, values) above the cutoff
     for rows, cols, B in basis.classes:
         keep = np.abs(B) >= AMPLITUDE_CUTOFF
@@ -261,7 +259,7 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
             fh.write(f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}\n")
             rows, values = amplitudes[j]
             for row, amp in zip(rows.tolist(), values.tolist()):
-                fh.write(f"{_string_label(row, q, n)} {amp!r} 0.0\n")
+                fh.write(f"{names[row]} {amp!r} 0.0\n")
 
 
 def _key_values(line: str, required: tuple[str, ...]) -> dict[str, str]:
@@ -312,6 +310,8 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         dim = check_liouville_dim(d, n)
         lines = [line.rstrip("\n") for line in fh]
     q = d * d
+    # canonical strings by table; other text (such as "01" at d = 4) parses
+    string_rows = {text: row for row, text in enumerate(_string_labels(q, n))}
     labels: list[ColumnLabel] = []
     label_lines: list[int] = []
     rows: list[int] = []
@@ -343,7 +343,9 @@ def read_basis_file(path: str) -> SuperSchurBasis:
                     f"amplitude line needs 3 fields (string re im), got {len(parts)}"
                 )
             string, re_text, im_text = parts
-            row = _parse_string_label(string, q, n)
+            row = string_rows.get(string)
+            if row is None:
+                row = _parse_string_label(string, q, n)
             if row in seen:
                 raise ValueError(f"repeated amplitude for {string} in column {len(labels) - 1}")
             seen.add(row)
@@ -593,6 +595,8 @@ def cmd_evolve(args) -> int:
         exponentials = len({id(b.matrix) for b in evolved.blocks})
         line = f"t={t}: {len(evolved.blocks)} blocks from {exponentials} exponentials"
         if args.verify_dense:
+            from scipy.linalg import expm
+
             dense = expm(t * decomp.schur_matrix)
             deviation = float(np.max(np.abs(evolved.schur_matrix - dense)))
             _check_finite(deviation, t, f"the dense cross-check {dense.shape}")

@@ -386,6 +386,24 @@ def test_basis_files_are_written_and_read_without_the_dense_matrix(d, n, tmp_pat
         assert np.max(np.abs(B - want)) < 1e-14
 
 
+def test_basis_loader_reads_non_canonical_letter_strings(tmp_path):
+    # at d = 4 a letter is a base-16 number, so "01" names letter 1 but is
+    # not the string the exporter writes; "016" stays out of range
+    path, lines = basis_file_lines(tmp_path, 4, 1)
+    written = read_basis_file(str(path))
+    moved = [i for i, line in enumerate(lines) if line.startswith("1 ")]
+    assert len(moved) == 1
+    lines[moved[0]] = "0" + lines[moved[0]]
+    path.write_text("\n".join(lines) + "\n")
+    loaded = read_basis_file(str(path))
+    assert loaded.labels == written.labels
+    for (rows, cols, B), (want_rows, want_cols, want) in zip(loaded.classes, written.classes):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(B, want)
+    lines[moved[0]] = "016" + lines[moved[0]][2:]
+    assert_refused_at(path, lines, moved[0], "bad letter string '016'")
+
+
 def test_basis_loader_applies_the_size_guard_first(tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("d=2 n=7 columns=16384\n")
@@ -564,6 +582,22 @@ def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
     assert "Hamiltonian too large: sum |H_ij|^2 is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+@pytest.mark.parametrize(
+    "text", ["1" + "0" * 400, "1e400", "-1e400", "NaN"], ids=["int", "inf", "-inf", "nan"]
+)
+def test_builder_param_beyond_float64_exit_2(command, text, tmp_path, capsys):
+    spec = tmp_path / "big_rate.json"
+    spec.write_text(
+        '{"d": 2, "n": 3, "kind": "lindblad",'
+        f' "builder": {{"name": "single_jump", "params": {{"gamma1": {text}}}}}}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(spec)]) == 2
+    assert capsys.readouterr().err == "error: builder.params.gamma1: not finite in float64\n"
+
+
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):
     f0 = np.array([[1, 0], [0, math.sqrt(0.5)]])
     spec = write_doc(
@@ -623,7 +657,14 @@ def test_evolve_refuses_a_time_whose_exponential_overflows(tmp_path, capsys):
 
 
 def test_evolve_refuses_a_dense_deviation_that_is_not_finite(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "expm", lambda M: np.full(M.shape, np.nan))
+    import scipy.linalg
+
+    # both the blocks and the dense cross-check call scipy.linalg.expm;
+    # only the 64 x 64 dense one overflows
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(
+        scipy.linalg, "expm", lambda M: np.full(M.shape, np.nan) if len(M) == 64 else expm(M)
+    )
     spec = builder_doc(tmp_path / "ising.json", "transverse_ising", "lindblad")
     out_path = tmp_path / "evolve.json"
     argv = ["evolve", spec, "--times", "0.5", "--verify-dense", "--out", str(out_path)]
@@ -698,21 +739,54 @@ def test_verify_full_passes(capsys):
     assert "20/20 suites passed (full)" in out
 
 
+def run_probe(probe: str) -> subprocess.CompletedProcess:
+    """Run a Python snippet in a fresh interpreter that imports this tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+
+
 def test_cli_import_builds_no_basis():
-    # scipy.sparse is imported on first use by the superoperator kernel
+    # scipy.sparse is imported on first use by the superoperator kernel,
+    # scipy.linalg where an exponential is taken
     probe = (
         "import sys\n"
         "import superschur.cli\n"
         "from superschur import liouville, schur\n"
         "print(schur._super_schur_basis.cache_info().currsize,"
         " liouville._operator_basis.cache_info().currsize,"
-        " 'scipy.sparse' in sys.modules)"
+        " 'scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    done = run_probe(probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "False"]
+    assert done.stdout.split() == ["0", "0", "False", "False"]
+
+
+def test_commands_without_an_exponential_load_no_scipy_linalg(tmp_path):
+    dense = builder_doc(tmp_path / "corr.json", "correlated_damping", "kraus", n=3)
+    H = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + 2 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
+    leaky = write_doc(
+        tmp_path / "leaky.json",
+        {"d": 2, "n": 2, "kind": "lindblad", "hamiltonian": matrix_doc(H), "operators": []},
+    )
+    probe = (
+        "import sys\n"
+        "from superschur.cli import main\n"
+        "def loaded():\n"
+        "    names = ('scipy.linalg', 'scipy.sparse')\n"
+        "    print('loaded', *[name in sys.modules for name in names])\n"
+        f"assert main(['analyze', {dense!r}]) == 0\n"
+        "loaded()\n"
+        f"assert main(['evolve', {leaky!r}]) == 3\n"
+        "loaded()\n"
+    )
+    done = run_probe(probe)
+    assert done.returncode == 0, done.stderr
+    marks = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded ")]
+    # a dense-kernel map builds no sparse matrix; the leakage refusal comes
+    # before the exponential, whatever kernel the generator took
+    assert marks[0] == ["False", "False"]
+    assert marks[1][0] == "False"
 
 
 def test_analyze_and_evolve_load_no_oracle(tmp_path):
@@ -729,9 +803,7 @@ def test_analyze_and_evolve_load_no_oracle(tmp_path):
         "assert main(['verify', '--level', 'fast']) == 0\n"
         "loaded()\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    done = run_probe(probe)
     assert done.returncode == 0, done.stderr
     marks = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded ")]
     assert marks == [["False", "False"], ["True", "True"]]
