@@ -13,7 +13,6 @@ from .blockdiag import (
     BlockDecomposition,
     DfsReport,
     DfsSector,
-    SectorBlock,
     blockwise_exp,
     decompose,
     dfs_report,
@@ -99,7 +98,6 @@ __all__ = [
     "OperatorBasis",
     "Partition",
     "QuditOperator",
-    "SectorBlock",
     "SizeGuardError",
     "StandardTableau",
     "SuperOperatorMatrix",

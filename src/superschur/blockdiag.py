@@ -1,19 +1,17 @@
 """Sector decomposition of superoperators in the permutation-adapted frame.
 
 A permutation-symmetric superoperator, conjugated into the adapted basis,
-splits into one block per (shape, tableau) pair, and the blocks for a
-fixed shape are copies of each other.  A shape whose tableau count
-exceeds one then carries a protected subsystem: the dynamics acts as
-identity on the tableau index and touches only the multiplicity space.
+is the direct sum over shapes lambda of B_lambda (x) I_syt(lambda): one
+block per partition shape, repeated once per standard tableau.  A shape
+whose tableau count exceeds one then carries a protected subsystem, the
+identity factor: the dynamics touches only the multiplicity space.  The
+decomposition stores the blocks in that form, one array per shape shared
+by its tableaux when its twins agree to the tolerance, and the blockwise
+exponential takes one exp(tB) per array.
 
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame runs one
 class block at a time instead of as two dense products.
-
-On such a sector exp(tG) is the identity on the tableau index times
-exp(tB) on the multiplicity space, so the blockwise exponential computes
-one exp(tB) per shape and shares it among the twins when the measured twin
-deviation of that shape is below the decomposition tolerance.
 
 The basis matrix is real, so every stage keeps the dtype of the
 superoperator it is given.  For qubits that is float64 (the Pauli transfer
@@ -29,55 +27,40 @@ this module loads no scipy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import SuperOperatorMatrix, SymmetryCertificate
 from .combinatorics import Partition
 from .errors import BlockStructureError, DimensionMismatchError
+from .liouville import _read_only
 from .schur import SuperSchurBasis
 
 DEFAULT_BLOCK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SectorBlock:
-    """One diagonal block: sector shape, tableau index, dense matrix."""
-
-    shape: Partition
-    tableau_index: int
-    matrix: np.ndarray
 
 
 @dataclass
 class BlockDecomposition:
     """A superoperator matrix split along the adapted-basis sectors.
 
+    ``blocks`` maps each (shape, tableau index), in frame order, to a
+    read-only array; on a shape whose twin deviation is below ``tol`` every
+    tableau maps to the one tableau-0 array, the ``B`` of ``B (x) I``.
     ``leakage`` is the largest entry outside all diagonal blocks and
     ``twin_deviation`` the largest difference between two blocks of the
     same shape; both are small exactly when the underlying map is
     permutation symmetric.  ``frame`` is the whole conjugated matrix, or
-    None when only the blocks are kept (an exponentiated generator, whose
-    twin blocks may share one read-only array).
+    None when only the blocks are kept (an exponentiated generator).
     """
 
-    d: int
-    n: int
     kind: str
     tol: float
     basis: SuperSchurBasis
     frame: np.ndarray | None
-    blocks: list[SectorBlock]
+    blocks: dict[tuple[Partition, int], np.ndarray]
     leakage: float
-    twin_deviation: dict
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {(b.shape, b.tableau_index): b for b in self.blocks}
-
-    def block(self, shape: Partition, tableau_index: int) -> SectorBlock:
-        return self._index[(shape, tableau_index)]
+    twin_deviation: dict[Partition, float]
 
     @property
     def schur_matrix(self) -> np.ndarray:
@@ -87,11 +70,11 @@ class BlockDecomposition:
 
     def reassembled(self) -> np.ndarray:
         """Dense matrix containing only the diagonal blocks, of their dtype."""
-        dtype = np.result_type(*(b.matrix for b in self.blocks))
+        dtype = np.result_type(*self.blocks.values())
         out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
-        for b in self.blocks:
-            sl = self.basis.tableau_slice(b.shape, b.tableau_index)
-            out[sl, sl] = b.matrix
+        for (shape, y), B in self.blocks.items():
+            sl = self.basis.tableau_slice(shape, y)
+            out[sl, sl] = B
         return out
 
 
@@ -141,17 +124,12 @@ def _take_columns_in_place(A: np.ndarray, index: np.ndarray) -> None:
         chunk[...] = out
 
 
-def _twin_deviations(basis: SuperSchurBasis, blocks: list[SectorBlock]) -> dict:
-    by_shape: dict[Partition, list[np.ndarray]] = {}
-    for b in blocks:
-        by_shape.setdefault(b.shape, []).append(b.matrix)
-    out = {}
-    for shape, mats in by_shape.items():
-        dev = 0.0
-        for A, B in itertools.combinations(mats, 2):
-            dev = max(dev, float(np.max(np.abs(A - B))))
-        out[shape] = dev
-    return out
+def _twin_deviation(twins: list[np.ndarray]) -> float:
+    """The largest entrywise difference between two twin blocks, 0.0 for
+    twins that are one array.  np.max, unlike the builtin max, lets a NaN
+    through."""
+    pairs = itertools.combinations(twins, 2)
+    return float(np.max([np.max(np.abs(A - B)) for A, B in pairs if A is not B], initial=0.0))
 
 
 def decompose(
@@ -162,34 +140,42 @@ def decompose(
     """Split a superoperator into sector blocks and measure the residue.
 
     The full conjugated matrix is retained, so leakage and twin deviation
-    report honestly even for maps with no symmetry at all.  Leakage is the
-    largest entry outside the diagonal blocks, read row slab by row slab
-    from the frame matrix itself.
+    report honestly even for maps with no symmetry at all.  Both are read
+    from views of the frame matrix itself, leakage row slab by row slab.
+    A shape whose twin deviation is below ``tol`` keeps one copy of its
+    tableau-0 block for all its twins, which replaces each twin by one
+    that differs from it by less than ``tol`` entrywise, an error of the
+    size already accepted in the off-block entries; any other shape (twins
+    that differ by more, or by NaN) keeps one copy per twin.
     """
     S = to_schur_frame(superop, basis)
-    blocks = []
+    blocks = {}
     off_block = []
+    twin_deviation = {}
     for shape in basis.shapes:
-        for y in range(basis.syt_count(shape)):
-            sl = basis.tableau_slice(shape, y)
-            blocks.append(SectorBlock(shape, y, S[sl, sl].copy()))
+        slices = [basis.tableau_slice(shape, y) for y in range(basis.syt_count(shape))]
+        for sl in slices:
             # the tableau slices tile the frame, so the rows of sl left and
             # right of its diagonal block cover everything outside the blocks
             for side in (S[sl, : sl.start], S[sl, sl.stop :]):
                 if side.size:
                     off_block.append(np.max(np.abs(side)))
+        twins = [S[sl, sl] for sl in slices]
+        twin_deviation[shape] = _twin_deviation(twins)
+        shared = twin_deviation[shape] < tol
+        for y, B in enumerate(twins):
+            blocks[shape, y] = blocks[shape, 0] if shared and y else B.copy()
+    _read_only(*blocks.values())
     # np.max, unlike the builtin max, lets a NaN through
     leakage = float(np.max(off_block, initial=0.0))
     return BlockDecomposition(
-        d=basis.d,
-        n=basis.n,
         kind=superop.kind,
         tol=tol,
         basis=basis,
         frame=S,
         blocks=blocks,
         leakage=leakage,
-        twin_deviation=_twin_deviations(basis, blocks),
+        twin_deviation=twin_deviation,
     )
 
 
@@ -208,9 +194,6 @@ class DfsSector:
 class DfsReport:
     classification: str
     sectors: list
-    leakage: float
-    twin_deviation: dict
-    tol: float
 
 
 def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> DfsReport:
@@ -230,13 +213,7 @@ def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> 
             and decomp.twin_deviation[shape] < decomp.tol
         )
         sectors.append(DfsSector(shape, protected, noisy, flagged))
-    return DfsReport(
-        classification=certificate.classification,
-        sectors=sectors,
-        leakage=decomp.leakage,
-        twin_deviation=dict(decomp.twin_deviation),
-        tol=decomp.tol,
-    )
+    return DfsReport(classification=certificate.classification, sectors=sectors)
 
 
 def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
@@ -247,13 +224,8 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     the exponentiated blocks (its ``schur_matrix`` is their direct sum,
     built when read).
 
-    A shape whose twin deviation is below the tolerance is exponentiated
-    once, from its tableau-0 block, and every twin of that shape gets the
-    same read-only array; the same test flags a sector in
-    :func:`dfs_report`.  Sharing replaces each twin by one that differs from
-    it by less than the tolerance entrywise, an error of the size already
-    accepted in the off-block entries this function drops.  A shape whose
-    twins differ by more (or by NaN) is exponentiated twin by twin.
+    Each distinct block array is exponentiated once, so the twins that
+    :func:`decompose` gave one array share one read-only exponential.
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
@@ -265,28 +237,25 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     # loaded here, after the refusals: only an exponential needs scipy.linalg
     from scipy.linalg import expm
 
-    shared: dict[Partition, np.ndarray] = {}
-    blocks = []
-    for b in decomp.blocks:
-        if not decomp.twin_deviation[b.shape] < decomp.tol:
-            E = expm(t * b.matrix)
-        elif b.shape in shared:
-            E = shared[b.shape]
-        else:
-            E = expm(t * decomp.block(b.shape, 0).matrix)
-            E.flags.writeable = False
-            shared[b.shape] = E
-        blocks.append(SectorBlock(b.shape, b.tableau_index, E))
+    exponentials: dict[int, np.ndarray] = {}
+    blocks = {}
+    for key, B in decomp.blocks.items():
+        if id(B) not in exponentials:
+            exponentials[id(B)] = expm(t * B)
+        blocks[key] = exponentials[id(B)]
+    _read_only(*exponentials.values())
+    basis = decomp.basis
     return BlockDecomposition(
-        d=decomp.d,
-        n=decomp.n,
         kind="channel",
         tol=decomp.tol,
-        basis=decomp.basis,
+        basis=basis,
         frame=None,
         blocks=blocks,
         leakage=0.0,
-        twin_deviation=_twin_deviations(decomp.basis, blocks),
+        twin_deviation={
+            shape: _twin_deviation([blocks[shape, y] for y in range(basis.syt_count(shape))])
+            for shape in basis.shapes
+        },
     )
 
 
@@ -326,7 +295,7 @@ def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0)
             else:
                 parts = S[:, sl] @ np.column_stack((v.real, v.imag))
                 out = parts[:, 0] + 1j * parts[:, 1]
-            B = decomp.block(shape, 0).matrix
+            B = decomp.blocks[shape, 0]
             predicted = np.zeros(basis.dim, dtype=np.complex128)
             predicted[sl] = (C @ B.T).reshape(-1)
             deviation = max(deviation, float(np.max(np.abs(out - predicted))))

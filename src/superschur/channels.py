@@ -59,7 +59,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .liouville import OperatorBasis, QuditOperator, vectorize
+from .liouville import OperatorBasis, QuditOperator, check_liouville_dim, vectorize
 from .permutations import adjacent_transpositions, string_index_map
 
 CLOSURE_TOL = 1e-10
@@ -903,7 +903,8 @@ def channel_from_dict(doc):
     exactly one of ``operators`` (list of matrices, entries as [re, im]
     pairs) or ``builder`` ({"name", "params"} invoking example_channel).
     A Lindbladian may add ``hamiltonian``; ``orthogonalize: true`` runs
-    the operator list through orthogonalize_kraus first.
+    the operator list through orthogonalize_kraus first.  A ``d``, ``n``
+    over the size guard raises SizeGuardError before anything is built.
     """
     if not isinstance(doc, dict):
         raise ChannelSpecError("top level: expected an object")
@@ -912,6 +913,8 @@ def channel_from_dict(doc):
             raise ChannelSpecError(f"{key}: unknown field")
     d = _require_int(doc, "d", minimum=2)
     n = _require_int(doc, "n", minimum=1)
+    # before any operator is parsed or built
+    check_liouville_dim(d, n)
     kind = doc.get("kind")
     if kind not in ("kraus", "lindblad"):
         raise ChannelSpecError(f"kind: expected 'kraus' or 'lindblad', got {kind!r}")

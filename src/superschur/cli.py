@@ -583,16 +583,16 @@ def cmd_evolve(args) -> int:
             "t": t,
             "blocks": [
                 {
-                    "partition": list(b.shape.parts),
-                    "tableau_index": b.tableau_index,
-                    "max_abs": float(np.max(np.abs(b.matrix))),
+                    "partition": list(shape.parts),
+                    "tableau_index": y,
+                    "max_abs": float(np.max(np.abs(E))),
                 }
-                for b in evolved.blocks
+                for (shape, y), E in evolved.blocks.items()
             ],
         }
-        for b, block in zip(evolved.blocks, entry["blocks"]):
-            _check_finite(block["max_abs"], t, f"the exponential of {b.shape} block {b.matrix.shape}")
-        exponentials = len({id(b.matrix) for b in evolved.blocks})
+        for ((shape, _), E), block in zip(evolved.blocks.items(), entry["blocks"]):
+            _check_finite(block["max_abs"], t, f"the exponential of {shape} block {E.shape}")
+        exponentials = len({id(E) for E in evolved.blocks.values()})
         line = f"t={t}: {len(evolved.blocks)} blocks from {exponentials} exponentials"
         if args.verify_dense:
             from scipy.linalg import expm

@@ -13,7 +13,6 @@ from superschur import (
     SuperOperatorMatrix,
     blockwise_exp,
     classify_kraus_symmetry,
-    classify_lindblad_symmetry,
     decompose,
     dfs_report,
     example_channel,
@@ -24,18 +23,15 @@ from superschur import (
     super_schur_basis,
     to_schur_frame,
 )
+from superschur import blockdiag
 from scipy.linalg import expm
+
+from dispatch import certificate, superop
 
 
 TWO_ONE = Partition((2, 1))
 
 I2 = np.eye(2, dtype=np.complex128)
-
-
-def superop_for(channel, basis_letters):
-    if isinstance(channel, KrausChannel):
-        return kraus_superop(channel, basis_letters)
-    return lindblad_superop(channel, basis_letters)
 
 
 def lopsided_channel(n):
@@ -63,9 +59,8 @@ def test_identity_superop_decomposes_cleanly(schur_2_3, letters_3):
     ch = KrausChannel(2, 3, (QuditOperator(2, 3, np.eye(8)),))
     decomp = decompose(kraus_superop(ch, letters_3), schur_2_3)
     assert decomp.leakage < 1e-12
-    for block in decomp.blocks:
-        dim = block.matrix.shape[0]
-        assert np.max(np.abs(block.matrix - np.eye(dim))) < 1e-12
+    for B in decomp.blocks.values():
+        assert np.max(np.abs(B - np.eye(len(B)))) < 1e-12
     assert all(dev < 1e-12 for dev in decomp.twin_deviation.values())
 
 
@@ -76,7 +71,7 @@ def test_strong_channel_block_structure(schur_2_3, letters_3):
     assert decomp.kind == "channel"
     assert decomp.leakage < 1e-10
     assert decomp.twin_deviation[TWO_ONE] < 1e-10
-    sizes = sorted(b.matrix.shape[0] for b in decomp.blocks)
+    sizes = sorted(len(B) for B in decomp.blocks.values())
     assert sizes == [4, 20, 20, 20]
     # reassembling the blocks and undoing the frame recovers the matrix
     R = decomp.reassembled()
@@ -111,8 +106,8 @@ def masked_leakage(decomp):
     """Leakage as a masked copy of the frame matrix: zero every diagonal
     block, then take the largest remaining entry."""
     masked = decomp.schur_matrix.copy()
-    for b in decomp.blocks:
-        sl = decomp.basis.tableau_slice(b.shape, b.tableau_index)
+    for shape, y in decomp.blocks:
+        sl = decomp.basis.tableau_slice(shape, y)
         masked[sl, sl] = 0.0
     return float(np.max(np.abs(masked)))
 
@@ -173,13 +168,10 @@ def test_asymmetric_map_leaks_above_tol_on_the_class_path(schur_2_4):
 )
 def test_every_example_family_block_diagonalizes(name, schur_2_3, letters_3):
     ch = example_channel(name, n=3)
-    decomp = decompose(superop_for(ch, letters_3), schur_2_3)
+    decomp = decompose(superop(ch, letters_3), schur_2_3)
     assert decomp.leakage < 1e-10
     assert decomp.twin_deviation[TWO_ONE] < 1e-10
-    if isinstance(ch, KrausChannel):
-        cert = classify_kraus_symmetry(ch)
-    else:
-        cert = classify_lindblad_symmetry(ch)
+    cert = certificate(ch)
     report = dfs_report(decomp, cert)
     flags = {s.shape.parts: s.flagged for s in report.sectors}
     assert flags == {(3,): False, (2, 1): True, (1, 1, 1): False}
@@ -228,19 +220,16 @@ def test_blockwise_exp_at_time_zero_is_identity(schur_2_3, letters_3):
     lind = example_channel("transverse_ising", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     propagated = blockwise_exp(decomp, 0.0)
-    for block in propagated.blocks:
-        dim = block.matrix.shape[0]
-        assert np.max(np.abs(block.matrix - np.eye(dim))) < 1e-12
+    for E in propagated.blocks.values():
+        assert np.max(np.abs(E - np.eye(len(E)))) < 1e-12
 
 
 def test_closed_system_blocks_stay_unitary(schur_2_3, letters_3):
     lind = example_channel("transverse_ising", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     propagated = blockwise_exp(decomp, 0.7)
-    for block in propagated.blocks:
-        dim = block.matrix.shape[0]
-        gram = block.matrix.conj().T @ block.matrix
-        assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
+    for E in propagated.blocks.values():
+        assert np.max(np.abs(E.conj().T @ E - np.eye(len(E)))) < 1e-10
 
 
 def test_blockwise_exp_refuses_channels_and_leaky_generators(
@@ -266,7 +255,7 @@ def test_blockwise_exp_refuses_channels_and_leaky_generators(
 def test_protection_check_symmetric_examples(schur_2_3, letters_3):
     for name in ("collective_damping", "single_site_damping", "single_jump"):
         ch = example_channel(name, n=3)
-        decomp = decompose(superop_for(ch, letters_3), schur_2_3)
+        decomp = decompose(superop(ch, letters_3), schur_2_3)
         assert protection_check(decomp) < 1e-10
 
 
@@ -322,17 +311,43 @@ def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
     lind = example_channel(name, n=n)
     decomp = decompose(lindblad_superop(lind, operator_basis(2, n)), basis)
     assert max(decomp.twin_deviation.values()) < decomp.tol
+    # every twin of a shape holds the one tableau-0 block
+    assert len({id(B) for B in decomp.blocks.values()}) == len(basis.shapes)
+    for (shape, _), B in decomp.blocks.items():
+        sl = basis.tableau_slice(shape, 0)
+        assert B is decomp.blocks[shape, 0] and np.array_equal(B, decomp.frame[sl, sl])
     for t in (0.0, 0.1, 1.0):
         evolved = blockwise_exp(decomp, t)
-        assert len(evolved.blocks) == len(decomp.blocks)
+        assert list(evolved.blocks) == list(decomp.blocks)
         # every twin of a shape holds the one array exponentiated for it
-        assert len({id(b.matrix) for b in evolved.blocks}) == len(basis.shapes)
-        for b, own in zip(evolved.blocks, decomp.blocks):
-            assert (b.shape, b.tableau_index) == (own.shape, own.tableau_index)
-            assert b.matrix is evolved.block(b.shape, 0).matrix
-            expected = expm(t * own.matrix)
+        assert len({id(E) for E in evolved.blocks.values()}) == len(basis.shapes)
+        for (shape, y), E in evolved.blocks.items():
+            assert E is evolved.blocks[shape, 0]
+            # each twin's own block, read from the frame
+            sl = basis.tableau_slice(shape, y)
+            expected = expm(t * decomp.frame[sl, sl])
             scale = max(1.0, float(np.max(np.abs(expected))))
-            assert np.max(np.abs(b.matrix - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(E - expected)) <= 1e-12 * scale
+
+
+def test_one_array_and_one_exponential_per_shape_at_n6(monkeypatch):
+    import scipy.linalg
+
+    basis = super_schur_basis(2, 6)
+    lind = example_channel("collective_jump", n=6)
+    decomp = decompose(lindblad_superop(lind, operator_basis(2, 6)), basis)
+    arrays = {id(B): B for B in decomp.blocks.values()}
+    assert len(decomp.blocks) == 70 and len(arrays) == len(basis.shapes) == 9
+    assert not any(B.flags.writeable for B in arrays.values())
+    calls = []
+    expm_ = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm_(A))
+    for t in (0.1, 1.0):
+        calls.clear()
+        evolved = blockwise_exp(decomp, t)
+        assert len(calls) == 9
+        assert len(evolved.blocks) == 70
+        assert len({id(E) for E in evolved.blocks.values()}) == 9
 
 
 def block_frame_generator(basis, letters, rng):
@@ -353,24 +368,37 @@ def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3, letters_3):
     decomp = decompose(G, schur_2_3)
     assert decomp.leakage < 1e-12
     assert decomp.twin_deviation[TWO_ONE] > decomp.tol
+    # one array per twin, each read-only
+    assert len({id(B) for B in decomp.blocks.values()}) == len(decomp.blocks)
+    assert not any(B.flags.writeable for B in decomp.blocks.values())
     U = schur_2_3.unitary
     for t in (0.1, 1.0):
         evolved = blockwise_exp(decomp, t)
-        first, second = evolved.block(TWO_ONE, 0).matrix, evolved.block(TWO_ONE, 1).matrix
-        assert first is not second
-        for b, own in zip(evolved.blocks, decomp.blocks):
-            assert np.max(np.abs(b.matrix - expm(t * own.matrix))) < 1e-12
+        assert evolved.blocks[TWO_ONE, 0] is not evolved.blocks[TWO_ONE, 1]
+        for key, E in evolved.blocks.items():
+            assert np.max(np.abs(E - expm(t * decomp.blocks[key]))) < 1e-12
         dense = expm(t * G.matrix)
         assert np.max(np.abs(U @ evolved.schur_matrix @ U.T - dense)) < 1e-12
 
 
-def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3):
+def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3, monkeypatch):
+    frame = blockdiag.to_schur_frame
+
+    def nan_in_two_one_tableau_1(M, basis):
+        S = frame(M, basis)
+        sl = basis.tableau_slice(TWO_ONE, 1)
+        S[sl.start, sl.start] = np.nan
+        return S
+
+    monkeypatch.setattr(blockdiag, "to_schur_frame", nan_in_two_one_tableau_1)
     lind = example_channel("single_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
-    decomp.twin_deviation[TWO_ONE] = float("nan")
+    assert math.isnan(decomp.twin_deviation[TWO_ONE])
+    assert decomp.blocks[TWO_ONE, 0] is not decomp.blocks[TWO_ONE, 1]
+    assert decomp.twin_deviation[Partition((3,))] == 0.0
     evolved = blockwise_exp(decomp, 0.5)
-    assert evolved.block(TWO_ONE, 0).matrix is not evolved.block(TWO_ONE, 1).matrix
-    assert evolved.block(Partition((3,)), 0).matrix.flags.writeable is False
+    assert evolved.blocks[TWO_ONE, 0] is not evolved.blocks[TWO_ONE, 1]
+    assert evolved.blocks[Partition((3,)), 0].flags.writeable is False
 
 
 def test_nan_leakage_is_refused(schur_2_3, letters_3):
@@ -385,9 +413,9 @@ def test_shared_exponential_is_read_only(schur_2_3, letters_3):
     lind = example_channel("collective_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     evolved = blockwise_exp(decomp, 1.0)
-    shared = evolved.block(TWO_ONE, 1).matrix
-    assert shared is evolved.block(TWO_ONE, 0).matrix
+    shared = evolved.blocks[TWO_ONE, 1]
+    assert shared is evolved.blocks[TWO_ONE, 0]
     before = shared.copy()
     with pytest.raises(ValueError, match="read-only"):
         shared[0, 0] = 0.0
-    assert np.array_equal(evolved.block(TWO_ONE, 0).matrix, before)
+    assert np.array_equal(evolved.blocks[TWO_ONE, 0], before)

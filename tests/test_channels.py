@@ -27,6 +27,8 @@ from superschur.channels import SuperOperatorMatrix, channel_from_dict
 from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions, all_permutations, compose
 
+from dispatch import certificate, superop
+
 I2 = np.eye(2, dtype=np.complex128)
 LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 
@@ -270,18 +272,12 @@ EXPECTED_CLASS = {
 }
 
 
-def classify(channel):
-    if isinstance(channel, KrausChannel):
-        return classify_kraus_symmetry(channel)
-    return classify_lindblad_symmetry(channel)
-
-
 @pytest.mark.parametrize("name,expected", sorted(EXPECTED_CLASS.items()))
 @pytest.mark.parametrize("n", [2, 3])
 def test_example_families_classify_as_expected(name, expected, n):
     if name == "double_jump" and n == 2:
         expected = "strong"  # the single pair jump is itself symmetric
-    cert = classify(example_channel(name, n=n))
+    cert = certificate(example_channel(name, n=n))
     assert cert.classification == expected
     if expected == "strong":
         assert cert.residuals["strong_commutator"] < 1e-10
@@ -363,15 +359,12 @@ def test_classification_matches_superoperator_commutation():
     shuffles = [permutation_matrix(g, 4, 3) for g in adjacent_transpositions(3)]
 
     def superop_commutator(channel):
-        if isinstance(channel, KrausChannel):
-            S = kraus_superop(channel, basis).matrix
-        else:
-            S = lindblad_superop(channel, basis).matrix
+        S = superop(channel, basis).matrix
         return max(float(np.max(np.abs(S @ L - L @ S))) for L in shuffles)
 
     for name in sorted(EXPECTED_CLASS):
         ch = example_channel(name, n=3)
-        assert classify(ch).classification != "none"
+        assert certificate(ch).classification != "none"
         assert superop_commutator(ch) < 1e-10
 
     f0, f1 = damping_pair(0.5)
@@ -383,13 +376,13 @@ def test_classification_matches_superoperator_commutation():
             QuditOperator(2, 3, np.kron(np.kron(f1, I2), I2)),
         ),
     )
-    assert classify(lopsided).classification == "none"
+    assert certificate(lopsided).classification == "none"
     assert superop_commutator(lopsided) > 1e-3
 
 
 def test_weak_families_are_not_strong():
     for name in ("single_site_damping", "independent_damping", "single_jump", "double_jump"):
-        cert = classify(example_channel(name, n=3))
+        cert = certificate(example_channel(name, n=3))
         assert cert.residuals["strong_commutator"] > 1e-3
 
 

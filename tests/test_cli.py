@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superschur import SizeGuardError, cli, example_channel, super_schur_basis
+from superschur import SizeGuardError, channels, cli, example_channel, super_schur_basis
 from superschur.cli import main, read_basis_file, write_basis_file
 from superschur.combinatorics import letter_strings_by_weight
 from superschur.schur import SuperSchurBasis
@@ -596,6 +596,34 @@ def test_builder_param_beyond_float64_exit_2(command, text, tmp_path, capsys):
         warnings.simplefilter("error")
         assert main([command, str(spec)]) == 2
     assert capsys.readouterr().err == "error: builder.params.gamma1: not finite in float64\n"
+
+
+def refuse_call(*args, **kwargs):
+    raise AssertionError("called before the size guard")
+
+
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_oversized_builder_file_exits_2_before_the_builder_runs(
+    command, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(channels, "example_channel", refuse_call)
+    spec = builder_doc(tmp_path / "big.json", "single_jump", "lindblad", n=40)
+    assert main([command, spec]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: Liouville dimension {4**40} for d=2, n=40 exceeds the limit"
+    )
+
+
+@pytest.mark.parametrize("operators", [[], [[[[1.0, 0.0]]]]], ids=["none", "one"])
+def test_oversized_explicit_file_exits_2_before_any_operator_is_parsed(
+    operators, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(channels, "_parse_matrix", refuse_call)
+    doc = {"d": 3, "n": 9, "kind": "kraus", "operators": operators}
+    assert main(["analyze", write_doc(tmp_path / "big.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: Liouville dimension {9**9} for d=3, n=9 exceeds the limit"
+    )
 
 
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):

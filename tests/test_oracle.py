@@ -23,6 +23,8 @@ from superschur import (
 from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions
 
+from dispatch import certificate
+
 
 def dense_mixing(mats, P):
     """(U, expansion residual, unitarity deviation) by dense conjugation,
@@ -64,11 +66,10 @@ def dense_certificate(ops, d, n, hamiltonian=None):
 
 
 def assert_certificate_matches_dense(channel):
+    cert = certificate(channel)
     if isinstance(channel, KrausChannel):
-        cert = classify_kraus_symmetry(channel)
         unitaries, residuals = dense_certificate(channel.kraus_ops, channel.d, channel.n)
     else:
-        cert = classify_lindblad_symmetry(channel)
         unitaries, residuals = dense_certificate(
             channel.jump_ops, channel.d, channel.n, channel.hamiltonian
         )

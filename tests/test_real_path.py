@@ -19,12 +19,9 @@ from superschur import (
     Lindbladian,
     QuditOperator,
     blockwise_exp,
-    classify_kraus_symmetry,
-    classify_lindblad_symmetry,
     decompose,
     dfs_report,
     example_channel,
-    kraus_superop,
     lindblad_superop,
     operator_basis,
     protection_check,
@@ -34,7 +31,8 @@ from superschur import cli
 from superschur.channels import EXAMPLE_CHANNELS, HERMITICITY_TOL, SuperOperatorMatrix
 from superschur.liouville import pauli_letters
 
-from superop_oracle import kraus_superop_columns, lindblad_superop_columns
+from dispatch import certificate, superop, superop_columns
+from superop_oracle import lindblad_superop_columns
 from test_superop_kernel import random_kraus, random_lindbladian
 
 SCALES = [1.0, 1e6]
@@ -61,23 +59,6 @@ def scaled(channel, s):
     return Lindbladian(d, n, H, jumps)
 
 
-def superop(channel, basis):
-    build = kraus_superop if isinstance(channel, KrausChannel) else lindblad_superop
-    return build(channel, basis)
-
-
-def oracle(channel, basis):
-    if isinstance(channel, KrausChannel):
-        return kraus_superop_columns(channel, basis)
-    return lindblad_superop_columns(channel, basis)
-
-
-def certificate(channel):
-    if isinstance(channel, KrausChannel):
-        return classify_kraus_symmetry(channel)
-    return classify_lindblad_symmetry(channel)
-
-
 def pauli_string(word):
     letters = dict(zip("IXYZ", pauli_letters()))
     out = np.ones((1, 1), dtype=np.complex128)
@@ -91,7 +72,7 @@ def pauli_string(word):
 
 
 def assert_real_and_matches_oracle(channel, basis):
-    got, want = superop(channel, basis), oracle(channel, basis)
+    got, want = superop(channel, basis), superop_columns(channel, basis)
     assert got.matrix.dtype == np.float64
     assert want.matrix.dtype == np.complex128
     bound = 1e-12 * max(1.0, float(np.max(np.abs(want.matrix))))
@@ -133,7 +114,7 @@ def test_qutrit_superoperators_and_frames_stay_complex(n):
         assert M.matrix.dtype == np.complex128
         decomp = decompose(M, basis)
         assert decomp.frame.dtype == np.complex128
-        assert all(b.matrix.dtype == np.complex128 for b in decomp.blocks)
+        assert all(B.dtype == np.complex128 for B in decomp.blocks.values())
 
 
 def test_superoperator_matrix_keeps_complex_input_complex(letters_2_2):
@@ -245,7 +226,7 @@ def probe_reference(decomp, trials=5, seed=0):
             v = np.zeros(basis.dim, dtype=np.complex128)
             v[sl] = C.reshape(-1)
             predicted = np.zeros_like(v)
-            predicted[sl] = (C @ decomp.block(shape, 0).matrix.T).reshape(-1)
+            predicted[sl] = (C @ decomp.blocks[shape, 0].T).reshape(-1)
             worst = max(worst, float(np.max(np.abs(S @ v - predicted))))
     return worst
 
@@ -266,11 +247,10 @@ def test_real_path_matches_complex_reference(name, n, bases_3_to_5):
 
     dr, dc = decompose(real, basis), decompose(cplx, basis)
     assert dr.frame.dtype == np.float64 and dc.frame.dtype == np.complex128
-    keys = [(b.shape, b.tableau_index) for b in dr.blocks]
-    assert keys == [(b.shape, b.tableau_index) for b in dc.blocks]
-    for br, bc in zip(dr.blocks, dc.blocks):
-        assert br.matrix.dtype == np.float64
-        assert_close(br.matrix, bc.matrix, scale)
+    assert list(dr.blocks) == list(dc.blocks)
+    for key, br in dr.blocks.items():
+        assert br.dtype == np.float64
+        assert_close(br, dc.blocks[key], scale)
     assert_close(dr.leakage, dc.leakage, scale)
     assert dr.twin_deviation.keys() == dc.twin_deviation.keys()
     for shape in dr.twin_deviation:
@@ -288,9 +268,10 @@ def test_real_path_matches_complex_reference(name, n, bases_3_to_5):
             er, ec = blockwise_exp(dr, t), blockwise_exp(dc, t)
             assert er.schur_matrix.dtype == np.float64
             assert ec.schur_matrix.dtype == np.complex128
-            for br, bc in zip(er.blocks, ec.blocks):
-                assert br.matrix.dtype == np.float64
-                assert_close(br.matrix, bc.matrix, max(1.0, float(np.max(np.abs(bc.matrix)))))
+            for key, br in er.blocks.items():
+                bc = ec.blocks[key]
+                assert br.dtype == np.float64
+                assert_close(br, bc, max(1.0, float(np.max(np.abs(bc)))))
 
 
 def test_cli_carries_float64_from_superoperator_to_exponentials(tmp_path, monkeypatch, capsys):
@@ -326,10 +307,10 @@ def test_cli_carries_float64_from_superoperator_to_exponentials(tmp_path, monkey
     assert len(seen["decompose"]) == 3
     for decomp in seen["decompose"]:
         assert decomp.frame.dtype == np.float64
-        assert all(b.matrix.dtype == np.float64 for b in decomp.blocks)
+        assert all(B.dtype == np.float64 for B in decomp.blocks.values())
     assert len(seen["blockwise_exp"]) == 2
     for evolved in seen["blockwise_exp"]:
-        assert all(b.matrix.dtype == np.float64 for b in evolved.blocks)
+        assert all(E.dtype == np.float64 for E in evolved.blocks.values())
         assert evolved.schur_matrix.dtype == np.float64
     # the --verify-dense cross-check is a real dense expm
     dense = [E for E in seen["expm"] if E.shape == (64, 64)]

@@ -27,15 +27,12 @@ from superschur import channels
 from superschur.channels import EXAMPLE_CHANNELS
 from superschur.liouville import vectorize
 
-from superop_oracle import kraus_superop_columns, lindblad_superop_columns
+from dispatch import superop, superop_columns
 from vectorize_oracle import hadamard_pauli_basis, rotated_pauli_basis
 
 
 def assert_matches_oracle(channel, basis):
-    if isinstance(channel, KrausChannel):
-        got, want = kraus_superop(channel, basis), kraus_superop_columns(channel, basis)
-    else:
-        got, want = lindblad_superop(channel, basis), lindblad_superop_columns(channel, basis)
+    got, want = superop(channel, basis), superop_columns(channel, basis)
     assert got.kind == want.kind
     scale = max(1.0, float(np.max(np.abs(want.matrix))))
     assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12 * scale
@@ -144,12 +141,6 @@ def path_of(channel, monkeypatch):
         with pytest.raises(_PathChosen):
             superop(channel, operator_basis(channel.d, channel.n))
     return taken[0]
-
-
-def superop(channel, basis):
-    if isinstance(channel, KrausChannel):
-        return kraus_superop(channel, basis)
-    return lindblad_superop(channel, basis)
 
 
 def shift(d):
