@@ -50,7 +50,6 @@ from .combinatorics import (
     weyl_dimension,
 )
 from .errors import (
-    BasisLayoutError,
     BlockStructureError,
     ChannelInvariantError,
     ChannelSpecError,
@@ -81,7 +80,6 @@ from .schur import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisLayoutError",
     "BlockDecomposition",
     "BlockStructureError",
     "ChannelInvariantError",

@@ -45,7 +45,7 @@ class BlockDecomposition:
     """A superoperator matrix split along the adapted-basis sectors.
 
     ``blocks`` maps each (shape, tableau index), in frame order, to a
-    read-only array; on a shape whose twin deviation is below ``tol`` every
+    read-only array; on a shape whose twin deviation is at most ``tol`` every
     tableau maps to the one tableau-0 array, the ``B`` of ``B (x) I``.
     ``leakage`` is the largest entry outside all diagonal blocks and
     ``twin_deviation`` the largest difference between two blocks of the
@@ -142,9 +142,9 @@ def decompose(
     The full conjugated matrix is retained, so leakage and twin deviation
     report honestly even for maps with no symmetry at all.  Both are read
     from views of the frame matrix itself, leakage row slab by row slab.
-    A shape whose twin deviation is below ``tol`` keeps one copy of its
+    A shape whose twin deviation is at most ``tol`` keeps one copy of its
     tableau-0 block for all its twins, which replaces each twin by one
-    that differs from it by less than ``tol`` entrywise, an error of the
+    that differs from it by at most ``tol`` entrywise, an error of the
     size already accepted in the off-block entries; any other shape (twins
     that differ by more, or by NaN) keeps one copy per twin.
     """
@@ -162,7 +162,7 @@ def decompose(
                     off_block.append(np.max(np.abs(side)))
         twins = [S[sl, sl] for sl in slices]
         twin_deviation[shape] = _twin_deviation(twins)
-        shared = twin_deviation[shape] < tol
+        shared = twin_deviation[shape] <= tol
         for y, B in enumerate(twins):
             blocks[shape, y] = blocks[shape, 0] if shared and y else B.copy()
     _read_only(*blocks.values())
@@ -200,7 +200,7 @@ def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> 
     """Flag the sectors that carry a decoherence-free subsystem.
 
     A shape is flagged when its protected dimension is at least two and
-    the measured leakage and twin deviation sit below the decomposition
+    the measured leakage and twin deviation are at most the decomposition
     tolerance; the certificate is reported alongside for context.
     """
     sectors = []
@@ -209,8 +209,8 @@ def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> 
         noisy = decomp.basis.multiplicity(shape)
         flagged = (
             protected >= 2
-            and decomp.leakage < decomp.tol
-            and decomp.twin_deviation[shape] < decomp.tol
+            and decomp.leakage <= decomp.tol
+            and decomp.twin_deviation[shape] <= decomp.tol
         )
         sectors.append(DfsSector(shape, protected, noisy, flagged))
     return DfsReport(classification=certificate.classification, sectors=sectors)
@@ -219,7 +219,7 @@ def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> 
 def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
     """Exponentiate a generator block by block: exp(t * block) per sector.
 
-    Requires a generator whose leakage is below the decomposition
+    Requires a generator whose leakage is at most the decomposition
     tolerance; the result is a channel-kind decomposition that keeps only
     the exponentiated blocks (its ``schur_matrix`` is their direct sum,
     built when read).

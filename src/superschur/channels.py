@@ -68,6 +68,14 @@ HERMITICITY_TOL = 1e-12
 TRACELESS_TOL = 1e-10
 STRONG_TOL = 1e-10
 WEAK_TOL = 1e-8
+# the tolerance that judges each certificate residual; a residual passes
+# when it is <= its tolerance, so a NaN fails
+RESIDUAL_TOLS = {
+    "strong_commutator": STRONG_TOL,
+    "expansion_residual": WEAK_TOL,
+    "unitarity": WEAK_TOL,
+    "hamiltonian_invariance": STRONG_TOL,
+}
 _NEGLIGIBLE_NORM_SQ = 1e-14
 # largest imaginary part the real (Hermitian-letter) kernel may drop, as a
 # share of max|M|; measured roundoff stays below 2e-16
@@ -342,6 +350,10 @@ def _generator_symmetry(
     return unitaries, commutator, expansion, unitarity
 
 
+def _within(residuals: dict, *names: str) -> bool:
+    return all(residuals[name] <= RESIDUAL_TOLS[name] for name in names)
+
+
 def _operator_certificate(
     ops: tuple[QuditOperator, ...], d: int, n: int, residuals: dict
 ) -> SymmetryCertificate:
@@ -352,9 +364,9 @@ def _operator_certificate(
     residuals.update(
         strong_commutator=comm, expansion_residual=expansion, unitarity=unitarity
     )
-    if comm < STRONG_TOL:
+    if _within(residuals, "strong_commutator"):
         classification = "strong"
-    elif expansion < WEAK_TOL and unitarity < WEAK_TOL:
+    elif _within(residuals, "expansion_residual", "unitarity"):
         classification = "weak"
     else:
         classification = "none"
@@ -381,7 +393,7 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     cert = _operator_certificate(
         lind.jump_ops, lind.d, lind.n, {"hamiltonian_invariance": ham_dev}
     )
-    if ham_dev >= STRONG_TOL:
+    if not _within(cert.residuals, "hamiltonian_invariance"):
         return SymmetryCertificate("none", cert.generator_unitaries, cert.residuals)
     return cert
 

@@ -29,9 +29,8 @@ from .blockdiag import (
     protection_check,
 )
 from .channels import (
-    STRONG_TOL,
-    WEAK_TOL,
     CLOSURE_TOL,
+    RESIDUAL_TOLS,
     KrausChannel,
     Lindbladian,
     channel_from_dict,
@@ -50,7 +49,6 @@ from .combinatorics import (
     weyl_dimension,
 )
 from .errors import (
-    BasisLayoutError,
     BlockStructureError,
     ChannelInvariantError,
     ChannelSpecError,
@@ -59,8 +57,7 @@ from .errors import (
     SizeGuardError,
 )
 from .liouville import check_liouville_dim, operator_basis
-from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, super_schur_basis
-from .schur import _check_label_layout
+from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, column_labels, super_schur_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,6 +237,13 @@ def _parse_string_label(text: str, base: int, n: int) -> int:
 AMPLITUDE_CUTOFF = 1e-14
 
 
+def _label_line(lab: ColumnLabel) -> str:
+    """The label record of one column, as the basis file holds it."""
+    lam = ",".join(str(p) for p in lab.shape.parts)
+    wt = ",".join(str(c) for c in lab.weight)
+    return f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}"
+
+
 def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     """Serialize the basis: a header, then per column a label record
     followed by its nonzero amplitudes (one letter string per line), read
@@ -254,9 +258,7 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"d={basis.d} n={n} columns={len(basis.labels)}\n")
         for j, lab in enumerate(basis.labels):
-            lam = ",".join(str(p) for p in lab.shape.parts)
-            wt = ",".join(str(c) for c in lab.weight)
-            fh.write(f"lambda={lam} Y={lab.tableau_index} weight={wt} w_index={lab.weight_index}\n")
+            fh.write(_label_line(lab) + "\n")
             rows, values = amplitudes[j]
             for row, amp in zip(rows.tolist(), values.tolist()):
                 fh.write(f"{names[row]} {amp!r} 0.0\n")
@@ -278,21 +280,19 @@ def _key_values(line: str, required: tuple[str, ...]) -> dict[str, str]:
 
 def read_basis_file(path: str) -> SuperSchurBasis:
     """Inverse of :func:`write_basis_file` (amplitudes below the write
-    cutoff come back as zeros).  The basis is real, like a built one.
+    cutoff come back as zeros).  The basis is real, like a built one, and
+    its labels are ``column_labels(d, n)``: the layout is not read from the
+    file but checked against it.
 
     Each refusal raises ValueError naming the file and the line at fault: a
     header without d=, n= and columns=, or with d < 2, n < 1 or columns
-    other than (d*d)**n; a malformed label or amplitude line; a nonzero
-    imaginary amplitude; labels whose classes do not tile the space; a
-    nonzero or NaN amplitude outside its label's weight= class; and labels
-    that break the layout ``write_basis_file`` emits: a
-    ``lambda=`` that is not a partition of n with at most d*d rows, a
-    ``Y=`` outside ``[0, syt_dimension(shape))``, a shape whose labels are
-    not contiguous, tableau indices of one shape with unequal counts, or a
-    ``w_index=`` that does not count up from 0 within its (shape, Y,
-    weight).  The size guard applies before anything is allocated.  A
-    file whose columns are not orthonormal to ``UNITARITY_TOL`` is refused
-    with the measured deviation.  No dim x dim array is built.
+    other than (d*d)**n; a label line that is not the exporter's label for
+    that column; a malformed amplitude line; a nonzero imaginary amplitude;
+    and a nonzero or NaN amplitude outside its column's content class.  The
+    size guard applies to the header's d and n before anything is
+    allocated.  A file whose columns are not orthonormal to
+    ``UNITARITY_TOL`` is refused with the measured deviation.  No dim x dim
+    array is built.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -303,39 +303,36 @@ def read_basis_file(path: str) -> SuperSchurBasis:
             d, n, columns = int(header["d"]), int(header["n"]), int(header["columns"])
             if d < 2 or n < 1:
                 raise ValueError(f"need d >= 2 and n >= 1, got d={d} n={n}")
-            if columns != (d * d) ** n:
-                raise ValueError(f"columns={columns}, but (d*d)**n = {(d * d) ** n}")
+            dim = check_liouville_dim(d, n)
+            if columns != dim:
+                raise ValueError(f"columns={columns}, but (d*d)**n = {dim}")
         except ValueError as exc:
             raise ValueError(f"{path}:1: {exc}") from None
-        dim = check_liouville_dim(d, n)
         lines = [line.rstrip("\n") for line in fh]
     q = d * d
+    labels = column_labels(d, n)
     # canonical strings by table; other text (such as "01" at d = 4) parses
     string_rows = {text: row for row, text in enumerate(_string_labels(q, n))}
-    labels: list[ColumnLabel] = []
-    label_lines: list[int] = []
     rows: list[int] = []
     values: list[float] = []
     value_lines: list[int] = []
     cols: list[int] = []
-    seen: set[int] = set()  # rows already given for the current column
+    column = -1  # the column the amplitude lines belong to
+    seen: set[int] = set()  # rows already given for that column
     for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         try:
             if line.startswith("lambda="):
-                if len(labels) == columns:
-                    raise ValueError(f"more lambda= labels than the header's columns={columns}")
-                fields = _key_values(line, ("lambda", "Y", "weight", "w_index"))
-                shape = Partition(tuple(int(x) for x in fields["lambda"].split(",")))
-                weight = tuple(int(x) for x in fields["weight"].split(","))
-                labels.append(
-                    ColumnLabel(shape, int(fields["Y"]), weight, int(fields["w_index"]))
-                )
-                label_lines.append(lineno)
+                column += 1
+                if column == dim:
+                    raise ValueError(f"more lambda= labels than the header's columns={dim}")
+                expected = _label_line(labels[column])
+                if line != expected:
+                    raise ValueError(f"label '{line}' where the layout has '{expected}'")
                 seen.clear()
                 continue
-            if not labels:
+            if column < 0:
                 raise ValueError("amplitude line before the first lambda= label")
             parts = line.split()
             if len(parts) != 3:
@@ -347,7 +344,7 @@ def read_basis_file(path: str) -> SuperSchurBasis:
             if row is None:
                 row = _parse_string_label(string, q, n)
             if row in seen:
-                raise ValueError(f"repeated amplitude for {string} in column {len(labels) - 1}")
+                raise ValueError(f"repeated amplitude for {string} in column {column}")
             seen.add(row)
             value = float(re_text)
             if float(im_text) != 0.0:
@@ -355,27 +352,21 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         rows.append(row)
-        cols.append(len(labels) - 1)
+        cols.append(column)
         values.append(value)
         value_lines.append(lineno)
-    if len(labels) != columns:
-        raise ValueError(f"{path}: header says {columns} columns, found {len(labels)}")
+    if column + 1 != dim:
+        raise ValueError(f"{path}: header says {dim} columns, found {column + 1}")
     strings = letter_strings_by_weight(q, n)
     members: dict[tuple[int, ...], list[int]] = {}  # content -> its columns
     for j, lab in enumerate(labels):
         members.setdefault(lab.weight, []).append(j)
-    # each content labels one column per letter string (with dim labels in
-    # all, that leaves none unlabelled); entry (row, col) of a class block
-    # sits at row_start[row] + col_pos[col] of one flat array of all blocks
+    # entry (row, col) of a class block sits at row_start[row] + col_pos[col]
+    # of one flat array of all blocks
     row_class, row_start, col_class, col_pos = np.empty((4, dim), np.intp)
     filled = 0
     for c, (w, js) in enumerate(members.items()):
-        size = len(strings.get(w, ()))
-        if len(js) != size:
-            raise ValueError(
-                f"{path}:{label_lines[js[0]]}: classes do not tile the space: "
-                f"content {w} has {size} letter strings but labels {len(js)} columns"
-            )
+        size = len(js)
         row_class[strings[w]], row_start[strings[w]] = c, filled + size * np.arange(size)
         col_class[js], col_pos[js] = c, np.arange(size)
         filled += size * size
@@ -388,10 +379,6 @@ def read_basis_file(path: str) -> SuperSchurBasis:
             f"{path}:{value_lines[k]}: column {col}: amplitude at row {rows[k]} lies "
             f"outside its content class {labels[col].weight}"
         )
-    try:
-        _check_label_layout(d, n, labels)
-    except BasisLayoutError as exc:
-        raise ValueError(f"{path}:{label_lines[exc.column]}: {exc}") from None
     flat = np.zeros(filled)
     flat[row_start[rows[inside]] + col_pos[cols[inside]]] = values[inside]
     blocks = np.split(flat, np.cumsum([len(js) ** 2 for js in members.values()])[:-1])
@@ -399,7 +386,7 @@ def read_basis_file(path: str) -> SuperSchurBasis:
         (np.asarray(strings[w]), np.asarray(js), B.reshape(len(js), len(js)))
         for (w, js), B in zip(members.items(), blocks)
     ]
-    basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
+    basis = SuperSchurBasis(d=d, n=n, classes=classes)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise ValueError(
@@ -478,16 +465,10 @@ def _pipeline(channel, tol: float):
 
 
 def _certificate_payload(cert) -> dict:
-    tols = {
-        "strong_commutator": STRONG_TOL,
-        "expansion_residual": WEAK_TOL,
-        "unitarity": WEAK_TOL,
-        "hamiltonian_invariance": STRONG_TOL,
-    }
     return {
         "classification": cert.classification,
         "residuals": {
-            name: _measured(value, tols[name]) for name, value in cert.residuals.items()
+            name: _measured(value, RESIDUAL_TOLS[name]) for name, value in cert.residuals.items()
         },
     }
 
@@ -505,9 +486,8 @@ def cmd_analyze(args) -> int:
     print(f"input: {echo['kind']} channel, d={echo['d']}, n={echo['n']}, "
           f"{echo['operator_count']} operators, {source} ({args.channel_file})")
     print(f"classification: {cert.classification}")
-    tols = _certificate_payload(cert)["residuals"]
     for name in sorted(cert.residuals):
-        print(f"  {name:<24} {cert.residuals[name]:.3e}  (tol {tols[name]['tol']:.1e})")
+        print(f"  {name:<24} {cert.residuals[name]:.3e}  (tol {RESIDUAL_TOLS[name]:.1e})")
     if isinstance(channel, KrausChannel):
         print(f"closure deviation: {channel.closure_deviation:.3e} (tol {CLOSURE_TOL:.1e})")
     print(f"leakage outside blocks: {decomp.leakage:.3e} (tol {args.tol:.1e})")

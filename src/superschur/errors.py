@@ -22,18 +22,6 @@ class ChannelInvariantError(SuperSchurError):
     orthogonality, hermiticity, ...)."""
 
 
-class BasisLayoutError(SuperSchurError, ValueError):
-    """Column labels break the layout of a built adapted basis: each shape
-    a partition of n with at most d*d rows and its labels contiguous,
-    tableau indices in range, at most ``weyl_dimension(shape, d*d)``
-    columns per tableau index, and ``weight_index`` counting up from 0.
-    ``column`` is the index of the first label at fault."""
-
-    def __init__(self, message: str, column: int):
-        super().__init__(message)
-        self.column = column
-
-
 class BlockStructureError(SuperSchurError):
     """A matrix does not have the block structure an operation requires."""
 

@@ -61,14 +61,17 @@ def max_liouville_dim() -> int:
 
 
 def check_liouville_dim(d: int, n: int) -> int:
-    dim = (d * d) ** n
-    limit = max_liouville_dim()
-    if dim > limit:
+    """(d*d)**n, or SizeGuardError when it exceeds the limit.  For d >= 2
+    the power exceeds every limit of fewer than n bits, so it is formed
+    only when it is small enough to compare, and the message names it as
+    a power (its digits can run past Python's int-to-text limit)."""
+    q, limit = d * d, max_liouville_dim()
+    if (q > 1 and n > limit.bit_length()) or q**n > limit:
         raise SizeGuardError(
-            f"Liouville dimension {dim} for d={d}, n={n} exceeds the limit "
+            f"Liouville dimension {q}**{n} for d={d}, n={n} exceeds the limit "
             f"{limit}; raise {_MAX_DIM_ENV} to proceed"
         )
-    return dim
+    return q**n
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ pattern D x I (irrep matrix times identity on the multiplicity space).
 The basis is stored as one real square block per class, and unitarity is
 checked one class at a time.
 
+The column layout follows from Schur-Weyl duality alone: a column is a
+shape, a standard tableau and a multiplicity label (a letter content and
+an index within it), so :func:`column_labels` gives the labels of every
+basis of a given (d, n), built or loaded.
+
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis
 depends on the symmetry alone, never on a channel.  The size guard still
@@ -25,7 +30,6 @@ runs on every call.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,7 +46,7 @@ from .combinatorics import (
     weight_vectors,
     weyl_dimension,
 )
-from .errors import BasisLayoutError, InternalConsistencyError, SizeGuardError
+from .errors import InternalConsistencyError, SizeGuardError
 from .liouville import _read_only, check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
@@ -149,61 +153,45 @@ class ColumnLabel:
     weight_index: int
 
 
-def _check_label_layout(d: int, n: int, labels: list[ColumnLabel]) -> None:
-    """Raise :class:`BasisLayoutError` at the first label that breaks the
-    layout of a built basis: its shape must be a partition of n with at
-    most d*d rows, its tableau index lie in ``[0, syt_dimension(shape))``,
-    the labels of each shape be contiguous, no tableau index label more
-    than ``weyl_dimension(shape, d*d)`` columns, and ``weight_index`` count
-    up from 0 within each (shape, tableau index, weight).  With one label
-    per column in all, the bound makes every tableau index of a shape
-    label the same number of columns."""
+@functools.cache
+def column_labels(d: int, n: int) -> tuple[ColumnLabel, ...]:
+    """The label of every basis column, in frame order: shapes largest
+    first, then tableau index, then letter-content class ordered by its
+    first string, then index within the class.  The layout is fixed by
+    (d, n) alone; callers run the size guard first."""
     q = d * d
-    finished: set[Partition] = set()
-    columns: dict[tuple, int] = {}  # per (shape, Y)
-    next_index: dict[tuple, int] = {}  # per (shape, Y, weight)
-    current = None
-    for j, lab in enumerate(labels):
-        shape, y = lab.shape, lab.tableau_index
-        if shape != current:
-            if shape.n != n or shape.rows > q:
-                raise BasisLayoutError(
-                    f"lambda={shape} is not a partition of n={n} with at most {q} rows",
-                    column=j,
-                )
-            if shape in finished:
-                raise BasisLayoutError(f"the columns of shape {shape} are not contiguous", column=j)
-            if current is not None:
-                finished.add(current)
-            current = shape
-            syt, mult = syt_dimension(shape), weyl_dimension(shape, q)
-        if not 0 <= y < syt:
-            raise BasisLayoutError(f"Y={y} outside [0, {syt}) for shape {shape}", column=j)
-        key = (shape, y)
-        columns[key] = columns.get(key, 0) + 1
-        if columns[key] > mult:
-            raise BasisLayoutError(
-                f"shape {shape} labels more than {mult} columns with Y={y}; every "
-                f"tableau index labels weyl_dimension(shape, {q}) = {mult}",
-                column=j,
+    strings = letter_strings_by_weight(q, n)
+    order = sorted(strings, key=lambda w: strings[w][0])
+    labels = []
+    for shape in partitions(n, min(n, q)):
+        kostka = {w.counts: k for w, k in weight_vectors(shape, q)}
+        for y in range(syt_dimension(shape)):
+            labels.extend(
+                ColumnLabel(shape, y, content, j)
+                for content in order
+                for j in range(kostka.get(content, 0))
             )
-        key = (shape, y, lab.weight)
-        expected = next_index.get(key, 0)
-        if lab.weight_index != expected:
-            raise BasisLayoutError(
-                f"w_index={lab.weight_index} where {expected} comes next for shape "
-                f"{shape}, Y={y} and weight {','.join(map(str, lab.weight))}",
-                column=j,
-            )
-        next_index[key] = expected + 1
+    return tuple(labels)
+
+
+def _sector_table(d: int, n: int) -> dict[Partition, tuple[int, int, int]]:
+    """Shape -> (first column, tableau count, multiplicity), in frame order."""
+    q = d * d
+    sectors, start = {}, 0
+    for shape in partitions(n, min(n, q)):
+        syt, mult = syt_dimension(shape), weyl_dimension(shape, q)
+        sectors[shape] = (start, syt, mult)
+        start += syt * mult
+    return sectors
 
 
 @dataclass(frozen=True)
 class SuperSchurBasis:
     """Orthonormal letter-string basis adapted to site permutations.
 
-    Columns are grouped by shape (largest first), then tableau index, then
-    letter content in lexicographic order.  In this frame every site
+    The column layout depends on (d, n) alone: ``labels`` is
+    ``column_labels(d, n)``, columns grouped by shape (largest first), then
+    tableau index, then letter content.  In this frame every site
     permutation acts as a direct sum over shapes of D(pi) x I.
 
     Every column lives on the strings of its label's letter content, so
@@ -217,21 +205,13 @@ class SuperSchurBasis:
     d: int
     n: int
     classes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    labels: tuple[ColumnLabel, ...]
+    labels: tuple[ColumnLabel, ...] = field(init=False)
     _sectors: MappingProxyType = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        sectors, start = {}, 0
-        for shape, group in itertools.groupby(self.labels, key=lambda lab: lab.shape):
-            tableaux = [lab.tableau_index for lab in group]
-            syt = max(tableaux) + 1
-            if len(tableaux) % syt:
-                raise InternalConsistencyError(f"ragged sector for shape {shape}")
-            sectors[shape] = (start, syt, len(tableaux) // syt)
-            start += len(tableaux)
-        object.__setattr__(self, "_sectors", MappingProxyType(sectors))
+        object.__setattr__(self, "labels", column_labels(self.d, self.n))
+        object.__setattr__(self, "_sectors", MappingProxyType(_sector_table(self.d, self.n)))
 
     @property
     def dim(self) -> int:
@@ -336,16 +316,12 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
 @functools.cache
 def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     q = d * d
-    shapes = partitions(n, min(n, q))
+    sectors = _sector_table(d, n)
+    shapes = list(sectors)
     kostka = {s: {w.counts: k for w, k in weight_vectors(s, q)} for s in shapes}
-    mult = {s: weyl_dimension(s, q) for s in shapes}
     walks = {s: _tableau_walk(s) for s in shapes}
     # contents of the reference tableau's entries 2..n (row reading order)
     contents = {s: tuple(c - r for r, c in s.cells())[1:] for s in shapes}
-    starts, column = {}, 0  # first column of each shape's sector
-    for s in shapes:
-        starts[s] = column
-        column += syt_dimension(s) * mult[s]
     transpositions = {
         (j, k): string_index_map(_transposition(n, j, k), q, n)
         for k in range(n)
@@ -386,25 +362,19 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
             for source, i, target, r in walks[shape]:
                 B = blocks[source]
                 blocks[target] = (B[swaps[i - 1, i]] - B / r) / math.sqrt(1.0 - 1.0 / r**2)
+            start, _, mult = sectors[shape]
             for y, B in enumerate(blocks):
-                first = starts[shape] + y * mult[shape] + offset[shape]
+                first = start + y * mult + offset[shape]
                 cols.extend(range(first, first + expected))
                 parts.append(B)
             offset[shape] += expected
         classes.append(_read_only(rows, np.asarray(cols), np.hstack(parts)))
-    for shape in shapes:
-        if offset[shape] != mult[shape]:
+    for shape, (_, _, mult) in sectors.items():
+        if offset[shape] != mult:
             raise InternalConsistencyError(
-                f"shape {shape}: found {offset[shape]} columns, expected {mult[shape]}"
+                f"shape {shape}: found {offset[shape]} columns, expected {mult}"
             )
-    labels = [
-        ColumnLabel(shape, y, content, j)
-        for shape in shapes
-        for y in range(syt_dimension(shape))
-        for content in order
-        for j in range(kostka[shape].get(content, 0))
-    ]
-    basis = SuperSchurBasis(d=d, n=n, classes=classes, labels=labels)
+    basis = SuperSchurBasis(d=d, n=n, classes=classes)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise InternalConsistencyError(f"basis not unitary: deviation {dev:.3e}")

@@ -22,7 +22,13 @@ from superschur.combinatorics import (
 )
 from superschur.liouville import check_liouville_dim
 from superschur.permutations import all_permutations, inverse, string_index_map
-from superschur.schur import SIGN_TOL, ColumnLabel, SuperSchurBasis, irrep_matrices
+from superschur.schur import (
+    SIGN_TOL,
+    ColumnLabel,
+    SuperSchurBasis,
+    column_labels,
+    irrep_matrices,
+)
 
 RANK_TOL = 1e-8
 
@@ -89,6 +95,8 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
             labels.extend(ColumnLabel(shape, y, content, j) for content, j in col_meta)
     U = np.hstack(blocks)
     assert dense_unitarity_deviation(U) < 1e-10
+    # the layout built here, independently of the production labels
+    assert tuple(labels) == column_labels(d, n)
     members: dict[tuple[int, ...], list[int]] = {}
     for j, lab in enumerate(labels):
         members.setdefault(lab.weight, []).append(j)
@@ -96,4 +104,4 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
         (np.asarray(classes[w]), np.asarray(js), U[np.ix_(classes[w], js)])
         for w, js in members.items()
     ]
-    return SuperSchurBasis(d, n, class_blocks, labels)
+    return SuperSchurBasis(d, n, class_blocks)

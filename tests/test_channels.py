@@ -11,6 +11,7 @@ from superschur import (
     KrausChannel,
     Lindbladian,
     QuditOperator,
+    channels,
     classify_kraus_symmetry,
     classify_lindblad_symmetry,
     example_channel,
@@ -384,6 +385,23 @@ def test_weak_families_are_not_strong():
     for name in ("single_site_damping", "independent_damping", "single_jump", "double_jump"):
         cert = certificate(example_channel(name, n=3))
         assert cert.residuals["strong_commutator"] > 1e-3
+
+
+def test_a_residual_equal_to_its_tolerance_passes(monkeypatch):
+    # RESIDUAL_TOLS is the one table the classification reads: set one
+    # tolerance to the measured residual, and that residual passes
+    z_on_site_0 = QuditOperator(2, 2, np.kron(np.diag([1.0, -1.0]), np.eye(2)))
+    cases = [
+        (example_channel("single_jump", n=3), "strong_commutator", "weak"),
+        (Lindbladian(2, 2, z_on_site_0, ()), "hamiltonian_invariance", "none"),
+    ]
+    for lind, residual, before in cases:
+        cert = classify_lindblad_symmetry(lind)
+        assert cert.classification == before and cert.residuals[residual] > 0
+        tols = {**channels.RESIDUAL_TOLS, residual: cert.residuals[residual]}
+        with monkeypatch.context() as m:
+            m.setattr(channels, "RESIDUAL_TOLS", tols)
+            assert classify_lindblad_symmetry(lind).classification == "strong"
 
 
 # ---------------------------------------------------------------------------

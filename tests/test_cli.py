@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -6,7 +5,6 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +13,7 @@ import pytest
 from superschur import SizeGuardError, channels, cli, example_channel, super_schur_basis
 from superschur.cli import main, read_basis_file, write_basis_file
 from superschur.combinatorics import letter_strings_by_weight
-from superschur.schur import SuperSchurBasis
+from superschur.schur import SuperSchurBasis, column_labels
 
 
 def write_doc(path, doc):
@@ -217,7 +215,10 @@ LOADER_REFUSALS = {
     "d_below_2": (0, "d=1 n=1 columns=1", 1, "need d >= 2 and n >= 1, got d=1 n=1"),
     "n_below_1": (0, "d=2 n=0 columns=1", 1, "need d >= 2 and n >= 1, got d=2 n=0"),
     "columns_not_liouville_dim": (0, "d=2 n=1 columns=3", 1, "columns=3, but (d*d)**n = 4"),
-    "label_without_Y": (1, "lambda=1 weight=1,0,0,0 w_index=0", 2, "missing Y="),
+    "label_without_Y": (
+        1, "lambda=1 weight=1,0,0,0 w_index=0", 2,
+        "label 'lambda=1 weight=1,0,0,0 w_index=0' where the layout has "
+        "'lambda=1 Y=0 weight=1,0,0,0 w_index=0'"),
     "letter_string_a": (2, "a 1.0 0.0", 3, "invalid literal for int()"),
     "amplitude_x": (2, "0 x 0.0", 3, "could not convert string to float: 'x'"),
     "imaginary_amplitude": (2, "0 1.0 1e-300", 3, "nonzero imaginary amplitude 1e-300 for 0"),
@@ -232,7 +233,8 @@ LOADER_REFUSALS = {
         "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
     "three_entry_weight": (
         1, "lambda=1 Y=0 weight=1,0,0 w_index=0", 2,
-        "classes do not tile the space: content (1, 0, 0) has 0 letter strings"),
+        "label 'lambda=1 Y=0 weight=1,0,0 w_index=0' where the layout has "
+        "'lambda=1 Y=0 weight=1,0,0,0 w_index=0'"),
 }
 
 
@@ -254,13 +256,7 @@ def test_basis_file_whose_classes_do_not_tile_is_refused(tmp_path, capsys):
     assert lines[1] == "lambda=1 Y=0 weight=1,0,0,0 w_index=0" and lines[2] == "0 1.0 0.0"
     lines[1] = "lambda=1 Y=0 weight=0,1,0,0 w_index=0"
     del lines[2]
-    path.write_text("\n".join(lines) + "\n")
-    message = (
-        f"{path}:2: classes do not tile the space: content (0, 1, 0, 0) "
-        "has 1 letter strings but labels 2 columns"
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_basis_file(str(path))
+    assert_label_refused(path, lines, 1, "lambda=1 Y=0 weight=1,0,0,0 w_index=0")
 
 
 def test_basis_file_with_one_label_fewer_than_columns_is_refused(tmp_path, capsys):
@@ -288,85 +284,104 @@ def assert_refused_at(path, lines, index, message):
         read_basis_file(str(path))
 
 
+def assert_label_refused(path, lines, index, expected):
+    # the loader names the first label line that is not the exporter's
+    message = f"label '{lines[index]}' where the layout has '{expected}'"
+    assert_refused_at(path, lines, index, message)
+
+
 @pytest.mark.parametrize("size", [1, 3])
 def test_basis_file_with_a_column_moved_to_another_class_is_refused(tmp_path, size):
     # one column of a class of this size moves, without its amplitudes, to
-    # another content; the line named is the first label of the first class,
-    # in label order, that no longer labels one column per letter string
+    # another content; the line named is that column's label
     path, lines = basis_file_lines(tmp_path, 2, 3)
     strings = letter_strings_by_weight(4, 3)
-    labels = list(super_schur_basis(2, 3).labels)
+    labels = super_schur_basis(2, 3).labels
     drop = next(j for j, lab in enumerate(labels) if len(strings[lab.weight]) == size)
     old, new = labels[drop].weight, next(w for w in strings if w != labels[drop].weight)
     at = label_line_numbers(lines)
-    lines[at[drop]] = lines[at[drop]].replace(
+    original = lines[at[drop]]
+    lines[at[drop]] = original.replace(
         f"weight={','.join(map(str, old))} ", f"weight={','.join(map(str, new))} "
     )
     del lines[at[drop] + 1 : at[drop + 1]]
-    labels[drop] = dataclasses.replace(labels[drop], weight=new)
-    counts = Counter(lab.weight for lab in labels)
-    first = next(j for j, lab in enumerate(labels) if counts[lab.weight] != len(strings[lab.weight]))
-    w = labels[first].weight
-    message = (
-        f"classes do not tile the space: content {w} has {len(strings[w])} letter strings "
-        f"but labels {counts[w]} columns"
-    )
-    assert_refused_at(path, lines, label_line_numbers(lines)[first], message)
+    assert_label_refused(path, lines, at[drop], original)
 
 
 def test_basis_label_with_tableau_index_out_of_range_is_refused(tmp_path):
     path, lines = basis_file_lines(tmp_path, 2, 2)
     assert lines[1] == "lambda=2 Y=0 weight=2,0,0,0 w_index=0"
     lines[1] = "lambda=2 Y=5 weight=2,0,0,0 w_index=0"
-    assert_refused_at(path, lines, 1, "Y=5 outside [0, 1) for shape {2}")
+    assert_label_refused(path, lines, 1, "lambda=2 Y=0 weight=2,0,0,0 w_index=0")
 
 
 def test_basis_label_whose_shape_is_not_a_partition_of_n_is_refused(tmp_path):
     path, lines = basis_file_lines(tmp_path, 2, 2)
+    original = lines[1]
     lines[1] = lines[1].replace("lambda=2 ", "lambda=2,1 ")
-    assert_refused_at(path, lines, 1, "lambda={2,1} is not a partition of n=2 with at most 4 rows")
+    assert_label_refused(path, lines, 1, original)
 
 
 def test_basis_label_whose_shape_has_too_many_rows_is_refused(tmp_path):
     # five rows: a partition of n = 5, but beyond the d*d = 4 letters
     path, lines = basis_file_lines(tmp_path, 2, 5)
     index = next(i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1,1,1 "))
+    original = lines[index]
     lines[index] = lines[index].replace("lambda=2,1,1,1 ", "lambda=1,1,1,1,1 ")
-    assert_refused_at(
-        path, lines, index, "lambda={1,1,1,1,1} is not a partition of n=5 with at most 4 rows"
-    )
+    assert_label_refused(path, lines, index, original)
 
 
 def test_basis_file_whose_shape_labels_are_split_is_refused(tmp_path):
-    # the first column of shape {2} (label and amplitude) moves to the end
+    # the first column of shape {2} (label and amplitude) moves to the end,
+    # so the first label line already differs
     path, lines = basis_file_lines(tmp_path, 2, 2)
     assert lines[1].startswith("lambda=2 ") and not lines[3].startswith("lambda=1,1")
+    original = lines[1]
     lines = lines[:1] + lines[3:] + lines[1:3]
-    assert_refused_at(path, lines, len(lines) - 2, "the columns of shape {2} are not contiguous")
+    assert_label_refused(path, lines, 1, original)
 
 
 def test_basis_file_with_unequal_tableau_counts_is_refused(tmp_path):
     # the last Y=0 column of shape {2,1} is relabelled Y=1, with every
     # w_index renumbered: Y=1 then labels 21 columns, one more than
-    # weyl_dimension({2,1}, 4) = 20
+    # weyl_dimension({2,1}, 4) = 20; the relabelled line is the first that
+    # differs from the exporter's
     path, lines = basis_file_lines(tmp_path, 2, 3)
     shape_lines = [i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1 ")]
     last_y0 = max(i for i in shape_lines if " Y=0 " in lines[i])
+    original = lines[last_y0]
     lines[last_y0] = lines[last_y0].replace(" Y=0 ", " Y=1 ")
     seen = {}
     for i in label_line_numbers(lines):
         key = lines[i].rsplit(" w_index=", 1)[0]
         lines[i] = f"{key} w_index={seen.get(key, 0)}"
         seen[key] = seen.get(key, 0) + 1
-    message = "shape {2,1} labels more than 20 columns with Y=1"
-    assert_refused_at(path, lines, shape_lines[-1], message)
+    assert_label_refused(path, lines, last_y0, original)
 
 
 def test_basis_label_whose_w_index_skips_is_refused(tmp_path):
     path, lines = basis_file_lines(tmp_path, 2, 2)
+    original = lines[1]
     lines[1] = lines[1].replace("w_index=0", "w_index=1")
-    message = "w_index=1 where 0 comes next for shape {2}, Y=0 and weight 2,0,0,0"
-    assert_refused_at(path, lines, 1, message)
+    assert_label_refused(path, lines, 1, original)
+
+
+def test_basis_file_with_two_content_groups_swapped_is_refused(tmp_path):
+    # two content groups of one tableau of {2,1} trade places, labels and
+    # amplitudes moving together: a valid layout in another order, which
+    # the exporter never writes
+    path, lines = basis_file_lines(tmp_path, 2, 3)
+    at = label_line_numbers(lines) + [len(lines)]
+    spans = {}  # weight -> (first line, stop line) of its {2,1}, Y=0 columns
+    for start, stop in zip(at, at[1:]):
+        if lines[start].startswith("lambda=2,1 Y=0 "):
+            weight = lines[start].split()[2]
+            spans[weight] = (spans.get(weight, (start,))[0], stop)
+    (a0, a1), (b0, b1) = list(spans.values())[:2]
+    assert a1 == b0
+    original = lines[a0]
+    lines = lines[:a0] + lines[b0:b1] + lines[a0:a1] + lines[b1:]
+    assert_label_refused(path, lines, a0, original)
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
@@ -379,7 +394,7 @@ def test_basis_files_are_written_and_read_without_the_dense_matrix(d, n, tmp_pat
     path = tmp_path / "basis.txt"
     write_basis_file(built, str(path))
     loaded = read_basis_file(str(path))
-    assert loaded.labels == built.labels
+    assert loaded.labels == built.labels == column_labels(d, n)
     for (rows, cols, B), (want_rows, want_cols, want) in zip(loaded.classes, built.classes):
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         # amplitudes below the write cutoff come back as zeros
@@ -610,7 +625,7 @@ def test_oversized_builder_file_exits_2_before_the_builder_runs(
     spec = builder_doc(tmp_path / "big.json", "single_jump", "lindblad", n=40)
     assert main([command, spec]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: Liouville dimension {4**40} for d=2, n=40 exceeds the limit"
+        "error: Liouville dimension 4**40 for d=2, n=40 exceeds the limit"
     )
 
 
@@ -622,8 +637,52 @@ def test_oversized_explicit_file_exits_2_before_any_operator_is_parsed(
     doc = {"d": 3, "n": 9, "kind": "kraus", "operators": operators}
     assert main(["analyze", write_doc(tmp_path / "big.json", doc)]) == 2
     assert capsys.readouterr().err.startswith(
-        f"error: Liouville dimension {9**9} for d=3, n=9 exceeds the limit"
+        "error: Liouville dimension 9**9 for d=3, n=9 exceeds the limit"
     )
+
+
+# 4**8000 has 4817 digits, past Python's limit for turning an int into text
+HUGE_GUARD_MESSAGE = "Liouville dimension 4**8000 for d=2, n=8000 exceeds the limit"
+
+
+def test_oversized_channel_file_past_the_int_text_limit_exits_2(tmp_path, capsys):
+    spec = builder_doc(tmp_path / "big.json", "single_jump", "lindblad", n=8000)
+    assert main(["analyze", spec]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {HUGE_GUARD_MESSAGE}")
+
+
+def test_schur_basis_past_the_int_text_limit_exits_2(tmp_path, capsys):
+    assert main(["schur-basis", "--d", "2", "--n", "8000", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {HUGE_GUARD_MESSAGE}")
+
+
+def test_basis_header_past_the_int_text_limit_meets_the_size_guard(tmp_path):
+    # the guard runs before the columns= comparison
+    path = tmp_path / "big.txt"
+    path.write_text("d=2 n=8000 columns=1\n")
+    with pytest.raises(SizeGuardError, match=re.escape(HUGE_GUARD_MESSAGE)):
+        read_basis_file(str(path))
+
+
+def test_a_leakage_equal_to_the_tolerance_passes_in_analyze_and_evolve(tmp_path, capsys):
+    # at these rates roundoff leaks about 1e-7 out of the blocks; with --tol
+    # set to the measured leakage, analyze flags the DFS as evolve accepts
+    # the blockwise exponential: a value passes when value <= tol
+    spec = builder_doc(
+        tmp_path / "cj.json", "collective_jump", "lindblad",
+        gamma3=1e8, gamma4=1e8, gamma5=1e8, h_x=1e8,
+    )
+    first = tmp_path / "first.json"
+    assert main(["analyze", spec, "--out", str(first)]) == 0
+    report = read_report(first)
+    leakage = report["leakage"]["value"]
+    assert 0 < max(s["twin_deviation"]["value"] for s in report["sectors"]) < leakage
+    at_tol = tmp_path / "at_tol.json"
+    assert main(["analyze", spec, "--tol", repr(leakage), "--out", str(at_tol)]) == 0
+    report = read_report(at_tol)
+    assert report["leakage"] == {"value": leakage, "tol": leakage}
+    assert [s["partition"] for s in report["sectors"] if s["flagged"]] == [[2, 1]]
+    assert main(["evolve", spec, "--tol", repr(leakage)]) == 0
 
 
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):

@@ -25,7 +25,7 @@ from superschur.permutations import (
     compose,
     string_index_map,
 )
-from superschur.schur import UNITARITY_TOL, SuperSchurBasis
+from superschur.schur import UNITARITY_TOL, SuperSchurBasis, column_labels
 
 from schur_oracle import dense_unitarity_deviation, factorial_basis
 
@@ -263,6 +263,17 @@ def test_basis_sector_bookkeeping(schur_2_3):
     ) == basis.dim == 64
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2)])
+def test_labels_are_the_column_layout_of_d_and_n(d, n):
+    basis = super_schur_basis(d, n)
+    assert basis.labels == column_labels(d, n)
+    assert len(basis.labels) == basis.dim
+    # the layout is no input: a basis is made from (d, n) and its classes
+    with pytest.raises(TypeError):
+        SuperSchurBasis(d, n, basis.classes, basis.labels)
+    assert SuperSchurBasis(d, n, basis.classes).labels == basis.labels
+
+
 def test_basis_columns_live_on_single_weight_classes(schur_2_3):
     basis = schur_2_3
     classes = letter_strings_by_weight(4, 3)
@@ -423,7 +434,7 @@ def perturbed(basis, row, col, value):
         if col in cols:
             B[list(rows).index(row), list(cols).index(col)] += value
         classes.append((rows, cols, B))
-    return SuperSchurBasis(basis.d, basis.n, classes, basis.labels)
+    return SuperSchurBasis(basis.d, basis.n, classes)
 
 
 @pytest.mark.parametrize("fixture", ["schur_2_2", "schur_2_3", "schur_2_4", "schur_3_2"])
