@@ -26,8 +26,7 @@ agree to roundoff.  Each scratch array is held to _CHUNK_BYTES (1 MB), so
 the stage never holds more than the output matrix, N and a few such arrays.
 Each image is vectorized by its own ``vectorize`` call, and the chunk's
 vectors are stacked, so the copy into the output and the imaginary-part
-bookkeeping below run once per chunk.  A letter basis that is not monomial
-is refused.
+bookkeeping below run once per chunk.
 
 With Hermitian letters (the Pauli strings, d = 2) every Kraus channel and
 every Lindbladian with a Hermitian H maps Hermitian letter strings to
@@ -446,10 +445,11 @@ def _letter_superop(
     A scratch array holds at most _CHUNK_BYTES, unless a single column needs
     more (over 16 sandwiches at n = 6 on the dense path).
 
-    With Hermitian letters the result is float64: each chunk keeps the real
-    part of its stack, and the largest imaginary part dropped must stay within
-    IMAGINARY_PART_TOL * max|M|, plus HERMITICITY_TOL when ``one_sided``
-    carries a Hamiltonian (see the module docstring).
+    With Hermitian letters (the plan's ``real``, d = 2) the result is
+    float64: each chunk keeps the real part of its stack, and the largest
+    imaginary part dropped must stay within IMAGINARY_PART_TOL * max|M|,
+    plus HERMITICITY_TOL when ``one_sided`` carries a Hamiltonian (see the
+    module docstring).
     """
     dim = basis.dim
     pairs = _liouville_pairs(sandwiched, one_sided, basis.d**basis.n)
@@ -458,7 +458,7 @@ def _letter_superop(
         images_of = _SparseImages(basis, pairs, sizes)
     else:
         images_of = _DenseImages(basis, sandwiched, one_sided)
-    real = all(np.array_equal(letter, letter.conj().T) for letter in basis.letters)
+    real = basis.vectorize_plan.real
     dropped = []  # per chunk: the largest imaginary part dropped
     out = np.empty((dim, dim), dtype=np.float64 if real else np.complex128)
     for b0 in range(0, dim, images_of.step):

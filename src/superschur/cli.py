@@ -419,7 +419,9 @@ def _load_channel(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ChannelSpecError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, and an int literal past
+        # Python's int-from-text limit
         raise ChannelSpecError(f"{path}: not valid JSON: {exc}") from None
     channel = channel_from_dict(doc)
     builder = doc.get("builder") if isinstance(doc, dict) else None

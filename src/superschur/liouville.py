@@ -7,20 +7,20 @@ vector in that basis, so superoperators become ordinary matrices acting on
 letter-string coordinates.
 
 Vectorization runs from a plan built once per basis, which is also the
-basis's one monomial table.  Every letter is monomial (one nonzero per
-row and column), and the d*d letters fall into d groups that share one
-permutation of the columns; the phases of group g are
-``diag(lambda_g) W`` with one d x d matrix W for every group (the +-1
-Hadamard matrix for the Paulis, the Fourier matrix for clock-shift
-letters).  The string with groups s and rows k then has its nonzero in
-row R at column ``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``; the
-superoperator kernel reads these through the plan's ``rows`` and
-``columns``.  Its coefficient of X is
+basis's one monomial table.  Both follow from one table per d that writes
+each letter as ``c X^j Z^k`` (:func:`single_site_letters`): every letter
+is monomial (one nonzero per row and column), the d*d letters fall into d
+groups that share one permutation of the columns (one per shift j), and
+the phases of the letters with clock power k are ``lambda W[k]`` with W
+the diagonals of the clock powers (the +-1 Hadamard matrix for the
+Paulis, the Fourier matrix for clock-shift letters).  The string with
+groups s and clock powers k then has its nonzero in row R at column
+``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``; the superoperator
+kernel reads these through the plan's ``rows`` and ``columns``.  Its
+coefficient of X is
 ``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
 gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
 with its Kronecker halves) and one gather with phases into letter order.
-A letter set without this structure is refused; :func:`operator_basis`
-always builds one that has it.
 
 :func:`operator_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call; the size guard
@@ -37,7 +37,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError, SizeGuardError
+from .errors import DimensionMismatchError, SizeGuardError
 
 DEFAULT_MAX_DIM = 4096
 _MAX_DIM_ENV = "SCHUR_DFS_MAX_DIM"
@@ -64,11 +64,12 @@ def check_liouville_dim(d: int, n: int) -> int:
     """(d*d)**n, or SizeGuardError when it exceeds the limit.  For d >= 2
     the power exceeds every limit of fewer than n bits, so it is formed
     only when it is small enough to compare, and the message names it as
-    a power (its digits can run past Python's int-to-text limit)."""
+    d**(2n): the digits of the power, or of d*d, can run past Python's
+    int-to-text limit, while d was itself read from text."""
     q, limit = d * d, max_liouville_dim()
     if (q > 1 and n > limit.bit_length()) or q**n > limit:
         raise SizeGuardError(
-            f"Liouville dimension {q}**{n} for d={d}, n={n} exceeds the limit "
+            f"Liouville dimension {d}**{2 * n} for d={d}, n={n} exceeds the limit "
             f"{limit}; raise {_MAX_DIM_ENV} to proceed"
         )
     return q**n
@@ -117,63 +118,79 @@ def hs_norm(a: QuditOperator) -> float:
     return float(np.sqrt(max(hs_inner(a, a).real, 0.0)))
 
 
-def pauli_letters() -> list[np.ndarray]:
-    """The four single-qubit letters I, X, Y, Z (indices 0..3)."""
-    return [
-        np.eye(2, dtype=np.complex128),
-        np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-        np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    ]
+def _letter_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The letters of one site as ``c_a X^j_a Z^k_a``: the shift powers j,
+    the clock powers k and the phases c, indexed by letter a.
 
-
-def weyl_letters(d: int) -> list[np.ndarray]:
-    """Clock-shift letters X^j Z^k for one qudit, index a = j*d + k.
-
-    Unitary, orthogonal under the normalized trace pairing, and letter 0
-    is the identity.
+    X shifts |m> to |m+1 mod d>.  At d = 2 the letters are I, X, Y = iXZ,
+    Z; above, letter a = j*d + k is X^j Z^k with phase 1.
     """
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=np.complex128)
-    for m in range(d):
-        shift[(m + 1) % d, m] = 1.0
-    clock = np.diag(omega ** np.arange(d))
-    letters = []
-    for j in range(d):
-        for k in range(d):
-            letters.append(np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k))
-    return letters
+    if d == 2:
+        return np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1]), np.array([1, 1, 1j, 1])
+    j, k = np.divmod(np.arange(d * d), d)
+    return j, k, np.ones(d * d, dtype=np.complex128)
+
+
+def _clock_powers(d: int) -> np.ndarray:
+    """W[k] = the diagonal of Z^k, for k < d.  The clock Z is Pauli Z
+    exactly at d = 2 (not exp(i pi)) and diag(omega**m) above, so W is
+    the +-1 Hadamard matrix for the Paulis and the Fourier matrix above."""
+    clock = np.array([1.0, -1.0]) if d == 2 else np.exp(2j * np.pi / d) ** np.arange(d)
+    # powers of the matrix, not of its entries: matrix_power's order of
+    # products fixes the last bit of each phase, and reports are compared
+    # byte for byte
+    Z = np.diag(clock.astype(np.complex128))
+    return np.array([np.diagonal(np.linalg.matrix_power(Z, k)) for k in range(d)])
 
 
 def single_site_letters(d: int) -> list[np.ndarray]:
-    """Orthonormal letter set for one site: Pauli for d=2, clock-shift above."""
+    """The d*d letters of one site, ``c_a X^j_a Z^k_a``: I, X, Y, Z for
+    d = 2 and the clock-shift letters X^j Z^k (index j*d + k) above.
+
+    Unitary, orthogonal under the normalized trace pairing, and letter 0
+    is the identity.  Each call returns new, writable arrays.
+    """
     if d < 2:
         raise DimensionMismatchError(f"local dimension must be >= 2, got {d}")
-    return pauli_letters() if d == 2 else weyl_letters(d)
+    shift, power, phase = _letter_table(d)
+    W = _clock_powers(d)
+    rows = np.arange(d)
+    letters = []
+    for j, k, c in zip(shift, power, phase):
+        letter = np.zeros((d, d), dtype=np.complex128)
+        cols = (rows - j) % d
+        letter[rows, cols] = c * W[k, cols]
+        letters.append(letter)
+    return letters
 
 
 @dataclass(frozen=True)
 class OperatorBasis:
     """Tensor-product letter basis of the operator space of n qudits.
 
-    Element a is the tensor product of single-site letters indexed by the
-    digits of the lexicographically ordered letter string ``labels[a]``;
-    element 0 is the identity.  The instance is frozen and ``letters`` and
-    ``labels`` are tuples, so a basis shared between callers cannot be
-    edited.  Its one monomial table, the vectorize plan, is filled in once,
-    on first use; :func:`vectorize` and the superoperator kernel both read
-    it.
+    Element a is the tensor product of the single-site letters
+    (:func:`single_site_letters`) indexed by the digits of the
+    lexicographically ordered letter string ``labels[a]``; element 0 is the
+    identity.  Everything is a function of (d, n): the letters, the labels
+    and the vectorize plan, the basis's one monomial table, which
+    :func:`vectorize` and the superoperator kernel both read, are built on
+    construction, after the size guard.  The instance is frozen, its
+    containers are tuples and its arrays read-only, so a basis shared
+    between callers cannot be edited.
     """
 
     d: int
     n: int
-    letters: tuple[np.ndarray, ...]
-    labels: tuple[tuple[int, ...], ...]
-    _plan: _VectorizePlan | None = field(default=None, repr=False)
+    letters: tuple[np.ndarray, ...] = field(init=False, compare=False)
+    labels: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    vectorize_plan: _VectorizePlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "labels", tuple(self.labels))
+        d, n = self.d, self.n
+        check_liouville_dim(d, n)
+        object.__setattr__(self, "letters", _read_only(*single_site_letters(d)))
+        object.__setattr__(self, "labels", tuple(itertools.product(range(d * d), repeat=n)))
+        object.__setattr__(self, "vectorize_plan", _VectorizePlan.build(d, n))
 
     @property
     def dim(self) -> int:
@@ -182,36 +199,19 @@ class OperatorBasis:
     def element_matrix(self, a: int) -> np.ndarray:
         return reduce(np.kron, (self.letters[i] for i in self.labels[a]))
 
-    @property
-    def vectorize_plan(self) -> _VectorizePlan:
-        """The monomial table of the letter strings and the
-        gather-and-transform plan :func:`vectorize` runs, built on first
-        use from the letters as they are then."""
-        if self._plan is None:
-            object.__setattr__(self, "_plan", _VectorizePlan.build(self))
-        return self._plan
-
 
 def operator_basis(d: int, n: int) -> OperatorBasis:
     """The Pauli (d = 2) or clock-shift letter basis of n qudits.
 
     Built once per (d, n) per process: every later call returns the same
-    object, whose letters and vectorize plan are read-only arrays.  The
-    size guard (SCHUR_DFS_MAX_DIM) is checked on every call, cache hits
-    included, and a build that raises is not kept.
+    object.  The size guard (SCHUR_DFS_MAX_DIM) is checked on every call,
+    cache hits included, and a build that raises is not kept.
     """
     check_liouville_dim(d, n)
     return _operator_basis(d, n)
 
 
-@functools.cache
-def _operator_basis(d: int, n: int) -> OperatorBasis:
-    letters = _read_only(*single_site_letters(d))
-    labels = itertools.product(range(d * d), repeat=n)
-    basis = OperatorBasis(d=d, n=n, letters=letters, labels=labels)
-    # built here so the shared object is never written after it is returned
-    basis.vectorize_plan
-    return basis
+_operator_basis = functools.cache(OperatorBasis)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -222,66 +222,24 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _monomial_letters(basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Column and value of the one nonzero in each row of every letter.
-
-    Returns ``(cols, phases)`` of shape ``(d*d, d)``: letter a has the entry
-    ``phases[a, r]`` at ``(r, cols[a, r])`` and zeros elsewhere.
-    Vectorization and the superoperator kernel rest on this structure, so
-    a letter with any other zero pattern is an error rather than a reason
-    for a dense path.
-    """
-    d = basis.d
-    cols = np.empty((len(basis.letters), d), dtype=np.intp)
-    phases = np.empty((len(basis.letters), d), dtype=np.complex128)
-    for a, letter in enumerate(basis.letters):
-        rows, c = np.nonzero(letter)
-        if not (np.array_equal(rows, np.arange(d)) and np.unique(c).size == d):
-            raise InternalConsistencyError(
-                f"letter {a} is not monomial (one nonzero per row and column); "
-                "vectorize and the superoperator kernel need a monomial letter basis"
-            )
-        cols[a] = c
-        phases[a] = letter[rows, c]
-    return cols, phases
-
-
-def _string_monomials(
-    cols: np.ndarray, phases: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Site tables combined over the letter strings ``labels`` (c, n).
-
-    Row R of the tensor product has its nonzero in column ``index[b, R]``
-    with value ``phase[b, R]``; the phases multiply site by site in the
-    order ``np.kron`` uses.
-    """
-    c, n = labels.shape
-    d = cols.shape[1]
-    index = np.zeros((c, 1), dtype=np.intp)
-    phase = np.ones((c, 1), dtype=np.complex128)
-    for k in range(n):
-        lk = labels[:, k]
-        index = (index[:, :, None] * d + cols[lk][:, None, :]).reshape(c, -1)
-        phase = (phase[:, :, None] * phases[lk][:, None, :]).reshape(c, -1)
-    return index, phase
-
-
-# largest distance, as a share of max|W|, between a letter's phase row
-# (scaled to start at 1) and the row of W it is matched to
-_FACTOR_TOL = 1e-12
+def _strings(base: int, n: int) -> np.ndarray:
+    """Every string of n digits below ``base``, one per row, in
+    lexicographic order."""
+    return np.asarray(list(itertools.product(range(base), repeat=n)), dtype=np.intp).reshape(-1, n)
 
 
 @dataclass(frozen=True)
 class _VectorizePlan:
-    """The monomial table of a letter basis, and the transforms that
-    :func:`vectorize` runs.
+    """The monomial table of the letter strings of (d, n), and the
+    transforms that :func:`vectorize` runs.
 
-    Letter a has permutation group ``g(a)``, row ``k(a)`` of W and phase
-    ``lambda_a``: its entry in row r is ``lambda_a W[k(a), r]`` at column
-    ``perm_g(a)(r)``.  So a string b with groups s and rows k has the entry
-    ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``, which :meth:`rows` and
-    :meth:`columns` read off for the superoperator kernel, and
-    ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
+    Letter a = ``c_a X^j Z^k`` has its entry in row r at column
+    ``(r + g(a)) mod d`` with ``g(a) = -j mod d``, and that entry is
+    ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
+    row 0) and W the clock powers.  So a string b with groups s and clock
+    powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
+    which :meth:`rows` and :meth:`columns` read off for the superoperator
+    kernel, and ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
     ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
     """
 
@@ -301,41 +259,22 @@ class _VectorizePlan:
         _read_only(self.w_outer, self.w_inner, self.order, self.phase)
 
     @classmethod
-    def build(cls, basis: OperatorBasis) -> _VectorizePlan:
-        d, n = basis.d, basis.n
+    def build(cls, d: int, n: int) -> _VectorizePlan:
         D = d**n
-        cols, phases = _monomial_letters(basis)
-        perms, group = np.unique(cols, axis=0, return_inverse=True)
-        group = group.reshape(-1)
-        sizes = np.bincount(group)
-        if len(perms) != d or np.any(sizes != d):
-            raise InternalConsistencyError(
-                f"letters fall into column-permutation groups of sizes {sizes.tolist()}; "
-                f"vectorize needs {d} groups of {d} letters"
-            )
-        rows = phases / phases[:, :1]
-        W = rows[group == group[0]]
-        dist = np.max(np.abs(rows[:, None, :] - W[None, :, :]), axis=2)
-        row = np.argmin(dist, axis=1)
-        worst = float(np.max(dist[np.arange(len(row)), row]))
-        if not worst <= _FACTOR_TOL * np.max(np.abs(W)) or np.any(
-            np.bincount(group * d + row, minlength=d * d) != 1
-        ):
-            raise InternalConsistencyError(
-                "letter phases do not factor as diag(lambda_g) W with one W shared "
-                f"by every permutation group (closest match off by {worst:.3e}); "
-                "vectorize needs that structure"
-            )
+        shift, power, c = _letter_table(d)
+        W = _clock_powers(d)
+        group = -shift % d
         Wc = np.conj(W)
         real = not np.any(Wc.imag)
         if real:
             Wc = np.ascontiguousarray(Wc.real)
         one = np.ones((1, 1), dtype=Wc.dtype)
-        labels = np.asarray(basis.labels, dtype=np.intp).reshape(-1, n)
+        labels = _strings(d * d, n)
         place = d ** np.arange(n - 1, -1, -1)
-        strings = np.asarray(list(itertools.product(range(d), repeat=n)), dtype=np.intp)
-        col_s, _ = _string_monomials(perms, np.ones((d, d)), strings)
-        lam = np.prod(phases[labels, 0], axis=1)
+        digits = _strings(d, n)
+        # digit i of col_s(R) is (R_i + s_i) mod d
+        col_s = ((digits[:, None, :] + digits[None, :, :]) % d) @ place
+        lam = np.prod((c * W[power, group])[labels], axis=1)
         return cls(
             col_s=col_s,
             row_s=np.argsort(col_s, axis=1),
@@ -345,7 +284,7 @@ class _VectorizePlan:
             w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
             w_inner=reduce(np.kron, [Wc] * (n // 2), one),
             real=real,
-            order=(row[labels] @ place) * D + group[labels] @ place,
+            order=(power[labels] @ place) * D + group[labels] @ place,
             phase=np.conj(lam) / D,
         )
 
@@ -371,9 +310,7 @@ def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     matrix, two small products with the Kronecker halves of
     ``conj(W)^{(x)n}`` (real at d = 2) and one gather with phases into
     letter order.  A matrix of another shape raises
-    DimensionMismatchError; a letter set that is not monomial, or whose
-    groups do not share one phase matrix W, raises
-    InternalConsistencyError.
+    DimensionMismatchError.
     """
     X = np.asarray(matrix, dtype=np.complex128)
     D = basis.d**basis.n

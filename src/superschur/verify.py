@@ -89,6 +89,21 @@ def _letter_basis_orthonormal() -> float:
     return worst
 
 
+def _letter_table() -> float:
+    """Largest difference between each letter string's dense matrix and the
+    monomial the vectorize plan's ``rows`` give it, zero elsewhere."""
+    worst = 0.0
+    for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]:
+        ob = operator_basis(d, n)
+        cols, vals = ob.vectorize_plan.rows(slice(None))
+        D = d**n
+        planned = np.zeros((ob.dim, D, D), dtype=np.complex128)
+        planned[np.arange(ob.dim)[:, None], np.arange(D), cols] = vals
+        dense = np.stack([ob.element_matrix(a) for a in range(ob.dim)])
+        worst = max(worst, float(np.max(np.abs(dense - planned))))
+    return worst
+
+
 def _vectorize_round_trip() -> float:
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -270,6 +285,7 @@ def _blockwise_exp_dense_n3() -> float:
 CHECKS = (
     Check("dimension_sum", "fast", 0.0, partial(_dimension_sum, (2, 4), (3, 2))),
     Check("letter_basis_orthonormal", "fast", 1e-12, _letter_basis_orthonormal),
+    Check("letter_table", "fast", 1e-12, _letter_table),
     Check("vectorize_round_trip", "fast", 1e-12, _vectorize_round_trip),
     Check("basis_unitary", "fast", 1e-10, partial(_basis_unitarity, (2, 1), (2, 2), (2, 3))),
     Check("permutation_equivariance", "fast", 1e-10, partial(_equivariance, (2, 2), (2, 3))),

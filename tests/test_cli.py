@@ -531,6 +531,19 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert "oops" in err
 
 
+@pytest.mark.parametrize("text,reason", [
+    pytest.param(b'{"d": 2, "n": 1, "kind": "kraus", "operators": [\xff]}',
+                 "'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+    pytest.param(b'{"d": 1' + b"0" * 5000 + b', "n": 1, "kind": "kraus"}',
+                 "Exceeds the limit (4300 digits)", id="5001-digit-int"),
+])
+def test_channel_file_that_is_not_json_text_exits_2_naming_the_path(text, reason, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: {reason}")
+
+
 @pytest.mark.parametrize("literal", [
     "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digit-int"),
 ])
@@ -625,7 +638,7 @@ def test_oversized_builder_file_exits_2_before_the_builder_runs(
     spec = builder_doc(tmp_path / "big.json", "single_jump", "lindblad", n=40)
     assert main([command, spec]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: Liouville dimension 4**40 for d=2, n=40 exceeds the limit"
+        "error: Liouville dimension 2**80 for d=2, n=40 exceeds the limit"
     )
 
 
@@ -637,12 +650,12 @@ def test_oversized_explicit_file_exits_2_before_any_operator_is_parsed(
     doc = {"d": 3, "n": 9, "kind": "kraus", "operators": operators}
     assert main(["analyze", write_doc(tmp_path / "big.json", doc)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: Liouville dimension 9**9 for d=3, n=9 exceeds the limit"
+        "error: Liouville dimension 3**18 for d=3, n=9 exceeds the limit"
     )
 
 
-# 4**8000 has 4817 digits, past Python's limit for turning an int into text
-HUGE_GUARD_MESSAGE = "Liouville dimension 4**8000 for d=2, n=8000 exceeds the limit"
+# 2**16000 has 4817 digits, past Python's limit for turning an int into text
+HUGE_GUARD_MESSAGE = "Liouville dimension 2**16000 for d=2, n=8000 exceeds the limit"
 
 
 def test_oversized_channel_file_past_the_int_text_limit_exits_2(tmp_path, capsys):
@@ -662,6 +675,23 @@ def test_basis_header_past_the_int_text_limit_meets_the_size_guard(tmp_path):
     path.write_text("d=2 n=8000 columns=1\n")
     with pytest.raises(SizeGuardError, match=re.escape(HUGE_GUARD_MESSAGE)):
         read_basis_file(str(path))
+
+
+# d*d has 4401 digits, past Python's limit for turning an int into text
+HUGE_D = 10**2200
+HUGE_D_MESSAGE = f"Liouville dimension {HUGE_D}**2 for d={HUGE_D}, n=1 exceeds the limit"
+
+
+def test_channel_file_whose_d_squared_is_past_the_int_text_limit_exits_2(tmp_path, capsys):
+    spec = write_doc(tmp_path / "big.json", {"d": HUGE_D, "n": 1, "kind": "kraus"})
+    assert main(["analyze", spec]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {HUGE_D_MESSAGE}")
+
+
+def test_schur_basis_whose_d_squared_is_past_the_int_text_limit_exits_2(tmp_path, capsys):
+    argv = ["schur-basis", "--d", str(HUGE_D), "--n", "1", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {HUGE_D_MESSAGE}")
 
 
 def test_a_leakage_equal_to_the_tolerance_passes_in_analyze_and_evolve(tmp_path, capsys):
@@ -823,7 +853,7 @@ def test_verify_full_passes(capsys):
     assert main(["verify", "--level", "full"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert "20/20 suites passed (full)" in out
+    assert "21/21 suites passed (full)" in out
 
 
 def run_probe(probe: str) -> subprocess.CompletedProcess:

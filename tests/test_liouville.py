@@ -1,13 +1,13 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from superschur import (
     DimensionMismatchError,
-    InternalConsistencyError,
     QuditOperator,
     SizeGuardError,
     hs_inner,
@@ -18,8 +18,11 @@ from superschur import (
     vectorize,
 )
 from superschur import liouville
+from superschur.liouville import OperatorBasis
 from superschur.oracle import devectorize, permutation_matrix
 from superschur.permutations import all_permutations, compose
+
+from vectorize_oracle import monomial_letters, string_monomials
 
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -309,21 +312,44 @@ def test_letter_basis_size_guard_runs_on_a_cache_hit(monkeypatch):
 
 
 def test_failed_letter_basis_build_is_not_cached(monkeypatch, fresh_builders):
-    s = 1 / math.sqrt(2)
-    mixed = [I2, s * (X + Z), Y, s * (X - Z)]  # orthonormal, not monomial
+    class Failed(Exception):
+        pass
+
+    def fail(d, n):
+        raise Failed
+
     with monkeypatch.context() as m:
-        m.setattr(liouville, "single_site_letters", lambda d: [a.copy() for a in mixed])
-        with pytest.raises(InternalConsistencyError, match="not monomial"):
+        m.setattr(liouville._VectorizePlan, "build", fail)
+        with pytest.raises(Failed):
             operator_basis(2, 2)
     basis = operator_basis(2, 2)
     assert np.array_equal(basis.letters[1], X)
+    assert basis.vectorize_plan.col_s.shape == (4, 4)
     assert operator_basis(2, 2) is basis
+
+
+def test_letter_basis_is_a_function_of_d_and_n():
+    assert [f.name for f in dataclasses.fields(OperatorBasis) if f.init] == ["d", "n"]
+    basis = OperatorBasis(3, 2)
+    assert basis == operator_basis(3, 2)
+    assert basis.labels == operator_basis(3, 2).labels
+    assert all(np.array_equal(a, b) for a, b in zip(basis.letters, operator_basis(3, 2).letters))
+
+
+def test_letter_basis_runs_the_size_guard_before_it_allocates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated before the size guard ran")
+
+    monkeypatch.setattr(liouville, "single_site_letters", refuse)
+    monkeypatch.setattr(liouville._VectorizePlan, "build", refuse)
+    with pytest.raises(SizeGuardError, match=re.escape("2**80 for d=2, n=40")):
+        OperatorBasis(2, 40)
 
 
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
 def test_string_tables_match_site_by_site_tables(d, n):
     basis = operator_basis(d, n)
-    cols, phases = liouville._monomial_letters(basis)
+    cols, phases = monomial_letters(basis.letters)
     inv_cols = np.argsort(cols, axis=1)
     inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
     labels = np.asarray(basis.labels)
@@ -341,7 +367,7 @@ def test_string_tables_match_site_by_site_tables(d, n):
         (plan.rows(chunk), (cols, phases)),
         (plan.columns(chunk), (inv_cols, inv_phases)),
     ):
-        index, phase = liouville._string_monomials(site_cols, site_phases, labels[chunk])
+        index, phase = string_monomials(site_cols, site_phases, labels[chunk])
         assert np.array_equal(got[0], index)
         if d == 2:
             assert np.array_equal(got[1], phase)

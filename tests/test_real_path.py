@@ -29,7 +29,7 @@ from superschur import (
 )
 from superschur import cli
 from superschur.channels import EXAMPLE_CHANNELS, HERMITICITY_TOL, SuperOperatorMatrix
-from superschur.liouville import pauli_letters
+from superschur.liouville import single_site_letters
 
 from dispatch import certificate, superop, superop_columns
 from superop_oracle import lindblad_superop_columns
@@ -60,7 +60,7 @@ def scaled(channel, s):
 
 
 def pauli_string(word):
-    letters = dict(zip("IXYZ", pauli_letters()))
+    letters = dict(zip("IXYZ", single_site_letters(2)))
     out = np.ones((1, 1), dtype=np.complex128)
     for ch in word:
         out = np.kron(out, letters[ch])

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from superschur import (
-    InternalConsistencyError,
     KrausChannel,
     Lindbladian,
     QuditOperator,
@@ -28,7 +27,6 @@ from superschur.channels import EXAMPLE_CHANNELS
 from superschur.liouville import vectorize
 
 from dispatch import superop, superop_columns
-from vectorize_oracle import hadamard_pauli_basis, rotated_pauli_basis
 
 
 def assert_matches_oracle(channel, basis):
@@ -82,24 +80,6 @@ def test_kernel_matches_oracle_on_random_kraus_sets(d, n):
 def test_kernel_matches_oracle_on_random_lindbladians(d, n, scale):
     rng = np.random.default_rng(100 * d + n)
     assert_matches_oracle(random_lindbladian(d, n, scale, rng), operator_basis(d, n))
-
-
-def test_kernel_reads_permutations_and_phases_from_the_letters():
-    # conjugating by the Hadamard permutes the Paulis up to sign (I, Z, -Y, X):
-    # still a monomial basis, in another order and with other phases
-    basis = hadamard_pauli_basis(2)
-    assert_matches_oracle(example_channel("collective_damping", n=2), basis)
-    assert_matches_oracle(example_channel("collective_jump", n=2), basis)
-
-
-def test_kernel_refuses_letters_that_are_not_monomial():
-    # Paulis written in the Hadamard eigenbasis: X and Z become (X +- Z)/sqrt(2)
-    _, V = np.linalg.eigh(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
-    basis = rotated_pauli_basis(V.astype(np.complex128), 2)
-    with pytest.raises(InternalConsistencyError, match="not monomial"):
-        kraus_superop(example_channel("collective_damping", n=2), basis)
-    with pytest.raises(InternalConsistencyError, match="not monomial"):
-        lindblad_superop(example_channel("transverse_ising", n=2), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Reference vectorization by a site-by-site contraction, and test bases.
+"""Reference vectorization by a site-by-site contraction, and monomial
+tables read from the dense letters.
 
 ``vectorize_by_sites`` is the contraction the package used before the
 per-basis gather-and-transform plan in ``superschur.liouville``: the
@@ -6,16 +7,17 @@ operator's axes are interleaved so that site k's index is ``i_k j_k``, and
 each site in turn is contracted with the dual letter matrix
 ``M[a, s] = conj(letter_a[s]) / d``.  It reads only the letters, so it
 needs no monomial structure, and is kept as a test oracle for
-``vectorize``.
+``vectorize``.  ``monomial_letters`` and ``string_monomials`` read the
+position and phase of each letter's nonzeros from its dense matrix and
+combine them site by site: the oracle for the plan's ``rows`` and
+``columns``, which the package writes from its letter table instead.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from superschur.liouville import OperatorBasis, QuditOperator, pauli_letters
+from superschur.liouville import OperatorBasis, QuditOperator
 
 
 def vectorize_by_sites(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
@@ -32,18 +34,39 @@ def vectorize_by_sites(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
     return t.reshape(-1)
 
 
-def rotated_pauli_basis(V: np.ndarray, n: int) -> OperatorBasis:
-    """The Pauli strings with every letter conjugated by the unitary V."""
-    letters = [V.conj().T @ P @ V for P in pauli_letters()]
-    labels = list(itertools.product(range(4), repeat=n))
-    return OperatorBasis(d=2, n=n, letters=letters, labels=labels)
+def monomial_letters(letters) -> tuple[np.ndarray, np.ndarray]:
+    """Column and value of the one nonzero in each row of every letter,
+    read from the dense letters with ``np.nonzero``.
+
+    Returns ``(cols, phases)`` of shape ``(d*d, d)``: letter a has the entry
+    ``phases[a, r]`` at ``(r, cols[a, r])`` and zeros elsewhere.
+    """
+    d = len(letters[0])
+    cols = np.empty((len(letters), d), dtype=np.intp)
+    phases = np.empty((len(letters), d), dtype=np.complex128)
+    for a, letter in enumerate(letters):
+        rows, c = np.nonzero(letter)
+        assert np.array_equal(rows, np.arange(d)) and np.unique(c).size == d, a
+        cols[a] = c
+        phases[a] = letter[rows, c]
+    return cols, phases
 
 
-def hadamard_pauli_basis(n: int) -> OperatorBasis:
-    """Paulis conjugated by the Hadamard: I, Z, -Y, X, a monomial letter set
-    in another order and with other phases, roundoff zeroed."""
-    Had = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-    basis = rotated_pauli_basis(Had, n)
-    for letter in basis.letters:
-        letter[np.abs(letter) < 1e-15] = 0.0
-    return basis
+def string_monomials(
+    cols: np.ndarray, phases: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Site tables combined over the letter strings ``labels`` (c, n).
+
+    Row R of the tensor product has its nonzero in column ``index[b, R]``
+    with value ``phase[b, R]``; the phases multiply site by site in the
+    order ``np.kron`` uses.
+    """
+    c, n = labels.shape
+    d = cols.shape[1]
+    index = np.zeros((c, 1), dtype=np.intp)
+    phase = np.ones((c, 1), dtype=np.complex128)
+    for k in range(n):
+        lk = labels[:, k]
+        index = (index[:, :, None] * d + cols[lk][:, None, :]).reshape(c, -1)
+        phase = (phase[:, :, None] * phases[lk][:, None, :]).reshape(c, -1)
+    return index, phase
