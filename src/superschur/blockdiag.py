@@ -11,7 +11,9 @@ exponential takes one exp(tB) per array.
 
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame runs one
-class block at a time instead of as two dense products.
+class block at a time instead of as two dense products, in the buffer of
+the frame itself: the only dense array it holds is the frame, besides the
+superoperator unless that is overwritten (``overwrite=True``).
 
 The basis matrix is real, so every stage keeps the dtype of the
 superoperator it is given.  For qubits that is float64 (the Pauli transfer
@@ -68,6 +70,17 @@ class BlockDecomposition:
         blocks, built anew on every read."""
         return self.frame if self.frame is not None else self.reassembled()
 
+    def dense_deviation(self, dense: np.ndarray) -> float:
+        """The largest |entry| of ``reassembled() - dense``, for a
+        frame-ordered ``dense``, read block row by block row without
+        building either matrix; a NaN comes through."""
+        parts = []
+        for (shape, y), B in self.blocks.items():
+            sl = self.basis.tableau_slice(shape, y)
+            parts.append(np.max(np.abs(B - dense[sl, sl])))
+            parts.extend(_off_block_maxima(dense, sl))
+        return float(np.max(parts))
+
     def reassembled(self) -> np.ndarray:
         """Dense matrix containing only the diagonal blocks, of their dtype."""
         dtype = np.result_type(*self.blocks.values())
@@ -78,39 +91,69 @@ class BlockDecomposition:
         return out
 
 
-def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.ndarray:
+def to_schur_frame(
+    superop: SuperOperatorMatrix, basis: SuperSchurBasis, *, overwrite: bool = False
+) -> np.ndarray:
     """Conjugate a letter-basis superoperator matrix into the adapted frame.
 
     Computes U^T M U from the basis's real class blocks: one small product
-    per class on each side, holding one frame-sized array besides M.  The
-    row pass gathers the class rows of M with their columns already in
-    class order, the column pass works on each class's contiguous columns
-    in place, and a final column permutation restores the frame order.  A
-    real M takes real products throughout and gives a real frame.
+    per class on each side, in the buffer of the result itself, so that
+    besides it only a class-sized temporary lives.  The rows and columns of
+    the matrix are first put into class order, so every class is one
+    contiguous row slab and one contiguous column range; the row pass then
+    replaces each slab by B^T times it, the column pass multiplies each
+    column range by B, and a last permutation of rows and columns restores
+    the frame order.  A real M takes real products throughout and gives a
+    real frame.
+
+    With ``overwrite=False`` the conjugation runs on a copy of
+    ``superop.matrix``, which is left as it was.  With ``overwrite=True`` it
+    runs on ``superop.matrix`` itself and returns that array, which then
+    holds the frame: the superoperator is consumed.
     """
     if (superop.d, superop.n) != (basis.d, basis.n):
         raise DimensionMismatchError(
             f"superoperator (d={superop.d}, n={superop.n}) does not match "
             f"basis (d={basis.d}, n={basis.n})"
         )
-    M = superop.matrix
+    S = superop.matrix if overwrite else superop.matrix.copy()
     order = np.concatenate([rows for rows, _, _ in basis.classes])
-    S = np.empty(M.shape, dtype=M.dtype)
+    _take_rows_in_place(S, order)
+    _take_columns_in_place(S, order)
+    bounds = np.cumsum([0] + [len(rows) for rows, _, _ in basis.classes])
     # a complex row is a row of (re, im) pairs, so on the real view the real
     # block multiplies real and imaginary parts in one real product (on a
-    # real M the view is M itself)
+    # real S the view is S itself)
     S_re = S.view(np.float64)
-    for rows, cols, B in basis.classes:
-        S_re[cols] = B.T @ M[np.ix_(rows, order)].view(np.float64)
-    start = 0
-    for rows, _, B in basis.classes:
-        c = slice(start, start + len(rows))
-        S[:, c] = S[:, c] @ B
-        start = c.stop
-    # class position i now holds frame column frame[i]
-    frame = np.concatenate([cols for _, cols, _ in basis.classes])
-    _take_columns_in_place(S, np.argsort(frame))
+    for (_, _, B), start, stop in zip(basis.classes, bounds, bounds[1:]):
+        S_re[start:stop] = B.T @ S_re[start:stop]
+    for (_, _, B), start, stop in zip(basis.classes, bounds, bounds[1:]):
+        S[:, start:stop] = S[:, start:stop] @ B
+    # position i now holds the frame row and column that the classes'
+    # concatenated cols name at i
+    to_frame = np.argsort(np.concatenate([cols for _, cols, _ in basis.classes]))
+    _take_rows_in_place(S, to_frame)
+    _take_columns_in_place(S, to_frame)
     return S
+
+
+def _take_rows_in_place(A: np.ndarray, index: np.ndarray) -> None:
+    """A[index] written back into A, one cycle of the permutation at a
+    time, so the only temporary is one row."""
+    index = index.tolist()
+    done = bytearray(len(index))
+    row = np.empty_like(A[0])
+    for start in range(len(index)):
+        if done[start] or index[start] == start:
+            continue
+        row[...] = A[start]
+        i = start
+        while index[i] != start:
+            A[i] = A[index[i]]
+            done[i] = 1
+            i = index[i]
+        A[i] = row
+        done[i] = 1
 
 
 def _take_columns_in_place(A: np.ndarray, index: np.ndarray) -> None:
@@ -122,6 +165,13 @@ def _take_columns_in_place(A: np.ndarray, index: np.ndarray) -> None:
         out = buf[: len(chunk)]
         np.take(chunk, index, axis=1, out=out)
         chunk[...] = out
+
+
+def _off_block_maxima(S: np.ndarray, sl: slice) -> list:
+    """The largest |entry| of the rows of ``sl`` left and right of its
+    diagonal block.  The tableau slices tile the frame, so over all of them
+    these cover everything outside the blocks, one row slab at a time."""
+    return [np.max(np.abs(side)) for side in (S[sl, : sl.start], S[sl, sl.stop :]) if side.size]
 
 
 def _twin_deviation(twins: list[np.ndarray]) -> float:
@@ -136,6 +186,8 @@ def decompose(
     superop: SuperOperatorMatrix,
     basis: SuperSchurBasis,
     tol: float = DEFAULT_BLOCK_TOL,
+    *,
+    overwrite: bool = False,
 ) -> BlockDecomposition:
     """Split a superoperator into sector blocks and measure the residue.
 
@@ -147,19 +199,19 @@ def decompose(
     that differs from it by at most ``tol`` entrywise, an error of the
     size already accepted in the off-block entries; any other shape (twins
     that differ by more, or by NaN) keeps one copy per twin.
+
+    ``overwrite`` is passed to :func:`to_schur_frame`: with True the frame
+    is ``superop.matrix`` itself, overwritten, and no second array of its
+    size is allocated.
     """
-    S = to_schur_frame(superop, basis)
+    S = to_schur_frame(superop, basis, overwrite=overwrite)
     blocks = {}
     off_block = []
     twin_deviation = {}
     for shape in basis.shapes:
         slices = [basis.tableau_slice(shape, y) for y in range(basis.syt_count(shape))]
         for sl in slices:
-            # the tableau slices tile the frame, so the rows of sl left and
-            # right of its diagonal block cover everything outside the blocks
-            for side in (S[sl, : sl.start], S[sl, sl.stop :]):
-                if side.size:
-                    off_block.append(np.max(np.abs(side)))
+            off_block.extend(_off_block_maxima(S, sl))
         twins = [S[sl, sl] for sl in slices]
         twin_deviation[shape] = _twin_deviation(twins)
         shared = twin_deviation[shape] <= tol
@@ -280,7 +332,7 @@ def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0)
         raise BlockStructureError("no sector with protected dimension >= 2")
     rng = np.random.default_rng(seed)
     S = decomp.schur_matrix
-    deviation = 0.0
+    deviations = []
     for _ in range(trials):
         for shape in eligible:
             protected = basis.syt_count(shape)
@@ -298,5 +350,6 @@ def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0)
             B = decomp.blocks[shape, 0]
             predicted = np.zeros(basis.dim, dtype=np.complex128)
             predicted[sl] = (C @ B.T).reshape(-1)
-            deviation = max(deviation, float(np.max(np.abs(out - predicted))))
-    return deviation
+            deviations.append(np.max(np.abs(out - predicted)))
+    # np.max, unlike the builtin max, lets a NaN through
+    return float(np.max(deviations))

@@ -403,7 +403,8 @@ class SuperOperatorMatrix:
 
     A real matrix is kept as float64 (the Pauli transfer matrix of a qubit
     map), anything else as complex128; a complex matrix is never cast to
-    real, whatever its imaginary part.
+    real, whatever its imaginary part.  The matrix is held in C order; one
+    given in that order and dtype is held as is, not copied.
     """
 
     d: int
@@ -417,7 +418,9 @@ class SuperOperatorMatrix:
             raise ValueError(f"kind must be 'channel' or 'generator', got {self.kind!r}")
         dim = (self.d * self.d) ** self.n
         m = np.asarray(self.matrix)
-        m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+        # C order, so that every row is contiguous for an in-place frame
+        # (blockdiag.to_schur_frame with overwrite=True)
+        m = np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
         if m.shape != (dim, dim):
             raise DimensionMismatchError(f"matrix shape {m.shape} != ({dim}, {dim})")
         object.__setattr__(self, "matrix", m)

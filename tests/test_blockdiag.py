@@ -115,13 +115,43 @@ def masked_leakage(decomp):
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
 def test_class_blocked_frame_matches_dense_product(d, n):
     basis = super_schur_basis(d, n)
+    other = super_schur_basis(d, 1 if n > 1 else 2)
     U = basis.unitary
     for seed, scale in ((0, 1.0), (1, 1e6)):
-        superop = random_superop(d, n, seed, scale)
-        M = superop.matrix
-        S = to_schur_frame(superop, basis)
-        assert S.shape == M.shape and S.dtype == M.dtype
-        assert np.max(np.abs(S - U.T @ M @ U)) <= 1e-12 * max(1.0, np.max(np.abs(M)))
+        complex_map = random_superop(d, n, seed, scale)
+        real_map = SuperOperatorMatrix(d, n, "channel", complex_map.matrix.real, complex_map.basis)
+        for superop in (complex_map, real_map):
+            M = superop.matrix
+            before = M.copy()
+            S = to_schur_frame(superop, basis)
+            assert S.shape == M.shape and S.dtype == M.dtype
+            assert np.max(np.abs(S - U.T @ M @ U)) <= 1e-12 * max(1.0, np.max(np.abs(M)))
+            assert np.array_equal(M, before)
+            with pytest.raises(DimensionMismatchError):
+                to_schur_frame(superop, other, overwrite=True)
+            assert np.array_equal(M, before)
+            # the same products in the same order, in M's own buffer
+            assert to_schur_frame(superop, basis, overwrite=True) is M
+            assert np.array_equal(M, S)
+
+
+@pytest.mark.parametrize(
+    "index",
+    [np.arange(7), np.roll(np.arange(7), 3), np.array([0, 4, 2, 6, 1, 5, 3])],
+    ids=["identity", "one-cycle", "fixed-points"],
+)
+def test_take_rows_in_place_equals_fancy_indexing(index):
+    A = np.arange(7 * 5, dtype=np.float64).reshape(7, 5) + 1j
+    want = A[index]
+    blockdiag._take_rows_in_place(A, index)
+    assert np.array_equal(A, want)
+
+
+def test_in_place_frame_of_a_fortran_ordered_matrix(schur_2_3, letters_3):
+    M = random_superop(2, 3, seed=4).matrix
+    superop = SuperOperatorMatrix(2, 3, "channel", np.asfortranarray(M), letters_3)
+    want = to_schur_frame(SuperOperatorMatrix(2, 3, "channel", M, letters_3), schur_2_3)
+    assert np.array_equal(to_schur_frame(superop, schur_2_3, overwrite=True), want)
 
 
 def test_leakage_equals_masked_copy(schur_2_3, schur_2_4, letters_3):
@@ -278,6 +308,13 @@ def test_protection_check_is_deterministic(schur_2_3, letters_3):
     assert a == b
 
 
+def test_protection_check_lets_a_nan_through(schur_2_3, letters_3):
+    lind = example_channel("single_jump", n=3)
+    decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
+    decomp.frame[0, schur_2_3.sector_slice(TWO_ONE).start] = np.nan
+    assert math.isnan(protection_check(decomp, 5, 0))
+
+
 def test_protection_check_argument_errors(schur_2_2, letters_2_2, schur_2_3, letters_3):
     decomp = decompose(
         kraus_superop(example_channel("collective_damping", n=2), letters_2_2),
@@ -384,8 +421,8 @@ def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3, letters_3):
 def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3, monkeypatch):
     frame = blockdiag.to_schur_frame
 
-    def nan_in_two_one_tableau_1(M, basis):
-        S = frame(M, basis)
+    def nan_in_two_one_tableau_1(M, basis, *, overwrite=False):
+        S = frame(M, basis, overwrite=overwrite)
         sl = basis.tableau_slice(TWO_ONE, 1)
         S[sl.start, sl.start] = np.nan
         return S
@@ -399,6 +436,18 @@ def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3, monkey
     evolved = blockwise_exp(decomp, 0.5)
     assert evolved.blocks[TWO_ONE, 0] is not evolved.blocks[TWO_ONE, 1]
     assert evolved.blocks[Partition((3,)), 0].flags.writeable is False
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dense_deviation_is_the_largest_entry_of_the_difference(n, schur_2_3, schur_2_4):
+    basis = {3: schur_2_3, 4: schur_2_4}[n]
+    lind = example_channel("single_jump", n=n)
+    decomp = decompose(lindblad_superop(lind, operator_basis(2, n)), basis)
+    evolved = blockwise_exp(decomp, 0.5)
+    dense = expm(0.5 * decomp.schur_matrix)
+    assert evolved.dense_deviation(dense) == np.max(np.abs(evolved.reassembled() - dense))
+    dense[0, -1] = np.nan
+    assert math.isnan(evolved.dense_deviation(dense))
 
 
 def test_nan_leakage_is_refused(schur_2_3, letters_3):

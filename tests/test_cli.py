@@ -959,3 +959,65 @@ def test_evolve_reports_blocks_and_exponentials(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "t=0.1: 4 blocks from 3 exponentials" in out
     assert "t=1.0: 4 blocks from 3 exponentials" in out
+
+
+# ---------------------------------------------------------------------------
+# memory budget of analyze/evolve
+
+
+def site_dependent_maps(d, n):
+    """A Lindbladian and a Kraus map with a different rate on every site
+    (certificate none), in the form of the explicit-operator benchmark files:
+    a lowering jump and a clock field per site, and per-site damping."""
+    from functools import reduce
+    from itertools import product
+
+    from superschur import KrausChannel, Lindbladian, QuditOperator
+
+    shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    lower = np.triu(shift) if d == 2 else shift
+
+    def on_site(op, k):
+        return reduce(np.kron, [op if j == k else np.eye(d) for j in range(n)])
+
+    jumps = [math.sqrt(0.2 + 0.15 * k) * on_site(lower, k) for k in range(n)]
+    H = sum((0.3 + 0.1 * k) * on_site(clock + clock.conj().T, k) for k in range(n))
+    lind = Lindbladian(d, n, QuditOperator(d, n, H), tuple(QuditOperator(d, n, L) for L in jumps))
+    local = []
+    for k in range(n):
+        p = 0.1 + 0.12 * k
+        if d == 2:
+            local.append([np.diag([1.0, math.sqrt(1 - p)]), math.sqrt(p) * lower])
+        else:
+            local.append([math.sqrt(1 - p) * np.eye(d), math.sqrt(p / 2) * shift,
+                          math.sqrt(p / 2) * clock])
+    ops = [QuditOperator(d, n, reduce(np.kron, choice)) for choice in product(*local)]
+    return {"lindblad": lind, "kraus": KrausChannel(d, n, tuple(ops))}
+
+
+PIPELINE_INPUTS = [f"builder-{name}" for name in sorted(channels.EXAMPLE_CHANNELS)] + [
+    f"explicit-{kind}-d{d}n{n}" for d, n in ((2, 5), (3, 3)) for kind in ("lindblad", "kraus")
+]
+
+
+@pytest.mark.parametrize("case", PIPELINE_INPUTS)
+def test_pipeline_holds_one_dense_array(case):
+    # the superoperator's buffer becomes the frame, so besides it only
+    # class-sized and chunk-sized temporaries are traced
+    import tracemalloc
+
+    if case.startswith("builder-"):
+        channel = example_channel(case.removeprefix("builder-"), n=5)
+    else:
+        _, kind, dn = case.split("-")
+        channel = site_dependent_maps(int(dn[1]), int(dn[3]))[kind]
+    cli._pipeline(channel, 1e-8)  # warm: cached bases, lazy imports
+    tracemalloc.start()
+    try:
+        decomp = cli._pipeline(channel, 1e-8)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomp.frame.shape == (decomp.basis.dim,) * 2
+    assert peak < 1.6 * decomp.frame.nbytes, peak / decomp.frame.nbytes
