@@ -32,8 +32,6 @@ from .channels import (
     lindblad_superop,
     mixing_unitary,
     orthogonalize_kraus,
-    psd_sqrt,
-    symmetrize_local_kraus,
 )
 from .combinatorics import (
     Partition,
@@ -123,11 +121,9 @@ __all__ = [
     "orthogonalize_kraus",
     "partitions",
     "protection_check",
-    "psd_sqrt",
     "single_site_letters",
     "standard_tableaux",
     "super_schur_basis",
-    "symmetrize_local_kraus",
     "syt_dimension",
     "to_schur_frame",
     "vectorize",

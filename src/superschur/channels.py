@@ -238,7 +238,7 @@ def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
     return out
 
 
-def psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues below -tol raise; small negative roundoff is clamped.
@@ -254,9 +254,7 @@ def psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def symmetrize_local_kraus(
-    single_ops: dict, pattern, d: int | None = None
-) -> list[QuditOperator]:
+def _symmetrize_local_kraus(single_ops: dict, pattern) -> list[QuditOperator]:
     """Tensor products of labelled single-site operators over every
     distinct ordering of ``pattern``, in lexicographic label order."""
     pattern = tuple(pattern)
@@ -273,13 +271,10 @@ def symmetrize_local_kraus(
     sizes = {m.shape[0] for m in mats.values()}
     if len(sizes) != 1:
         raise DimensionMismatchError(f"inconsistent single-site dimensions: {sorted(sizes)}")
-    dd = sizes.pop()
-    if d is not None and d != dd:
-        raise DimensionMismatchError(f"expected local dimension {d}, operators are {dd}x{dd}")
-    n = len(pattern)
+    d, n = sizes.pop(), len(pattern)
     out = []
     for ordering in sorted(set(itertools.permutations(pattern))):
-        out.append(QuditOperator(dd, n, reduce(np.kron, (mats[x] for x in ordering))))
+        out.append(QuditOperator(d, n, reduce(np.kron, (mats[x] for x in ordering))))
     return out
 
 
@@ -675,7 +670,7 @@ def _completion_op(ops: list[np.ndarray], dim: int) -> np.ndarray | None:
     R = np.eye(dim, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
     if np.max(np.abs(R)) < 1e-14:
         return None
-    return psd_sqrt(R)
+    return _psd_sqrt(R)
 
 
 def _ising_hamiltonian(n: int, h_x: float, J: float) -> np.ndarray:
@@ -708,8 +703,8 @@ def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
     # exceed contractivity for p > 2 - sqrt(3), while the scaled set is a
     # sub-sum of the full product closure and completes for every p.
     f0, f1 = _damping_pair(p)
-    singles = symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1"] + ["f0"] * (n - 1))
-    doubles = symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f1"] + ["f0"] * (n - 2))
+    singles = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1"] + ["f0"] * (n - 1))
+    doubles = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f1"] + ["f0"] * (n - 2))
     ops = [
         sum(op.matrix for op in singles) / math.sqrt(len(singles)),
         sum(op.matrix for op in doubles) / math.sqrt(len(doubles)),
@@ -726,7 +721,7 @@ def _build_single_site_damping(n: int, p: float = 0.5) -> KrausChannel:
     eye = np.eye(2, dtype=np.complex128)
     ops = []
     for label in ("f0", "f1"):
-        orbit = symmetrize_local_kraus(
+        orbit = _symmetrize_local_kraus(
             {"f0": f0, "f1": f1, "I": eye}, [label] + ["I"] * (n - 1)
         )
         ops.extend(op.matrix / math.sqrt(n) for op in orbit)
@@ -739,7 +734,7 @@ def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
     f0, f1 = _damping_pair(p)
     ops = []
     for k in range(n + 1):
-        orbit = symmetrize_local_kraus(
+        orbit = _symmetrize_local_kraus(
             {"f0": f0, "f1": f1}, ["f1"] * k + ["f0"] * (n - k)
         )
         ops.extend(op.matrix for op in orbit)

@@ -43,7 +43,6 @@ from .channels import (
 from .combinatorics import (
     Partition,
     count_partitions_k_rows,
-    letter_strings_by_weight,
     partitions,
     syt_dimension,
     weyl_dimension,
@@ -56,8 +55,8 @@ from .errors import (
     InternalConsistencyError,
     SizeGuardError,
 )
-from .liouville import check_liouville_dim, operator_basis
-from .schur import UNITARITY_TOL, ColumnLabel, SuperSchurBasis, column_labels, super_schur_basis
+from .liouville import operator_basis
+from .schur import ColumnLabel, SuperSchurBasis, super_schur_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,19 +220,6 @@ def _string_labels(base: int, n: int) -> list[str]:
     return [sep.join(p) for p in itertools.product(digits, repeat=n)]
 
 
-def _parse_string_label(text: str, base: int, n: int) -> int:
-    if base <= 10:
-        digits = [int(ch) for ch in text]
-    else:
-        digits = [int(x) for x in text.split(",")]
-    if len(digits) != n or any(not 0 <= x < base for x in digits):
-        raise ValueError(f"bad letter string {text!r}")
-    index = 0
-    for x in digits:
-        index = index * base + x
-    return index
-
-
 AMPLITUDE_CUTOFF = 1e-14
 
 
@@ -262,138 +248,6 @@ def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
             rows, values = amplitudes[j]
             for row, amp in zip(rows.tolist(), values.tolist()):
                 fh.write(f"{names[row]} {amp!r} 0.0\n")
-
-
-def _key_values(line: str, required: tuple[str, ...]) -> dict[str, str]:
-    """The key=value tokens of a header or label line."""
-    fields = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"token {token!r} is not key=value")
-        fields[key] = value
-    missing = [key + "=" for key in required if key not in fields]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    return fields
-
-
-def read_basis_file(path: str) -> SuperSchurBasis:
-    """Inverse of :func:`write_basis_file` (amplitudes below the write
-    cutoff come back as zeros).  The basis is real, like a built one, and
-    its labels are ``column_labels(d, n)``: the layout is not read from the
-    file but checked against it.
-
-    Each refusal raises ValueError naming the file and the line at fault: a
-    header without d=, n= and columns=, or with d < 2, n < 1 or columns
-    other than (d*d)**n; a label line that is not the exporter's label for
-    that column; a malformed amplitude line; a nonzero imaginary amplitude;
-    and a nonzero or NaN amplitude outside its column's content class.  The
-    size guard applies to the header's d and n before anything is
-    allocated.  A file whose columns are not orthonormal to
-    ``UNITARITY_TOL`` is refused with the measured deviation.  No dim x dim
-    array is built.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise ValueError(f"{path}: empty basis file")
-        try:
-            header = _key_values(first, ("d", "n", "columns"))
-            d, n, columns = int(header["d"]), int(header["n"]), int(header["columns"])
-            if d < 2 or n < 1:
-                raise ValueError(f"need d >= 2 and n >= 1, got d={d} n={n}")
-            dim = check_liouville_dim(d, n)
-            if columns != dim:
-                raise ValueError(f"columns={columns}, but (d*d)**n = {dim}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: {exc}") from None
-        lines = [line.rstrip("\n") for line in fh]
-    q = d * d
-    labels = column_labels(d, n)
-    # canonical strings by table; other text (such as "01" at d = 4) parses
-    string_rows = {text: row for row, text in enumerate(_string_labels(q, n))}
-    rows: list[int] = []
-    values: list[float] = []
-    value_lines: list[int] = []
-    cols: list[int] = []
-    column = -1  # the column the amplitude lines belong to
-    seen: set[int] = set()  # rows already given for that column
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
-        try:
-            if line.startswith("lambda="):
-                column += 1
-                if column == dim:
-                    raise ValueError(f"more lambda= labels than the header's columns={dim}")
-                expected = _label_line(labels[column])
-                if line != expected:
-                    raise ValueError(f"label '{line}' where the layout has '{expected}'")
-                seen.clear()
-                continue
-            if column < 0:
-                raise ValueError("amplitude line before the first lambda= label")
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(
-                    f"amplitude line needs 3 fields (string re im), got {len(parts)}"
-                )
-            string, re_text, im_text = parts
-            row = string_rows.get(string)
-            if row is None:
-                row = _parse_string_label(string, q, n)
-            if row in seen:
-                raise ValueError(f"repeated amplitude for {string} in column {column}")
-            seen.add(row)
-            value = float(re_text)
-            if float(im_text) != 0.0:
-                raise ValueError(f"nonzero imaginary amplitude {im_text} for {string}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        rows.append(row)
-        cols.append(column)
-        values.append(value)
-        value_lines.append(lineno)
-    if column + 1 != dim:
-        raise ValueError(f"{path}: header says {dim} columns, found {column + 1}")
-    strings = letter_strings_by_weight(q, n)
-    members: dict[tuple[int, ...], list[int]] = {}  # content -> its columns
-    for j, lab in enumerate(labels):
-        members.setdefault(lab.weight, []).append(j)
-    # entry (row, col) of a class block sits at row_start[row] + col_pos[col]
-    # of one flat array of all blocks
-    row_class, row_start, col_class, col_pos = np.empty((4, dim), np.intp)
-    filled = 0
-    for c, (w, js) in enumerate(members.items()):
-        size = len(js)
-        row_class[strings[w]], row_start[strings[w]] = c, filled + size * np.arange(size)
-        col_class[js], col_pos[js] = c, np.arange(size)
-        filled += size * size
-    rows, cols, values = np.asarray(rows, np.intp), np.asarray(cols, np.intp), np.asarray(values)
-    inside = row_class[rows] == col_class[cols]
-    outside = np.flatnonzero(~inside & (values != 0))  # NaN included
-    if len(outside):
-        k, col = outside[0], cols[outside[0]]
-        raise ValueError(
-            f"{path}:{value_lines[k]}: column {col}: amplitude at row {rows[k]} lies "
-            f"outside its content class {labels[col].weight}"
-        )
-    flat = np.zeros(filled)
-    flat[row_start[rows[inside]] + col_pos[cols[inside]]] = values[inside]
-    blocks = np.split(flat, np.cumsum([len(js) ** 2 for js in members.values()])[:-1])
-    classes = [
-        (np.asarray(strings[w]), np.asarray(js), B.reshape(len(js), len(js)))
-        for (w, js), B in zip(members.items(), blocks)
-    ]
-    basis = SuperSchurBasis(d=d, n=n, classes=classes)
-    dev = basis.unitarity_deviation()
-    if not dev <= UNITARITY_TOL:
-        raise ValueError(
-            f"{path}: basis is not unitary: deviation {dev:.3e} "
-            f"> UNITARITY_TOL {UNITARITY_TOL:.1e}"
-        )
-    return basis
 
 
 def cmd_schur_basis(args) -> int:

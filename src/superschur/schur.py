@@ -19,7 +19,7 @@ checked one class at a time.
 The column layout follows from Schur-Weyl duality alone: a column is a
 shape, a standard tableau and a multiplicity label (a letter content and
 an index within it), so :func:`column_labels` gives the labels of every
-basis of a given (d, n), built or loaded.
+basis of a given (d, n).
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis

@@ -7,7 +7,8 @@ reference column missing, a family put in the wrong class) measures
 infinity.  The fast level stays at n <= 3; full adds the four-site and
 qutrit cases, long dimension sums and the dense oracles of
 :mod:`superschur.oracle`.  The n = 3 example maps are decomposed once per
-process and shared by the three checks that read them.
+process and shared by the three checks that read them.  Deviations fold
+with ``np.max``/``np.min``, which, unlike the builtins, let a NaN through.
 """
 
 from __future__ import annotations
@@ -80,19 +81,19 @@ def _dimension_sum(*cases) -> float:
 
 
 def _letter_basis_orthonormal() -> float:
-    worst = 0.0
+    deviations = []
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1)]:
         ob = operator_basis(d, n)
         E = np.stack([ob.element_matrix(a).ravel() for a in range(ob.dim)])
         G = E.conj() @ E.T / d**n
-        worst = max(worst, float(np.max(np.abs(G - np.eye(ob.dim)))))
-    return worst
+        deviations.append(np.max(np.abs(G - np.eye(ob.dim))))
+    return float(np.max(deviations))
 
 
 def _letter_table() -> float:
     """Largest difference between each letter string's dense matrix and the
     monomial the vectorize plan's ``rows`` give it, zero elsewhere."""
-    worst = 0.0
+    deviations = []
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]:
         ob = operator_basis(d, n)
         cols, vals = ob.vectorize_plan.rows(slice(None))
@@ -100,33 +101,33 @@ def _letter_table() -> float:
         planned = np.zeros((ob.dim, D, D), dtype=np.complex128)
         planned[np.arange(ob.dim)[:, None], np.arange(D), cols] = vals
         dense = np.stack([ob.element_matrix(a) for a in range(ob.dim)])
-        worst = max(worst, float(np.max(np.abs(dense - planned))))
-    return worst
+        deviations.append(np.max(np.abs(dense - planned)))
+    return float(np.max(deviations))
 
 
 def _vectorize_round_trip() -> float:
     rng = np.random.default_rng(0)
-    worst = 0.0
+    deviations = []
     for d, n in [(2, 2), (2, 3), (3, 1)]:
         basis = operator_basis(d, n)
         m = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
         back = devectorize(vectorize(m, basis), basis)
-        worst = max(worst, float(np.max(np.abs(back.matrix - m))))
-    return worst
+        deviations.append(np.max(np.abs(back.matrix - m)))
+    return float(np.max(deviations))
 
 
 def _basis_unitarity(*cases) -> float:
-    return max(super_schur_basis(d, n).unitarity_deviation() for d, n in cases)
+    return float(np.max([super_schur_basis(d, n).unitarity_deviation() for d, n in cases]))
 
 
 def _equivariance(*cases) -> float:
     """Largest leakage of an adjacent transposition outside its predicted
     D(pi) x I pattern, over the whole frame matrix."""
-    return max(
+    return float(np.max([
         permutation_in_schur(g, super_schur_basis(d, n)).leakage
         for d, n in cases
         for g in adjacent_transpositions(n)
-    )
+    ]))
 
 
 def _reference_column_n3() -> float:
@@ -145,7 +146,7 @@ def _reference_column_n3() -> float:
     ]
     if len(cols) != 2:
         return math.inf
-    return min(min(np.max(np.abs(v - target)), np.max(np.abs(v + target))) for v in cols)
+    return float(np.min([[np.max(np.abs(v - target)), np.max(np.abs(v + target))] for v in cols]))
 
 
 def _reference_projectors_n4() -> float:
@@ -156,29 +157,29 @@ def _reference_projectors_n4() -> float:
     restriction and the zero blocks between classes."""
     basis = super_schur_basis(2, 4)
     U = basis.unitary
-    worst = 0.0
+    deviations = []
     for shape in basis.shapes:
         V0 = U[:, basis.tableau_slice(shape, 0)]
-        deviation = V0 @ V0.T - matrix_unit(shape, 0, 0, 2, 4)
-        worst = max(worst, float(np.max(np.abs(deviation))))
-    return worst
+        deviations.append(np.max(np.abs(V0 @ V0.T - matrix_unit(shape, 0, 0, 2, 4))))
+    return float(np.max(deviations))
 
 
 def _matrix_unit_algebra_n3() -> float:
     units = {(i, j): matrix_unit(TWO_ONE, i, j, 2, 3) for i in range(2) for j in range(2)}
-    worst = 0.0
+    deviations = []
     for (i, j), E in units.items():
         for (k, l), F in units.items():
             product = E @ F
             expected = units[(i, l)] if j == k else np.zeros_like(product)
-            worst = max(worst, float(np.max(np.abs(product - expected))))
+            deviations.append(np.max(np.abs(product - expected)))
     # diagonal units across all shapes resolve the identity
     total = sum(
         matrix_unit(s, y, y, 2, 3)
         for s in partitions(3, 3)
         for y in range(syt_dimension(s))
     )
-    return max(worst, float(np.max(np.abs(total - np.eye(64)))))
+    deviations.append(np.max(np.abs(total - np.eye(64))))
+    return float(np.max(deviations))
 
 
 _DAMPING_CLASSES = {"collective_damping": "strong", "correlated_damping": "strong",
@@ -219,28 +220,31 @@ def _decomposed_examples() -> tuple:
 
 
 def _example_block_structure_n3() -> float:
-    return max(
-        max(decomp.leakage, *decomp.twin_deviation.values())
+    return float(np.max([
+        value
         for _, decomp in _decomposed_examples()
-    )
+        for value in (decomp.leakage, *decomp.twin_deviation.values())
+    ]))
 
 
 def _classification_table_n3() -> float:
     """Largest residual behind each expected class (the Hamiltonian's, then
     the commutator for strong, the expansion and unitarity for weak)."""
-    worst = 0.0
+    residuals = []
     for channel, want in _examples():
         cert = _classify(channel)
         if cert.classification != want:
             return math.inf
         r = cert.residuals
         keys = ["strong_commutator"] if want == "strong" else ["expansion_residual", "unitarity"]
-        worst = max(worst, r.get("hamiltonian_invariance", 0.0), *(r[k] for k in keys))
-    return worst
+        residuals += [r.get("hamiltonian_invariance", 0.0), *(r[k] for k in keys)]
+    return float(np.max(residuals))
 
 
 def _protection_probe_n3() -> float:
-    return max(protection_check(decomp, trials=5, seed=0) for _, decomp in _decomposed_examples())
+    return float(np.max(
+        [protection_check(decomp, trials=5, seed=0) for _, decomp in _decomposed_examples()]
+    ))
 
 
 def _dfs_flags_n3() -> float:
@@ -254,7 +258,9 @@ def _dfs_flags_n3() -> float:
 
 
 def _kraus_closure_n3() -> float:
-    return max(ch.closure_deviation for ch, _ in _examples() if isinstance(ch, KrausChannel))
+    return float(np.max(
+        [ch.closure_deviation for ch, _ in _examples() if isinstance(ch, KrausChannel)]
+    ))
 
 
 def _sector_sizes_brute_force_n2() -> float:
@@ -276,10 +282,10 @@ def _blockwise_exp_dense_n3() -> float:
     G = lindblad_superop(lind, operator_basis(2, 3))
     decomp = decompose(G, basis)
     U = basis.unitary
-    return max(
-        float(np.max(np.abs(U @ blockwise_exp(decomp, t).schur_matrix @ U.T - expm(t * G.matrix))))
+    return float(np.max([
+        np.max(np.abs(U @ blockwise_exp(decomp, t).schur_matrix @ U.T - expm(t * G.matrix)))
         for t in (0.1, 1.0)
-    )
+    ]))
 
 
 CHECKS = (

@@ -10,8 +10,11 @@ tolerance.
 
 import itertools
 import math
+import re
 import time
 from functools import reduce
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +77,52 @@ def test_example_maps_are_decomposed_once_per_process(monkeypatch, fresh_builder
     assert all(r.passed for r in results)
     # one decomposition per example map, not one per map and check
     assert len(built) == len(list(verify._examples())) == 19
+
+
+def nan_on_the_second_call(fn, poisoned):
+    """``fn``, except that its second call returns ``poisoned(result)``."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return poisoned(out) if next(calls) == 1 else out
+
+    return wrapped
+
+
+# check -> (the name in superschur.verify whose second result turns NaN, how)
+NAN_INJECTIONS = {
+    "protection_probe_n3": ("protection_check", lambda out: math.nan),
+    "basis_unitary": (
+        "super_schur_basis", lambda out: SimpleNamespace(unitarity_deviation=lambda: math.nan)),
+    "permutation_equivariance": (
+        "permutation_in_schur", lambda out: SimpleNamespace(leakage=math.nan)),
+    "classification_table_n3": (
+        "_classify",
+        lambda out: SimpleNamespace(
+            classification=out.classification, residuals=dict.fromkeys(out.residuals, math.nan)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INJECTIONS))
+def test_a_nan_after_the_first_operand_fails_the_check(name, monkeypatch):
+    target, poisoned = NAN_INJECTIONS[name]
+    monkeypatch.setattr(verify, target, nan_on_the_second_call(getattr(verify, target), poisoned))
+    result = next(c for c in verify.CHECKS if c.name == name).run()
+    assert math.isnan(result.measured)
+    assert result.passed is False
+
+
+def test_readme_check_counts_match_the_registry():
+    # both the test section's prose and the verify section's command lines
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fast = re.findall(r"(?:--level fast +#|fast level has)\s+(\d+)\s+checks", text)
+    full = re.findall(r"(?:--level full +#|full level has)\s+all\s+(\d+)", text)
+    assert len(fast) == len(full) == 2
+    assert [int(x) for x in fast] == [len(checks("fast"))] * 2
+    assert [int(x) for x in full] == [len(verify.CHECKS)] * 2
 
 
 def test_criterion_1_decomposition_counts(capsys):

@@ -20,11 +20,14 @@ from superschur import (
     mixing_unitary,
     operator_basis,
     orthogonalize_kraus,
-    psd_sqrt,
-    symmetrize_local_kraus,
     vectorize,
 )
-from superschur.channels import SuperOperatorMatrix, channel_from_dict
+from superschur.channels import (
+    SuperOperatorMatrix,
+    _psd_sqrt,
+    _symmetrize_local_kraus,
+    channel_from_dict,
+)
 from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions, all_permutations, compose
 
@@ -101,21 +104,21 @@ def test_lindbladian_validation():
 
 
 def test_psd_sqrt_diagonal_and_random():
-    got = psd_sqrt(np.diag([4.0, 1.0]))
+    got = _psd_sqrt(np.diag([4.0, 1.0]))
     assert np.max(np.abs(got - np.diag([2.0, 1.0]))) < 1e-12
     rng = np.random.default_rng(0)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     M = A @ A.conj().T
-    R = psd_sqrt(M)
+    R = _psd_sqrt(M)
     assert np.max(np.abs(R - R.conj().T)) < 1e-10
     assert np.max(np.abs(R @ R - M)) < 1e-10
 
 
 def test_psd_sqrt_rejects_bad_input():
     with pytest.raises(ChannelInvariantError, match="Hermitian"):
-        psd_sqrt(LOWER)
+        _psd_sqrt(LOWER)
     with pytest.raises(ChannelInvariantError, match="positive"):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        _psd_sqrt(np.diag([1.0, -0.5]))
 
 
 def test_orthogonalize_preserves_the_channel_map():
@@ -153,20 +156,20 @@ def test_orthogonalize_passes_orthogonal_sets_through():
 
 def test_symmetrize_local_kraus_orbits():
     f0, f1 = damping_pair(0.5)
-    ops = symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f0", "f0"])
+    ops = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f0", "f0"])
     assert len(ops) == 3  # distinct orderings of one f1 among two f0
     assert all(op.n == 3 for op in ops)
     supports = {
         tuple(np.flatnonzero(np.abs(op.matrix) > 1e-12).tolist()) for op in ops
     }
     assert len(supports) == 3
-    assert len(symmetrize_local_kraus({"a": f0}, ["a", "a"])) == 1
+    assert len(_symmetrize_local_kraus({"a": f0}, ["a", "a"])) == 1
     with pytest.raises(ValueError, match="missing"):
-        symmetrize_local_kraus({"a": f0}, ["a", "b"])
+        _symmetrize_local_kraus({"a": f0}, ["a", "b"])
     with pytest.raises(DimensionMismatchError):
-        symmetrize_local_kraus({"a": f0, "b": np.eye(3)}, ["a", "b"])
+        _symmetrize_local_kraus({"a": f0, "b": np.eye(3)}, ["a", "b"])
     with pytest.raises(ValueError):
-        symmetrize_local_kraus({"a": f0}, [])
+        _symmetrize_local_kraus({"a": f0}, [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -10,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superschur import SizeGuardError, channels, cli, example_channel, super_schur_basis
-from superschur.cli import main, read_basis_file, write_basis_file
-from superschur.combinatorics import letter_strings_by_weight
+from superschur import channels, cli, example_channel, super_schur_basis
+from superschur.cli import main, write_basis_file
 from superschur.schur import SuperSchurBasis, column_labels
 
 
@@ -125,19 +123,49 @@ def test_evolve_times_must_be_finite_and_non_negative(value, capsys):
 # schur-basis files
 
 
-def test_schur_basis_round_trip(tmp_path, capsys, schur_2_3):
-    path = tmp_path / "basis.txt"
+def test_schur_basis_exports_the_built_basis(tmp_path, capsys, schur_2_3):
+    path, again = tmp_path / "basis.txt", tmp_path / "again.txt"
     assert main(["schur-basis", "--n", "3", "--d", "2", "--out", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "wrote 64 columns" in out
+    assert "wrote 64 columns" in capsys.readouterr().out
     text = path.read_text()
     assert text.splitlines()[0] == "d=2 n=3 columns=64"
     assert "lambda=2,1 Y=0 weight=0,2,1,0 w_index=0" in text
+    write_basis_file(schur_2_3, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
-    loaded = read_basis_file(str(path))
-    assert loaded.unitarity_deviation() < 1e-10
-    assert loaded.labels == schur_2_3.labels
-    assert np.max(np.abs(loaded.unitary - schur_2_3.unitary)) < 1e-12
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_basis_files_are_written_without_the_dense_matrix(d, n, tmp_path, monkeypatch):
+    # each column is its label line, then one "string re 0.0" line per
+    # class-block entry at or above the cutoff; repr round-trips float64
+    def refuse(basis):
+        raise AssertionError("the dense basis matrix was assembled")
+
+    basis = super_schur_basis(d, n)
+    monkeypatch.setattr(SuperSchurBasis, "unitary", property(refuse))
+    path = tmp_path / "basis.txt"
+    write_basis_file(basis, str(path))
+    header, *lines = path.read_text().splitlines()
+    assert header == f"d={d} n={n} columns={(d * d) ** n}"
+    at = [i for i, line in enumerate(lines) if line.startswith("lambda=")]
+    assert at[0] == 0
+    assert [lines[i] for i in at] == [cli._label_line(lab) for lab in column_labels(d, n)]
+    string_rows = {text: row for row, text in enumerate(cli._string_labels(d * d, n))}
+    written = []
+    for col, (start, stop) in enumerate(zip(at, at[1:] + [len(lines)])):
+        for line in lines[start + 1 : stop]:
+            string, re_text, im_text = line.split()
+            assert im_text == "0.0"
+            written.append((string_rows[string], col, float(re_text)))
+    assert all(abs(value) >= cli.AMPLITUDE_CUTOFF for _, _, value in written)
+    expected = [
+        (row, col, value)
+        for rows, cols, B in basis.classes
+        for a, col in enumerate(cols.tolist())
+        for row, value in zip(rows.tolist(), B[:, a].tolist())
+        if abs(value) >= cli.AMPLITUDE_CUTOFF
+    ]
+    assert sorted(written) == sorted(expected)
 
 
 def test_schur_basis_single_site_identity_amplitudes(tmp_path, capsys):
@@ -155,275 +183,6 @@ def test_basis_file_is_deterministic(tmp_path, schur_2_2):
     write_basis_file(schur_2_2, str(a))
     write_basis_file(schur_2_2, str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def single_site_basis_lines(tmp_path):
-    path = tmp_path / "b1.txt"
-    assert main(["schur-basis", "--n", "1", "--d", "2", "--out", str(path)]) == 0
-    return path, path.read_text().splitlines()
-
-
-def test_amplitude_before_first_label_is_rejected(tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    assert lines[1].startswith("lambda=") and lines[2] == "0 1.0 0.0"
-    lines[1], lines[2] = lines[2], lines[1]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: amplitude line before")):
-        read_basis_file(str(path))
-
-
-def test_repeated_amplitude_is_rejected(tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    # column 1 (string 1) gets a second amplitude for string 1
-    assert lines[4] == "1 1.0 0.0"
-    lines.insert(5, "1 0.5 0.0")
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:6: repeated amplitude for 1 in column 1"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_basis_file(str(path))
-
-
-def test_label_beyond_header_column_count_is_rejected(tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    assert len(lines) == 9 and lines[7].startswith("lambda=")
-    lines.append(lines[7])
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:10: more lambda= labels than the header's columns=4"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_basis_file(str(path))
-
-
-def test_amplitude_line_with_wrong_field_count_is_rejected(tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    assert lines[2] == "0 1.0 0.0"
-    lines[2] = "0 1.0"
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:3: amplitude line needs 3 fields (string re im), got 2"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        read_basis_file(str(path))
-
-
-# line index to replace, its new text, the line the refusal names, message
-LOADER_REFUSALS = {
-    "header_without_columns": (0, "d=2 n=1", 1, "missing columns="),
-    "header_token_without_equals": (
-        0, "d=2 n=1 columns=4 junk", 1, "token 'junk' is not key=value"),
-    "d_below_2": (0, "d=1 n=1 columns=1", 1, "need d >= 2 and n >= 1, got d=1 n=1"),
-    "n_below_1": (0, "d=2 n=0 columns=1", 1, "need d >= 2 and n >= 1, got d=2 n=0"),
-    "columns_not_liouville_dim": (0, "d=2 n=1 columns=3", 1, "columns=3, but (d*d)**n = 4"),
-    "label_without_Y": (
-        1, "lambda=1 weight=1,0,0,0 w_index=0", 2,
-        "label 'lambda=1 weight=1,0,0,0 w_index=0' where the layout has "
-        "'lambda=1 Y=0 weight=1,0,0,0 w_index=0'"),
-    "letter_string_a": (2, "a 1.0 0.0", 3, "invalid literal for int()"),
-    "amplitude_x": (2, "0 x 0.0", 3, "could not convert string to float: 'x'"),
-    "imaginary_amplitude": (2, "0 1.0 1e-300", 3, "nonzero imaginary amplitude 1e-300 for 0"),
-    "string_outside_class": (
-        2, "1 1.0 0.0", 3,
-        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
-    "string_outside_class_tiny": (
-        2, "1 1e-300 0.0", 3,
-        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
-    "string_outside_class_nan": (
-        2, "1 nan 0.0", 3,
-        "column 0: amplitude at row 1 lies outside its content class (1, 0, 0, 0)"),
-    "three_entry_weight": (
-        1, "lambda=1 Y=0 weight=1,0,0 w_index=0", 2,
-        "label 'lambda=1 Y=0 weight=1,0,0 w_index=0' where the layout has "
-        "'lambda=1 Y=0 weight=1,0,0,0 w_index=0'"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
-def test_basis_loader_refusal_names_file_and_line(case, tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    index, text, lineno, message = LOADER_REFUSALS[case]
-    lines[index] = text
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: {message}")):
-        read_basis_file(str(path))
-
-
-def test_basis_file_whose_classes_do_not_tile_is_refused(tmp_path, capsys):
-    # column 0 moves, without its amplitude, to the content of column 1
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    assert lines[1] == "lambda=1 Y=0 weight=1,0,0,0 w_index=0" and lines[2] == "0 1.0 0.0"
-    lines[1] = "lambda=1 Y=0 weight=0,1,0,0 w_index=0"
-    del lines[2]
-    assert_label_refused(path, lines, 1, "lambda=1 Y=0 weight=1,0,0,0 w_index=0")
-
-
-def test_basis_file_with_one_label_fewer_than_columns_is_refused(tmp_path, capsys):
-    path, lines = single_site_basis_lines(tmp_path)
-    capsys.readouterr()
-    assert lines[7].startswith("lambda=") and len(lines) == 9
-    path.write_text("\n".join(lines[:7]) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}: header says 4 columns, found 3")):
-        read_basis_file(str(path))
-
-
-def basis_file_lines(tmp_path, d, n):
-    path = tmp_path / f"b{d}{n}.txt"
-    write_basis_file(super_schur_basis(d, n), str(path))
-    return path, path.read_text().splitlines()
-
-
-def label_line_numbers(lines):
-    return [i for i, line in enumerate(lines) if line.startswith("lambda=")]
-
-
-def assert_refused_at(path, lines, index, message):
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:{index + 1}: {message}")):
-        read_basis_file(str(path))
-
-
-def assert_label_refused(path, lines, index, expected):
-    # the loader names the first label line that is not the exporter's
-    message = f"label '{lines[index]}' where the layout has '{expected}'"
-    assert_refused_at(path, lines, index, message)
-
-
-@pytest.mark.parametrize("size", [1, 3])
-def test_basis_file_with_a_column_moved_to_another_class_is_refused(tmp_path, size):
-    # one column of a class of this size moves, without its amplitudes, to
-    # another content; the line named is that column's label
-    path, lines = basis_file_lines(tmp_path, 2, 3)
-    strings = letter_strings_by_weight(4, 3)
-    labels = super_schur_basis(2, 3).labels
-    drop = next(j for j, lab in enumerate(labels) if len(strings[lab.weight]) == size)
-    old, new = labels[drop].weight, next(w for w in strings if w != labels[drop].weight)
-    at = label_line_numbers(lines)
-    original = lines[at[drop]]
-    lines[at[drop]] = original.replace(
-        f"weight={','.join(map(str, old))} ", f"weight={','.join(map(str, new))} "
-    )
-    del lines[at[drop] + 1 : at[drop + 1]]
-    assert_label_refused(path, lines, at[drop], original)
-
-
-def test_basis_label_with_tableau_index_out_of_range_is_refused(tmp_path):
-    path, lines = basis_file_lines(tmp_path, 2, 2)
-    assert lines[1] == "lambda=2 Y=0 weight=2,0,0,0 w_index=0"
-    lines[1] = "lambda=2 Y=5 weight=2,0,0,0 w_index=0"
-    assert_label_refused(path, lines, 1, "lambda=2 Y=0 weight=2,0,0,0 w_index=0")
-
-
-def test_basis_label_whose_shape_is_not_a_partition_of_n_is_refused(tmp_path):
-    path, lines = basis_file_lines(tmp_path, 2, 2)
-    original = lines[1]
-    lines[1] = lines[1].replace("lambda=2 ", "lambda=2,1 ")
-    assert_label_refused(path, lines, 1, original)
-
-
-def test_basis_label_whose_shape_has_too_many_rows_is_refused(tmp_path):
-    # five rows: a partition of n = 5, but beyond the d*d = 4 letters
-    path, lines = basis_file_lines(tmp_path, 2, 5)
-    index = next(i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1,1,1 "))
-    original = lines[index]
-    lines[index] = lines[index].replace("lambda=2,1,1,1 ", "lambda=1,1,1,1,1 ")
-    assert_label_refused(path, lines, index, original)
-
-
-def test_basis_file_whose_shape_labels_are_split_is_refused(tmp_path):
-    # the first column of shape {2} (label and amplitude) moves to the end,
-    # so the first label line already differs
-    path, lines = basis_file_lines(tmp_path, 2, 2)
-    assert lines[1].startswith("lambda=2 ") and not lines[3].startswith("lambda=1,1")
-    original = lines[1]
-    lines = lines[:1] + lines[3:] + lines[1:3]
-    assert_label_refused(path, lines, 1, original)
-
-
-def test_basis_file_with_unequal_tableau_counts_is_refused(tmp_path):
-    # the last Y=0 column of shape {2,1} is relabelled Y=1, with every
-    # w_index renumbered: Y=1 then labels 21 columns, one more than
-    # weyl_dimension({2,1}, 4) = 20; the relabelled line is the first that
-    # differs from the exporter's
-    path, lines = basis_file_lines(tmp_path, 2, 3)
-    shape_lines = [i for i in label_line_numbers(lines) if lines[i].startswith("lambda=2,1 ")]
-    last_y0 = max(i for i in shape_lines if " Y=0 " in lines[i])
-    original = lines[last_y0]
-    lines[last_y0] = lines[last_y0].replace(" Y=0 ", " Y=1 ")
-    seen = {}
-    for i in label_line_numbers(lines):
-        key = lines[i].rsplit(" w_index=", 1)[0]
-        lines[i] = f"{key} w_index={seen.get(key, 0)}"
-        seen[key] = seen.get(key, 0) + 1
-    assert_label_refused(path, lines, last_y0, original)
-
-
-def test_basis_label_whose_w_index_skips_is_refused(tmp_path):
-    path, lines = basis_file_lines(tmp_path, 2, 2)
-    original = lines[1]
-    lines[1] = lines[1].replace("w_index=0", "w_index=1")
-    assert_label_refused(path, lines, 1, original)
-
-
-def test_basis_file_with_two_content_groups_swapped_is_refused(tmp_path):
-    # two content groups of one tableau of {2,1} trade places, labels and
-    # amplitudes moving together: a valid layout in another order, which
-    # the exporter never writes
-    path, lines = basis_file_lines(tmp_path, 2, 3)
-    at = label_line_numbers(lines) + [len(lines)]
-    spans = {}  # weight -> (first line, stop line) of its {2,1}, Y=0 columns
-    for start, stop in zip(at, at[1:]):
-        if lines[start].startswith("lambda=2,1 Y=0 "):
-            weight = lines[start].split()[2]
-            spans[weight] = (spans.get(weight, (start,))[0], stop)
-    (a0, a1), (b0, b1) = list(spans.values())[:2]
-    assert a1 == b0
-    original = lines[a0]
-    lines = lines[:a0] + lines[b0:b1] + lines[a0:a1] + lines[b1:]
-    assert_label_refused(path, lines, a0, original)
-
-
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
-def test_basis_files_are_written_and_read_without_the_dense_matrix(d, n, tmp_path, monkeypatch):
-    def refuse(basis):
-        raise AssertionError("the dense basis matrix was assembled")
-
-    built = super_schur_basis(d, n)
-    monkeypatch.setattr(SuperSchurBasis, "unitary", property(refuse))
-    path = tmp_path / "basis.txt"
-    write_basis_file(built, str(path))
-    loaded = read_basis_file(str(path))
-    assert loaded.labels == built.labels == column_labels(d, n)
-    for (rows, cols, B), (want_rows, want_cols, want) in zip(loaded.classes, built.classes):
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        # amplitudes below the write cutoff come back as zeros
-        assert np.max(np.abs(B - want)) < 1e-14
-
-
-def test_basis_loader_reads_non_canonical_letter_strings(tmp_path):
-    # at d = 4 a letter is a base-16 number, so "01" names letter 1 but is
-    # not the string the exporter writes; "016" stays out of range
-    path, lines = basis_file_lines(tmp_path, 4, 1)
-    written = read_basis_file(str(path))
-    moved = [i for i, line in enumerate(lines) if line.startswith("1 ")]
-    assert len(moved) == 1
-    lines[moved[0]] = "0" + lines[moved[0]]
-    path.write_text("\n".join(lines) + "\n")
-    loaded = read_basis_file(str(path))
-    assert loaded.labels == written.labels
-    for (rows, cols, B), (want_rows, want_cols, want) in zip(loaded.classes, written.classes):
-        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-        assert np.array_equal(B, want)
-    lines[moved[0]] = "016" + lines[moved[0]][2:]
-    assert_refused_at(path, lines, moved[0], "bad letter string '016'")
-
-
-def test_basis_loader_applies_the_size_guard_first(tmp_path):
-    path = tmp_path / "big.txt"
-    path.write_text("d=2 n=7 columns=16384\n")
-    with pytest.raises(SizeGuardError, match="exceeds the limit"):
-        read_basis_file(str(path))
 
 
 def test_schur_basis_size_guard_exit_2(tmp_path, capsys):
@@ -667,14 +426,6 @@ def test_oversized_channel_file_past_the_int_text_limit_exits_2(tmp_path, capsys
 def test_schur_basis_past_the_int_text_limit_exits_2(tmp_path, capsys):
     assert main(["schur-basis", "--d", "2", "--n", "8000", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {HUGE_GUARD_MESSAGE}")
-
-
-def test_basis_header_past_the_int_text_limit_meets_the_size_guard(tmp_path):
-    # the guard runs before the columns= comparison
-    path = tmp_path / "big.txt"
-    path.write_text("d=2 n=8000 columns=1\n")
-    with pytest.raises(SizeGuardError, match=re.escape(HUGE_GUARD_MESSAGE)):
-        read_basis_file(str(path))
 
 
 # d*d has 4401 digits, past Python's limit for turning an int into text
@@ -929,28 +680,6 @@ def test_analyze_and_evolve_load_no_oracle(tmp_path):
 def test_verify_rejects_unknown_level(capsys):
     assert main(["verify", "--level", "extreme"]) == 1
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
-def test_written_basis_files_load(tmp_path, d, n):
-    path = tmp_path / "basis.txt"
-    assert main(["schur-basis", "--n", str(n), "--d", str(d), "--out", str(path)]) == 0
-    loaded = read_basis_file(str(path))
-    assert loaded.unitarity_deviation() <= 1e-10
-
-
-def test_non_unitary_basis_file_is_rejected(tmp_path, capsys):
-    path = tmp_path / "basis.txt"
-    assert main(["schur-basis", "--n", "2", "--d", "2", "--out", str(path)]) == 0
-    capsys.readouterr()
-    lines = path.read_text().splitlines()
-    k = next(i for i, line in enumerate(lines) if i and not line.startswith("lambda="))
-    string, re_text, im_text = lines[k].split()
-    lines[k] = f"{string} {float(re_text) * 1.01!r} {im_text}"
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}: basis is not unitary: deviation "
-    with pytest.raises(ValueError, match=re.escape(message) + r".* > UNITARITY_TOL 1\.0e-10"):
-        read_basis_file(str(path))
 
 
 def test_evolve_reports_blocks_and_exponentials(tmp_path, capsys):

@@ -8,8 +8,6 @@ complex128 copy, check the guard on the imaginary part the kernel drops,
 and check that qutrits and complex inputs stay complex.
 """
 
-import re
-
 import numpy as np
 import pytest
 
@@ -171,36 +169,6 @@ def test_non_hermitian_hamiltonian_exits_4(command, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "_load_channel", lambda path: (forced, None))
     assert cli.main([command, str(tmp_path / "forced.json")]) == 4
     assert "imaginary part" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# basis files
-
-
-@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
-def test_basis_file_loads_real_and_rewrites_identically(d, n, tmp_path):
-    path, again = tmp_path / "basis.txt", tmp_path / "again.txt"
-    cli.write_basis_file(super_schur_basis(d, n), str(path))
-    loaded = cli.read_basis_file(str(path))
-    assert all(B.dtype == np.float64 for _, _, B in loaded.classes)
-    cli.write_basis_file(loaded, str(again))
-    assert again.read_bytes() == path.read_bytes()
-
-
-def test_basis_file_with_imaginary_amplitude_is_refused(schur_2_2, tmp_path):
-    # multiplying one column by i keeps the basis unitary, but not real
-    path = tmp_path / "basis.txt"
-    cli.write_basis_file(schur_2_2, str(path))
-    lines = path.read_text().splitlines()
-    labels = [k for k, line in enumerate(lines) if line.startswith("lambda=")]
-    col = 3
-    for k in range(labels[col] + 1, labels[col + 1]):
-        string, re_text, _ = lines[k].split()
-        lines[k] = f"{string} 0.0 {re_text}"
-    path.write_text("\n".join(lines) + "\n")
-    message = f"{path}:{labels[col] + 2}: nonzero imaginary amplitude"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        cli.read_basis_file(str(path))
 
 
 # ---------------------------------------------------------------------------
