@@ -40,10 +40,15 @@ sends each of them to one coefficient at most twice as large, so dropping
 that part is the same as using the Hermitian part of H.  Anything larger
 is an InternalConsistencyError.  Weyl letters (d >= 3) are not Hermitian
 and keep complex128.
+
+The built-in qubit families (EXAMPLE_CHANNELS) are sums and lists over
+site patterns: one local operator on k of the n qubits and another on the
+rest, for every 0/1 pattern with k ones, each pattern built once.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import sys
@@ -254,30 +259,6 @@ def _psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def _symmetrize_local_kraus(single_ops: dict, pattern) -> list[QuditOperator]:
-    """Tensor products of labelled single-site operators over every
-    distinct ordering of ``pattern``, in lexicographic label order."""
-    pattern = tuple(pattern)
-    if not pattern:
-        raise ValueError("pattern must name at least one site")
-    mats = {}
-    for label in set(pattern):
-        if label not in single_ops:
-            raise ValueError(f"pattern label {label!r} missing from single_ops")
-        m = np.asarray(single_ops[label], dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"operator {label!r} is not square")
-        mats[label] = m
-    sizes = {m.shape[0] for m in mats.values()}
-    if len(sizes) != 1:
-        raise DimensionMismatchError(f"inconsistent single-site dimensions: {sorted(sizes)}")
-    d, n = sizes.pop(), len(pattern)
-    out = []
-    for ordering in sorted(set(itertools.permutations(pattern))):
-        out.append(QuditOperator(d, n, reduce(np.kron, (mats[x] for x in ordering))))
-    return out
-
-
 @dataclass(frozen=True)
 class SymmetryCertificate:
     """Outcome of the permutation-symmetry test on the group generators.
@@ -320,20 +301,24 @@ def mixing_unitary(
     return U, residual, unit_dev
 
 
+def _commutator(matrices: list[np.ndarray], d: int, n: int) -> float:
+    """max |F P - P F| over the matrices F and the adjacent transpositions P."""
+    worst = 0.0
+    for g in adjacent_transpositions(n):
+        # P F = F[s]; a transposition is its own inverse, so F P = F[:, s]
+        s = np.argsort(string_index_map(g, d, n))
+        for F in matrices:
+            worst = max(worst, float(np.max(np.abs(F[:, s] - F[s, :]))))
+    return worst
+
+
 def _generator_symmetry(
     ops: tuple[QuditOperator, ...], d: int, n: int
 ) -> tuple[dict, float, float, float]:
-    gens = adjacent_transpositions(n)
-    commutator = 0.0
     expansion = 0.0
     unitarity = 0.0
     unitaries = {}
-    for g in gens:
-        # P F = F[s]; a transposition is its own inverse, so F P = F[:, s]
-        s = np.argsort(string_index_map(g, d, n))
-        for op in ops:
-            F = op.matrix
-            commutator = max(commutator, float(np.max(np.abs(F[:, s] - F[s, :]))))
+    for g in adjacent_transpositions(n):
         if ops:
             U, res, udev = mixing_unitary(ops, g, d, n)
         else:
@@ -341,7 +326,7 @@ def _generator_symmetry(
         unitaries[g] = U
         expansion = max(expansion, res)
         unitarity = max(unitarity, udev)
-    return unitaries, commutator, expansion, unitarity
+    return unitaries, _commutator([op.matrix for op in ops], d, n), expansion, unitarity
 
 
 def _within(residuals: dict, *names: str) -> bool:
@@ -376,14 +361,11 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     """Strong/weak/none certificate for a Lindblad generator.
 
     Either classification requires the Hamiltonian itself to be
-    permutation invariant; the jump operators then decide strong vs weak
-    exactly as Kraus operators do.
+    permutation invariant, measured by the commutator the operators get;
+    the jump operators then decide strong vs weak exactly as Kraus
+    operators do.
     """
-    ham_dev = 0.0
-    H = lind.hamiltonian.matrix
-    for g in adjacent_transpositions(lind.n):
-        s = np.argsort(string_index_map(g, lind.d, lind.n))
-        ham_dev = max(ham_dev, float(np.max(np.abs(H[np.ix_(s, s)] - H))))
+    ham_dev = _commutator([lind.hamiltonian.matrix], lind.d, lind.n)
     cert = _operator_certificate(
         lind.jump_ops, lind.d, lind.n, {"hamiltonian_invariance": ham_dev}
     )
@@ -656,45 +638,43 @@ def _damping_pair(p: float) -> tuple[np.ndarray, np.ndarray]:
     return f0, f1
 
 
+_I = np.eye(2, dtype=np.complex128)
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def _on_sites(op: np.ndarray, sites, n: int) -> np.ndarray:
-    """``op`` on each of ``sites`` and the identity on the other qubits."""
-    eye = np.eye(2, dtype=np.complex128)
-    return reduce(np.kron, (op if k in sites else eye for k in range(n)))
+def _orbit(n: int, k: int, one: np.ndarray, rest: np.ndarray = _I) -> list[np.ndarray]:
+    """``one`` on k of the n qubits and ``rest`` on the others, one product
+    per 0/1 site pattern with k ones, in lexicographic pattern order: the
+    reverse of the ``itertools.combinations`` order of the sites of ``one``."""
+    patterns = reversed(list(itertools.combinations(range(n), k)))
+    return [reduce(np.kron, [one if s in sites else rest for s in range(n)]) for sites in patterns]
 
 
-def _completion_op(ops: list[np.ndarray], dim: int) -> np.ndarray | None:
-    """Kraus operator completing a contractive set to a channel, if needed."""
-    R = np.eye(dim, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
-    if np.max(np.abs(R)) < 1e-14:
-        return None
-    return _psd_sqrt(R)
+def _channel(n: int, ops: list[np.ndarray]) -> KrausChannel:
+    """The channel of a contractive set ``ops``, completed by the Kraus
+    operator sqrt(I - sum F^dag F) unless that remainder is negligible, in
+    canonical orthogonal form."""
+    R = np.eye(2**n, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
+    if not np.max(np.abs(R)) < 1e-14:
+        ops = ops + [_psd_sqrt(R)]
+    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
 
 
-def _ising_hamiltonian(n: int, h_x: float, J: float) -> np.ndarray:
-    """Transverse field plus uniform all-to-all longitudinal coupling
-    (for three sites the all-to-all and nearest-neighbour rings agree)."""
-    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-    dim = 2**n
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(n):
-        H += h_x * _on_sites(X, {k}, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            H += J * _on_sites(Z, {i, j}, n)
-    return H
+def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindbladian:
+    """The generator of ``jumps`` and the transverse-field Ising Hamiltonian:
+    field h_x on every site plus uniform all-to-all coupling J on every pair
+    (for three sites the all-to-all and nearest-neighbour rings agree), its
+    terms summed in ``itertools.combinations`` order."""
+    terms = [h_x * T for T in _orbit(n, 1, _X)[::-1]] + [J * T for T in _orbit(n, 2, _Z)[::-1]]
+    H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
+    return Lindbladian(2, n, QuditOperator(2, n, H), tuple(jumps))
 
 
 def _build_collective_damping(n: int, p: float = 0.5) -> KrausChannel:
     f0, f1 = _damping_pair(p)
-    ops = [reduce(np.kron, [f0] * n), reduce(np.kron, [f1] * n)]
-    tail = _completion_op(ops, 2**n)
-    if tail is not None:
-        ops.append(tail)
-    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
+    return _channel(n, _orbit(n, 0, f1, f0) + _orbit(n, n, f1, f0))
 
 
 def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
@@ -703,28 +683,13 @@ def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
     # exceed contractivity for p > 2 - sqrt(3), while the scaled set is a
     # sub-sum of the full product closure and completes for every p.
     f0, f1 = _damping_pair(p)
-    singles = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1"] + ["f0"] * (n - 1))
-    doubles = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f1"] + ["f0"] * (n - 2))
-    ops = [
-        sum(op.matrix for op in singles) / math.sqrt(len(singles)),
-        sum(op.matrix for op in doubles) / math.sqrt(len(doubles)),
-    ]
-    tail = _completion_op(ops, 2**n)
-    if tail is not None:
-        ops.append(tail)
-    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
+    orbits = [_orbit(n, k, f1, f0) for k in (1, 2)]
+    return _channel(n, [sum(orbit) / math.sqrt(len(orbit)) for orbit in orbits])
 
 
 def _build_single_site_damping(n: int, p: float = 0.5) -> KrausChannel:
     # One site damps at a time; the 1/sqrt(n) weight restores closure.
-    f0, f1 = _damping_pair(p)
-    eye = np.eye(2, dtype=np.complex128)
-    ops = []
-    for label in ("f0", "f1"):
-        orbit = _symmetrize_local_kraus(
-            {"f0": f0, "f1": f1, "I": eye}, [label] + ["I"] * (n - 1)
-        )
-        ops.extend(op.matrix / math.sqrt(n) for op in orbit)
+    ops = [F / math.sqrt(n) for f in _damping_pair(p) for F in _orbit(n, 1, f)]
     return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
 
 
@@ -732,29 +697,18 @@ def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
     # Every site damps independently: all 2**n products, the union of the
     # permutation orbits of the patterns f1^k f0^(n-k).
     f0, f1 = _damping_pair(p)
-    ops = []
-    for k in range(n + 1):
-        orbit = _symmetrize_local_kraus(
-            {"f0": f0, "f1": f1}, ["f1"] * k + ["f0"] * (n - k)
-        )
-        ops.extend(op.matrix for op in orbit)
+    ops = [F for k in range(n + 1) for F in _orbit(n, k, f1, f0)]
     return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
 
 
 def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
     _check_rate("gamma1", gamma1)
-    jumps = [math.sqrt(gamma1) * _on_sites(_LOWER, {k}, n) for k in range(n)]
-    return Lindbladian(2, n, QuditOperator(2, n, _ising_hamiltonian(n, h_x, J)), tuple(jumps))
+    return _lindbladian(n, [math.sqrt(gamma1) * L for L in _orbit(n, 1, _LOWER)[::-1]], h_x, J)
 
 
 def _build_double_jump(n: int, gamma2: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
     _check_rate("gamma2", gamma2)
-    jumps = [
-        math.sqrt(gamma2) * _on_sites(_LOWER, {i, j}, n)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return Lindbladian(2, n, QuditOperator(2, n, _ising_hamiltonian(n, h_x, J)), tuple(jumps))
+    return _lindbladian(n, [math.sqrt(gamma2) * L for L in _orbit(n, 2, _LOWER)[::-1]], h_x, J)
 
 
 def _build_collective_jump(
@@ -765,26 +719,19 @@ def _build_collective_jump(
     h_x: float = 1.0,
     J: float = 1.0,
 ) -> Lindbladian:
-    for name, rate in (("gamma3", gamma3), ("gamma4", gamma4), ("gamma5", gamma5)):
-        _check_rate(name, rate)
+    # the single-site sum, the pair sum and the all-sites product
     jumps = []
-    if gamma3 > 0.0:
-        jumps.append(math.sqrt(gamma3) * sum(_on_sites(_LOWER, {k}, n) for k in range(n)))
-    if gamma4 > 0.0:
-        jumps.append(
-            math.sqrt(gamma4)
-            * sum(_on_sites(_LOWER, {i, j}, n) for i in range(n) for j in range(i + 1, n))
-        )
-    if gamma5 > 0.0:
-        jumps.append(math.sqrt(gamma5) * reduce(np.kron, [_LOWER] * n))
+    for name, k, rate in (("gamma3", 1, gamma3), ("gamma4", 2, gamma4), ("gamma5", n, gamma5)):
+        _check_rate(name, rate)
+        if rate > 0.0:
+            jumps.append(math.sqrt(rate) * sum(_orbit(n, k, _LOWER)))
     # at n = 2 the pair sum and the all-sites product coincide; the Gram
     # rotation merges parallel jumps without changing the dissipator
-    jumps = orthogonalize_kraus(2, n, jumps)
-    return Lindbladian(2, n, QuditOperator(2, n, _ising_hamiltonian(n, h_x, J)), tuple(jumps))
+    return _lindbladian(n, orthogonalize_kraus(2, n, jumps), h_x, J)
 
 
 def _build_transverse_ising(n: int, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
-    return Lindbladian(2, n, QuditOperator(2, n, _ising_hamiltonian(n, h_x, J)), ())
+    return _lindbladian(n, [], h_x, J)
 
 
 def _check_rate(name: str, rate: float) -> None:
@@ -804,21 +751,32 @@ EXAMPLE_CHANNELS = {
 }
 
 
+def _builder_params(name: str) -> tuple[str, ...]:
+    """The keyword parameters of the builder ``name``, in signature order."""
+    return tuple(inspect.signature(EXAMPLE_CHANNELS[name]).parameters)[1:]
+
+
 def example_channel(name: str, n: int = 3, **params):
     """Build one of the named qubit families (KrausChannel or Lindbladian).
 
     Damping families take ``p``; jump families take decay rates
     (``gamma1`` .. ``gamma5``) and Hamiltonian couplings ``h_x``, ``J``.
+    A parameter the family does not take is a ValueError that names the
+    ones it does.
     """
     if name not in EXAMPLE_CHANNELS:
         known = ", ".join(sorted(EXAMPLE_CHANNELS))
         raise ValueError(f"unknown example channel {name!r}; known: {known}")
     if n < 2:
         raise ValueError(f"example channels need n >= 2, got {n}")
-    try:
-        return EXAMPLE_CHANNELS[name](n, **params)
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for {name!r}: {exc}") from None
+    accepted = _builder_params(name)
+    for key in params:
+        if key not in accepted:
+            raise ValueError(
+                f"bad parameters for {name!r}: unknown parameter {key!r} "
+                f"(accepted: {', '.join(accepted)})"
+            )
+    return EXAMPLE_CHANNELS[name](n, **params)
 
 
 # --------------------------------------------------------------------------
@@ -948,6 +906,8 @@ def channel_from_dict(doc):
         if not isinstance(params, dict):
             raise ChannelSpecError("builder.params: expected an object")
         for key, value in params.items():
+            if key == "n":  # example_channel's own argument
+                raise ChannelSpecError("builder.params.n: the site count is the top-level n")
             if not _is_number_type(type(value)):
                 raise ChannelSpecError(f"builder.params.{key}: expected a number, got {value!r}")
             # NaN, inf or an integer beyond float64 would overflow in the builder

@@ -1,5 +1,6 @@
-import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +24,16 @@ from superschur import (
     vectorize,
 )
 from superschur.channels import (
+    EXAMPLE_CHANNELS,
     SuperOperatorMatrix,
+    _builder_params,
     _psd_sqrt,
-    _symmetrize_local_kraus,
     channel_from_dict,
 )
 from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions, all_permutations, compose
 
+import builder_oracle
 from dispatch import certificate, superop
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -152,24 +155,6 @@ def test_orthogonalize_passes_orthogonal_sets_through():
     out = orthogonalize_kraus(2, 1, [f0, f1, np.zeros((2, 2))])
     assert len(out) == 2
     assert orthogonalize_kraus(2, 1, []) == []
-
-
-def test_symmetrize_local_kraus_orbits():
-    f0, f1 = damping_pair(0.5)
-    ops = _symmetrize_local_kraus({"f0": f0, "f1": f1}, ["f1", "f0", "f0"])
-    assert len(ops) == 3  # distinct orderings of one f1 among two f0
-    assert all(op.n == 3 for op in ops)
-    supports = {
-        tuple(np.flatnonzero(np.abs(op.matrix) > 1e-12).tolist()) for op in ops
-    }
-    assert len(supports) == 3
-    assert len(_symmetrize_local_kraus({"a": f0}, ["a", "a"])) == 1
-    with pytest.raises(ValueError, match="missing"):
-        _symmetrize_local_kraus({"a": f0}, ["a", "b"])
-    with pytest.raises(DimensionMismatchError):
-        _symmetrize_local_kraus({"a": f0, "b": np.eye(3)}, ["a", "b"])
-    with pytest.raises(ValueError):
-        _symmetrize_local_kraus({"a": f0}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +438,50 @@ def test_jump_families_sizes_and_rates():
     assert lind.jump_ops == ()
 
 
+NON_DEFAULT_PARAMS = {
+    "collective_damping": {"p": 0.37},
+    "correlated_damping": {"p": 0.83},
+    "single_site_damping": {"p": 0.21},
+    "independent_damping": {"p": 0.64},
+    "single_jump": {"gamma1": 0.3, "h_x": 0.7, "J": 0.1},
+    "double_jump": {"gamma2": 0.45, "h_x": -0.3, "J": 0.35},
+    "collective_jump": {"gamma3": 0.2, "gamma4": 0.0, "gamma5": 1.7, "h_x": 0.9, "J": -0.6},
+    "transverse_ising": {"h_x": 0.13, "J": 0.77},
+}
+
+
+def family_arrays(channel):
+    """Kraus operators, or the Hamiltonian followed by the jump operators."""
+    if isinstance(channel, KrausChannel):
+        return [op.matrix for op in channel.kraus_ops]
+    return [channel.hamiltonian.matrix] + [op.matrix for op in channel.jump_ops]
+
+
+@pytest.mark.parametrize("defaults", [True, False], ids=["default", "non-default"])
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CHANNELS))
+def test_builders_equal_the_site_pattern_reference_byte_for_byte(name, defaults):
+    params = {} if defaults else NON_DEFAULT_PARAMS[name]
+    for n in range(2, 7):
+        got = family_arrays(example_channel(name, n=n, **params))
+        want = builder_oracle.REFERENCE[name](n, **params)
+        assert len(got) == len(want), n
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), n
+
+
+def test_readme_builder_table_matches_the_registry():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Built-in example families", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    table = {
+        re.fullmatch(r"\s*`(\w+)`\s*", row[0]).group(1): tuple(re.findall(r"`(\w+)`", row[2]))
+        for row in rows
+    }
+    assert list(table) == list(EXAMPLE_CHANNELS)
+    assert table == {name: _builder_params(name) for name in EXAMPLE_CHANNELS}
+
+
 def test_example_channel_argument_errors():
     with pytest.raises(ValueError, match="unknown example"):
         example_channel("no_such_family")
@@ -462,8 +491,9 @@ def test_example_channel_argument_errors():
         example_channel("collective_damping", n=3, p=1.5)
     with pytest.raises(ValueError, match="gamma1"):
         example_channel("single_jump", n=3, gamma1=-0.1)
-    with pytest.raises(ValueError, match="bad parameters"):
+    with pytest.raises(ValueError, match="bad parameters") as err:
         example_channel("collective_damping", n=3, gamma1=1.0)
+    assert str(err.value).endswith("unknown parameter 'gamma1' (accepted: p)")
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,29 @@ def test_builder_param_beyond_float64_exit_2(command, text, tmp_path, capsys):
     assert capsys.readouterr().err == "error: builder.params.gamma1: not finite in float64\n"
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (
+            {"p": 0.5},
+            "builder: bad parameters for 'single_jump': "
+            "unknown parameter 'p' (accepted: gamma1, h_x, J)",
+        ),
+        ({"n": 4}, "builder.params.n: the site count is the top-level n"),
+    ],
+    ids=["p", "n"],
+)
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_builder_param_the_family_does_not_take_exits_2(
+    command, params, message, tmp_path, capsys
+):
+    doc = {"d": 2, "n": 3, "kind": "lindblad", "builder": {"name": "single_jump", "params": params}}
+    assert main([command, write_doc(tmp_path / "params.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "_build_" not in err
+
+
 def refuse_call(*args, **kwargs):
     raise AssertionError("called before the size guard")
 
