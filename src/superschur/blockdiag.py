@@ -10,10 +10,11 @@ by its tableaux when its twins agree to the tolerance, and the blockwise
 exponential takes one exp(tB) per array.
 
 The adapted basis is stored as one block per letter-content class (every
-column lives on one class), so the conjugation into the frame runs one
-class block at a time instead of as two dense products, in the buffer of
-the frame itself: the only dense array it holds is the frame, besides the
-superoperator unless that is overwritten (``overwrite=True``).
+column lives on one class), so the conjugation into the frame is one row
+pass applied twice, U^T M U = U^T (U^T M^T)^T, one class block at a time
+instead of two dense products, in the buffer of the frame itself: the only
+dense array it holds is the frame, besides the superoperator unless that
+is overwritten (``overwrite=True``).
 
 The basis matrix is real, so every stage keeps the dtype of the
 superoperator it is given.  For qubits that is float64 (the Pauli transfer
@@ -40,6 +41,8 @@ from .liouville import _read_only
 from .schur import SuperSchurBasis
 
 DEFAULT_BLOCK_TOL = 1e-8
+# side of the square tiles _transpose_in_place swaps
+_TILE = 64
 
 
 @dataclass
@@ -96,30 +99,35 @@ def to_schur_frame(
 ) -> np.ndarray:
     """Conjugate a letter-basis superoperator matrix into the adapted frame.
 
-    Computes U^T M U from the basis's real class blocks: one small product
-    per class on each side, in the buffer of the result itself, so that
-    besides it only a class-sized temporary lives.  The rows and columns of
-    the matrix are first put into class order, so every class is one
-    contiguous row slab and one contiguous column range; the row pass then
-    replaces each slab by B^T times it, the column pass multiplies each
-    column range by B, and a last permutation of rows and columns restores
-    the frame order.  A real M takes real products throughout and gives a
-    real frame.
+    Computes U^T M U as U^T (U^T M^T)^T: one row pass (:func:`_rows_to_frame`)
+    on the C-order buffer of M^T (the matrix is held in F order), an
+    in-place transpose, and the row pass again.  Every product is a real
+    class block times a row slab of the real view, even for a complex M, so
+    besides the result only a class-sized temporary lives.
 
-    With ``overwrite=False`` the conjugation runs on a copy of
-    ``superop.matrix``, which is left as it was.  With ``overwrite=True`` it
-    runs on ``superop.matrix`` itself and returns that array, which then
-    holds the frame: the superoperator is consumed.
+    With ``overwrite=False`` the conjugation runs on a copy, and
+    ``superop.matrix`` is left as it was.  With ``overwrite=True`` it runs
+    in the buffer of ``superop.matrix``: the result is a C-order view of
+    it, bitwise equal to the copy's, and ``superop.matrix`` then reads the
+    frame transposed, so the superoperator is consumed.
     """
     if (superop.d, superop.n) != (basis.d, basis.n):
         raise DimensionMismatchError(
             f"superoperator (d={superop.d}, n={superop.n}) does not match "
             f"basis (d={basis.d}, n={basis.n})"
         )
-    S = superop.matrix if overwrite else superop.matrix.copy()
-    order = np.concatenate([rows for rows, _, _ in basis.classes])
-    _take_rows_in_place(S, order)
-    _take_columns_in_place(S, order)
+    S = superop.matrix.T if overwrite else superop.matrix.T.copy()
+    _rows_to_frame(S, basis)
+    _transpose_in_place(S)
+    _rows_to_frame(S, basis)
+    return S
+
+
+def _rows_to_frame(S: np.ndarray, basis: SuperSchurBasis) -> None:
+    """S <- U^T S for a C-order S with rows on letter strings: the rows go
+    into class order, each class's row slab is replaced by B^T times it, and
+    the rows go into frame order."""
+    _take_rows_in_place(S, np.concatenate([rows for rows, _, _ in basis.classes]))
     bounds = np.cumsum([0] + [len(rows) for rows, _, _ in basis.classes])
     # a complex row is a row of (re, im) pairs, so on the real view the real
     # block multiplies real and imaginary parts in one real product (on a
@@ -127,14 +135,9 @@ def to_schur_frame(
     S_re = S.view(np.float64)
     for (_, _, B), start, stop in zip(basis.classes, bounds, bounds[1:]):
         S_re[start:stop] = B.T @ S_re[start:stop]
-    for (_, _, B), start, stop in zip(basis.classes, bounds, bounds[1:]):
-        S[:, start:stop] = S[:, start:stop] @ B
-    # position i now holds the frame row and column that the classes'
-    # concatenated cols name at i
-    to_frame = np.argsort(np.concatenate([cols for _, cols, _ in basis.classes]))
-    _take_rows_in_place(S, to_frame)
-    _take_columns_in_place(S, to_frame)
-    return S
+    # position i now holds the frame row that the classes' concatenated
+    # cols name at i
+    _take_rows_in_place(S, np.argsort(np.concatenate([cols for _, cols, _ in basis.classes])))
 
 
 def _take_rows_in_place(A: np.ndarray, index: np.ndarray) -> None:
@@ -156,15 +159,18 @@ def _take_rows_in_place(A: np.ndarray, index: np.ndarray) -> None:
         done[i] = 1
 
 
-def _take_columns_in_place(A: np.ndarray, index: np.ndarray) -> None:
-    """A[:, index] written back into A, 32 rows at a time, so the only
-    temporary is a 32-row buffer."""
-    buf = np.empty((32, A.shape[1]), dtype=A.dtype)
-    for r0 in range(0, A.shape[0], len(buf)):
-        chunk = A[r0 : r0 + len(buf)]
-        out = buf[: len(chunk)]
-        np.take(chunk, index, axis=1, out=out)
-        chunk[...] = out
+def _transpose_in_place(A: np.ndarray) -> None:
+    """A <- A.T for a square A, swapping _TILE x _TILE tiles across the
+    diagonal, so the only temporary is one tile."""
+    N = A.shape[0]
+    for i in range(0, N, _TILE):
+        a = slice(i, i + _TILE)
+        A[a, a] = A[a, a].T.copy()
+        for j in range(i + _TILE, N, _TILE):
+            b = slice(j, j + _TILE)
+            upper = A[a, b].copy()
+            A[a, b] = A[b, a].T
+            A[b, a] = upper.T
 
 
 def _off_block_maxima(S: np.ndarray, sl: slice) -> list:
@@ -201,8 +207,8 @@ def decompose(
     that differ by more, or by NaN) keeps one copy per twin.
 
     ``overwrite`` is passed to :func:`to_schur_frame`: with True the frame
-    is ``superop.matrix`` itself, overwritten, and no second array of its
-    size is allocated.
+    is a view of the buffer of ``superop.matrix``, overwritten, and no
+    second array of its size is allocated.
     """
     S = to_schur_frame(superop, basis, overwrite=overwrite)
     blocks = {}

@@ -380,8 +380,9 @@ class SuperOperatorMatrix:
 
     A real matrix is kept as float64 (the Pauli transfer matrix of a qubit
     map), anything else as complex128; a complex matrix is never cast to
-    real, whatever its imaginary part.  The matrix is held in C order; one
-    given in that order and dtype is held as is, not copied.
+    real, whatever its imaginary part.  The matrix is held in F order, the
+    order the kernel writes; one given in that order and dtype is held as
+    is, and any other is copied once.
     """
 
     d: int
@@ -395,9 +396,9 @@ class SuperOperatorMatrix:
             raise ValueError(f"kind must be 'channel' or 'generator', got {self.kind!r}")
         dim = (self.d * self.d) ** self.n
         m = np.asarray(self.matrix)
-        # C order, so that every row is contiguous for an in-place frame
-        # (blockdiag.to_schur_frame with overwrite=True)
-        m = np.ascontiguousarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+        # F order, so that the transpose blockdiag.to_schur_frame works on is
+        # C order, every row contiguous, also in place (overwrite=True)
+        m = np.asfortranarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
         if m.shape != (dim, dim):
             raise DimensionMismatchError(f"matrix shape {m.shape} != ({dim}, {dim})")
         object.__setattr__(self, "matrix", m)
@@ -421,7 +422,8 @@ def _letter_superop(
     _SPARSE_SHARE of dim**2 -- the images of a chunk of columns are one
     sparse product with that matrix (:class:`_SparseImages`); otherwise they
     come from the dense sandwich product (:class:`_DenseImages`).  Either
-    way each image is then vectorized on its own, into one stack per chunk.
+    way each image is then vectorized on its own, into one stack per chunk,
+    which is a row slab of M^T: the matrix comes out in F order.
     A scratch array holds at most _CHUNK_BYTES, unless a single column needs
     more (over 16 sandwiches at n = 6 on the dense path).
 
@@ -445,15 +447,14 @@ def _letter_superop(
         # one contiguous image per column, so vectorize gathers without a copy
         images = images_of(slice(b0, b0 + images_of.step))
         c = len(images)
-        # out holds the transpose until the end, so each column is one
-        # contiguous row; a real out takes the chunk's stack in one copy
+        # out holds the transpose, so each column is one contiguous row; a
+        # real out takes the chunk's stack in one copy
         V = np.empty((c, dim), dtype=np.complex128) if real else out[b0 : b0 + c]
         for j in range(c):
             V[j] = vectorize(images[j], basis)
         if real:
             dropped.append(np.abs(V.imag).max())
             out[b0 : b0 + c] = V.real
-    _transpose_in_place(out)
     if real:
         # a generator may also drop the anti-Hermitian part of an accepted H
         allowance = HERMITICITY_TOL if one_sided is not None else 0.0
@@ -466,7 +467,7 @@ def _letter_superop(
                 f"{bound:.3e} ({IMAGINARY_PART_TOL:.0e} x max|M| + {allowance:.0e} for the "
                 "Hamiltonian); a Hermiticity-preserving map is real on Hermitian letters"
             )
-    return out
+    return out.T
 
 
 def _liouville_pairs(sandwiched, one_sided, D: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -589,20 +590,6 @@ class _DenseImages:
             G *= psi
             images += G
         return np.ascontiguousarray(images.transpose(1, 0, 2))
-
-
-def _transpose_in_place(A: np.ndarray, tile: int = 64) -> None:
-    """A <- A.T for a square A, swapping tiles across the diagonal, so the
-    only temporary is one tile."""
-    N = A.shape[0]
-    for i in range(0, N, tile):
-        a = slice(i, i + tile)
-        A[a, a] = A[a, a].T.copy()
-        for j in range(i + tile, N, tile):
-            b = slice(j, j + tile)
-            upper = A[a, b].copy()
-            A[a, b] = A[b, a].T
-            A[b, a] = upper.T
 
 
 def kraus_superop(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:

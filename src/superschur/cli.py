@@ -302,8 +302,8 @@ def _pipeline(channel, tol: float):
 
     The letter-basis superoperator is not read after the decomposition, so
     it is conjugated in place (``overwrite=True``): its buffer becomes the
-    frame matrix, and the whole pipeline holds one dense array of the
-    Liouville dimension squared.
+    frame matrix (``superop.matrix`` then reads it transposed), and the
+    whole pipeline holds one dense array of the Liouville dimension squared.
     """
     ob = operator_basis(channel.d, channel.n)
     t0 = time.perf_counter()

@@ -29,8 +29,8 @@ from superschur import (
     orthogonalize_kraus,
     protection_check,
 )
-from superschur import verify
-from superschur.cli import main
+from superschur import blockdiag, channels, liouville, schur, verify
+from superschur.cli import build_parser, main
 from superschur.oracle import permutation_matrix
 from superschur.permutations import adjacent_transpositions
 from superschur.verify import checks
@@ -123,6 +123,36 @@ def test_readme_check_counts_match_the_registry():
     assert len(fast) == len(full) == 2
     assert [int(x) for x in fast] == [len(checks("fast"))] * 2
     assert [int(x) for x in full] == [len(verify.CHECKS)] * 2
+
+
+def test_readme_constants_match_the_code():
+    # each quoted value once, with line breaks read as spaces
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+
+    def quoted(pattern):
+        values = re.findall(pattern, text)
+        assert len(values) == 1, pattern
+        return float(values[0])
+
+    assert quoted(r"`SCHUR_DFS_MAX_DIM` \(default `(\d+)`\)") == liouville.DEFAULT_MAX_DIM
+    tols = re.findall(
+        r"\.RESIDUAL_TOLS`: `([^`]+)` for `(\w+)` and `(\w+)`,"
+        r" `([^`]+)` for `(\w+)` and `(\w+)`\)",
+        text,
+    )
+    assert len(tols) == 1
+    a, name_1, name_2, b, name_3, name_4 = tols[0]
+    quoted_tols = {name_1: a, name_2: a, name_3: b, name_4: b}
+    assert {k: float(v) for k, v in quoted_tols.items()} == channels.RESIDUAL_TOLS
+    assert quoted(r"`([^`]+) x max\|M\|` \(`IMAGINARY_PART_TOL`") == channels.IMAGINARY_PART_TOL
+    assert quoted(r"`([^`]+)` \(`HERMITICITY_TOL`") == channels.HERMITICITY_TOL
+    assert quoted(r"`SIGN_TOL = ([^`]+)`") == schur.SIGN_TOL
+    assert quoted(r"at most (\d+)% of the `dim\^2` entries") / 100 == channels._SPARSE_SHARE
+    readme_tol = quoted(r"`--tol` \(block/flagging tolerance, [^)]*default `([^`]+)`")
+    assert readme_tol == blockdiag.DEFAULT_BLOCK_TOL
+    parser = build_parser()
+    for argv in (["analyze", "map.json"], ["evolve", "map.json"]):
+        assert parser.parse_args(argv).tol == blockdiag.DEFAULT_BLOCK_TOL
 
 
 def test_criterion_1_decomposition_counts(capsys):

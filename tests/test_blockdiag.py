@@ -118,8 +118,11 @@ def test_class_blocked_frame_matches_dense_product(d, n):
     other = super_schur_basis(d, 1 if n > 1 else 2)
     U = basis.unitary
     for seed, scale in ((0, 1.0), (1, 1e6)):
+        # given in C order, so copied into F order
         complex_map = random_superop(d, n, seed, scale)
-        real_map = SuperOperatorMatrix(d, n, "channel", complex_map.matrix.real, complex_map.basis)
+        # given in F order, so held as is
+        real = np.asfortranarray(complex_map.matrix.real)
+        real_map = SuperOperatorMatrix(d, n, "channel", real, complex_map.basis)
         for superop in (complex_map, real_map):
             M = superop.matrix
             before = M.copy()
@@ -130,9 +133,12 @@ def test_class_blocked_frame_matches_dense_product(d, n):
             with pytest.raises(DimensionMismatchError):
                 to_schur_frame(superop, other, overwrite=True)
             assert np.array_equal(M, before)
-            # the same products in the same order, in M's own buffer
-            assert to_schur_frame(superop, basis, overwrite=True) is M
-            assert np.array_equal(M, S)
+            # the same products in the same order, in M's own buffer, which
+            # then reads the frame transposed
+            R = to_schur_frame(superop, basis, overwrite=True)
+            assert np.shares_memory(R, M)
+            assert np.array_equal(R, S)
+            assert np.array_equal(M, S.T)
 
 
 @pytest.mark.parametrize(
@@ -147,11 +153,29 @@ def test_take_rows_in_place_equals_fancy_indexing(index):
     assert np.array_equal(A, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("N", [7, 64, 65, 130])
+def test_transpose_in_place_equals_the_transpose(N, dtype):
+    rng = np.random.default_rng(N)
+    A = rng.standard_normal((N, N)).astype(dtype)
+    if dtype is np.complex128:
+        A += 1j * rng.standard_normal((N, N))
+    want = A.T.copy()
+    blockdiag._transpose_in_place(A)
+    assert np.array_equal(A, want)
+
+
 def test_in_place_frame_of_a_fortran_ordered_matrix(schur_2_3, letters_3):
     M = random_superop(2, 3, seed=4).matrix
-    superop = SuperOperatorMatrix(2, 3, "channel", np.asfortranarray(M), letters_3)
-    want = to_schur_frame(SuperOperatorMatrix(2, 3, "channel", M, letters_3), schur_2_3)
-    assert np.array_equal(to_schur_frame(superop, schur_2_3, overwrite=True), want)
+    U = schur_2_3.unitary
+    frames = []
+    for given in (M.copy(order="F"), M.copy(order="C")):
+        superop = SuperOperatorMatrix(2, 3, "channel", given, letters_3)
+        want = to_schur_frame(superop, schur_2_3)
+        frames.append(to_schur_frame(superop, schur_2_3, overwrite=True))
+        assert np.array_equal(frames[-1], want)
+        assert np.max(np.abs(frames[-1] - U.T @ M @ U)) <= 1e-12 * max(1.0, np.max(np.abs(M)))
+    assert np.array_equal(*frames)
 
 
 def test_leakage_equals_masked_copy(schur_2_3, schur_2_4, letters_3):

@@ -245,6 +245,21 @@ def test_superoperator_matrix_kind_validation():
         SuperOperatorMatrix(2, 1, "channel", np.eye(5), basis)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_superoperator_matrix_is_held_in_f_order(dtype):
+    basis = operator_basis(2, 2)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((16, 16)).astype(dtype)
+    if dtype is np.complex128:
+        A += 1j * rng.standard_normal((16, 16))
+    given = np.asfortranarray(A)
+    assert SuperOperatorMatrix(2, 2, "channel", given, basis).matrix is given
+    given = np.ascontiguousarray(A)
+    held = SuperOperatorMatrix(2, 2, "channel", given, basis).matrix
+    assert held.flags.f_contiguous and not np.shares_memory(held, given)
+    assert held.dtype == dtype and np.array_equal(held, given)
+
+
 # ---------------------------------------------------------------------------
 # symmetry classification
 

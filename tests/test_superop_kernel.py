@@ -69,6 +69,22 @@ def random_lindbladian(d, n, scale, rng):
 RANDOM_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2)]
 
 
+STORAGE_CASES = {
+    "kraus-builder": lambda: example_channel("collective_damping", n=3),
+    "lindblad-builder": lambda: example_channel("single_jump", n=3),
+    "kraus-random": lambda: random_kraus(3, 2, 2, np.random.default_rng(5)),
+    "lindblad-random": lambda: random_lindbladian(3, 2, 1.0, np.random.default_rng(6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORAGE_CASES))
+def test_kernel_writes_its_matrix_in_f_order(case):
+    channel = STORAGE_CASES[case]()
+    M = superop(channel, operator_basis(channel.d, channel.n)).matrix
+    # a view of the kernel's own buffer: F order without a copy
+    assert M.flags.f_contiguous and M.base is not None
+
+
 @pytest.mark.parametrize("d,n", RANDOM_SIZES)
 def test_kernel_matches_oracle_on_random_kraus_sets(d, n):
     rng = np.random.default_rng(100 * d + n)
