@@ -36,15 +36,13 @@ from .channels import (
 from .combinatorics import (
     Partition,
     StandardTableau,
-    WeightVector,
     count_irreps,
     count_partitions_k_rows,
+    kostka_numbers,
     letter_strings_by_weight,
     partitions,
     standard_tableaux,
     syt_dimension,
-    weight_multiplicity,
-    weight_vectors,
     weyl_dimension,
 )
 from .errors import (
@@ -100,7 +98,6 @@ __all__ = [
     "SuperSchurBasis",
     "SuperSchurError",
     "SymmetryCertificate",
-    "WeightVector",
     "blockwise_exp",
     "classify_kraus_symmetry",
     "classify_lindblad_symmetry",
@@ -112,6 +109,7 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "irrep_matrices",
+    "kostka_numbers",
     "kraus_superop",
     "letter_strings_by_weight",
     "lindblad_superop",
@@ -127,7 +125,6 @@ __all__ = [
     "syt_dimension",
     "to_schur_frame",
     "vectorize",
-    "weight_multiplicity",
-    "weight_vectors",
     "weyl_dimension",
+    "young_orthogonal_generator",
 ]

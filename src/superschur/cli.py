@@ -40,13 +40,7 @@ from .channels import (
     kraus_superop,
     lindblad_superop,
 )
-from .combinatorics import (
-    Partition,
-    count_partitions_k_rows,
-    partitions,
-    syt_dimension,
-    weyl_dimension,
-)
+from .combinatorics import Partition, count_partitions_k_rows
 from .errors import (
     BlockStructureError,
     ChannelInvariantError,
@@ -56,7 +50,7 @@ from .errors import (
     SizeGuardError,
 )
 from .liouville import operator_basis
-from .schur import ColumnLabel, SuperSchurBasis, super_schur_basis
+from .schur import ColumnLabel, SuperSchurBasis, _sector_table, super_schur_basis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,11 +155,7 @@ def _time_list(text: str) -> list[float]:
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     n, d = args.n, args.d
-    rows = []
-    for shape in partitions(n, min(n, d * d)):
-        syt = syt_dimension(shape)
-        weyl = weyl_dimension(shape, d * d)
-        rows.append((shape, syt, weyl))
+    rows = [(shape, syt, weyl) for shape, (_, syt, weyl) in _sector_table(d, n).items()]
     total = sum(syt * weyl for _, syt, weyl in rows)
     liouville = (d * d) ** n
     counts = [count_partitions_k_rows(n, k) for k in range(1, min(n, d * d) + 1)]

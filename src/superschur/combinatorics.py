@@ -3,6 +3,8 @@
 Partitions of the site count n label the sectors of the permutation-group
 decomposition; standard tableaux index the symmetric-group multiplicity
 space and semistandard fillings index the commutant multiplicity space.
+:func:`kostka_numbers` counts those fillings by letter content: the number
+of basis columns of a shape and tableau on one content class.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 
 @dataclass(frozen=True, order=True)
@@ -117,23 +120,6 @@ def _rows_and_columns_increase(rows: tuple[tuple[int, ...], ...]) -> bool:
         if any(upper[c] >= lower[c] for c in range(len(lower))):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Letter content of a string: counts[a] occurrences of letter a."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if not counts or any(c < 0 for c in counts):
-            raise ValueError(f"counts must be non-negative: {counts}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def partitions(n: int, max_rows: int) -> list[Partition]:
@@ -251,33 +237,23 @@ def _semistandard_fillings(shape: Partition, degree: int):
 
 
 @lru_cache(maxsize=None)
-def _weight_multiplicities(parts: tuple[int, ...], degree: int) -> dict:
+def kostka_numbers(shape: Partition, degree: int) -> MappingProxyType:
+    """The Kostka numbers of ``shape`` over ``degree`` letters: a read-only
+    mapping from letter content (counts[a] occurrences of letter a) to the
+    number of semistandard fillings with that content, keys in
+    lexicographic order.  Contents with no filling are absent, so
+    ``kostka_numbers(shape, degree).get(content, 0)`` reads any content;
+    the numbers sum to ``weyl_dimension(shape, degree)``."""
+    if degree < 1:
+        raise ValueError(f"degree must be positive: {degree}")
     counts: Counter = Counter()
-    shape = Partition(parts)
     for filling in _semistandard_fillings(shape, degree):
         content = [0] * degree
         for row in filling:
             for v in row:
                 content[v] += 1
         counts[tuple(content)] += 1
-    return dict(counts)
-
-
-def weight_vectors(shape: Partition, degree: int) -> list[tuple[WeightVector, int]]:
-    """Letter-content vectors with their semistandard-filling multiplicity,
-    sorted lexicographically.  Contents with multiplicity zero are omitted;
-    the multiplicities sum to ``weyl_dimension(shape, degree)``."""
-    if degree < 1:
-        raise ValueError(f"degree must be positive: {degree}")
-    table = _weight_multiplicities(shape.parts, degree)
-    return [(WeightVector(w), table[w]) for w in sorted(table)]
-
-
-def weight_multiplicity(shape: Partition, content: tuple[int, ...], degree: int) -> int:
-    """Multiplicity of one letter-content vector (possibly zero)."""
-    if len(content) != degree:
-        raise ValueError(f"content length {len(content)} != degree {degree}")
-    return _weight_multiplicities(shape.parts, degree).get(tuple(content), 0)
+    return MappingProxyType(dict(sorted(counts.items())))
 
 
 def letter_strings_by_weight(degree: int, n: int) -> dict[tuple[int, ...], list[int]]:

@@ -18,8 +18,10 @@ checked one class at a time.
 
 The column layout follows from Schur-Weyl duality alone: a column is a
 shape, a standard tableau and a multiplicity label (a letter content and
-an index within it), so :func:`column_labels` gives the labels of every
-basis of a given (d, n).
+an index within it, counted by a Kostka number).  One cached table per
+(d, n) holds that layout: the content classes, the Kostka numbers, the
+sector table and the first column of each (shape, content).  The builder
+reads it, and :func:`column_labels` gives its labels.
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis
@@ -34,16 +36,17 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .combinatorics import (
     Partition,
+    kostka_numbers,
     letter_strings_by_weight,
     partitions,
     standard_tableaux,
     syt_dimension,
-    weight_vectors,
     weyl_dimension,
 )
 from .errors import InternalConsistencyError, SizeGuardError
@@ -153,27 +156,6 @@ class ColumnLabel:
     weight_index: int
 
 
-@functools.cache
-def column_labels(d: int, n: int) -> tuple[ColumnLabel, ...]:
-    """The label of every basis column, in frame order: shapes largest
-    first, then tableau index, then letter-content class ordered by its
-    first string, then index within the class.  The layout is fixed by
-    (d, n) alone; callers run the size guard first."""
-    q = d * d
-    strings = letter_strings_by_weight(q, n)
-    order = sorted(strings, key=lambda w: strings[w][0])
-    labels = []
-    for shape in partitions(n, min(n, q)):
-        kostka = {w.counts: k for w, k in weight_vectors(shape, q)}
-        for y in range(syt_dimension(shape)):
-            labels.extend(
-                ColumnLabel(shape, y, content, j)
-                for content in order
-                for j in range(kostka.get(content, 0))
-            )
-    return tuple(labels)
-
-
 def _sector_table(d: int, n: int) -> dict[Partition, tuple[int, int, int]]:
     """Shape -> (first column, tableau count, multiplicity), in frame order."""
     q = d * d
@@ -183,6 +165,53 @@ def _sector_table(d: int, n: int) -> dict[Partition, tuple[int, int, int]]:
         sectors[shape] = (start, syt, mult)
         start += syt * mult
     return sectors
+
+
+class _Layout(NamedTuple):
+    """The column layout Schur-Weyl duality fixes for every basis of one
+    (d, n).  Cached and shared, so never edited."""
+
+    classes: dict[tuple[int, ...], np.ndarray]  # content -> its strings (read-only)
+    kostka: dict[Partition, MappingProxyType]  # shape -> kostka_numbers(shape, d * d)
+    sectors: MappingProxyType  # the _sector_table
+    offsets: dict[tuple[Partition, tuple[int, ...]], int]  # first column in a tableau slice
+    labels: tuple[ColumnLabel, ...]
+
+
+@functools.cache
+def _layout(d: int, n: int) -> _Layout:
+    """The classes come ordered by their first string, so the all-zeros
+    (identity) class comes first.  Enumerates every string: callers run the
+    size guard first."""
+    q = d * d
+    strings = letter_strings_by_weight(q, n)
+    order = sorted(strings, key=lambda w: strings[w][0])
+    classes = dict(zip(order, _read_only(*(np.asarray(strings[w]) for w in order))))
+    sectors = _sector_table(d, n)
+    kostka = {shape: kostka_numbers(shape, q) for shape in sectors}
+    offsets, labels = {}, []
+    for shape, (_, syt, mult) in sectors.items():
+        placed = [(w, kostka[shape][w]) for w in classes if w in kostka[shape]]
+        first = 0
+        for w, k in placed:
+            offsets[shape, w] = first
+            first += k
+        if first != mult:
+            raise InternalConsistencyError(f"shape {shape}: found {first} columns, expected {mult}")
+        labels.extend(
+            ColumnLabel(shape, y, w, j) for y in range(syt) for w, k in placed for j in range(k)
+        )
+    return _Layout(classes, kostka, MappingProxyType(sectors), offsets, tuple(labels))
+
+
+def column_labels(d: int, n: int) -> tuple[ColumnLabel, ...]:
+    """The label of every basis column, in frame order: shapes largest
+    first, then tableau index, then letter-content class ordered by its
+    first string, then index within the class.  The layout is fixed by
+    (d, n) alone and built once per process, together with the class,
+    Kostka and offset tables the basis builder reads; callers run the size
+    guard first."""
+    return _layout(d, n).labels
 
 
 @dataclass(frozen=True)
@@ -210,8 +239,9 @@ class SuperSchurBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "labels", column_labels(self.d, self.n))
-        object.__setattr__(self, "_sectors", MappingProxyType(_sector_table(self.d, self.n)))
+        layout = _layout(self.d, self.n)
+        object.__setattr__(self, "labels", layout.labels)
+        object.__setattr__(self, "_sectors", layout.sectors)
 
     @property
     def dim(self) -> int:
@@ -288,6 +318,10 @@ def _transposition(n: int, j: int, k: int) -> tuple[int, ...]:
 def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     """Build the permutation-adapted letter-string basis for n qudits.
 
+    The content classes, the Kostka numbers and the place of every column
+    come from the (d, n) layout that also gives :func:`column_labels`; its
+    Kostka numbers must sum to each shape's multiplicity.
+
     One letter-content class at a time: the reference-tableau columns of
     each shape are the joint eigenvectors of the Jucys-Murphy elements
     X_k = sum_{j<k} (j k), k = 2..n, with the contents of the reference
@@ -296,7 +330,7 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     ``eigh`` of its restriction, keeping the eigenvalues within 1/2 of the
     content (the spectrum is integer), and the spaces of a shared content
     prefix serve every shape of the class.  The eigenspace dimensions must
-    reproduce the semistandard multiplicities.  Reference-tableau columns
+    reproduce the Kostka numbers.  Reference-tableau columns
     get a fixed sign (first sizable component positive); within a class of
     multiplicity above one, the orthonormal basis is the one ``eigh``
     returns.  Young's orthogonal-form walk then generates the columns of
@@ -316,9 +350,8 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
 @functools.cache
 def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     q = d * d
-    sectors = _sector_table(d, n)
-    shapes = list(sectors)
-    kostka = {s: {w.counts: k for w, k in weight_vectors(s, q)} for s in shapes}
+    layout = _layout(d, n)
+    shapes = list(layout.sectors)
     walks = {s: _tableau_walk(s) for s in shapes}
     # contents of the reference tableau's entries 2..n (row reading order)
     contents = {s: tuple(c - r for r, c in s.cells())[1:] for s in shapes}
@@ -327,21 +360,15 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
         for k in range(n)
         for j in range(k)
     }
-    strings = letter_strings_by_weight(q, n)
-    # classes ordered by their lexicographically first member string, so
-    # the all-zeros (identity) class always comes first
-    order = sorted(strings, key=lambda w: strings[w][0])
     local = np.empty(q**n, dtype=np.intp)
-    offset = dict.fromkeys(shapes, 0)  # columns filled per tableau slice
     classes = []
-    for content in order:
-        rows = np.asarray(strings[content])
+    for content, rows in layout.classes.items():
         local[rows] = np.arange(len(rows))
         swaps = {jk: local[t[rows]] for jk, t in transpositions.items()}
         spaces = {(): np.eye(len(rows))}  # joint eigenspace per content prefix
         cols, parts = [], []
         for shape in shapes:
-            expected = kostka[shape].get(content, 0)
+            expected = layout.kostka[shape].get(content, 0)
             if not expected:
                 continue
             V = spaces[()]
@@ -362,18 +389,12 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
             for source, i, target, r in walks[shape]:
                 B = blocks[source]
                 blocks[target] = (B[swaps[i - 1, i]] - B / r) / math.sqrt(1.0 - 1.0 / r**2)
-            start, _, mult = sectors[shape]
+            start, _, mult = layout.sectors[shape]
             for y, B in enumerate(blocks):
-                first = start + y * mult + offset[shape]
+                first = start + y * mult + layout.offsets[shape, content]
                 cols.extend(range(first, first + expected))
                 parts.append(B)
-            offset[shape] += expected
         classes.append(_read_only(rows, np.asarray(cols), np.hstack(parts)))
-    for shape, (_, _, mult) in sectors.items():
-        if offset[shape] != mult:
-            raise InternalConsistencyError(
-                f"shape {shape}: found {offset[shape]} columns, expected {mult}"
-            )
     basis = SuperSchurBasis(d=d, n=n, classes=classes)
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:

@@ -5,7 +5,7 @@ from superschur import liouville, operator_basis, schur, super_schur_basis, veri
 
 def _clear_builder_caches():
     schur._super_schur_basis.cache_clear()
-    schur.column_labels.cache_clear()
+    schur._layout.cache_clear()
     liouville._operator_basis.cache_clear()
     verify._decomposed_examples.cache_clear()
 

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from superschur.combinatorics import (
+    kostka_numbers,
     letter_strings_by_weight,
     partitions,
-    weight_vectors,
     weyl_dimension,
 )
 from superschur.liouville import check_liouville_dim
@@ -53,7 +53,7 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
         rep = irrep_matrices(shape, n)
         scale = rep.dim / nfact
         m_lam = weyl_dimension(shape, q)
-        kostka = {w.counts: k for w, k in weight_vectors(shape, q)}
+        kostka = kostka_numbers(shape, q)
         V0 = np.zeros((dim, m_lam))
         col_meta: list[tuple[tuple[int, ...], int]] = []
         pos = 0

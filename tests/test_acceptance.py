@@ -8,8 +8,13 @@ each test prints one PASS/FAIL line with the measured value next to its
 tolerance.
 """
 
+import ast
+import dataclasses
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
 import time
 from functools import reduce
@@ -19,6 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import superschur
 from superschur import (
     KrausChannel,
     QuditOperator,
@@ -153,6 +159,65 @@ def test_readme_constants_match_the_code():
     parser = build_parser()
     for argv in (["analyze", "map.json"], ["evolve", "map.json"]):
         assert parser.parse_args(argv).tol == blockdiag.DEFAULT_BLOCK_TOL
+
+
+NUMBER_WORDS = {w: k for k, w in enumerate("zero one two three four five six seven eight".split())}
+
+
+def test_readme_removals_are_gone():
+    raw = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = [superschur] + [
+        importlib.import_module(f"superschur.{m.name}")
+        for m in pkgutil.iter_modules(superschur.__path__)
+        if m.name != "__main__"
+    ]
+    headings = re.findall(r"^### Removed: (.+)$", raw, re.M)
+    assert len(headings) >= 7
+    for heading in headings:
+        # "the `a` and `b` arguments of `C`": C stays, its parameters go
+        for args, owner in re.findall(r"the (.+?) arguments? of `(\w+)`", heading):
+            params = inspect.signature(getattr(superschur, owner)).parameters
+            assert not set(re.findall(r"`(\w+)`", args)) & set(params), heading
+        owner = None
+        for name in re.findall(r"`([\w.]+)`", re.sub(r"the .+? arguments? of `\w+`", "", heading)):
+            if "." not in name:
+                assert not [m.__name__ for m in modules if hasattr(m, name)], name
+                continue
+            # "`C.a`, `.b`": a bare ".b" names an attribute of the last class
+            cls, attr = name.split(".")
+            owner = getattr(superschur, cls) if cls else owner
+            fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+            assert not hasattr(owner, attr) and attr not in [f.name for f in fields], name
+    # the names a "Moved to" section lists left the package; a module that
+    # still binds one holds the moved object
+    text = " ".join(raw.split())
+    moved = re.findall(
+        r"### Moved to `([\w.]+)`[^#]*? The (\w+) names that left `superschur` are (.+?)\. ", text
+    )
+    assert len(moved) == 1
+    home, count, listing = moved[0]
+    names = re.findall(r"`(\w+)`", listing)
+    assert len(names) == NUMBER_WORDS[count]
+    home = importlib.import_module(home)
+    for name in names:
+        assert not hasattr(superschur, name), name
+        for module in modules:
+            if name in vars(module):
+                held = vars(home).get(name)
+                assert held is not None and vars(module)[name] is held, (module.__name__, name)
+
+
+def test_all_lists_the_public_names_the_package_binds():
+    tree = ast.parse(Path(superschur.__file__).read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    public = [name for name in bound if not name.startswith("_")]
+    assert len(set(superschur.__all__)) == len(superschur.__all__)
+    assert set(superschur.__all__) == set(public)
 
 
 def test_criterion_1_decomposition_counts(capsys):

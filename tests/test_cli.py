@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superschur import channels, cli, example_channel, super_schur_basis
+from superschur import (
+    channels,
+    cli,
+    combinatorics,
+    example_channel,
+    liouville,
+    schur,
+    super_schur_basis,
+)
 from superschur.cli import main, write_basis_file
 from superschur.schur import SuperSchurBasis, column_labels
 
@@ -80,6 +88,24 @@ def test_decompose_json_report(tmp_path, capsys):
         "total": 64,
         "liouville_dim": 64,
     }
+
+
+@pytest.mark.parametrize("d,n", [(2, 30), (3, 12)])
+def test_decompose_above_the_size_cap(d, n, tmp_path, monkeypatch, capsys):
+    # the table comes from the hook formulae alone: no size guard, and no
+    # letter string is enumerated
+    def refuse(*args):
+        raise AssertionError("decompose enumerated letter strings")
+
+    monkeypatch.setattr(combinatorics, "letter_strings_by_weight", refuse)
+    monkeypatch.setattr(schur, "letter_strings_by_weight", refuse)
+    assert (d * d) ** n > liouville.max_liouville_dim()
+    out_path = tmp_path / "decomp.json"
+    assert main(["decompose", "--n", str(n), "--d", str(d), "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    payload = read_report(out_path)
+    assert payload["total"] == payload["liouville_dim"] == (d * d) ** n
+    assert sum(row["product"] for row in payload["sectors"]) == (d * d) ** n
 
 
 def test_decompose_n4_totals(capsys):

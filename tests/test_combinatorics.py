@@ -5,15 +5,13 @@ import pytest
 from superschur import (
     Partition,
     StandardTableau,
-    WeightVector,
     count_irreps,
     count_partitions_k_rows,
+    kostka_numbers,
     letter_strings_by_weight,
     partitions,
     standard_tableaux,
     syt_dimension,
-    weight_multiplicity,
-    weight_vectors,
     weyl_dimension,
 )
 
@@ -216,38 +214,39 @@ def brute_fillings_by_content(shape, degree):
 def test_weight_multiplicities_match_brute_force(degree):
     for n in range(1, 5):
         for shape in partitions(n, n):
-            oracle = brute_fillings_by_content(shape, degree)
-            got = {w.counts: m for w, m in weight_vectors(shape, degree)}
-            assert got == oracle
-            assert sum(got.values()) == weyl_dimension(shape, degree)
+            table = kostka_numbers(shape, degree)
+            assert table == brute_fillings_by_content(shape, degree)
+            assert list(table) == sorted(table)
+            assert sum(table.values()) == weyl_dimension(shape, degree)
 
 
 def test_weight_vectors_sorted_and_specific_values():
-    pairs = weight_vectors(Partition((2, 1)), 4)
-    contents = [w.counts for w, _ in pairs]
-    assert contents == sorted(contents)
-    assert all(w.total == 3 for w, _ in pairs)
-    table = dict((w.counts, m) for w, m in pairs)
+    table = kostka_numbers(Partition((2, 1)), 4)
+    assert list(table) == sorted(table)
+    assert all(sum(content) == 3 for content in table)
     assert table[(0, 2, 1, 0)] == 1
     assert table[(1, 1, 1, 0)] == 2
     assert sum(table.values()) == 20
 
 
 def test_weight_multiplicity_zero_cases():
-    # a column cannot repeat a letter
-    assert weight_multiplicity(Partition((1, 1)), (2, 0), 2) == 0
-    assert weight_multiplicity(Partition((1, 1)), (1, 1), 2) == 1
-    assert weight_multiplicity(Partition((2,)), (1, 1), 2) == 1
-    with pytest.raises(ValueError):
-        weight_multiplicity(Partition((2,)), (1, 1, 0), 2)
+    # a column cannot repeat a letter; contents with no filling are absent
+    assert kostka_numbers(Partition((1, 1)), 2) == {(1, 1): 1}
+    assert kostka_numbers(Partition((2,)), 2) == {(0, 2): 1, (1, 1): 1, (2, 0): 1}
+    assert kostka_numbers(Partition((1, 1, 1)), 2) == {}
+    for shape in partitions(4, 4):
+        assert all(k > 0 for k in kostka_numbers(shape, 3).values())
 
 
 def test_weight_vector_validation():
+    table = kostka_numbers(Partition((2, 1)), 4)
+    with pytest.raises(TypeError):
+        table[(0, 2, 1, 0)] = 5
+    with pytest.raises(TypeError):
+        del table[(1, 1, 1, 0)]
+    assert kostka_numbers(Partition((2, 1)), 4)[(0, 2, 1, 0)] == 1
     with pytest.raises(ValueError):
-        WeightVector(())
-    with pytest.raises(ValueError):
-        WeightVector((1, -1))
-    assert WeightVector((0, 2, 1, 0)).total == 3
+        kostka_numbers(Partition((2,)), 0)
 
 
 def test_letter_strings_by_weight_partitions_the_index_set():

@@ -16,7 +16,7 @@ from superschur import (
     young_orthogonal_generator,
 )
 from superschur import permutations, schur
-from superschur.combinatorics import letter_strings_by_weight, weight_vectors
+from superschur.combinatorics import kostka_numbers, letter_strings_by_weight
 from superschur.errors import InternalConsistencyError
 from superschur.oracle import matrix_unit, permutation_in_schur
 from superschur.permutations import (
@@ -354,21 +354,36 @@ def test_basis_matches_factorial_oracle(d, n):
 
 
 def kostka_plus_one(shape, q):
-    return [(w, k + 1) for w, k in weight_vectors(shape, q)]
+    return {w: k + 1 for w, k in kostka_numbers(shape, q).items()}
+
+
+def kostka_one_moved(shape, q):
+    """The Kostka numbers with one count moved from the first content to
+    the last, so every shape keeps its sum."""
+    table = dict(kostka_numbers(shape, q))
+    table[next(iter(table))] -= 1
+    table[next(reversed(table))] += 1
+    return table
 
 
 def test_builder_checks_still_raise(monkeypatch, fresh_builders):
     with monkeypatch.context() as m:
-        m.setattr(schur, "weight_vectors", kostka_plus_one)
-        with pytest.raises(InternalConsistencyError, match="reference eigenspace has dimension"):
+        m.setattr(schur, "kostka_numbers", kostka_plus_one)
+        with pytest.raises(InternalConsistencyError, match="found .* columns, expected"):
             super_schur_basis(2, 3)
     with monkeypatch.context() as m:
         m.setattr(schur, "weyl_dimension", lambda shape, q: weyl_dimension(shape, q) + 1)
-        with pytest.raises(InternalConsistencyError, match="expected"):
+        with pytest.raises(InternalConsistencyError, match="found .* columns, expected"):
             super_schur_basis(2, 3)
     with monkeypatch.context() as m:
         m.setattr(schur, "UNITARITY_TOL", 0.0)
         with pytest.raises(InternalConsistencyError, match="not unitary"):
+            super_schur_basis(2, 3)
+    # the build above cached the true layout; drop it so the patch is read
+    schur._layout.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(schur, "kostka_numbers", kostka_one_moved)
+        with pytest.raises(InternalConsistencyError, match="reference eigenspace has dimension"):
             super_schur_basis(2, 3)
 
 
@@ -532,9 +547,14 @@ def test_size_guard_runs_on_a_cache_hit(monkeypatch):
 
 
 def test_failed_build_is_not_cached(monkeypatch, fresh_builders):
+    # one failure in the layout, one in the builder after the layout
     with monkeypatch.context() as m:
-        m.setattr(schur, "weight_vectors", kostka_plus_one)
-        with pytest.raises(InternalConsistencyError, match="reference eigenspace has dimension"):
+        m.setattr(schur, "kostka_numbers", kostka_plus_one)
+        with pytest.raises(InternalConsistencyError, match="found .* columns, expected"):
+            super_schur_basis(2, 3)
+    with monkeypatch.context() as m:
+        m.setattr(schur, "UNITARITY_TOL", 0.0)
+        with pytest.raises(InternalConsistencyError, match="not unitary"):
             super_schur_basis(2, 3)
     basis = super_schur_basis(2, 3)
     assert basis.unitarity_deviation() <= UNITARITY_TOL
