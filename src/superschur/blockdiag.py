@@ -125,19 +125,20 @@ def to_schur_frame(
 
 def _rows_to_frame(S: np.ndarray, basis: SuperSchurBasis) -> None:
     """S <- U^T S for a C-order S with rows on letter strings: the rows go
-    into class order, each class's row slab is replaced by B^T times it, and
-    the rows go into frame order."""
-    _take_rows_in_place(S, np.concatenate([rows for rows, _, _ in basis.classes]))
-    bounds = np.cumsum([0] + [len(rows) for rows, _, _ in basis.classes])
+    into the layout's class order, each class's row slab is replaced by B^T
+    times it, and the rows go into frame order."""
+    placed = basis.layout.classes.values()
+    _take_rows_in_place(S, np.concatenate([rows for rows, _ in placed]))
+    bounds = np.cumsum([0] + [len(B) for B in basis.blocks])
     # a complex row is a row of (re, im) pairs, so on the real view the real
     # block multiplies real and imaginary parts in one real product (on a
     # real S the view is S itself)
     S_re = S.view(np.float64)
-    for (_, _, B), start, stop in zip(basis.classes, bounds, bounds[1:]):
+    for B, start, stop in zip(basis.blocks, bounds, bounds[1:]):
         S_re[start:stop] = B.T @ S_re[start:stop]
     # position i now holds the frame row that the classes' concatenated
     # cols name at i
-    _take_rows_in_place(S, np.argsort(np.concatenate([cols for _, cols, _ in basis.classes])))
+    _take_rows_in_place(S, np.argsort(np.concatenate([cols for _, cols in placed])))
 
 
 def _take_rows_in_place(A: np.ndarray, index: np.ndarray) -> None:

@@ -389,7 +389,6 @@ class SuperOperatorMatrix:
     n: int
     kind: str  # "channel" or "generator"
     matrix: np.ndarray
-    basis: OperatorBasis
 
     def __post_init__(self) -> None:
         if self.kind not in ("channel", "generator"):
@@ -596,7 +595,7 @@ def kraus_superop(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorM
     """Matrix of rho -> sum_mu F_mu rho F_mu^dag in the letter basis."""
     _check_channel_basis(channel, basis)
     out = _letter_superop(basis, [op.matrix for op in channel.kraus_ops])
-    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out, basis=basis)
+    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out)
 
 
 def lindblad_superop(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMatrix:
@@ -610,7 +609,7 @@ def lindblad_superop(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMa
     jumps = [op.matrix for op in lind.jump_ops]
     K = sum((L.conj().T @ L for L in jumps), np.zeros_like(H))
     out = _letter_superop(basis, jumps, (-1j * H - 0.5 * K, 1j * H - 0.5 * K))
-    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out, basis=basis)
+    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out)
 
 
 # --------------------------------------------------------------------------

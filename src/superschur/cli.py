@@ -223,11 +223,11 @@ def _label_line(lab: ColumnLabel) -> str:
 def write_basis_file(basis: SuperSchurBasis, path: str) -> None:
     """Serialize the basis: a header, then per column a label record
     followed by its nonzero amplitudes (one letter string per line), read
-    from the column's class block: no dim x dim array is built."""
+    from its class block, placed by the layout: no dim x dim array is built."""
     q, n = basis.d * basis.d, basis.n
     names = _string_labels(q, n)
     amplitudes = {}  # column -> (rows, values) above the cutoff
-    for rows, cols, B in basis.classes:
+    for (rows, cols), B in zip(basis.layout.classes.values(), basis.blocks):
         keep = np.abs(B) >= AMPLITUDE_CUTOFF
         for a, j in enumerate(cols.tolist()):
             amplitudes[j] = (rows[keep[:, a]], B[keep[:, a], a])

@@ -19,9 +19,9 @@ checked one class at a time.
 The column layout follows from Schur-Weyl duality alone: a column is a
 shape, a standard tableau and a multiplicity label (a letter content and
 an index within it, counted by a Kostka number).  One cached table per
-(d, n) holds that layout: the content classes, the Kostka numbers, the
-sector table and the first column of each (shape, content).  The builder
-reads it, and :func:`column_labels` gives its labels.
+(d, n) holds that layout: each content class with its rows (strings) and
+its frame columns, the Kostka numbers and the sector table.  The builder
+and every basis read it, and :func:`column_labels` gives its labels.
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis
@@ -49,7 +49,7 @@ from .combinatorics import (
     syt_dimension,
     weyl_dimension,
 )
-from .errors import InternalConsistencyError, SizeGuardError
+from .errors import DimensionMismatchError, InternalConsistencyError, SizeGuardError
 from .liouville import _read_only, check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
@@ -171,10 +171,9 @@ class _Layout(NamedTuple):
     """The column layout Schur-Weyl duality fixes for every basis of one
     (d, n).  Cached and shared, so never edited."""
 
-    classes: dict[tuple[int, ...], np.ndarray]  # content -> its strings (read-only)
+    classes: MappingProxyType  # content -> (its strings, its frame columns), ascending, read-only
     kostka: dict[Partition, MappingProxyType]  # shape -> kostka_numbers(shape, d * d)
     sectors: MappingProxyType  # the _sector_table
-    offsets: dict[tuple[Partition, tuple[int, ...]], int]  # first column in a tableau slice
     labels: tuple[ColumnLabel, ...]
 
 
@@ -186,31 +185,28 @@ def _layout(d: int, n: int) -> _Layout:
     q = d * d
     strings = letter_strings_by_weight(q, n)
     order = sorted(strings, key=lambda w: strings[w][0])
-    classes = dict(zip(order, _read_only(*(np.asarray(strings[w]) for w in order))))
     sectors = _sector_table(d, n)
     kostka = {shape: kostka_numbers(shape, q) for shape in sectors}
-    offsets, labels = {}, []
+    columns, labels = {w: [] for w in order}, []
     for shape, (_, syt, mult) in sectors.items():
-        placed = [(w, kostka[shape][w]) for w in classes if w in kostka[shape]]
-        first = 0
-        for w, k in placed:
-            offsets[shape, w] = first
-            first += k
-        if first != mult:
-            raise InternalConsistencyError(f"shape {shape}: found {first} columns, expected {mult}")
-        labels.extend(
-            ColumnLabel(shape, y, w, j) for y in range(syt) for w, k in placed for j in range(k)
-        )
-    return _Layout(classes, kostka, MappingProxyType(sectors), offsets, tuple(labels))
+        placed = [(w, kostka[shape][w]) for w in order if w in kostka[shape]]
+        found = sum(k for _, k in placed)
+        if found != mult:
+            raise InternalConsistencyError(f"shape {shape}: found {found} columns, expected {mult}")
+        for y in range(syt):
+            for w, k in placed:
+                columns[w].extend(range(len(labels), len(labels) + k))
+                labels.extend(ColumnLabel(shape, y, w, j) for j in range(k))
+    classes = {w: _read_only(np.asarray(strings[w]), np.asarray(columns[w])) for w in order}
+    return _Layout(MappingProxyType(classes), kostka, MappingProxyType(sectors), tuple(labels))
 
 
 def column_labels(d: int, n: int) -> tuple[ColumnLabel, ...]:
     """The label of every basis column, in frame order: shapes largest
     first, then tableau index, then letter-content class ordered by its
     first string, then index within the class.  The layout is fixed by
-    (d, n) alone and built once per process, together with the class,
-    Kostka and offset tables the basis builder reads; callers run the size
-    guard first."""
+    (d, n) alone and built once per process, together with the class and
+    Kostka tables the basis builder reads; callers run the size guard first."""
     return _layout(d, n).labels
 
 
@@ -223,25 +219,31 @@ class SuperSchurBasis:
     tableau index, then letter content.  In this frame every site
     permutation acts as a direct sum over shapes of D(pi) x I.
 
-    Every column lives on the strings of its label's letter content, so
-    ``classes`` stores, per content class in order of first appearance in
-    ``labels``, its ascending rows, the ascending columns labelled with it
-    and the real square block U[rows, cols].  The instance is frozen, with
-    ``classes`` and ``labels`` kept as tuples and the sector table as a
-    read-only mapping, so a basis shared between callers cannot be edited.
+    Every column lives on the strings of its label's letter content, so the
+    basis stores one real square block U[rows, cols] per content class, in
+    the layout's class order; the class rows and columns themselves are read
+    from the shared ``layout``.  Blocks that do not match the layout in
+    number or shape raise :class:`DimensionMismatchError`.
     """
 
     d: int
     n: int
-    classes: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    labels: tuple[ColumnLabel, ...] = field(init=False)
-    _sectors: MappingProxyType = field(init=False, repr=False)
+    blocks: tuple[np.ndarray, ...]
+    layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        layout = _layout(self.d, self.n)
-        object.__setattr__(self, "labels", layout.labels)
-        object.__setattr__(self, "_sectors", layout.sectors)
+        blocks, layout = tuple(self.blocks), _layout(self.d, self.n)
+        if [np.shape(B) for B in blocks] != [(len(r),) * 2 for r, _ in layout.classes.values()]:
+            raise DimensionMismatchError(
+                f"{len(blocks)} class blocks do not match the {len(layout.classes)} square "
+                f"class blocks of d={self.d}, n={self.n} in number or shape"
+            )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "layout", layout)
+
+    @property
+    def labels(self) -> tuple[ColumnLabel, ...]:
+        return self.layout.labels
 
     @property
     def dim(self) -> int:
@@ -251,26 +253,26 @@ class SuperSchurBasis:
     def unitary(self) -> np.ndarray:
         """The dense dim x dim basis matrix, assembled anew on every read."""
         U = np.zeros((self.dim, self.dim))
-        for rows, cols, B in self.classes:
+        for (rows, cols), B in zip(self.layout.classes.values(), self.blocks):
             U[np.ix_(rows, cols)] = B
         return U
 
     @property
     def shapes(self) -> list[Partition]:
-        return list(self._sectors)
+        return list(self.layout.sectors)
 
     def multiplicity(self, shape: Partition) -> int:
-        return self._sectors[shape][2]
+        return self.layout.sectors[shape][2]
 
     def syt_count(self, shape: Partition) -> int:
-        return self._sectors[shape][1]
+        return self.layout.sectors[shape][1]
 
     def sector_slice(self, shape: Partition) -> slice:
-        start, syt, mult = self._sectors[shape]
+        start, syt, mult = self.layout.sectors[shape]
         return slice(start, start + syt * mult)
 
     def tableau_slice(self, shape: Partition, y: int) -> slice:
-        start, syt, mult = self._sectors[shape]
+        start, syt, mult = self.layout.sectors[shape]
         if not 0 <= y < syt:
             raise ValueError(f"tableau index {y} out of range for {shape}")
         return slice(start + y * mult, start + (y + 1) * mult)
@@ -279,7 +281,7 @@ class SuperSchurBasis:
         """max |U^T U - I|, one Gram matrix per letter-content class (columns
         of different classes have disjoint supports)."""
         # np.max, unlike the builtin max, lets a NaN through to the caller
-        return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for _, _, B in self.classes]))
+        return float(np.max([np.max(np.abs(B.T @ B - np.eye(len(B)))) for B in self.blocks]))
 
 
 def _tableau_walk(shape: Partition) -> list[tuple[int, int, int, int]]:
@@ -318,9 +320,9 @@ def _transposition(n: int, j: int, k: int) -> tuple[int, ...]:
 def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     """Build the permutation-adapted letter-string basis for n qudits.
 
-    The content classes, the Kostka numbers and the place of every column
-    come from the (d, n) layout that also gives :func:`column_labels`; its
-    Kostka numbers must sum to each shape's multiplicity.
+    Each class's rows and columns and the Kostka numbers come from the
+    (d, n) layout that also gives :func:`column_labels`; its Kostka
+    numbers must sum to each shape's multiplicity.
 
     One letter-content class at a time: the reference-tableau columns of
     each shape are the joint eigenvectors of the Jucys-Murphy elements
@@ -338,10 +340,10 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     Unitarity is checked one letter-content class at a time.
 
     Built once per (d, n) per process: every later call returns the same
-    object, whose class rows, columns and blocks are read-only arrays
-    (``unitary`` still assembles a fresh array on every read).  The size
-    guard (SCHUR_DFS_MAX_DIM) is checked on every call, cache hits
-    included, and a build that raises is not kept.
+    object, whose class blocks, like the layout's class rows and columns,
+    are read-only arrays (``unitary`` still assembles a fresh array on
+    every read).  The size guard (SCHUR_DFS_MAX_DIM) is checked on every
+    call, cache hits included, and a build that raises is not kept.
     """
     check_liouville_dim(d, n)
     return _super_schur_basis(d, n)
@@ -361,12 +363,12 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
         for j in range(k)
     }
     local = np.empty(q**n, dtype=np.intp)
-    classes = []
-    for content, rows in layout.classes.items():
+    class_blocks = []
+    for content, (rows, _) in layout.classes.items():
         local[rows] = np.arange(len(rows))
         swaps = {jk: local[t[rows]] for jk, t in transpositions.items()}
         spaces = {(): np.eye(len(rows))}  # joint eigenspace per content prefix
-        cols, parts = [], []
+        parts = []
         for shape in shapes:
             expected = layout.kostka[shape].get(content, 0)
             if not expected:
@@ -389,13 +391,10 @@ def _super_schur_basis(d: int, n: int) -> SuperSchurBasis:
             for source, i, target, r in walks[shape]:
                 B = blocks[source]
                 blocks[target] = (B[swaps[i - 1, i]] - B / r) / math.sqrt(1.0 - 1.0 / r**2)
-            start, _, mult = layout.sectors[shape]
-            for y, B in enumerate(blocks):
-                first = start + y * mult + layout.offsets[shape, content]
-                cols.extend(range(first, first + expected))
-                parts.append(B)
-        classes.append(_read_only(rows, np.asarray(cols), np.hstack(parts)))
-    basis = SuperSchurBasis(d=d, n=n, classes=classes)
+            # the layout's class columns run by shape, then tableau, as these do
+            parts.extend(blocks)
+        class_blocks.append(np.hstack(parts))
+    basis = SuperSchurBasis(d=d, n=n, blocks=_read_only(*class_blocks))
     dev = basis.unitarity_deviation()
     if not dev <= UNITARITY_TOL:
         raise InternalConsistencyError(f"basis not unitary: deviation {dev:.3e}")

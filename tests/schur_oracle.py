@@ -26,6 +26,7 @@ from superschur.schur import (
     SIGN_TOL,
     ColumnLabel,
     SuperSchurBasis,
+    _layout,
     column_labels,
     irrep_matrices,
 )
@@ -97,11 +98,6 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
     assert dense_unitarity_deviation(U) < 1e-10
     # the layout built here, independently of the production labels
     assert tuple(labels) == column_labels(d, n)
-    members: dict[tuple[int, ...], list[int]] = {}
-    for j, lab in enumerate(labels):
-        members.setdefault(lab.weight, []).append(j)
-    class_blocks = [
-        (np.asarray(classes[w]), np.asarray(js), U[np.ix_(classes[w], js)])
-        for w, js in members.items()
-    ]
-    return SuperSchurBasis(d, n, class_blocks)
+    # the class blocks, at the rows and columns the layout gives each class
+    placed = _layout(d, n).classes.values()
+    return SuperSchurBasis(d, n, [U[np.ix_(rows, cols)] for rows, cols in placed])

@@ -30,7 +30,7 @@ def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperO
         B = basis.element_matrix(a)
         image = sum(F @ B @ F.conj().T for F in mats)
         out[:, a] = vectorize(image, basis)
-    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out, basis=basis)
+    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out)
 
 
 def lindblad_superop_columns(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMatrix:
@@ -47,4 +47,4 @@ def lindblad_superop_columns(lind: Lindbladian, basis: OperatorBasis) -> SuperOp
         for L, K in zip(jumps, sinks):
             image += L @ B @ L.conj().T - 0.5 * (K @ B + B @ K)
         out[:, a] = vectorize(image, basis)
-    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out, basis=basis)
+    return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out)

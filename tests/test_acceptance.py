@@ -305,9 +305,7 @@ def test_criterion_8_property_suite(schur_2_2, schur_2_3, letters_2_2, letters_2
     # protection_probe_n3 holds it below 1e-10 on the symmetric ones
     S_sym = kraus_superop(example_channel("collective_damping", n=3), letters_2_3)
     S_lop = kraus_superop(lopsided_channel(3), letters_2_3)
-    mixed = SuperOperatorMatrix(
-        2, 3, "channel", 0.95 * S_sym.matrix + 0.05 * S_lop.matrix, letters_2_3
-    )
+    mixed = SuperOperatorMatrix(2, 3, "channel", 0.95 * S_sym.matrix + 0.05 * S_lop.matrix)
     perturbed = protection_check(decompose(mixed, schur_2_3))
 
     ok = agree and perturbed > 1e-3

@@ -99,7 +99,7 @@ def random_superop(d, n, seed=0, scale=1.0):
     dim = (d * d) ** n
     rng = np.random.default_rng(seed)
     M = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return SuperOperatorMatrix(d, n, "channel", M, operator_basis(d, n))
+    return SuperOperatorMatrix(d, n, "channel", M)
 
 
 def masked_leakage(decomp):
@@ -122,7 +122,7 @@ def test_class_blocked_frame_matches_dense_product(d, n):
         complex_map = random_superop(d, n, seed, scale)
         # given in F order, so held as is
         real = np.asfortranarray(complex_map.matrix.real)
-        real_map = SuperOperatorMatrix(d, n, "channel", real, complex_map.basis)
+        real_map = SuperOperatorMatrix(d, n, "channel", real)
         for superop in (complex_map, real_map):
             M = superop.matrix
             before = M.copy()
@@ -165,12 +165,12 @@ def test_transpose_in_place_equals_the_transpose(N, dtype):
     assert np.array_equal(A, want)
 
 
-def test_in_place_frame_of_a_fortran_ordered_matrix(schur_2_3, letters_3):
+def test_in_place_frame_of_a_fortran_ordered_matrix(schur_2_3):
     M = random_superop(2, 3, seed=4).matrix
     U = schur_2_3.unitary
     frames = []
     for given in (M.copy(order="F"), M.copy(order="C")):
-        superop = SuperOperatorMatrix(2, 3, "channel", given, letters_3)
+        superop = SuperOperatorMatrix(2, 3, "channel", given)
         want = to_schur_frame(superop, schur_2_3)
         frames.append(to_schur_frame(superop, schur_2_3, overwrite=True))
         assert np.array_equal(frames[-1], want)
@@ -316,9 +316,7 @@ def test_protection_check_symmetric_examples(schur_2_3, letters_3):
 def test_protection_check_flags_perturbed_dynamics(schur_2_3, letters_3):
     S_sym = kraus_superop(example_channel("collective_damping", n=3, p=0.5), letters_3)
     S_lop = kraus_superop(lopsided_channel(3), letters_3)
-    mixed = SuperOperatorMatrix(
-        2, 3, "channel", 0.95 * S_sym.matrix + 0.05 * S_lop.matrix, letters_3
-    )
+    mixed = SuperOperatorMatrix(2, 3, "channel", 0.95 * S_sym.matrix + 0.05 * S_lop.matrix)
     decomp = decompose(mixed, schur_2_3)
     assert protection_check(decomp) > 1e-3
 
@@ -411,7 +409,7 @@ def test_one_array_and_one_exponential_per_shape_at_n6(monkeypatch):
         assert len({id(E) for E in evolved.blocks.values()}) == 9
 
 
-def block_frame_generator(basis, letters, rng):
+def block_frame_generator(basis, rng):
     """U S U^T for a frame matrix S with one random block per (shape,
     tableau): no leakage, but twins of equal size that differ."""
     S = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
@@ -421,11 +419,11 @@ def block_frame_generator(basis, letters, rng):
             m = sl.stop - sl.start
             S[sl, sl] = 0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     U = basis.unitary
-    return SuperOperatorMatrix(basis.d, basis.n, "generator", U @ S @ U.T, letters)
+    return SuperOperatorMatrix(basis.d, basis.n, "generator", U @ S @ U.T)
 
 
-def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3, letters_3):
-    G = block_frame_generator(schur_2_3, letters_3, np.random.default_rng(5))
+def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3):
+    G = block_frame_generator(schur_2_3, np.random.default_rng(5))
     decomp = decompose(G, schur_2_3)
     assert decomp.leakage < 1e-12
     assert decomp.twin_deviation[TWO_ONE] > decomp.tol

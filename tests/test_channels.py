@@ -238,24 +238,25 @@ def test_hamiltonian_rotation_generator():
 
 
 def test_superoperator_matrix_kind_validation():
-    basis = operator_basis(2, 1)
     with pytest.raises(ValueError, match="kind"):
-        SuperOperatorMatrix(2, 1, "projector", np.eye(4), basis)
+        SuperOperatorMatrix(2, 1, "projector", np.eye(4))
     with pytest.raises(DimensionMismatchError):
-        SuperOperatorMatrix(2, 1, "channel", np.eye(5), basis)
+        SuperOperatorMatrix(2, 1, "channel", np.eye(5))
+    # the matrix carries no operator basis: the letter basis is operator_basis(d, n)
+    with pytest.raises(TypeError):
+        SuperOperatorMatrix(2, 1, "channel", np.eye(4), operator_basis(3, 1))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_superoperator_matrix_is_held_in_f_order(dtype):
-    basis = operator_basis(2, 2)
     rng = np.random.default_rng(3)
     A = rng.standard_normal((16, 16)).astype(dtype)
     if dtype is np.complex128:
         A += 1j * rng.standard_normal((16, 16))
     given = np.asfortranarray(A)
-    assert SuperOperatorMatrix(2, 2, "channel", given, basis).matrix is given
+    assert SuperOperatorMatrix(2, 2, "channel", given).matrix is given
     given = np.ascontiguousarray(A)
-    held = SuperOperatorMatrix(2, 2, "channel", given, basis).matrix
+    held = SuperOperatorMatrix(2, 2, "channel", given).matrix
     assert held.flags.f_contiguous and not np.shares_memory(held, given)
     assert held.dtype == dtype and np.array_equal(held, given)
 

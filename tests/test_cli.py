@@ -186,7 +186,7 @@ def test_basis_files_are_written_without_the_dense_matrix(d, n, tmp_path, monkey
     assert all(abs(value) >= cli.AMPLITUDE_CUTOFF for _, _, value in written)
     expected = [
         (row, col, value)
-        for rows, cols, B in basis.classes
+        for (rows, cols), B in zip(basis.layout.classes.values(), basis.blocks)
         for a, col in enumerate(cols.tolist())
         for row, value in zip(rows.tolist(), B[:, a].tolist())
         if abs(value) >= cli.AMPLITUDE_CUTOFF

@@ -115,13 +115,13 @@ def test_qutrit_superoperators_and_frames_stay_complex(n):
         assert all(B.dtype == np.complex128 for B in decomp.blocks.values())
 
 
-def test_superoperator_matrix_keeps_complex_input_complex(letters_2_2):
+def test_superoperator_matrix_keeps_complex_input_complex():
     exactly_real = np.eye(16, dtype=np.complex128)
-    kept = SuperOperatorMatrix(2, 2, "channel", exactly_real, letters_2_2)
+    kept = SuperOperatorMatrix(2, 2, "channel", exactly_real)
     assert kept.matrix.dtype == np.complex128
-    assert SuperOperatorMatrix(2, 2, "channel", np.eye(16), letters_2_2).matrix.dtype == np.float64
+    assert SuperOperatorMatrix(2, 2, "channel", np.eye(16)).matrix.dtype == np.float64
     integers = np.eye(16, dtype=np.int64)
-    assert SuperOperatorMatrix(2, 2, "channel", integers, letters_2_2).matrix.dtype == np.float64
+    assert SuperOperatorMatrix(2, 2, "channel", integers).matrix.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_real_path_matches_complex_reference(name, n, bases_3_to_5):
     channel = example_channel(name, n=n)
     real = superop(channel, operator_basis(2, n))
     assert real.matrix.dtype == np.float64
-    cplx = SuperOperatorMatrix(2, n, real.kind, real.matrix.astype(np.complex128), real.basis)
+    cplx = SuperOperatorMatrix(2, n, real.kind, real.matrix.astype(np.complex128))
     scale = max(1.0, float(np.max(np.abs(real.matrix))))
 
     dr, dc = decompose(real, basis), decompose(cplx, basis)

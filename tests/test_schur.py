@@ -17,7 +17,7 @@ from superschur import (
 )
 from superschur import permutations, schur
 from superschur.combinatorics import kostka_numbers, letter_strings_by_weight
-from superschur.errors import InternalConsistencyError
+from superschur.errors import DimensionMismatchError, InternalConsistencyError
 from superschur.oracle import matrix_unit, permutation_in_schur
 from superschur.permutations import (
     adjacent_transpositions,
@@ -270,8 +270,23 @@ def test_labels_are_the_column_layout_of_d_and_n(d, n):
     assert len(basis.labels) == basis.dim
     # the layout is no input: a basis is made from (d, n) and its classes
     with pytest.raises(TypeError):
-        SuperSchurBasis(d, n, basis.classes, basis.labels)
-    assert SuperSchurBasis(d, n, basis.classes).labels == basis.labels
+        SuperSchurBasis(d, n, basis.blocks, basis.labels)
+    assert SuperSchurBasis(d, n, basis.blocks).labels == basis.labels
+
+
+@pytest.mark.parametrize("case", ["no_blocks", "last_class_missing", "block_short_by_a_row"])
+def test_blocks_that_miss_the_layout_are_refused(case, schur_2_2):
+    # a class left out passes the per-class unitarity check, and a block
+    # short by a row fails only later, in the frame
+    blocks = list(schur_2_2.blocks)
+    k = next(i for i, B in enumerate(blocks) if len(B) > 1)
+    given = {
+        "no_blocks": (),
+        "last_class_missing": blocks[:-1],
+        "block_short_by_a_row": blocks[:k] + [blocks[k][:-1]] + blocks[k + 1 :],
+    }[case]
+    with pytest.raises(DimensionMismatchError):
+        SuperSchurBasis(2, 2, given)
 
 
 def test_basis_columns_live_on_single_weight_classes(schur_2_3):
@@ -328,7 +343,7 @@ def class_projectors(basis):
     """Per (shape, tableau index, content): the class rows and the projector
     B B^T onto the class block's columns with that label."""
     out = {}
-    for rows, cols, B in basis.classes:
+    for (rows, cols), B in zip(basis.layout.classes.values(), basis.blocks):
         groups = {}
         for a, c in enumerate(cols):
             lab = basis.labels[c]
@@ -418,7 +433,7 @@ def test_seven_qubit_reference_columns_are_jucys_murphy_eigenvectors(
     gathers = {(j, k): transposition_gather(n, j, k) for k in range(n) for j in range(k)}
     local = np.empty(4**n, dtype=np.intp)
     worst, checked = 0.0, 0
-    for rows, cols, B in basis.classes:
+    for (rows, cols), B in zip(basis.layout.classes.values(), basis.blocks):
         local[rows] = np.arange(len(rows))
         for shape in basis.shapes:
             sel = [
@@ -443,13 +458,13 @@ def test_seven_qubit_reference_columns_are_jucys_murphy_eigenvectors(
 
 def perturbed(basis, row, col, value):
     # a copy of the class blocks with one entry inside a class changed
-    classes = []
-    for rows, cols, B in basis.classes:
+    blocks = []
+    for (rows, cols), B in zip(basis.layout.classes.values(), basis.blocks):
         B = B.copy()
         if col in cols:
             B[list(rows).index(row), list(cols).index(col)] += value
-        classes.append((rows, cols, B))
-    return SuperSchurBasis(basis.d, basis.n, classes)
+        blocks.append(B)
+    return SuperSchurBasis(basis.d, basis.n, blocks)
 
 
 @pytest.mark.parametrize("fixture", ["schur_2_2", "schur_2_3", "schur_2_4", "schur_3_2"])
@@ -476,25 +491,28 @@ def test_nan_within_class_is_reported(schur_2_3):
 
 
 def test_built_basis_is_real(schur_2_3):
-    assert all(B.dtype == np.float64 for _, _, B in schur_2_3.classes)
+    assert all(B.dtype == np.float64 for B in schur_2_3.blocks)
     assert schur_2_3.unitary.dtype == np.float64
 
 
 def test_class_index_tiles_the_basis(schur_2_3):
-    # the class blocks are the only matrix data the basis stores
-    assert not any(isinstance(v, np.ndarray) for v in vars(schur_2_3).values())
-    classes = schur_2_3.classes
-    rows = np.concatenate([r for r, _, _ in classes])
-    cols = np.concatenate([c for _, c, _ in classes])
+    # the class blocks are the only matrix data the basis stores; the class
+    # rows and columns are the layout's
+    assert [f.name for f in dataclasses.fields(schur_2_3)] == ["d", "n", "blocks", "layout"]
+    classes = schur_2_3.layout.classes
+    rows = np.concatenate([r for r, _ in classes.values()])
+    cols = np.concatenate([c for _, c in classes.values()])
     assert np.array_equal(np.sort(rows), np.arange(64))
     assert np.array_equal(np.sort(cols), np.arange(64))
     U = schur_2_3.unitary
-    for r, c, B in classes:
+    for (w, (r, c)), B in zip(classes.items(), schur_2_3.blocks):
+        assert np.all(np.diff(c) > 0)
+        assert all(schur_2_3.labels[j].weight == w for j in c.tolist())
         assert B.shape == (len(r), len(c)) == (len(r), len(r))
         assert np.array_equal(B, U[np.ix_(r, c)])
     # classes in the order they first appear in the labels
     first = list(dict.fromkeys(lab.weight for lab in schur_2_3.labels))
-    assert [schur_2_3.labels[c[0]].weight for _, c, _ in classes] == first
+    assert list(classes) == first
 
 
 def test_basis_size_guard():
@@ -514,10 +532,10 @@ def test_basis_is_built_once_per_process():
 
 def test_cached_basis_arrays_are_read_only():
     basis = super_schur_basis(2, 2)
-    for rows, cols, block in basis.classes:
-        for array in (rows, cols, block):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    rows_and_cols = [a for placed in basis.layout.classes.values() for a in placed]
+    for array in rows_and_cols + list(basis.blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
     # the dense matrix is assembled anew, so writing into it is harmless
     U = basis.unitary
     U[0, 0] = 7.0
@@ -529,13 +547,15 @@ def test_cached_basis_containers_are_immutable():
     with pytest.raises(AttributeError):
         basis.labels.pop()
     with pytest.raises(AttributeError):
-        basis.classes.pop()
+        basis.blocks.pop()
     with pytest.raises(TypeError):
-        basis._sectors[Partition((2,))] = (0, 1, 1)
+        basis.layout.sectors[Partition((2,))] = (0, 1, 1)
+    with pytest.raises(TypeError):
+        basis.layout.classes[(2, 0, 0, 0)] = basis.layout.classes[(2, 0, 0, 0)]
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.labels = basis.labels[:3]
     again = super_schur_basis(2, 2)
-    assert len(again.labels) == 16 and len(again.classes) == 10
+    assert len(again.labels) == 16 and len(again.blocks) == 10
     assert again.multiplicity(Partition((2,))) == 10
 
 
