@@ -36,8 +36,6 @@ from .channels import (
 from .combinatorics import (
     Partition,
     StandardTableau,
-    count_irreps,
-    count_partitions_k_rows,
     kostka_numbers,
     letter_strings_by_weight,
     partitions,
@@ -57,8 +55,6 @@ from .errors import (
 from .liouville import (
     OperatorBasis,
     QuditOperator,
-    hs_inner,
-    hs_norm,
     max_liouville_dim,
     operator_basis,
     single_site_letters,
@@ -101,13 +97,9 @@ __all__ = [
     "blockwise_exp",
     "classify_kraus_symmetry",
     "classify_lindblad_symmetry",
-    "count_irreps",
-    "count_partitions_k_rows",
     "decompose",
     "dfs_report",
     "example_channel",
-    "hs_inner",
-    "hs_norm",
     "irrep_matrices",
     "kostka_numbers",
     "kraus_superop",

@@ -3,11 +3,12 @@
 A channel is *strongly* symmetric when every Kraus operator commutes with
 every site permutation, and *weakly* symmetric when permuting the sites
 merely mixes the Kraus operators by a unitary matrix.  Both notions are
-decided on the adjacent transpositions, which generate the full group, each
-applied to an operator matrix as an index gather, never as a dense
-permutation matrix.
+decided on the adjacent transpositions, which generate the full group, in
+one pass: each transposition permutes the stack of operators by one index
+gather, never by a dense permutation matrix, and the commutator and the
+mixing matrix are both read from that gather.
 Lindblad generators additionally require a permutation-invariant
-Hamiltonian for either classification.
+Hamiltonian for either classification, measured in the same pass.
 
 Superoperator matrices in the letter basis come from one column kernel
 shared by channels and generators.  Both write the map as
@@ -108,9 +109,11 @@ def _as_operators(d: int, n: int, matrices) -> tuple[QuditOperator, ...]:
     return tuple(ops)
 
 
-def _gram(ops: tuple[QuditOperator, ...]) -> np.ndarray:
-    stack = np.stack([op.matrix.reshape(-1) for op in ops])
-    return np.conj(stack) @ stack.T / ops[0].d ** ops[0].n
+def _gram(matrices, dim: int) -> np.ndarray:
+    """The Gram matrix of ``matrices`` under the normalized trace pairing
+    Tr[A^dag B] / dim."""
+    stack = np.stack([m.reshape(-1) for m in matrices])
+    return np.conj(stack) @ stack.T / dim
 
 
 def _orthogonality_bound(G: np.ndarray) -> float:
@@ -130,7 +133,7 @@ def _checked_operator_set(
     a zero operator, or two operators that overlap, breaks an invariant
     (ChannelInvariantError)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _gram(ops)
+        G = _gram([op.matrix for op in ops], ops[0].dim)
         total = sum(op.matrix.conj().T @ op.matrix for op in ops)
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(total))):
         raise ChannelSpecError(
@@ -228,8 +231,7 @@ def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
     ops = [np.asarray(m, dtype=np.complex128) for m in matrices]
     if not ops:
         return []
-    stack = np.stack([m.reshape(-1) for m in ops])
-    G = np.conj(stack) @ stack.T / d**n
+    G = _gram(ops, d**n)
     diag = np.diag(G).real
     off = np.max(np.abs(G - np.diag(diag))) if len(ops) > 1 else 0.0
     if off <= 1e-12 * max(1.0, diag.max(initial=0.0)):
@@ -290,62 +292,56 @@ def mixing_unitary(
     # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
     s = np.argsort(string_index_map(pi, d, n))
     S = np.stack([op.matrix for op in ops])
-    k = len(S)
+    return _mixing(S, S[:, s[:, None], s])
+
+
+def _mixing(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """:func:`mixing_unitary` of the (k, D, D) stacks S of the operators
+    and T of the permuted operators; k may be 0."""
+    k, D = S.shape[:2]
     # one row per operator: overlaps and reconstructions are two products
-    T = S[:, s[:, None], s].reshape(k, -1)
-    S = S.reshape(k, -1)
+    S, T = S.reshape(k, D * D), T.reshape(k, D * D)
     norms2 = np.einsum("ij,ij->i", S.conj(), S).real
     U = (S.conj() @ T.T) / norms2[:, None]
-    residual = float(np.max(np.abs(T - U.T @ S)))
-    unit_dev = float(np.max(np.abs(U.conj().T @ U - np.eye(k))))
+    residual = float(np.max(np.abs(T - U.T @ S), initial=0.0))
+    unit_dev = float(np.max(np.abs(U.conj().T @ U - np.eye(k)), initial=0.0))
     return U, residual, unit_dev
-
-
-def _commutator(matrices: list[np.ndarray], d: int, n: int) -> float:
-    """max |F P - P F| over the matrices F and the adjacent transpositions P."""
-    worst = 0.0
-    for g in adjacent_transpositions(n):
-        # P F = F[s]; a transposition is its own inverse, so F P = F[:, s]
-        s = np.argsort(string_index_map(g, d, n))
-        for F in matrices:
-            worst = max(worst, float(np.max(np.abs(F[:, s] - F[s, :]))))
-    return worst
-
-
-def _generator_symmetry(
-    ops: tuple[QuditOperator, ...], d: int, n: int
-) -> tuple[dict, float, float, float]:
-    expansion = 0.0
-    unitarity = 0.0
-    unitaries = {}
-    for g in adjacent_transpositions(n):
-        if ops:
-            U, res, udev = mixing_unitary(ops, g, d, n)
-        else:
-            U, res, udev = np.eye(0, dtype=np.complex128), 0.0, 0.0
-        unitaries[g] = U
-        expansion = max(expansion, res)
-        unitarity = max(unitarity, udev)
-    return unitaries, _commutator([op.matrix for op in ops], d, n), expansion, unitarity
 
 
 def _within(residuals: dict, *names: str) -> bool:
     return all(residuals[name] <= RESIDUAL_TOLS[name] for name in names)
 
 
-def _operator_certificate(
-    ops: tuple[QuditOperator, ...], d: int, n: int, residuals: dict
+def _certificate(
+    ops: tuple[QuditOperator, ...], d: int, n: int, H: np.ndarray | None = None
 ) -> SymmetryCertificate:
-    """Strong when every operator commutes with the generators, weak when
-    they only mix by unitaries, else none; ``residuals`` gains the three
-    measured values behind that rule."""
-    unitaries, comm, expansion, unitarity = _generator_symmetry(ops, d, n)
-    residuals.update(
-        strong_commutator=comm, expansion_residual=expansion, unitarity=unitarity
-    )
-    if _within(residuals, "strong_commutator"):
+    """Strong when every operator (and H, if given) commutes with the
+    generators, weak when the operators only mix by unitaries and H
+    commutes, else none.
+
+    One pass over the adjacent transpositions: each gathers the operator
+    stack once, P F P^T = F[s][:, s], its index map s being its own
+    inverse.  The commutator and the mixing matrix both read that gather:
+    T - F = (P F - F P) P^T holds the entries of the commutator, negated
+    and permuted, so max|T - F| is max|F P - P F| exactly.
+    """
+    D = d**n
+    S = np.array([op.matrix for op in ops], dtype=np.complex128).reshape(len(ops), D, D)
+    unitaries, comm, expansion, unitarity, ham = {}, 0.0, 0.0, 0.0, 0.0
+    for g in adjacent_transpositions(n):
+        s = string_index_map(g, d, n)
+        T = S[:, s[:, None], s]
+        comm = max(comm, float(np.max(np.abs(T - S), initial=0.0)))
+        unitaries[g], res, udev = _mixing(S, T)
+        expansion, unitarity = max(expansion, res), max(unitarity, udev)
+        if H is not None:
+            ham = max(ham, float(np.max(np.abs(H[s[:, None], s] - H))))
+    residuals = {} if H is None else {"hamiltonian_invariance": ham}
+    residuals.update(strong_commutator=comm, expansion_residual=expansion, unitarity=unitarity)
+    invariant = H is None or _within(residuals, "hamiltonian_invariance")
+    if invariant and _within(residuals, "strong_commutator"):
         classification = "strong"
-    elif _within(residuals, "expansion_residual", "unitarity"):
+    elif invariant and _within(residuals, "expansion_residual", "unitarity"):
         classification = "weak"
     else:
         classification = "none"
@@ -354,7 +350,7 @@ def _operator_certificate(
 
 def classify_kraus_symmetry(channel: KrausChannel) -> SymmetryCertificate:
     """Strong/weak/none certificate for a Kraus channel."""
-    return _operator_certificate(channel.kraus_ops, channel.d, channel.n, {})
+    return _certificate(channel.kraus_ops, channel.d, channel.n)
 
 
 def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
@@ -365,13 +361,7 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     the jump operators then decide strong vs weak exactly as Kraus
     operators do.
     """
-    ham_dev = _commutator([lind.hamiltonian.matrix], lind.d, lind.n)
-    cert = _operator_certificate(
-        lind.jump_ops, lind.d, lind.n, {"hamiltonian_invariance": ham_dev}
-    )
-    if not _within(cert.residuals, "hamiltonian_invariance"):
-        return SymmetryCertificate("none", cert.generator_unitaries, cert.residuals)
-    return cert
+    return _certificate(lind.jump_ops, lind.d, lind.n, lind.hamiltonian.matrix)
 
 
 @dataclass(frozen=True)
@@ -540,7 +530,8 @@ class _DenseImages:
     Every letter string B_b is monomial, so B_b F^dag and B_b A' are row
     gathers with phases and A B_b is a column gather; each chunk reads
     their indices and phases from the basis's vectorize plan, its
-    ``rows`` and ``columns``.  The sandwiches of a chunk take one product,
+    ``rows``, whose row-wise inverse places the columns.  The sandwiches
+    of a chunk take one product,
     [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs in real
     arithmetic when every F is real.
     """
@@ -583,10 +574,10 @@ class _DenseImages:
             G = A_right[sigma.T]
             G *= row_phase
             images += G
-            # (A B_b)[i, C] = A[i, tau[b, C]] * psi[b, C]
-            tau, psi = self.plan.columns(chunk)
+            # (A B_b)[i, C] = A[i, tau[b, C]] * phi[b, tau[b, C]], tau = sigma^-1
+            tau = np.argsort(sigma, axis=1)
             G = A[:, tau]
-            G *= psi
+            G *= np.take_along_axis(phi, tau, axis=1)
             images += G
         return np.ascontiguousarray(images.transpose(1, 0, 2))
 

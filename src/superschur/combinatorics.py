@@ -4,7 +4,9 @@ Partitions of the site count n label the sectors of the permutation-group
 decomposition; standard tableaux index the symmetric-group multiplicity
 space and semistandard fillings index the commutant multiplicity space.
 :func:`kostka_numbers` counts those fillings by letter content: the number
-of basis columns of a shape and tableau on one content class.
+of basis columns of a shape and tableau on one content class.  The sectors
+themselves, and so their count by row number, are read off the one sector
+table of :mod:`superschur.schur`, built from :func:`partitions`.
 """
 
 from __future__ import annotations
@@ -142,31 +144,6 @@ def partitions(n: int, max_rows: int) -> list[Partition]:
 
     extend(n, n, [])
     return out
-
-
-@lru_cache(maxsize=None)
-def _partition_count(n: int, k: int) -> int:
-    """Partitions of n into exactly k parts."""
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
-        return 0
-    return _partition_count(n - k, k) + _partition_count(n - 1, k - 1)
-
-
-def count_partitions_k_rows(n: int, k: int) -> int:
-    """Number of partitions of n with exactly k rows."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got {n}, {k}")
-    return _partition_count(n, k)
-
-
-def count_irreps(n: int, d: int) -> int:
-    """Number of sectors for n sites with d*d letters per site: partitions
-    of n with at most min(n, d*d) rows."""
-    if n < 1 or d < 2:
-        raise ValueError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    return sum(count_partitions_k_rows(n, k) for k in range(1, min(n, d * d) + 1))
 
 
 def standard_tableaux(shape: Partition) -> list[StandardTableau]:

@@ -16,8 +16,7 @@ the diagonals of the clock powers (the +-1 Hadamard matrix for the
 Paulis, the Fourier matrix for clock-shift letters).  The string with
 groups s and clock powers k then has its nonzero in row R at column
 ``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``; the superoperator
-kernel reads these through the plan's ``rows`` and ``columns``.  Its
-coefficient of X is
+kernel reads these through the plan's ``rows``.  Its coefficient of X is
 ``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
 gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
 with its Kronecker halves) and one gather with phases into letter order.
@@ -99,23 +98,6 @@ class QuditOperator:
     @property
     def dim(self) -> int:
         return self.d**self.n
-
-
-def _check_same_space(a, b) -> None:
-    if (a.d, a.n) != (b.d, b.n):
-        raise DimensionMismatchError(
-            f"operands live on different spaces: d={a.d}, n={a.n} vs d={b.d}, n={b.n}"
-        )
-
-
-def hs_inner(a: QuditOperator, b: QuditOperator) -> complex:
-    """Normalized trace inner product Tr[a^dag b] / d**n."""
-    _check_same_space(a, b)
-    return complex(np.vdot(a.matrix, b.matrix) / a.d**a.n)
-
-
-def hs_norm(a: QuditOperator) -> float:
-    return float(np.sqrt(max(hs_inner(a, a).real, 0.0)))
 
 
 def _letter_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,13 +220,12 @@ class _VectorizePlan:
     ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
     row 0) and W the clock powers.  So a string b with groups s and clock
     powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
-    which :meth:`rows` and :meth:`columns` read off for the superoperator
-    kernel, and ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
+    which :meth:`rows` reads off for the superoperator kernel, and
+    ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
     ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
     """
 
     col_s: np.ndarray  # (D, D): col_s[s, R] = col_s(R)
-    row_s: np.ndarray  # (D, D): the row-wise inverse, col_s[s, row_s[s, C]] = C
     w: np.ndarray  # W^{(x)n}, complex
     lam: np.ndarray  # (dim,) Lambda_b
     gather: np.ndarray  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
@@ -255,7 +236,7 @@ class _VectorizePlan:
     phase: np.ndarray  # (dim,) conj(Lambda_b) / D
 
     def __post_init__(self) -> None:
-        _read_only(self.col_s, self.row_s, self.w, self.lam, self.gather)
+        _read_only(self.col_s, self.w, self.lam, self.gather)
         _read_only(self.w_outer, self.w_inner, self.order, self.phase)
 
     @classmethod
@@ -277,7 +258,6 @@ class _VectorizePlan:
         lam = np.prod((c * W[power, group])[labels], axis=1)
         return cls(
             col_s=col_s,
-            row_s=np.argsort(col_s, axis=1),
             w=reduce(np.kron, [W] * n, np.ones((1, 1), dtype=np.complex128)),
             lam=lam,
             gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
@@ -293,13 +273,6 @@ class _VectorizePlan:
         ``basis.labels[labels]``, each of shape (c, d**n)."""
         k, s = np.divmod(self.order[labels], len(self.col_s))
         return self.col_s[s], self.lam[labels, None] * self.w[k]
-
-    def columns(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(row index, value) of the nonzero in each column of the strings
-        ``basis.labels[labels]``, each of shape (c, d**n)."""
-        k, s = np.divmod(self.order[labels], len(self.col_s))
-        tau = self.row_s[s]
-        return tau, self.lam[labels, None] * self.w[k[:, None], tau]
 
 
 def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:

@@ -223,7 +223,9 @@ class SuperSchurBasis:
     basis stores one real square block U[rows, cols] per content class, in
     the layout's class order; the class rows and columns themselves are read
     from the shared ``layout``.  Blocks that do not match the layout in
-    number or shape raise :class:`DimensionMismatchError`.
+    number or shape raise :class:`DimensionMismatchError`; a (d, n) over
+    the size guard raises SizeGuardError before the layout enumerates a
+    string.
     """
 
     d: int
@@ -232,6 +234,7 @@ class SuperSchurBasis:
     layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_liouville_dim(self.d, self.n)
         blocks, layout = tuple(self.blocks), _layout(self.d, self.n)
         if [np.shape(B) for B in blocks] != [(len(r),) * 2 for r, _ in layout.classes.values()]:
             raise DimensionMismatchError(

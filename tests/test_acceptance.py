@@ -159,6 +159,10 @@ def test_readme_constants_match_the_code():
     parser = build_parser()
     for argv in (["analyze", "map.json"], ["evolve", "map.json"]):
         assert parser.parse_args(argv).tol == blockdiag.DEFAULT_BLOCK_TOL
+    # the help text spells the default out, so it is held to the constant too
+    analyze = parser._subparsers._group_actions[0].choices["analyze"]
+    help_tol = re.findall(r"tolerance \(default (\S+)\)", analyze.format_help())
+    assert [float(x) for x in help_tol] == [blockdiag.DEFAULT_BLOCK_TOL]
 
 
 NUMBER_WORDS = {w: k for k, w in enumerate("zero one two three four five six seven eight".split())}

@@ -1,12 +1,11 @@
 import itertools
+import json
 
 import pytest
 
 from superschur import (
     Partition,
     StandardTableau,
-    count_irreps,
-    count_partitions_k_rows,
     kostka_numbers,
     letter_strings_by_weight,
     partitions,
@@ -14,6 +13,7 @@ from superschur import (
     syt_dimension,
     weyl_dimension,
 )
+from superschur.cli import main
 
 
 def brute_partitions(n, max_rows):
@@ -73,27 +73,22 @@ def test_partitions_reverse_lexicographic_order():
         assert seq[-1] == (1,) * n
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_row_count_tally_against_generating_function(n):
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
+def test_row_count_tally_against_generating_function(n, tmp_path, capsys):
     # partitions with exactly k rows = (parts <= k) - (parts <= k-1), by
-    # conjugation of shapes
-    for k in range(1, n + 1):
-        oracle = bounded_part_counts(n, k)[n] - bounded_part_counts(n, k - 1)[n]
-        assert count_partitions_k_rows(n, k) == oracle
-        assert count_partitions_k_rows(n, k) == sum(
-            1 for p in partitions(n, n) if p.rows == k
-        )
-
-
-def test_count_irreps():
-    for n, d in itertools.product(range(1, 8), (2, 3)):
-        assert count_irreps(n, d) == len(partitions(n, min(n, d * d)))
-    assert count_irreps(3, 2) == 3
-    assert count_irreps(5, 2) == 6  # drops the single-column shape {1^5}
-    with pytest.raises(ValueError):
-        count_irreps(0, 2)
-    with pytest.raises(ValueError):
-        count_irreps(3, 1)
+    # conjugation of shapes; decompose tallies the shapes of at most
+    # min(n, d*d) rows, and n = 12 lies above the size cap at d = 2 and 3
+    # and above the row cap d*d = 9 at d = 3
+    for d in (2, 3):
+        out = tmp_path / f"decompose-{d}.json"
+        assert main(["decompose", "--n", str(n), "--d", str(d), "--out", str(out)]) == 0
+        capsys.readouterr()
+        counts = json.loads(out.read_text())["partition_counts_by_rows"]
+        oracle = [
+            bounded_part_counts(n, k)[n] - bounded_part_counts(n, k - 1)[n]
+            for k in range(1, min(n, d * d) + 1)
+        ]
+        assert counts == oracle
 
 
 # ---------------------------------------------------------------------------

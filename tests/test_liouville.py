@@ -10,8 +10,6 @@ from superschur import (
     DimensionMismatchError,
     QuditOperator,
     SizeGuardError,
-    hs_inner,
-    hs_norm,
     max_liouville_dim,
     operator_basis,
     single_site_letters,
@@ -28,10 +26,6 @@ I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def op(matrix, n=1, d=2):
-    return QuditOperator(d, n, np.asarray(matrix, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -56,30 +50,6 @@ def test_single_site_letters_unitary_and_orthonormal(d):
         [[np.trace(a.conj().T @ b) / d for b in letters] for a in letters]
     )
     assert np.max(np.abs(gram - np.eye(d * d))) < 1e-12
-
-
-def test_hs_inner_normalization_and_orthogonality():
-    assert hs_inner(op(I2), op(I2)) == pytest.approx(1.0)
-    assert hs_inner(op(np.eye(8), n=3), op(np.eye(8), n=3)) == pytest.approx(1.0)
-    assert hs_inner(op(X), op(Y)) == pytest.approx(0.0)
-    xx = op(np.kron(X, X), n=2)
-    # direct 4x4 trace: (X(x)X)^dag (X(x)X) = I_4, so the pairing is 1
-    assert np.trace(np.kron(X, X).conj().T @ np.kron(X, X)) / 4 == pytest.approx(1.0)
-    assert hs_inner(xx, xx) == pytest.approx(1.0)
-    assert hs_norm(op(Z)) == pytest.approx(1.0)
-
-
-def test_hs_inner_conjugate_linear_in_first_slot():
-    a = op(X + 1j * Z)
-    b = op(Y - 0.5 * I2)
-    lhs = hs_inner(a, b)
-    assert hs_inner(b, a) == pytest.approx(np.conj(lhs))
-    assert hs_inner(op(2j * (X + 1j * Z)), b) == pytest.approx(-2j * lhs)
-
-
-def test_hs_inner_rejects_mismatched_spaces():
-    with pytest.raises(DimensionMismatchError):
-        hs_inner(op(I2), op(np.eye(4), n=2))
 
 
 def test_qudit_operator_validation():
@@ -189,7 +159,7 @@ def test_vectorize_preserves_inner_product():
         a = QuditOperator(2, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         b = QuditOperator(2, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         assert np.vdot(vectorize(a.matrix, basis), vectorize(b.matrix, basis)) == pytest.approx(
-            hs_inner(a, b), abs=1e-12
+            np.vdot(a.matrix, b.matrix) / 4, abs=1e-12
         )
 
 
@@ -285,7 +255,7 @@ def test_cached_letter_basis_arrays_are_read_only():
             letter[0, 0] = 0
     plan = basis.vectorize_plan
     shared = [plan.gather, plan.w_outer, plan.w_inner, plan.order, plan.phase]
-    shared += [plan.col_s, plan.row_s, plan.w, plan.lam]
+    shared += [plan.col_s, plan.w, plan.lam]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
@@ -350,8 +320,6 @@ def test_letter_basis_runs_the_size_guard_before_it_allocates(monkeypatch):
 def test_string_tables_match_site_by_site_tables(d, n):
     basis = operator_basis(d, n)
     cols, phases = monomial_letters(basis.letters)
-    inv_cols = np.argsort(cols, axis=1)
-    inv_phases = np.take_along_axis(phases, inv_cols, axis=1)
     labels = np.asarray(basis.labels)
     chunk = slice(basis.dim // 3, basis.dim // 3 + 7)
     # The plan writes a letter's phases as lambda_a W[k(a)], off the letter's
@@ -362,14 +330,10 @@ def test_string_tables_match_site_by_site_tables(d, n):
     one = operator_basis(d, 1).vectorize_plan.rows(slice(None))[1]
     eps = np.max(np.abs(one - phases))
     bound = n * eps + (3 * n - 2) * np.sqrt(5) * np.finfo(float).eps / 2
-    plan = basis.vectorize_plan
-    for got, (site_cols, site_phases) in (
-        (plan.rows(chunk), (cols, phases)),
-        (plan.columns(chunk), (inv_cols, inv_phases)),
-    ):
-        index, phase = string_monomials(site_cols, site_phases, labels[chunk])
-        assert np.array_equal(got[0], index)
-        if d == 2:
-            assert np.array_equal(got[1], phase)
-        else:
-            assert np.max(np.abs(got[1] - phase)) <= bound
+    got = basis.vectorize_plan.rows(chunk)
+    index, phase = string_monomials(cols, phases, labels[chunk])
+    assert np.array_equal(got[0], index)
+    if d == 2:
+        assert np.array_equal(got[1], phase)
+    else:
+        assert np.max(np.abs(got[1] - phase)) <= bound

@@ -520,6 +520,16 @@ def test_basis_size_guard():
         super_schur_basis(2, 7)
 
 
+def test_basis_constructor_runs_the_size_guard_first(monkeypatch, fresh_builders):
+    def refuse(*args):
+        raise AssertionError("enumerated letter strings before the size guard ran")
+
+    monkeypatch.setattr(schur, "letter_strings_by_weight", refuse)
+    monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "10")
+    with pytest.raises(SizeGuardError):
+        SuperSchurBasis(2, 5, ())
+
+
 # ---------------------------------------------------------------------------
 # one basis per (d, n) per process
 
