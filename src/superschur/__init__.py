@@ -11,7 +11,7 @@ import.
 
 from .blockdiag import (
     BlockDecomposition,
-    DfsReport,
+    BlockExponential,
     DfsSector,
     blockwise_exp,
     decompose,
@@ -73,11 +73,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockDecomposition",
+    "BlockExponential",
     "BlockStructureError",
     "ChannelInvariantError",
     "ChannelSpecError",
     "ColumnLabel",
-    "DfsReport",
     "DfsSector",
     "DimensionMismatchError",
     "EXAMPLE_CHANNELS",

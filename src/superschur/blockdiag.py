@@ -5,9 +5,11 @@ is the direct sum over shapes lambda of B_lambda (x) I_syt(lambda): one
 block per partition shape, repeated once per standard tableau.  A shape
 whose tableau count exceeds one then carries a protected subsystem, the
 identity factor: the dynamics touches only the multiplicity space.  The
-decomposition stores the blocks in that form, one array per shape shared
-by its tableaux when its twins agree to the tolerance, and the blockwise
-exponential takes one exp(tB) per array.
+decomposition keeps the whole frame, which its measurements read, and the
+blocks in that form, one array per shape shared by its tableaux when its
+twins agree to the tolerance.  The exponential of a block-diagonal
+generator is nothing but its blocks: a :class:`BlockExponential` holds one
+exp(tB) per array, and builds no frame.
 
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame is one row
@@ -34,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SuperOperatorMatrix, SymmetryCertificate
+from .channels import SuperOperatorMatrix
 from .combinatorics import Partition
 from .errors import BlockStructureError, DimensionMismatchError
 from .liouville import _read_only
 from .schur import SuperSchurBasis
 
 DEFAULT_BLOCK_TOL = 1e-8
+# random probes per eligible shape in protection_check
+PROTECTION_TRIALS = 5
 # side of the square tiles _transpose_in_place swaps
 _TILE = 64
 
@@ -49,49 +53,23 @@ _TILE = 64
 class BlockDecomposition:
     """A superoperator matrix split along the adapted-basis sectors.
 
-    ``blocks`` maps each (shape, tableau index), in frame order, to a
-    read-only array; on a shape whose twin deviation is at most ``tol`` every
-    tableau maps to the one tableau-0 array, the ``B`` of ``B (x) I``.
-    ``leakage`` is the largest entry outside all diagonal blocks and
+    ``frame`` is the whole conjugated matrix U^T M U.  ``blocks`` maps each
+    (shape, tableau index), in frame order, to a read-only array; on a
+    shape whose twin deviation is at most ``tol`` every tableau maps to the
+    one tableau-0 array, the ``B`` of ``B (x) I``.  ``leakage`` is the
+    largest entry of the frame outside all diagonal blocks and
     ``twin_deviation`` the largest difference between two blocks of the
     same shape; both are small exactly when the underlying map is
-    permutation symmetric.  ``frame`` is the whole conjugated matrix, or
-    None when only the blocks are kept (an exponentiated generator).
+    permutation symmetric.
     """
 
     kind: str
     tol: float
     basis: SuperSchurBasis
-    frame: np.ndarray | None
+    frame: np.ndarray
     blocks: dict[tuple[Partition, int], np.ndarray]
     leakage: float
     twin_deviation: dict[Partition, float]
-
-    @property
-    def schur_matrix(self) -> np.ndarray:
-        """The frame matrix; without a stored frame, the direct sum of the
-        blocks, built anew on every read."""
-        return self.frame if self.frame is not None else self.reassembled()
-
-    def dense_deviation(self, dense: np.ndarray) -> float:
-        """The largest |entry| of ``reassembled() - dense``, for a
-        frame-ordered ``dense``, read block row by block row without
-        building either matrix; a NaN comes through."""
-        parts = []
-        for (shape, y), B in self.blocks.items():
-            sl = self.basis.tableau_slice(shape, y)
-            parts.append(np.max(np.abs(B - dense[sl, sl])))
-            parts.extend(_off_block_maxima(dense, sl))
-        return float(np.max(parts))
-
-    def reassembled(self) -> np.ndarray:
-        """Dense matrix containing only the diagonal blocks, of their dtype."""
-        dtype = np.result_type(*self.blocks.values())
-        out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
-        for (shape, y), B in self.blocks.items():
-            sl = self.basis.tableau_slice(shape, y)
-            out[sl, sl] = B
-        return out
 
 
 def to_schur_frame(
@@ -249,18 +227,13 @@ class DfsSector:
     flagged: bool
 
 
-@dataclass(frozen=True)
-class DfsReport:
-    classification: str
-    sectors: list
-
-
-def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> DfsReport:
-    """Flag the sectors that carry a decoherence-free subsystem.
+def dfs_report(decomp: BlockDecomposition) -> list[DfsSector]:
+    """Flag the sectors that carry a decoherence-free subsystem, one
+    :class:`DfsSector` per shape in frame order.
 
     A shape is flagged when its protected dimension is at least two and
     the measured leakage and twin deviation are at most the decomposition
-    tolerance; the certificate is reported alongside for context.
+    tolerance.
     """
     sectors = []
     for shape in decomp.basis.shapes:
@@ -272,16 +245,48 @@ def dfs_report(decomp: BlockDecomposition, certificate: SymmetryCertificate) -> 
             and decomp.twin_deviation[shape] <= decomp.tol
         )
         sectors.append(DfsSector(shape, protected, noisy, flagged))
-    return DfsReport(classification=certificate.classification, sectors=sectors)
+    return sectors
 
 
-def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
+@dataclass(frozen=True)
+class BlockExponential:
+    """exp(tG) of a block-diagonal generator G, kept as its blocks.
+
+    ``blocks`` has the keys of the generator's, each mapped to a read-only
+    exp(t B); twins that shared one generator block share one exponential.
+    """
+
+    basis: SuperSchurBasis
+    blocks: dict[tuple[Partition, int], np.ndarray]
+
+    @property
+    def schur_matrix(self) -> np.ndarray:
+        """The direct sum of the blocks in the frame, of their dtype, built
+        anew on every read."""
+        dtype = np.result_type(*self.blocks.values())
+        out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
+        for (shape, y), E in self.blocks.items():
+            sl = self.basis.tableau_slice(shape, y)
+            out[sl, sl] = E
+        return out
+
+    def dense_deviation(self, dense: np.ndarray) -> float:
+        """The largest |entry| of ``schur_matrix - dense``, for a
+        frame-ordered ``dense``, read block row by block row without
+        building either matrix; a NaN comes through."""
+        parts = []
+        for (shape, y), E in self.blocks.items():
+            sl = self.basis.tableau_slice(shape, y)
+            parts.append(np.max(np.abs(E - dense[sl, sl])))
+            parts.extend(_off_block_maxima(dense, sl))
+        return float(np.max(parts))
+
+
+def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockExponential:
     """Exponentiate a generator block by block: exp(t * block) per sector.
 
     Requires a generator whose leakage is at most the decomposition
-    tolerance; the result is a channel-kind decomposition that keeps only
-    the exponentiated blocks (its ``schur_matrix`` is their direct sum,
-    built when read).
+    tolerance.
 
     Each distinct block array is exponentiated once, so the twins that
     :func:`decompose` gave one array share one read-only exponential.
@@ -303,44 +308,30 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockDecomposition:
             exponentials[id(B)] = expm(t * B)
         blocks[key] = exponentials[id(B)]
     _read_only(*exponentials.values())
-    basis = decomp.basis
-    return BlockDecomposition(
-        kind="channel",
-        tol=decomp.tol,
-        basis=basis,
-        frame=None,
-        blocks=blocks,
-        leakage=0.0,
-        twin_deviation={
-            shape: _twin_deviation([blocks[shape, y] for y in range(basis.syt_count(shape))])
-            for shape in basis.shapes
-        },
-    )
+    return BlockExponential(decomp.basis, blocks)
 
 
-def protection_check(decomp: BlockDecomposition, trials: int = 5, seed: int = 0) -> float:
+def protection_check(decomp: BlockDecomposition, seed: int = 0) -> float:
     """Probe the protected subsystems with random sector states.
 
-    For every shape with protected dimension >= 2, random coefficient
-    matrices are pushed through the full conjugated superoperator and
-    compared against the reference-tableau block acting on the
-    multiplicity index alone.  Returns the largest deviation observed;
-    for a genuinely symmetric map this is at the leakage/twin level,
-    while any cross-talk into the protected index shows up directly.
+    For every shape with protected dimension >= 2, PROTECTION_TRIALS
+    random coefficient matrices are pushed through the frame and compared
+    against the reference-tableau block acting on the multiplicity index
+    alone.  Returns the largest deviation observed; for a genuinely
+    symmetric map this is at the leakage/twin level, while any cross-talk
+    into the protected index shows up directly.
     Only the sector's columns of the frame meet a probe, and a real frame
     takes its real and imaginary parts as the two columns of one real
     product instead of a complex copy of itself.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     basis = decomp.basis
     eligible = [s for s in basis.shapes if basis.syt_count(s) >= 2]
     if not eligible:
         raise BlockStructureError("no sector with protected dimension >= 2")
     rng = np.random.default_rng(seed)
-    S = decomp.schur_matrix
+    S = decomp.frame
     deviations = []
-    for _ in range(trials):
+    for _ in range(PROTECTION_TRIALS):
         for shape in eligible:
             protected = basis.syt_count(shape)
             noisy = basis.multiplicity(shape)

@@ -291,7 +291,8 @@ def mixing_unitary(
     """
     # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
     s = np.argsort(string_index_map(pi, d, n))
-    S = np.stack([op.matrix for op in ops])
+    ops = _as_operators(d, n, ops)
+    S = np.array([op.matrix for op in ops], dtype=np.complex128).reshape(len(ops), d**n, d**n)
     return _mixing(S, S[:, s[:, None], s])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .blockdiag import (
     DEFAULT_BLOCK_TOL,
-    BlockDecomposition,
+    PROTECTION_TRIALS,
     blockwise_exp,
     decompose,
     dfs_report,
@@ -38,7 +38,6 @@ from .channels import (
     channel_from_dict,
     classify_kraus_symmetry,
     classify_lindblad_symmetry,
-    example_channel,
     kraus_superop,
     lindblad_superop,
 )
@@ -60,7 +59,6 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_INTERNAL = 4
 
-PROTECTION_TRIALS = 5
 # the deviation evolve --verify-dense accepts from the dense exponential
 _DENSE_CHECK_TOL = 1e-8
 
@@ -330,10 +328,10 @@ def _certificate_payload(cert) -> dict:
 def cmd_analyze(args) -> int:
     channel, builder = _load_channel(args.channel_file)
     cert, basis, decomp, times = _pipeline(channel, args.tol)
-    report = dfs_report(decomp, cert)
+    sectors = dfs_report(decomp)
     protection = None
     if any(basis.syt_count(s) >= 2 for s in basis.shapes):
-        protection = protection_check(decomp, trials=PROTECTION_TRIALS, seed=args.seed)
+        protection = protection_check(decomp, seed=args.seed)
 
     echo = _input_echo(args, channel, builder)
     source = f"builder {builder['name']}" if builder else "explicit operators"
@@ -346,7 +344,7 @@ def cmd_analyze(args) -> int:
         print(f"closure deviation: {channel.closure_deviation:.3e} (tol {CLOSURE_TOL:.1e})")
     print(f"leakage outside blocks: {decomp.leakage:.3e} (tol {args.tol:.1e})")
     print(f"{'partition':<12} {'protected':>9} {'noisy':>6} {'twin dev':>10}  dfs")
-    for sector in report.sectors:
+    for sector in sectors:
         twin = decomp.twin_deviation[sector.shape]
         flag = "DFS" if sector.flagged else "-"
         print(f"{str(sector.shape):<12} {sector.protected_dim:>9} "
@@ -376,7 +374,7 @@ def cmd_analyze(args) -> int:
                         decomp.twin_deviation[sector.shape], args.tol
                     ),
                 }
-                for sector in report.sectors
+                for sector in sectors
             ],
             "liouville_dim": (channel.d**2) ** channel.n,
         }
@@ -431,7 +429,7 @@ def cmd_evolve(args) -> int:
         if args.verify_dense:
             from scipy.linalg import expm
 
-            dense = expm(t * decomp.schur_matrix)
+            dense = expm(t * decomp.frame)
             deviation = evolved.dense_deviation(dense)
             _check_finite(deviation, t, f"the dense cross-check {dense.shape}")
             del dense
@@ -478,7 +476,8 @@ def cmd_verify(args) -> int:
                 "suites": [
                     {
                         "name": r.name,
-                        "measured": r.measured,
+                        # strict JSON has no Infinity or NaN: "inf", "-inf", "nan"
+                        "measured": r.measured if np.isfinite(r.measured) else str(r.measured),
                         "tol": r.tol,
                         "passed": r.passed,
                     }

@@ -209,20 +209,20 @@ def _classify(channel):
 
 @cache
 def _decomposed_examples() -> tuple:
-    """(channel, decomposition) of every example map, built once per process
-    and shared by the checks that read them."""
+    """The decomposition of every example map, built once per process and
+    shared by the checks that read them."""
     letters, basis = operator_basis(2, 3), super_schur_basis(2, 3)
     out = []
     for channel, _ in _examples():
         build = kraus_superop if isinstance(channel, KrausChannel) else lindblad_superop
-        out.append((channel, decompose(build(channel, letters), basis)))
+        out.append(decompose(build(channel, letters), basis))
     return tuple(out)
 
 
 def _example_block_structure_n3() -> float:
     return float(np.max([
         value
-        for _, decomp in _decomposed_examples()
+        for decomp in _decomposed_examples()
         for value in (decomp.leakage, *decomp.twin_deviation.values())
     ]))
 
@@ -242,17 +242,15 @@ def _classification_table_n3() -> float:
 
 
 def _protection_probe_n3() -> float:
-    return float(np.max(
-        [protection_check(decomp, trials=5, seed=0) for _, decomp in _decomposed_examples()]
-    ))
+    return float(np.max([protection_check(decomp) for decomp in _decomposed_examples()]))
 
 
 def _dfs_flags_n3() -> float:
     """Number of example maps whose {2,1} sector is not flagged as a
     decoherence-free subsystem of protected dimension 2."""
     misses = 0
-    for channel, decomp in _decomposed_examples():
-        sector = next(s for s in dfs_report(decomp, _classify(channel)).sectors if s.shape == TWO_ONE)
+    for decomp in _decomposed_examples():
+        sector = next(s for s in dfs_report(decomp) if s.shape == TWO_ONE)
         misses += not (sector.flagged and sector.protected_dim == 2)
     return float(misses)
 

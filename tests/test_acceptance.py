@@ -224,6 +224,24 @@ def test_all_lists_the_public_names_the_package_binds():
     assert set(superschur.__all__) == set(public)
 
 
+def test_every_module_import_is_used():
+    # __init__ imports to re-export, which the test above holds to __all__
+    unused = []
+    for path in sorted(Path(superschur.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused, unused
+
+
 def test_criterion_1_decomposition_counts(capsys):
     t0 = time.perf_counter()
     code = main(["decompose", "--n", "3", "--d", "2"])

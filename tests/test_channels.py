@@ -350,6 +350,18 @@ def test_mixing_unitaries_form_a_representation():
         assert np.max(np.abs(U - U_of(pi))) < 1e-6
 
 
+def test_mixing_unitary_of_no_operators_is_empty():
+    U, res, udev = mixing_unitary((), (1, 0), 2, 2)
+    assert U.shape == (0, 0)
+    assert res == 0.0 and udev == 0.0
+
+
+def test_mixing_unitary_refuses_operators_of_another_size():
+    ch = example_channel("collective_damping", n=3)
+    with pytest.raises(DimensionMismatchError, match=r"\(d=2, n=3\) does not match"):
+        mixing_unitary(ch.kraus_ops, (1, 0), 2, 2)
+
+
 def test_mixing_unitary_identity_permutation():
     ch = example_channel("collective_damping", n=2, p=0.5)
     U, res, udev = mixing_unitary(ch.kraus_ops, (0, 1), 2, 2)

@@ -649,6 +649,24 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert "example_block_structure_n3" in names
 
 
+def test_verify_out_writes_non_finite_measurements_as_text(tmp_path, capsys, monkeypatch):
+    from superschur import verify
+
+    monkeypatch.setattr(verify, "CHECKS", (
+        verify.Check("premise_fails", "fast", 0.0, lambda: math.inf),
+        verify.Check("below_everything", "fast", 0.0, lambda: -math.inf),
+        verify.Check("nan_folds_through", "fast", 1.0, lambda: math.nan),
+    ))
+    out_path = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out_path)]) == 4
+    capsys.readouterr()
+    payload = read_report(out_path)
+    assert [(s["measured"], s["passed"]) for s in payload["suites"]] == [
+        ("inf", False), ("-inf", True), ("nan", False)
+    ]
+    assert payload["passed"] is False
+
+
 def test_verify_full_passes(capsys):
     assert main(["verify", "--level", "full"]) == 0
     out = capsys.readouterr().out

@@ -26,10 +26,11 @@ from superschur import (
     super_schur_basis,
 )
 from superschur import cli
+from superschur.blockdiag import PROTECTION_TRIALS
 from superschur.channels import EXAMPLE_CHANNELS, HERMITICITY_TOL, SuperOperatorMatrix
 from superschur.liouville import single_site_letters
 
-from dispatch import certificate, superop, superop_columns
+from dispatch import superop, superop_columns
 from superop_oracle import lindblad_superop_columns
 from test_superop_kernel import random_kraus, random_lindbladian
 
@@ -180,13 +181,13 @@ def bases_3_to_5(schur_2_3, schur_2_4):
     return {3: schur_2_3, 4: schur_2_4, 5: super_schur_basis(2, 5)}
 
 
-def probe_reference(decomp, trials=5, seed=0):
+def probe_reference(decomp, seed=0):
     """protection_check's deviation, from complex products of the whole
     frame with zero-padded probe vectors."""
-    basis, S = decomp.basis, decomp.schur_matrix.astype(np.complex128)
+    basis, S = decomp.basis, decomp.frame.astype(np.complex128)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(PROTECTION_TRIALS):
         for shape in [s for s in basis.shapes if basis.syt_count(s) >= 2]:
             shape_dims = (basis.syt_count(shape), basis.multiplicity(shape))
             C = rng.standard_normal(shape_dims) + 1j * rng.standard_normal(shape_dims)
@@ -224,9 +225,8 @@ def test_real_path_matches_complex_reference(name, n, bases_3_to_5):
     for shape in dr.twin_deviation:
         assert_close(dr.twin_deviation[shape], dc.twin_deviation[shape], scale)
 
-    cert = certificate(channel)
-    flags = [(s.shape, s.flagged) for s in dfs_report(dr, cert).sectors]
-    assert flags == [(s.shape, s.flagged) for s in dfs_report(dc, cert).sectors]
+    flags = [(s.shape, s.flagged) for s in dfs_report(dr)]
+    assert flags == [(s.shape, s.flagged) for s in dfs_report(dc)]
     probe = protection_check(dr)
     assert_close(probe, protection_check(dc), scale)
     assert_close(probe, probe_reference(dr), scale)
