@@ -25,13 +25,14 @@ the frame, the blocks, the exponentials and their direct sum are float64
 too: half the memory of complex128, and real BLAS products.  Qutrits and
 above stay complex128.
 
-``scipy.linalg.expm`` is imported inside :func:`blockwise_exp`, so importing
-this module loads no scipy.
+Each block exponential is a numpy scaling and squaring with a Padé
+approximant (:func:`_expm`), so no stage of this module loads scipy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ DEFAULT_BLOCK_TOL = 1e-8
 PROTECTION_TRIALS = 5
 # side of the square tiles _transpose_in_place swaps
 _TILE = 64
+# Higham (2005), Table 2.3: the largest 1-norm of A at which the [m/m] Padé
+# approximant of exp(A) is accurate to double precision, per degree m
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
 
 
 @dataclass
@@ -288,8 +298,11 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockExponential:
     Requires a generator whose leakage is at most the decomposition
     tolerance.
 
-    Each distinct block array is exponentiated once, so the twins that
-    :func:`decompose` gave one array share one read-only exponential.
+    Each distinct block array is exponentiated once, by the numpy scaling
+    and squaring :func:`_expm`, so the twins that :func:`decompose` gave one
+    array share one read-only exponential.  An exponential that overflows
+    float64 holds inf or NaN entries, without a floating-point warning;
+    ``evolve`` refuses it by its finiteness check.
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
@@ -298,17 +311,57 @@ def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockExponential:
             f"leakage {decomp.leakage:.3e} exceeds tolerance {decomp.tol:.1e}; "
             "refusing blockwise exponential of a non-block-diagonal generator"
         )
-    # loaded here, after the refusals: only an exponential needs scipy.linalg
-    from scipy.linalg import expm
-
     exponentials: dict[int, np.ndarray] = {}
     blocks = {}
     for key, B in decomp.blocks.items():
         if id(B) not in exponentials:
-            exponentials[id(B)] = expm(t * B)
+            exponentials[id(B)] = _expm(B, t)
         blocks[key] = exponentials[id(B)]
     _read_only(*exponentials.values())
     return BlockExponential(decomp.basis, blocks)
+
+
+def _expm(A: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(tA) of a square matrix, of its dtype, by scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    The [m/m] Padé approximant r_m = (V - U)^-1 (V + U) of the lowest degree
+    m in 3, 5, 7, 9 whose theta bounds the 1-norm of tA, else of degree 13
+    on tA / 2**s with s the least that brings the norm within theta_13,
+    squared s times.  A product tA whose 1-norm is not finite gives NaN
+    entries, and an overflow while squaring inf or NaN entries, with no
+    floating-point warning: the caller refuses a result that is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = t * A
+        norm = float(np.max(np.abs(A).sum(axis=0), initial=0.0))
+        if not np.isfinite(norm):
+            return np.full(A.shape, np.nan, dtype=A.dtype)
+        m = next((m for m, theta in _PADE_THETA.items() if norm <= theta), 13)
+        s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+        A = A / 2.0**s
+        # the coefficients of the numerator p_m(x), with b_0 = 1
+        f = math.factorial
+        b = [f(2 * m - j) * f(m) / (f(2 * m) * f(j) * f(m - j)) for j in range(m + 1)]
+        eye = np.eye(len(A), dtype=A.dtype)
+        A2 = A @ A
+        if m < 13:
+            powers = [eye, A2]  # the even powers I, A^2, .., A^(m-1)
+            while len(powers) < (m + 1) // 2:
+                powers.append(powers[-1] @ A2)
+            U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+            V = sum(b[2 * j] * P for j, P in enumerate(powers))
+        else:
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                     + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+                 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        X = np.linalg.solve(V - U, V + U)
+        for _ in range(s):
+            X = X @ X
+    return X
 
 
 def protection_check(decomp: BlockDecomposition, seed: int = 0) -> float:

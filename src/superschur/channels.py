@@ -14,20 +14,13 @@ Superoperator matrices in the letter basis come from one column kernel
 shared by channels and generators.  Both write the map as
 X -> sum_j L_j X R_j, over the pairs (F, F^dag) and, for a generator,
 (A, I) and (I, A').  Every letter string is monomial, one nonzero per row
-and column (Pauli and clock-shift letters alike), with positions and phases
-read from the basis's vectorize plan, so the kernel forms the images of a
-chunk of columns in one of two ways, chosen by the operators alone.  When
-the map's Liouville matrix N = sum_j L_j (x) R_j^T is sparse (sum_j
-nnz(L_j) nnz(R_j) at most _SPARSE_SHARE of its dim**2 entries), N^T is
-built once as a sparse matrix and each chunk's images are one sparse
-product with the chunk's letter strings.  Otherwise each chunk takes one
-gathered stack and one dense matrix product for all the sandwich terms
-F B F^dag together, the one-sided terms being gathers with phases.  The two
-agree to roundoff.  Each scratch array is held to _CHUNK_BYTES (1 MB), so
-the stage never holds more than the output matrix, N and a few such arrays.
-Each image is vectorized by its own ``vectorize`` call, and the chunk's
-vectors are stacked, so the copy into the output and the imaginary-part
-bookkeeping below run once per chunk.
+and column (Pauli and clock-shift letters alike), and the D = d**n strings
+of one shift group share one column permutation, their phases being the
+rows of W^{(x)n} (see ``superschur.liouville``).  So the kernel forms the
+images of a whole group from one D x D x D array, filled by one batched
+product for all the sandwiches and two scatter-adds for the one-sided
+terms, and one product with W^{(x)n}.  Its scratch is two such arrays, 4 MB
+each at n = 6.  Each image is vectorized by its own ``vectorize`` call.
 
 With Hermitian letters (the Pauli strings, d = 2) every Kraus channel and
 every Lindbladian with a Hermitian H maps Hermitian letter strings to
@@ -85,16 +78,6 @@ _NEGLIGIBLE_NORM_SQ = 1e-14
 # largest imaginary part the real (Hermitian-letter) kernel may drop, as a
 # share of max|M|; measured roundoff stays below 2e-16
 IMAGINARY_PART_TOL = 1e-12
-# byte budget of each scratch array in the superoperator kernel; freed
-# scratch stays resident in the heap, so it adds to the later stages' peak
-_CHUNK_BYTES = 1 << 20
-# a map takes the sparse Liouville product when sum_j nnz(L_j) nnz(R_j) over
-# its pairs is at most this share of dim**2, else the dense sandwich product.
-# Measured at d = 2, n = 5 and 6 on random operators: the sparse product
-# wins below ~0.02 for one operator and ~0.06 for three; the builder
-# families other than correlated_damping (0.79-0.89) stay below 0.04.  The
-# share also caps the triplets built for N at 0.05 * dim**2.
-_SPARSE_SHARE = 0.05
 
 
 def _as_operators(d: int, n: int, matrices) -> tuple[QuditOperator, ...]:
@@ -408,179 +391,92 @@ def _letter_superop(
 
     ``one_sided`` is the pair (A, A') or None.  The map is sum_j L_j X R_j
     over the pairs (F, F^dag), plus (A, I) and (I, A') for a generator.
-    When its Liouville matrix is sparse -- sum_j nnz(L_j) nnz(R_j) at most
-    _SPARSE_SHARE of dim**2 -- the images of a chunk of columns are one
-    sparse product with that matrix (:class:`_SparseImages`); otherwise they
-    come from the dense sandwich product (:class:`_DenseImages`).  Either
-    way each image is then vectorized on its own, into one stack per chunk,
-    which is a row slab of M^T: the matrix comes out in F order.
-    A scratch array holds at most _CHUNK_BYTES, unless a single column needs
-    more (over 16 sandwiches at n = 6 on the dense path).
+    The columns are formed one shift group at a time: the D = d**n strings
+    with plan position k*D + s for one s, B_b = lam_b diag(w[k_b]) P_s with
+    w = W^{(x)n} and P_s the permutation R -> col_s(R), whose images are
+
+        lam_b sum_R w[k_b, R] T_s[R],  T_s[R, i, m] = sum_j L_j[i, R] R_j[col_s(R), m].
+
+    The sandwiches fill T_s with one batched product over R, each
+    (D x K) @ (K x D), in real arithmetic on the complex view when every
+    F is real; (A, I) and (I, A') add A[:, R] at T_s[R, :, col_s(R)] and
+    A'[col_s(R), :] at T_s[R, R, :].  w is applied through its Kronecker
+    halves, as :func:`vectorize` applies conj(w).  Two D**3 arrays (4 MB
+    each at n = 6; float64 when every term is real) are all the scratch,
+    besides the group's gather of the F^dag rows (K D**2 entries).  Each image is vectorized by its own
+    ``vectorize`` call into one row of M^T: the matrix comes out in F order.
 
     With Hermitian letters (the plan's ``real``, d = 2) the result is
-    float64: each chunk keeps the real part of its stack, and the largest
+    float64: each row keeps the real part of its vector, and the largest
     imaginary part dropped must stay within IMAGINARY_PART_TOL * max|M|,
     plus HERMITICITY_TOL when ``one_sided`` carries a Hamiltonian (see the
     module docstring).
     """
-    dim = basis.dim
-    pairs = _liouville_pairs(sandwiched, one_sided, basis.d**basis.n)
-    sizes = [np.count_nonzero(L) * np.count_nonzero(R) for L, R in pairs]
-    if sum(sizes) <= _SPARSE_SHARE * dim * dim:
-        images_of = _SparseImages(basis, pairs, sizes)
-    else:
-        images_of = _DenseImages(basis, sandwiched, one_sided)
-    real = basis.vectorize_plan.real
-    dropped = []  # per chunk: the largest imaginary part dropped
-    out = np.empty((dim, dim), dtype=np.float64 if real else np.complex128)
-    for b0 in range(0, dim, images_of.step):
-        # one contiguous image per column, so vectorize gathers without a copy
-        images = images_of(slice(b0, b0 + images_of.step))
-        c = len(images)
-        # out holds the transpose, so each column is one contiguous row; a
-        # real out takes the chunk's stack in one copy
-        V = np.empty((c, dim), dtype=np.complex128) if real else out[b0 : b0 + c]
-        for j in range(c):
-            V[j] = vectorize(images[j], basis)
+    plan = basis.vectorize_plan
+    D = basis.d**basis.n
+    real = plan.real
+    # the plan holds the halves of conj(w); at d = 2 they are real
+    w_outer, w_inner = np.conj(plan.w_outer), np.conj(plan.w_inner)
+    D1, D2 = len(w_outer), len(w_inner)
+    S = np.stack(sandwiched) if sandwiched else np.zeros((0, D, D))
+    if not np.any(S.imag):
+        S = S.real
+    # T is real when every term is: real F, no one-sided terms, real letters
+    real_T = real and one_sided is None and S.dtype == np.float64
+    T = np.empty((D, D, D), dtype=np.float64 if real_T else np.complex128)
+    Y = np.empty_like(T)
+    # left[R] = [F_1[:, R] ... F_K[:, R]], right[c] = the rows c of the F_j^dag
+    left = np.ascontiguousarray(S.transpose(2, 1, 0))
+    right = np.ascontiguousarray(S.conj().transpose(2, 0, 1), dtype=T.dtype)
+    R = np.arange(D)
+    # labels[k, s]: the string at plan position k*D + s
+    labels = np.argsort(plan.order).reshape(D, D)
+    out = np.empty((basis.dim, basis.dim), dtype=np.float64 if real else np.complex128)
+    imag = np.empty((D, basis.dim)) if real else None
+    dropped = []  # per group: the largest imaginary part dropped
+    for s in range(D):
+        col = plan.col_s[s]
+        if left.dtype == T.dtype:
+            np.matmul(left, right[col], out=T)
+        else:
+            # a complex row is a row of (re, im) pairs, so the real F
+            # multiplies real and imaginary parts in one real product
+            np.matmul(left, right[col].view(np.float64), out=T.view(np.float64))
+        if one_sided is not None:
+            A, A_right = one_sided
+            T[R, :, col] += A.T
+            T[R, R, :] += A_right[col]
+        # w @ T over the first index, as the Kronecker halves of w, back into T
+        Tv, Yv = (T.view(np.float64), Y.view(np.float64)) if real else (T, Y)
+        np.matmul(w_inner, Tv.reshape(D1, D2, -1), out=Yv.reshape(D1, D2, -1))
+        np.matmul(w_outer, Yv.reshape(D1, -1), out=Tv.reshape(D1, -1))
+        for k, b in enumerate(labels[:, s]):
+            v = vectorize(T[k], basis)
+            v *= plan.lam[b]
+            if real:
+                out[b] = v.real
+                imag[k] = v.imag
+            else:
+                out[b] = v
         if real:
-            dropped.append(np.abs(V.imag).max())
-            out[b0 : b0 + c] = V.real
+            # max and -min instead of abs: no temporary, and a NaN comes through
+            dropped.append(max(imag.max(), -imag.min()))
     if real:
         # a generator may also drop the anti-Hermitian part of an accepted H
         allowance = HERMITICITY_TOL if one_sided is not None else 0.0
-        # max and -min instead of abs: no temporary the size of out
-        bound = IMAGINARY_PART_TOL * max(out.max(), -out.min()) + allowance
         worst = np.max(dropped)  # a NaN comes through and fails the test
-        if not worst <= bound:
-            raise InternalConsistencyError(
-                f"letter-basis matrix has imaginary part {worst:.3e} above the bound "
-                f"{bound:.3e} ({IMAGINARY_PART_TOL:.0e} x max|M| + {allowance:.0e} for the "
-                "Hamiltonian); a Hermiticity-preserving map is real on Hermitian letters"
-            )
+        # the bound is never below the allowance, so max|M| is read only
+        # when the dropped part exceeds it
+        if not worst <= allowance:
+            # max and -min instead of abs: no temporary the size of out
+            bound = IMAGINARY_PART_TOL * max(out.max(), -out.min()) + allowance
+            if not worst <= bound:
+                raise InternalConsistencyError(
+                    f"letter-basis matrix has imaginary part {worst:.3e} above the bound "
+                    f"{bound:.3e} ({IMAGINARY_PART_TOL:.0e} x max|M| + {allowance:.0e} for the "
+                    "Hamiltonian); a Hermiticity-preserving map is real on Hermitian letters"
+                )
     return out.T
-
-
-def _liouville_pairs(sandwiched, one_sided, D: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs (L_j, R_j) of the map X -> sum_j L_j X R_j."""
-    pairs = [(F, F.conj().T) for F in sandwiched]
-    if one_sided is not None:
-        eye = np.eye(D, dtype=np.complex128)
-        pairs += [(one_sided[0], eye), (eye, one_sided[1])]
-    return pairs
-
-
-class _SparseImages:
-    """Images of a chunk of letter strings as one sparse product.
-
-    With X flattened row by row, vec(L X R) = (L (x) R^T) vec(X), so the
-    flattened images are the rows of Bt @ N^T with N^T = sum_j L_j^T (x) R_j,
-    built once per map as a complex CSR matrix; row b of Bt holds the D
-    nonzeros of B_b, phi_b(R) at R * D + sigma_b(R) (the vectorize plan's
-    ``rows``).  Both carry int32 indices and complex data, so no chunk
-    converts N^T.  The images land in one reused buffer of at most
-    _CHUNK_BYTES, which ``toarray`` clears before it writes.
-    """
-
-    def __init__(self, basis: OperatorBasis, pairs, sizes: list[int]) -> None:
-        # imported on first use: a run that builds no sparse matrix
-        # (decompose, schur-basis, dense maps) skips its import, about
-        # 0.2 s in a fresh process (python -X importtime)
-        from scipy.sparse import coo_array
-
-        D = basis.d**basis.n
-        rows = np.empty(sum(sizes), dtype=np.int32)
-        cols = np.empty_like(rows)
-        vals = np.empty(len(rows), dtype=np.complex128)
-        start = 0
-        for (L, R), size in zip(pairs, sizes):
-            # (L^T (x) R)[a D + c, b D + e] = L[b, a] R[c, e]
-            lr, lc = (i.astype(np.int32) for i in np.nonzero(L))
-            rr, rc = (i.astype(np.int32) for i in np.nonzero(R))
-            part = slice(start, start + size)
-            rows[part] = (lc[:, None] * D + rr).ravel()
-            cols[part] = (lr[:, None] * D + rc).ravel()
-            vals[part] = np.multiply.outer(L[lr, lc], R[rr, rc]).ravel()
-            start += size
-        # the conversion sums the duplicate entries of different pairs
-        self.transfer = coo_array((vals, (rows, cols)), shape=(D * D, D * D)).tocsr()
-        self.plan = basis.vectorize_plan
-        self.step = max(1, _CHUNK_BYTES // (16 * D * D))
-        self.buffer = np.empty((min(self.step, basis.dim), D * D), dtype=np.complex128)
-        self.slots = np.arange(D, dtype=np.int32) * D
-
-    def __call__(self, chunk: slice) -> np.ndarray:
-        from scipy.sparse import csr_array
-
-        sigma, phi = self.plan.rows(chunk)
-        c, D = sigma.shape
-        Bt = csr_array(
-            (
-                phi.ravel(),
-                (self.slots + sigma.astype(np.int32)).ravel(),
-                np.arange(0, c * D + 1, D, dtype=np.int32),
-            ),
-            shape=(c, D * D),
-        )
-        images = (Bt @ self.transfer).toarray(out=self.buffer[:c])
-        return images.reshape(c, D, D)
-
-
-class _DenseImages:
-    """Images of a chunk of letter strings from the dense sandwich product.
-
-    Every letter string B_b is monomial, so B_b F^dag and B_b A' are row
-    gathers with phases and A B_b is a column gather; each chunk reads
-    their indices and phases from the basis's vectorize plan, its
-    ``rows``, whose row-wise inverse places the columns.  The sandwiches
-    of a chunk take one product,
-    [F_1 ... F_K] @ [B_b F_1^dag; ...; B_b F_K^dag], which runs in real
-    arithmetic when every F is real.
-    """
-
-    def __init__(self, basis: OperatorBasis, sandwiched, one_sided) -> None:
-        D = basis.d**basis.n
-        self.K = K = len(sandwiched)
-        if K:
-            F_row = np.hstack(sandwiched)
-            if not np.any(F_row.imag):
-                # contiguous, or the product skips BLAS for the strided view
-                F_row = np.ascontiguousarray(F_row.real)
-            self.F_row = F_row
-            self.daggers = np.stack([F.conj().T for F in sandwiched])
-        self.one_sided = one_sided
-        self.plan = basis.vectorize_plan
-        self.step = max(1, _CHUNK_BYTES // (16 * D * D * max(K, 1)))
-
-    def __call__(self, chunk: slice) -> np.ndarray:
-        # (B_b X)[R, j] = phi[b, R] * X[sigma[b, R], j], stored [R, b, j]
-        sigma, phi = self.plan.rows(chunk)
-        c, D = sigma.shape
-        K = self.K
-        row_phase = phi.T[:, :, None]
-        if K:
-            Y = self.daggers[:, sigma.T]
-            Y *= row_phase
-            Y = Y.reshape(K * D, c * D)
-            if self.F_row.dtype == np.float64:
-                # a complex row is a row of (re, im) pairs, so the real F
-                # multiplies real and imaginary parts in one real product
-                images = (self.F_row @ Y.view(np.float64)).view(np.complex128)
-            else:
-                images = self.F_row @ Y
-            images = images.reshape(D, c, D)
-        else:
-            images = np.zeros((D, c, D), dtype=np.complex128)
-        if self.one_sided is not None:
-            A, A_right = self.one_sided
-            G = A_right[sigma.T]
-            G *= row_phase
-            images += G
-            # (A B_b)[i, C] = A[i, tau[b, C]] * phi[b, tau[b, C]], tau = sigma^-1
-            tau = np.argsort(sigma, axis=1)
-            G = A[:, tau]
-            G *= np.take_along_axis(phi, tau, axis=1)
-            images += G
-        return np.ascontiguousarray(images.transpose(1, 0, 2))
 
 
 def kraus_superop(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:

@@ -15,8 +15,9 @@ the phases of the letters with clock power k are ``lambda W[k]`` with W
 the diagonals of the clock powers (the +-1 Hadamard matrix for the
 Paulis, the Fourier matrix for clock-shift letters).  The string with
 groups s and clock powers k then has its nonzero in row R at column
-``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``; the superoperator
-kernel reads these through the plan's ``rows``.  Its coefficient of X is
+``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``, which the plan's
+``rows`` gives per string; the superoperator kernel takes the D strings of
+one group s together.  Its coefficient of X is
 ``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
 gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
 with its Kronecker halves) and one gather with phases into letter order.
@@ -220,7 +221,7 @@ class _VectorizePlan:
     ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
     row 0) and W the clock powers.  So a string b with groups s and clock
     powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
-    which :meth:`rows` reads off for the superoperator kernel, and
+    which :meth:`rows` reads off, and
     ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
     ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
     """

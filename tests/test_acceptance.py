@@ -153,7 +153,6 @@ def test_readme_constants_match_the_code():
     assert quoted(r"`([^`]+) x max\|M\|` \(`IMAGINARY_PART_TOL`") == channels.IMAGINARY_PART_TOL
     assert quoted(r"`([^`]+)` \(`HERMITICITY_TOL`") == channels.HERMITICITY_TOL
     assert quoted(r"`SIGN_TOL = ([^`]+)`") == schur.SIGN_TOL
-    assert quoted(r"at most (\d+)% of the `dim\^2` entries") / 100 == channels._SPARSE_SHARE
     readme_tol = quoted(r"`--tol` \(block/flagging tolerance, [^)]*default `([^`]+)`")
     assert readme_tol == blockdiag.DEFAULT_BLOCK_TOL
     parser = build_parser()
@@ -240,6 +239,33 @@ def test_every_module_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused, unused
+
+
+def test_only_verify_and_the_dense_cross_check_import_scipy():
+    # every scipy import in the package, with the functions and if-tests
+    # around it
+    found = []
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            here = where
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                here = where + (child.name,)
+            elif isinstance(child, ast.If):
+                here = where + (ast.unparse(child.test),)
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                found.append((path.name, here))
+            visit(child, path, here)
+
+    for path in sorted(Path(superschur.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, ())
+    assert found == [("cli.py", ("cmd_evolve", "args.verify_dense")), ("verify.py", ())]
 
 
 def test_criterion_1_decomposition_counts(capsys):

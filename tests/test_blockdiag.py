@@ -384,8 +384,6 @@ def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
 
 
 def test_one_array_and_one_exponential_per_shape_at_n6(monkeypatch):
-    import scipy.linalg
-
     basis = super_schur_basis(2, 6)
     lind = example_channel("collective_jump", n=6)
     decomp = decompose(lindblad_superop(lind, operator_basis(2, 6)), basis)
@@ -393,14 +391,44 @@ def test_one_array_and_one_exponential_per_shape_at_n6(monkeypatch):
     assert len(decomp.blocks) == 70 and len(arrays) == len(basis.shapes) == 9
     assert not any(B.flags.writeable for B in arrays.values())
     calls = []
-    expm_ = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm_(A))
+    expm_ = blockdiag._expm
+    monkeypatch.setattr(blockdiag, "_expm", lambda A, t: calls.append(A) or expm_(A, t))
     for t in (0.1, 1.0):
         calls.clear()
         evolved = blockwise_exp(decomp, t)
         assert len(calls) == 9
         assert len(evolved.blocks) == 70
         assert len({id(E) for E in evolved.blocks.values()}) == 9
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 20, 180])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pade_exponential_matches_scipy(size, dtype):
+    rng = np.random.default_rng(size)
+    # 1-norms across every Padé degree, and up to 5 squarings at degree 13
+    for norm in (1e-6, 1e-2, 0.2, 0.9, 2.0, 5.0, 1e1, 1e2):
+        A = rng.standard_normal((size, size))
+        if dtype == np.complex128:
+            A = A + 1j * rng.standard_normal((size, size))
+        if size:
+            A *= norm / np.max(np.abs(A).sum(axis=0))
+        for t in (1.0, -0.5):
+            E, expected = blockdiag._expm(A, t), expm(t * A)
+            assert E.dtype == dtype and E.shape == (size, size)
+            scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+            assert np.max(np.abs(E - expected), initial=0.0) <= 1e-12 * scale
+
+
+def test_pade_exponential_passes_nan_and_overflow_without_a_warning():
+    # pytest turns every RuntimeWarning into an error
+    A = np.eye(3)
+    A[1, 2] = np.nan
+    assert np.isnan(blockdiag._expm(A)).all()
+    big = np.full((20, 20), 1.0 + 1j)
+    assert not np.isfinite(blockdiag._expm(big, 1e300)).any()
+    # t A itself overflows
+    assert np.isnan(blockdiag._expm(np.full((2, 2), 1e300), 1e300)).all()
+    assert not np.isfinite(blockdiag._expm(np.diag([800.0, -1.0]))).all()
 
 
 def block_frame_generator(basis, rng):

@@ -576,12 +576,8 @@ def test_evolve_refuses_a_time_whose_exponential_overflows(tmp_path, capsys):
 def test_evolve_refuses_a_dense_deviation_that_is_not_finite(tmp_path, capsys, monkeypatch):
     import scipy.linalg
 
-    # both the blocks and the dense cross-check call scipy.linalg.expm;
-    # only the 64 x 64 dense one overflows
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(
-        scipy.linalg, "expm", lambda M: np.full(M.shape, np.nan) if len(M) == 64 else expm(M)
-    )
+    # only the 64 x 64 dense cross-check calls scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: np.full(M.shape, np.nan))
     spec = builder_doc(tmp_path / "ising.json", "transverse_ising", "lindblad")
     out_path = tmp_path / "evolve.json"
     argv = ["evolve", spec, "--times", "0.5", "--verify-dense", "--out", str(out_path)]
@@ -589,6 +585,20 @@ def test_evolve_refuses_a_dense_deviation_that_is_not_finite(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert "t=0.5: the dense cross-check (64, 64) is not finite" in err
     assert not out_path.exists()
+
+
+def test_only_the_dense_cross_check_calls_scipy_expm(tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: calls.append(M.shape) or expm(M))
+    spec = builder_doc(tmp_path / "jump.json", "single_jump", "lindblad")
+    assert main(["evolve", spec, "--times", "0.1,1.0"]) == 0
+    assert calls == []
+    assert main(["evolve", spec, "--times", "0.1,1.0,2.0", "--verify-dense"]) == 0
+    capsys.readouterr()
+    assert calls == [(64, 64)] * 3
 
 
 def test_evolve_rejects_kraus_input(tmp_path, capsys):
@@ -682,8 +692,8 @@ def run_probe(probe: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_builds_no_basis():
-    # scipy.sparse is imported on first use by the superoperator kernel,
-    # scipy.linalg where an exponential is taken
+    # scipy.linalg is imported only where the dense cross-check or verify
+    # takes a dense exponential
     probe = (
         "import sys\n"
         "import superschur.cli\n"
@@ -698,30 +708,33 @@ def test_cli_import_builds_no_basis():
 
 
 def test_commands_without_an_exponential_load_no_scipy_linalg(tmp_path):
+    # analyze and evolve run on numpy alone, whatever the operators: a
+    # sparse generator, a dense Kraus map, an explicit qutrit file and an
+    # accepted evolve, all in one fresh process
+    jump5 = builder_doc(tmp_path / "jump5.json", "single_jump", "lindblad", n=5)
     dense = builder_doc(tmp_path / "corr.json", "correlated_damping", "kraus", n=3)
-    H = np.kron(np.diag([1.0, -1.0]), np.eye(2)) + 2 * np.kron(np.eye(2), np.diag([1.0, -1.0]))
-    leaky = write_doc(
-        tmp_path / "leaky.json",
-        {"d": 2, "n": 2, "kind": "lindblad", "hamiltonian": matrix_doc(H), "operators": []},
+    lower = np.diag([1.0, 1.0], k=1)  # |0><1| + |1><2|
+    eye = np.eye(3)
+    jump = (np.kron(np.kron(lower, eye), eye) + np.kron(np.kron(eye, lower), eye)
+            + np.kron(np.kron(eye, eye), lower))
+    qutrits = write_doc(
+        tmp_path / "qutrits.json",
+        {"d": 3, "n": 3, "kind": "lindblad", "operators": [matrix_doc(jump)]},
     )
+    jump3 = builder_doc(tmp_path / "jump3.json", "single_jump", "lindblad")
     probe = (
         "import sys\n"
         "from superschur.cli import main\n"
-        "def loaded():\n"
-        "    names = ('scipy.linalg', 'scipy.sparse')\n"
-        "    print('loaded', *[name in sys.modules for name in names])\n"
+        f"assert main(['analyze', {jump5!r}]) == 0\n"
         f"assert main(['analyze', {dense!r}]) == 0\n"
-        "loaded()\n"
-        f"assert main(['evolve', {leaky!r}]) == 3\n"
-        "loaded()\n"
+        f"assert main(['analyze', {qutrits!r}]) == 0\n"
+        f"assert main(['evolve', {jump3!r}, '--times', '0.1,1.0']) == 0\n"
+        "print('loaded', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = run_probe(probe)
     assert done.returncode == 0, done.stderr
-    marks = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded ")]
-    # a dense-kernel map builds no sparse matrix; the leakage refusal comes
-    # before the exponential, whatever kernel the generator took
-    assert marks[0] == ["False", "False"]
-    assert marks[1][0] == "False"
+    marks = [line.split()[1:] for line in done.stdout.splitlines() if line.startswith("loaded")]
+    assert marks == [[]]
 
 
 def test_analyze_and_evolve_load_no_oracle(tmp_path):
@@ -800,7 +813,7 @@ PIPELINE_INPUTS = [f"builder-{name}" for name in sorted(channels.EXAMPLE_CHANNEL
 @pytest.mark.parametrize("case", PIPELINE_INPUTS)
 def test_pipeline_holds_one_dense_array(case):
     # the superoperator's buffer becomes the frame, so besides it only
-    # class-sized and chunk-sized temporaries are traced
+    # class-sized and shift-group-sized temporaries are traced
     import tracemalloc
 
     if case.startswith("builder-"):

@@ -1,9 +1,11 @@
-"""The batched monomial-letter superoperator kernel against the per-column oracle.
+"""The shift-group superoperator kernel against the per-column oracle.
 
-The kernel forms each chunk's images on one of two paths, chosen by the
-operators: one sparse product with the map's Liouville matrix, or the dense
-sandwich product.  The example families and the random sets below cover
-both, and the tests at the end name the path each input takes.
+The kernel forms the images of the d**n letter strings of one shift group
+at a time, whatever the operators.  The inputs below span what sets its
+work apart: builder families, dense random sets, monomial Kraus sets and
+sparse Lindbladians (real and complex, with and without a Hamiltonian), the
+benchmark's explicit operator files, and the two families whose kernel
+time changed most at n = 6.
 """
 
 import itertools
@@ -17,8 +19,6 @@ from superschur import (
     Lindbladian,
     QuditOperator,
     example_channel,
-    kraus_superop,
-    lindblad_superop,
     operator_basis,
     orthogonalize_kraus,
 )
@@ -99,44 +99,7 @@ def test_kernel_matches_oracle_on_random_lindbladians(d, n, scale):
 
 
 # ---------------------------------------------------------------------------
-# the two image paths
-
-
-class _PathChosen(Exception):
-    pass
-
-
-@pytest.fixture
-def paths(monkeypatch):
-    """The image builders the kernel constructs, by class name, in order."""
-    taken = []
-    for name in ("_SparseImages", "_DenseImages"):
-        def record(*args, _original=getattr(channels, name), _name=name):
-            taken.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(channels, name, record)
-    return taken
-
-
-def path_of(channel, monkeypatch):
-    """'sparse' or 'dense': the path the kernel takes for ``channel``,
-    stopped as soon as the image builder is chosen."""
-    taken = []
-
-    def stop(name):
-        def record(*args):
-            taken.append(name)
-            raise _PathChosen
-
-        return record
-
-    with monkeypatch.context() as m:
-        m.setattr(channels, "_SparseImages", stop("sparse"))
-        m.setattr(channels, "_DenseImages", stop("dense"))
-        with pytest.raises(_PathChosen):
-            superop(channel, operator_basis(channel.d, channel.n))
-    return taken[0]
+# sparse, monomial and explicit inputs
 
 
 def shift(d):
@@ -192,35 +155,32 @@ def sparse_lindbladian(d, n, rng, couplings=3):
     return Lindbladian(d, n, QuditOperator(d, n, H), tuple(jumps))
 
 
-# (d, n, noisy sites): sizes whose monomial sets stay within the sparse share
+# (d, n, noisy sites): monomial sets whose Liouville matrix is sparse
 SPARSE_SIZES = [(2, 3, 1), (2, 4, 2), (3, 2, 1), (3, 3, 3)]
 
 
+# The next three tests keep the names they had when the kernel chose
+# between a sparse and a dense product; every input now takes the one path.
 @pytest.mark.parametrize("d,n,noisy", SPARSE_SIZES)
-def test_sparse_path_matches_oracle_on_monomial_kraus_sets(d, n, noisy, paths):
+def test_sparse_path_matches_oracle_on_monomial_kraus_sets(d, n, noisy):
     rng = np.random.default_rng(10 * d + n)
     assert_matches_oracle(monomial_kraus(d, n, noisy, rng), operator_basis(d, n))
-    assert paths == ["_SparseImages"]
 
 
-# at d**n = 8 the terms (A, I) and (I, A') of A's diagonal alone fill
-# 2 / d**(2n) = 3% of dim**2, and the couplings and jumps pass the share
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3)])
-def test_sparse_path_matches_oracle_on_sparse_lindbladians(d, n, paths):
+def test_sparse_path_matches_oracle_on_sparse_lindbladians(d, n):
     rng = np.random.default_rng(10 * d + n)
     lind = sparse_lindbladian(d, n, rng)
     assert np.any(lind.hamiltonian.matrix.imag)
     assert_matches_oracle(lind, operator_basis(d, n))
-    assert paths == ["_SparseImages"]
 
 
 @pytest.mark.parametrize("d,n", RANDOM_SIZES)
-def test_random_dense_sets_take_the_dense_path(d, n, paths):
+def test_random_dense_sets_take_the_dense_path(d, n):
     rng = np.random.default_rng(100 * d + n)
     basis = operator_basis(d, n)
-    kraus_superop(random_kraus(d, n, 3, rng), basis)
-    lindblad_superop(random_lindbladian(d, n, 1.0, rng), basis)
-    assert paths == ["_DenseImages", "_DenseImages"]
+    assert_matches_oracle(random_kraus(d, n, 3, rng), basis)
+    assert_matches_oracle(random_lindbladian(d, n, 1.0, rng), basis)
 
 
 def explicit_files(d, n):
@@ -253,25 +213,28 @@ def explicit_files(d, n):
     return {f"lindblad_d{d}n{n}": lind, f"kraus_d{d}n{n}": kraus}
 
 
-def test_each_benchmark_input_takes_its_path(monkeypatch):
-    # correlated_damping's completion operator fills 30 of 32 entries per
-    # row, so its Liouville matrix is dense; every other input is sparse
-    inputs = {f"{name}_n5": example_channel(name, n=5) for name in sorted(EXAMPLE_CHANNELS)}
-    inputs["collective_jump_n6"] = example_channel("collective_jump", n=6)
-    inputs.update(explicit_files(2, 5))
-    inputs.update(explicit_files(3, 3))
-    sides = {name: path_of(channel, monkeypatch) for name, channel in inputs.items()}
-    assert sides == {
-        name: "dense" if name.startswith("correlated_damping") else "sparse" for name in inputs
-    }
+EXPLICIT_FILES = {**explicit_files(2, 5), **explicit_files(3, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLICIT_FILES))
+def test_kernel_matches_oracle_on_explicit_operator_files(name):
+    channel = EXPLICIT_FILES[name]
+    assert_matches_oracle(channel, operator_basis(channel.d, channel.n))
+
+
+# collective_jump (K = 3 jumps and a Hamiltonian) and correlated_damping
+# (dense Kraus operators) at the n = 6 ceiling
+@pytest.mark.parametrize("name", ["collective_jump", "correlated_damping"])
+def test_kernel_matches_oracle_at_n6(name):
+    assert_matches_oracle(example_channel(name, n=6), operator_basis(2, 6))
 
 
 @pytest.mark.parametrize(
-    "name,n,side",
-    [("collective_damping", 3, "_SparseImages"), ("correlated_damping", 3, "_DenseImages"),
-     ("single_jump", 3, "_DenseImages"), ("single_jump", 5, "_SparseImages")],
+    "name,n",
+    [("collective_damping", 3), ("correlated_damping", 3), ("single_jump", 3), ("single_jump", 5)],
+    ids=lambda value: f"n{value}" if isinstance(value, int) else value,
 )
-def test_vectorize_runs_once_per_column_on_either_path(name, n, side, monkeypatch, paths):
+def test_vectorize_runs_once_per_column(name, n, monkeypatch):
     calls = []
 
     def counting(matrix, basis):
@@ -281,5 +244,4 @@ def test_vectorize_runs_once_per_column_on_either_path(name, n, side, monkeypatc
     monkeypatch.setattr(channels, "vectorize", counting)
     basis = operator_basis(2, n)
     superop(example_channel(name, n=n), basis)
-    assert paths == [side]
     assert len(calls) == basis.dim
