@@ -6,10 +6,9 @@ block per partition shape, repeated once per standard tableau.  A shape
 whose tableau count exceeds one then carries a protected subsystem, the
 identity factor: the dynamics touches only the multiplicity space.  The
 decomposition keeps the whole frame, which its measurements read, and the
-blocks in that form, one array per shape shared by its tableaux when its
-twins agree to the tolerance.  The exponential of a block-diagonal
-generator is nothing but its blocks: a :class:`BlockExponential` holds one
-exp(tB) per array, and builds no frame.
+blocks in that form: one array per shape, its tableau-0 block B.  The
+exponential of a block-diagonal generator is nothing but its blocks: a
+:class:`BlockExponential` holds one exp(tB) per shape, and builds no frame.
 
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame is one row
@@ -64,20 +63,19 @@ class BlockDecomposition:
     """A superoperator matrix split along the adapted-basis sectors.
 
     ``frame`` is the whole conjugated matrix U^T M U.  ``blocks`` maps each
-    (shape, tableau index), in frame order, to a read-only array; on a
-    shape whose twin deviation is at most ``tol`` every tableau maps to the
-    one tableau-0 array, the ``B`` of ``B (x) I``.  ``leakage`` is the
-    largest entry of the frame outside all diagonal blocks and
-    ``twin_deviation`` the largest difference between two blocks of the
-    same shape; both are small exactly when the underlying map is
-    permutation symmetric.
+    shape, in frame order, to a read-only copy of its tableau-0 block, the
+    ``B`` of ``B (x) I``; the frame holds ``basis.syt_count(shape)`` copies
+    of it.  ``leakage`` is the largest entry of the frame outside all
+    diagonal blocks and ``twin_deviation`` the largest difference between
+    two blocks of the same shape; both are small exactly when the
+    underlying map is permutation symmetric.
     """
 
     kind: str
     tol: float
     basis: SuperSchurBasis
     frame: np.ndarray
-    blocks: dict[tuple[Partition, int], np.ndarray]
+    blocks: dict[Partition, np.ndarray]
     leakage: float
     twin_deviation: dict[Partition, float]
 
@@ -170,11 +168,11 @@ def _off_block_maxima(S: np.ndarray, sl: slice) -> list:
 
 
 def _twin_deviation(twins: list[np.ndarray]) -> float:
-    """The largest entrywise difference between two twin blocks, 0.0 for
-    twins that are one array.  np.max, unlike the builtin max, lets a NaN
+    """The largest entrywise difference between two twin blocks, 0.0 for a
+    shape with one tableau.  np.max, unlike the builtin max, lets a NaN
     through."""
     pairs = itertools.combinations(twins, 2)
-    return float(np.max([np.max(np.abs(A - B)) for A, B in pairs if A is not B], initial=0.0))
+    return float(np.max([np.max(np.abs(A - B)) for A, B in pairs], initial=0.0))
 
 
 def decompose(
@@ -189,11 +187,9 @@ def decompose(
     The full conjugated matrix is retained, so leakage and twin deviation
     report honestly even for maps with no symmetry at all.  Both are read
     from views of the frame matrix itself, leakage row slab by row slab.
-    A shape whose twin deviation is at most ``tol`` keeps one copy of its
-    tableau-0 block for all its twins, which replaces each twin by one
-    that differs from it by at most ``tol`` entrywise, an error of the
-    size already accepted in the off-block entries; any other shape (twins
-    that differ by more, or by NaN) keeps one copy per twin.
+    Each shape keeps one copy of its tableau-0 block, whatever its twin
+    deviation: :func:`blockwise_exp` refuses a shape whose twins differ by
+    more than ``tol``, and :func:`dfs_report` flags none.
 
     ``overwrite`` is passed to :func:`to_schur_frame`: with True the frame
     is a view of the buffer of ``superop.matrix``, overwritten, and no
@@ -209,9 +205,7 @@ def decompose(
             off_block.extend(_off_block_maxima(S, sl))
         twins = [S[sl, sl] for sl in slices]
         twin_deviation[shape] = _twin_deviation(twins)
-        shared = twin_deviation[shape] <= tol
-        for y, B in enumerate(twins):
-            blocks[shape, y] = blocks[shape, 0] if shared and y else B.copy()
+        blocks[shape] = twins[0].copy()
     _read_only(*blocks.values())
     # np.max, unlike the builtin max, lets a NaN through
     leakage = float(np.max(off_block, initial=0.0))
@@ -262,21 +256,26 @@ def dfs_report(decomp: BlockDecomposition) -> list[DfsSector]:
 class BlockExponential:
     """exp(tG) of a block-diagonal generator G, kept as its blocks.
 
-    ``blocks`` has the keys of the generator's, each mapped to a read-only
-    exp(t B); twins that shared one generator block share one exponential.
+    ``blocks`` has the keys of the generator's, each shape mapped to a
+    read-only exp(t B), which acts alike on every tableau of the shape.
     """
 
     basis: SuperSchurBasis
-    blocks: dict[tuple[Partition, int], np.ndarray]
+    blocks: dict[Partition, np.ndarray]
+
+    def _slices(self):
+        """(slice, exp(t B)) for every tableau slice of the frame."""
+        for shape, E in self.blocks.items():
+            for y in range(self.basis.syt_count(shape)):
+                yield self.basis.tableau_slice(shape, y), E
 
     @property
     def schur_matrix(self) -> np.ndarray:
-        """The direct sum of the blocks in the frame, of their dtype, built
-        anew on every read."""
+        """The direct sum of the blocks in the frame, each shape's in every
+        tableau slice, of their dtype, built anew on every read."""
         dtype = np.result_type(*self.blocks.values())
         out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
-        for (shape, y), E in self.blocks.items():
-            sl = self.basis.tableau_slice(shape, y)
+        for sl, E in self._slices():
             out[sl, sl] = E
         return out
 
@@ -285,8 +284,7 @@ class BlockExponential:
         frame-ordered ``dense``, read block row by block row without
         building either matrix; a NaN comes through."""
         parts = []
-        for (shape, y), E in self.blocks.items():
-            sl = self.basis.tableau_slice(shape, y)
+        for sl, E in self._slices():
             parts.append(np.max(np.abs(E - dense[sl, sl])))
             parts.extend(_off_block_maxima(dense, sl))
         return float(np.max(parts))
@@ -295,29 +293,28 @@ class BlockExponential:
 def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockExponential:
     """Exponentiate a generator block by block: exp(t * block) per sector.
 
-    Requires a generator whose leakage is at most the decomposition
-    tolerance.
+    Requires a generator whose leakage, and every shape's twin deviation,
+    is at most the decomposition tolerance: the generator is then B (x) I
+    on each shape, up to the entries the tolerance accepts.  A NaN passes
+    neither test.
 
-    Each distinct block array is exponentiated once, by the numpy scaling
-    and squaring :func:`_expm`, so the twins that :func:`decompose` gave one
-    array share one read-only exponential.  An exponential that overflows
-    float64 holds inf or NaN entries, without a floating-point warning;
-    ``evolve`` refuses it by its finiteness check.
+    Each shape's block is exponentiated once, by the numpy scaling and
+    squaring :func:`_expm`, into one read-only exponential.  An exponential
+    that overflows float64 holds inf or NaN entries, without a
+    floating-point warning; ``evolve`` refuses it by its finiteness check.
     """
     if decomp.kind != "generator":
         raise BlockStructureError(f"can only exponentiate a generator, got kind {decomp.kind!r}")
-    if not decomp.leakage <= decomp.tol:
-        raise BlockStructureError(
-            f"leakage {decomp.leakage:.3e} exceeds tolerance {decomp.tol:.1e}; "
-            "refusing blockwise exponential of a non-block-diagonal generator"
-        )
-    exponentials: dict[int, np.ndarray] = {}
-    blocks = {}
-    for key, B in decomp.blocks.items():
-        if id(B) not in exponentials:
-            exponentials[id(B)] = _expm(B, t)
-        blocks[key] = exponentials[id(B)]
-    _read_only(*exponentials.values())
+    measured = {"leakage": decomp.leakage}
+    measured.update((f"{shape} twin deviation", v) for shape, v in decomp.twin_deviation.items())
+    for what, value in measured.items():
+        if not value <= decomp.tol:
+            raise BlockStructureError(
+                f"{what} {value:.3e} exceeds tolerance {decomp.tol:.1e}; refusing "
+                "blockwise exponential of a generator that is not B (x) I on every shape"
+            )
+    blocks = {shape: _expm(B, t) for shape, B in decomp.blocks.items()}
+    _read_only(*blocks.values())
     return BlockExponential(decomp.basis, blocks)
 
 
@@ -398,7 +395,7 @@ def protection_check(decomp: BlockDecomposition, seed: int = 0) -> float:
             else:
                 parts = S[:, sl] @ np.column_stack((v.real, v.imag))
                 out = parts[:, 0] + 1j * parts[:, 1]
-            B = decomp.blocks[shape, 0]
+            B = decomp.blocks[shape]
             predicted = np.zeros(basis.dim, dtype=np.complex128)
             predicted[sl] = (C @ B.T).reshape(-1)
             deviations.append(np.max(np.abs(out - predicted)))

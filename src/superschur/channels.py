@@ -168,6 +168,17 @@ class Lindbladian:
 
     Jump operators are kept traceless and mutually orthogonal, the
     standard gauge in which the generator's decomposition is unique.
+
+    Construction also refuses a generator too large for float64: with
+    D = d**n, tau = Tr K for K = sum_k L_k^dag L_k and eta = ||H||_F, it
+    requires 2 D**2 (tau + eta) to be finite.  Every entry of the kernel's
+    per-group array is at most tau (the sandwiches) plus 2 (eta + tau/2)
+    (the one-sided terms A and A'), and the phase sums of the kernel and of
+    ``vectorize`` add D terms each, with unit-modulus weights; the frame
+    U^T M U and its partial sums stay within ||M||_2 <= 2 (eta + tau), the
+    letter strings being orthonormal.  Both norms are read from the
+    checks' own sums, with no pass over a superoperator-sized array.  A
+    Kraus map needs no such bound: closure gives ||F||_op <= 1.
     """
 
     d: int
@@ -198,8 +209,14 @@ class Lindbladian:
             tr = abs(np.trace(op.matrix)) / self.d**self.n
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
+        tau = 0.0
         if ops:
-            _checked_operator_set(ops, "jump operator", "L")
+            with np.errstate(over="ignore"):
+                tau = float(np.trace(_checked_operator_set(ops, "jump operator", "L")).real)
+        if not math.isfinite(2.0 * self.d ** (2 * self.n) * (tau + math.sqrt(size))):
+            raise ChannelSpecError(
+                "generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite in float64"
+            )
 
 
 def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:

@@ -411,21 +411,16 @@ def cmd_evolve(args) -> int:
         t0 = time.perf_counter()
         evolved = blockwise_exp(decomp, t)
         dt = time.perf_counter() - t0
-        entry = {
-            "t": t,
-            "blocks": [
-                {
-                    "partition": list(shape.parts),
-                    "tableau_index": y,
-                    "max_abs": float(np.max(np.abs(E))),
-                }
-                for (shape, y), E in evolved.blocks.items()
-            ],
-        }
-        for ((shape, _), E), block in zip(evolved.blocks.items(), entry["blocks"]):
-            _check_finite(block["max_abs"], t, f"the exponential of {shape} block {E.shape}")
-        exponentials = len({id(E) for E in evolved.blocks.values()})
-        line = f"t={t}: {len(evolved.blocks)} blocks from {exponentials} exponentials"
+        blocks = []
+        for shape, E in evolved.blocks.items():
+            max_abs = float(np.max(np.abs(E)))
+            _check_finite(max_abs, t, f"the exponential of {shape} block {E.shape}")
+            blocks += [
+                {"partition": list(shape.parts), "tableau_index": y, "max_abs": max_abs}
+                for y in range(basis.syt_count(shape))
+            ]
+        entry = {"t": t, "blocks": blocks}
+        line = f"t={t}: {len(blocks)} blocks from {len(evolved.blocks)} exponentials"
         if args.verify_dense:
             from scipy.linalg import expm
 

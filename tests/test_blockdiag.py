@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from superschur import (
     super_schur_basis,
     to_schur_frame,
 )
-from superschur import blockdiag
+from superschur import blockdiag, cli
 from scipy.linalg import expm
 
 from dispatch import superop
@@ -72,13 +73,15 @@ def test_strong_channel_block_structure(schur_2_3, letters_3):
     assert decomp.kind == "channel"
     assert decomp.leakage < 1e-10
     assert decomp.twin_deviation[TWO_ONE] < 1e-10
-    sizes = sorted(len(B) for B in decomp.blocks.values())
-    assert sizes == [4, 20, 20, 20]
-    # reassembling the blocks and undoing the frame recovers the matrix
+    assert {shape.parts: len(B) for shape, B in decomp.blocks.items()} == {
+        (3,): 20, (2, 1): 20, (1, 1, 1): 4
+    }
+    # one block per tableau, B (x) I, and undoing the frame recovers the matrix
     R = np.zeros_like(decomp.frame)
-    for (shape, y), B in decomp.blocks.items():
-        sl = schur_2_3.tableau_slice(shape, y)
-        R[sl, sl] = B
+    for shape, B in decomp.blocks.items():
+        for y in range(schur_2_3.syt_count(shape)):
+            sl = schur_2_3.tableau_slice(shape, y)
+            R[sl, sl] = B
     assert np.max(np.abs(R - decomp.frame)) <= decomp.leakage + 1e-15
     U = schur_2_3.unitary
     back = U @ R @ U.conj().T
@@ -110,9 +113,10 @@ def masked_leakage(decomp):
     """Leakage as a masked copy of the frame matrix: zero every diagonal
     block, then take the largest remaining entry."""
     masked = decomp.frame.copy()
-    for shape, y in decomp.blocks:
-        sl = decomp.basis.tableau_slice(shape, y)
-        masked[sl, sl] = 0.0
+    for shape in decomp.blocks:
+        for y in range(decomp.basis.syt_count(shape)):
+            sl = decomp.basis.tableau_slice(shape, y)
+            masked[sl, sl] = 0.0
     return float(np.max(np.abs(masked)))
 
 
@@ -364,41 +368,50 @@ def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
     lind = example_channel(name, n=n)
     decomp = decompose(lindblad_superop(lind, operator_basis(2, n)), basis)
     assert max(decomp.twin_deviation.values()) < decomp.tol
-    # every twin of a shape holds the one tableau-0 block
-    assert len({id(B) for B in decomp.blocks.values()}) == len(basis.shapes)
-    for (shape, _), B in decomp.blocks.items():
+    # one block per shape, in frame order: a copy of its tableau-0 block
+    assert list(decomp.blocks) == list(basis.shapes)
+    for shape, B in decomp.blocks.items():
         sl = basis.tableau_slice(shape, 0)
-        assert B is decomp.blocks[shape, 0] and np.array_equal(B, decomp.frame[sl, sl])
+        assert np.array_equal(B, decomp.frame[sl, sl]) and not np.shares_memory(B, decomp.frame)
     for t in (0.0, 0.1, 1.0):
         evolved = blockwise_exp(decomp, t)
-        assert list(evolved.blocks) == list(decomp.blocks)
-        # every twin of a shape holds the one array exponentiated for it
-        assert len({id(E) for E in evolved.blocks.values()}) == len(basis.shapes)
-        for (shape, y), E in evolved.blocks.items():
-            assert E is evolved.blocks[shape, 0]
-            # each twin's own block, read from the frame
-            sl = basis.tableau_slice(shape, y)
-            expected = expm(t * decomp.frame[sl, sl])
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            assert np.max(np.abs(E - expected)) <= 1e-12 * scale
+        assert list(evolved.blocks) == list(basis.shapes)
+        for shape, E in evolved.blocks.items():
+            # the one exponential of a shape against each twin's own block,
+            # read from the frame
+            for y in range(basis.syt_count(shape)):
+                sl = basis.tableau_slice(shape, y)
+                expected = expm(t * decomp.frame[sl, sl])
+                scale = max(1.0, float(np.max(np.abs(expected))))
+                assert np.max(np.abs(E - expected)) <= 1e-12 * scale
 
 
-def test_one_array_and_one_exponential_per_shape_at_n6(monkeypatch):
-    basis = super_schur_basis(2, 6)
-    lind = example_channel("collective_jump", n=6)
-    decomp = decompose(lindblad_superop(lind, operator_basis(2, 6)), basis)
-    arrays = {id(B): B for B in decomp.blocks.values()}
-    assert len(decomp.blocks) == 70 and len(arrays) == len(basis.shapes) == 9
-    assert not any(B.flags.writeable for B in arrays.values())
-    calls = []
-    expm_ = blockdiag._expm
-    monkeypatch.setattr(blockdiag, "_expm", lambda A, t: calls.append(A) or expm_(A, t))
-    for t in (0.1, 1.0):
-        calls.clear()
-        evolved = blockwise_exp(decomp, t)
-        assert len(calls) == 9
-        assert len(evolved.blocks) == 70
-        assert len({id(E) for E in evolved.blocks.values()}) == 9
+def test_one_array_and_one_exponential_per_shape_at_n6(tmp_path, monkeypatch, capsys):
+    decomps, calls = [], []
+    decompose_, expm_ = cli.decompose, blockdiag._expm
+
+    def spy_decompose(*args, **kwargs):
+        decomps.append(decompose_(*args, **kwargs))
+        return decomps[-1]
+
+    monkeypatch.setattr(cli, "decompose", spy_decompose)
+    monkeypatch.setattr(blockdiag, "_expm", lambda A, t: calls.append(t) or expm_(A, t))
+    path, out = tmp_path / "jump.json", tmp_path / "out.json"
+    path.write_text('{"d": 2, "n": 6, "kind": "lindblad", "builder": {"name": "collective_jump"}}')
+    assert cli.main(["evolve", str(path), "--times", "0.1,1.0", "--out", str(out)]) == 0
+    assert "t=0.1: 70 blocks from 9 exponentials" in capsys.readouterr().out
+    (decomp,) = decomps
+    assert len(decomp.blocks) == len(decomp.basis.shapes) == 9
+    assert not any(B.flags.writeable for B in decomp.blocks.values())
+    assert calls == [0.1] * 9 + [1.0] * 9
+    results = json.loads(out.read_text())["results"]
+    assert [len(entry["blocks"]) for entry in results] == [70, 70]
+    # every tableau of a shape reports the one max_abs of its exponential
+    for entry in results:
+        by_shape = {}
+        for block in entry["blocks"]:
+            by_shape.setdefault(tuple(block["partition"]), set()).add(block["max_abs"])
+        assert len(by_shape) == 9 and all(len(v) == 1 for v in by_shape.values())
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 20, 180])
@@ -444,25 +457,20 @@ def block_frame_generator(basis, rng):
     return SuperOperatorMatrix(basis.d, basis.n, "generator", U @ S @ U.T)
 
 
-def test_unequal_twins_are_exponentiated_one_by_one(schur_2_3):
+def test_unequal_twins_are_refused(schur_2_3):
     G = block_frame_generator(schur_2_3, np.random.default_rng(5))
     decomp = decompose(G, schur_2_3)
     assert decomp.leakage < 1e-12
     assert decomp.twin_deviation[TWO_ONE] > decomp.tol
-    # one array per twin, each read-only
-    assert len({id(B) for B in decomp.blocks.values()}) == len(decomp.blocks)
+    assert not any(s.flagged for s in dfs_report(decomp))
+    # one read-only array per shape, whatever its twins
+    assert list(decomp.blocks) == list(schur_2_3.shapes)
     assert not any(B.flags.writeable for B in decomp.blocks.values())
-    U = schur_2_3.unitary
-    for t in (0.1, 1.0):
-        evolved = blockwise_exp(decomp, t)
-        assert evolved.blocks[TWO_ONE, 0] is not evolved.blocks[TWO_ONE, 1]
-        for key, E in evolved.blocks.items():
-            assert np.max(np.abs(E - expm(t * decomp.blocks[key]))) < 1e-12
-        dense = expm(t * G.matrix)
-        assert np.max(np.abs(U @ evolved.schur_matrix @ U.T - dense)) < 1e-12
+    with pytest.raises(BlockStructureError, match=r"\{2,1\} twin deviation .* exceeds tolerance"):
+        blockwise_exp(decomp, 0.1)
 
 
-def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3, monkeypatch):
+def test_nan_twin_deviation_is_refused(schur_2_3, letters_3, monkeypatch):
     frame = blockdiag.to_schur_frame
 
     def nan_in_two_one_tableau_1(M, basis, *, overwrite=False):
@@ -475,11 +483,10 @@ def test_nan_twin_deviation_takes_the_per_twin_path(schur_2_3, letters_3, monkey
     lind = example_channel("single_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     assert math.isnan(decomp.twin_deviation[TWO_ONE])
-    assert decomp.blocks[TWO_ONE, 0] is not decomp.blocks[TWO_ONE, 1]
     assert decomp.twin_deviation[Partition((3,))] == 0.0
-    evolved = blockwise_exp(decomp, 0.5)
-    assert evolved.blocks[TWO_ONE, 0] is not evolved.blocks[TWO_ONE, 1]
-    assert evolved.blocks[Partition((3,)), 0].flags.writeable is False
+    assert decomp.leakage <= decomp.tol
+    with pytest.raises(BlockStructureError, match=r"\{2,1\} twin deviation nan exceeds tolerance"):
+        blockwise_exp(decomp, 0.5)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -506,9 +513,8 @@ def test_shared_exponential_is_read_only(schur_2_3, letters_3):
     lind = example_channel("collective_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     evolved = blockwise_exp(decomp, 1.0)
-    shared = evolved.blocks[TWO_ONE, 1]
-    assert shared is evolved.blocks[TWO_ONE, 0]
+    shared = evolved.blocks[TWO_ONE]
     before = shared.copy()
     with pytest.raises(ValueError, match="read-only"):
         shared[0, 0] = 0.0
-    assert np.array_equal(evolved.blocks[TWO_ONE, 0], before)
+    assert np.array_equal(evolved.blocks[TWO_ONE], before)

@@ -395,6 +395,33 @@ def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
     assert "Hamiltonian too large: sum |H_ij|^2 is not finite" in capsys.readouterr().err
 
 
+def overflowing_generator(path, case):
+    """Generators whose checks pass but whose superoperator overflows
+    float64: one qutrit jump with one entry 1.2e154, whose Tr L^dag L is
+    1.44e308, and the collective jump family at gamma3 = 1e307."""
+    if case == "explicit":
+        jump = np.zeros((9, 9))
+        jump[0, 1] = 1.2e154
+        doc = {"d": 3, "n": 2, "kind": "lindblad", "operators": [matrix_doc(jump)]}
+        return write_doc(path, doc)
+    return builder_doc(path, "collective_jump", "lindblad", gamma3=1e307)
+
+
+@pytest.mark.parametrize("case", ["explicit", "builder"])
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_generator_whose_superoperator_overflows_exit_2(command, case, tmp_path, capsys):
+    spec = overflowing_generator(tmp_path / "big.json", case)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite in float64\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 @pytest.mark.parametrize(
     "text", ["1" + "0" * 400, "1e400", "-1e400", "NaN"], ids=["int", "inf", "-inf", "nan"]
