@@ -60,14 +60,7 @@ from .liouville import (
     single_site_letters,
     vectorize,
 )
-from .schur import (
-    ColumnLabel,
-    IrrepMatrices,
-    SuperSchurBasis,
-    irrep_matrices,
-    super_schur_basis,
-    young_orthogonal_generator,
-)
+from .schur import ColumnLabel, SuperSchurBasis, super_schur_basis
 
 __version__ = "0.1.0"
 
@@ -82,7 +75,6 @@ __all__ = [
     "DimensionMismatchError",
     "EXAMPLE_CHANNELS",
     "InternalConsistencyError",
-    "IrrepMatrices",
     "KrausChannel",
     "Lindbladian",
     "OperatorBasis",
@@ -100,7 +92,6 @@ __all__ = [
     "decompose",
     "dfs_report",
     "example_channel",
-    "irrep_matrices",
     "kostka_numbers",
     "kraus_superop",
     "letter_strings_by_weight",
@@ -118,5 +109,4 @@ __all__ = [
     "to_schur_frame",
     "vectorize",
     "weyl_dimension",
-    "young_orthogonal_generator",
 ]

@@ -263,31 +263,17 @@ class BlockExponential:
     basis: SuperSchurBasis
     blocks: dict[Partition, np.ndarray]
 
-    def _slices(self):
-        """(slice, exp(t B)) for every tableau slice of the frame."""
-        for shape, E in self.blocks.items():
-            for y in range(self.basis.syt_count(shape)):
-                yield self.basis.tableau_slice(shape, y), E
-
     @property
     def schur_matrix(self) -> np.ndarray:
         """The direct sum of the blocks in the frame, each shape's in every
         tableau slice, of their dtype, built anew on every read."""
         dtype = np.result_type(*self.blocks.values())
         out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
-        for sl, E in self._slices():
-            out[sl, sl] = E
+        for shape, E in self.blocks.items():
+            for y in range(self.basis.syt_count(shape)):
+                sl = self.basis.tableau_slice(shape, y)
+                out[sl, sl] = E
         return out
-
-    def dense_deviation(self, dense: np.ndarray) -> float:
-        """The largest |entry| of ``schur_matrix - dense``, for a
-        frame-ordered ``dense``, read block row by block row without
-        building either matrix; a NaN comes through."""
-        parts = []
-        for sl, E in self._slices():
-            parts.append(np.max(np.abs(E - dense[sl, sl])))
-            parts.extend(_off_block_maxima(dense, sl))
-        return float(np.max(parts))
 
 
 def blockwise_exp(decomp: BlockDecomposition, t: float) -> BlockExponential:

@@ -48,6 +48,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NoReturn
 
 import numpy as np
 
@@ -226,12 +227,16 @@ def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
     unitary, which never changes the channel; the output operators are
     eigenvectors of the process matrix, ordered by decreasing weight.
     Near-zero operators are dropped.  Lists that are already orthogonal
-    are returned unchanged (up to dropping zeros).
+    are returned unchanged (up to dropping zeros).  A list whose Gram
+    matrix overflows float64 is refused as input (ChannelSpecError).
     """
     ops = [np.asarray(m, dtype=np.complex128) for m in matrices]
     if not ops:
         return []
-    G = _gram(ops, d**n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _gram(ops, d**n)
+    if not np.all(np.isfinite(G)):
+        raise ChannelSpecError("operators too large: their Gram matrix is not finite in float64")
     diag = np.diag(G).real
     off = np.max(np.abs(G - np.diag(diag))) if len(ops) > 1 else 0.0
     if off <= 1e-12 * max(1.0, diag.max(initial=0.0)):
@@ -653,7 +658,8 @@ def example_channel(name: str, n: int = 3, **params):
     Damping families take ``p``; jump families take decay rates
     (``gamma1`` .. ``gamma5``) and Hamiltonian couplings ``h_x``, ``J``.
     A parameter the family does not take is a ValueError that names the
-    ones it does.
+    ones it does, and so is a value that is not a real number finite in
+    float64 (a bool is not a number), naming the parameter.
     """
     if name not in EXAMPLE_CHANNELS:
         known = ", ".join(sorted(EXAMPLE_CHANNELS))
@@ -667,7 +673,22 @@ def example_channel(name: str, n: int = 3, **params):
                 f"bad parameters for {name!r}: unknown parameter {key!r} "
                 f"(accepted: {', '.join(accepted)})"
             )
+    for key, value in params.items():
+        problem = _param_problem(value)
+        if problem:
+            raise ValueError(f"bad parameters for {name!r}: {key}: {problem}")
     return EXAMPLE_CHANNELS[name](n, **params)
+
+
+def _param_problem(value) -> str | None:
+    """Why ``value`` cannot be a builder parameter, or None: it must be a
+    real number, not a bool, finite in float64."""
+    if not _is_number_type(type(value)):
+        return f"expected a number, got {value!r}"
+    # NaN, inf or an integer beyond float64 would overflow in the builder
+    if not abs(value) <= sys.float_info.max:
+        return "not finite in float64"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -717,8 +738,8 @@ def _parse_matrix(obj, where: str, dim: int) -> np.ndarray:
     """The dim x dim complex matrix written as rows of [re, im] pairs.
 
     A well-formed matrix is checked and converted in bulk
-    (:func:`_bulk_pairs`); anything else goes through
-    :func:`_parse_entrywise`, which names the first offending row or entry.
+    (:func:`_bulk_pairs`); any other is refused by
+    :func:`_refuse_entrywise`, which names the first offending row or entry.
     """
     if not isinstance(obj, list):
         raise ChannelSpecError(f"{where}: expected a list of {dim} rows")
@@ -726,33 +747,25 @@ def _parse_matrix(obj, where: str, dim: int) -> np.ndarray:
         raise ChannelSpecError(f"{where}: expected {dim} rows, got {len(obj)}")
     pairs = _bulk_pairs(obj, dim)
     if pairs is None:
-        return _parse_entrywise(obj, where, dim)
+        _refuse_entrywise(obj, where, dim)
     return pairs.view(np.complex128).reshape(dim, dim)
 
 
-def _parse_entrywise(obj: list, where: str, dim: int) -> np.ndarray:
-    """:func:`_parse_matrix` one entry at a time, raising ChannelSpecError
-    at the first row or entry, in reading order, that is not a row of
-    ``dim`` finite [re, im] number pairs."""
-    out = np.empty((dim, dim), dtype=np.complex128)
+def _refuse_entrywise(obj: list, where: str, dim: int) -> NoReturn:
+    """Raise ChannelSpecError at the first row or entry, in reading order,
+    that is not a row of ``dim`` finite [re, im] number pairs: the reason
+    :func:`_bulk_pairs` refused ``obj``."""
     for r, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
             raise ChannelSpecError(f"{where}[{r}]: expected a row of {dim} entries")
         for c, entry in enumerate(row):
-            ok = (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry
-                )
-            )
-            if not ok:
+            ok = isinstance(entry, list) and len(entry) == 2
+            if not (ok and all(_is_number_type(type(x)) for x in entry)):
                 raise ChannelSpecError(f"{where}[{r}][{c}]: expected a [re, im] pair of numbers")
             # False for nan, inf and an integer beyond float64 alike
             if not all(abs(x) <= sys.float_info.max for x in entry):
                 raise ChannelSpecError(f"{where}[{r}][{c}]: entries must be finite")
-            out[r, c] = complex(entry[0], entry[1])
-    return out
+    raise InternalConsistencyError(f"{where}: refused in bulk, but no row or entry is ill-formed")
 
 
 def channel_from_dict(doc):
@@ -799,11 +812,9 @@ def channel_from_dict(doc):
         for key, value in params.items():
             if key == "n":  # example_channel's own argument
                 raise ChannelSpecError("builder.params.n: the site count is the top-level n")
-            if not _is_number_type(type(value)):
-                raise ChannelSpecError(f"builder.params.{key}: expected a number, got {value!r}")
-            # NaN, inf or an integer beyond float64 would overflow in the builder
-            if not abs(value) <= sys.float_info.max:
-                raise ChannelSpecError(f"builder.params.{key}: not finite in float64")
+            problem = _param_problem(value)
+            if problem:
+                raise ChannelSpecError(f"builder.params.{key}: {problem}")
         if d != 2:
             raise ChannelSpecError("builder: example families are qubit models; requires d = 2")
         try:

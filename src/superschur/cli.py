@@ -91,31 +91,22 @@ def _measured(value: float, tol: float) -> dict:
     return {"value": float(value), "tol": float(tol)}
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, message: str):
+    """The argparse type of an integer of at least ``minimum``, refusing a
+    smaller one with ``message``; with ``minimum`` of 1 or more, a value
+    below 1 is refused as not positive."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            words = "expected a positive integer" if value < 1 <= minimum else message
+            raise argparse.ArgumentTypeError(f"{words}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _local_dim(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"local dimension must be >= 2, got {value}")
-    return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -425,7 +416,8 @@ def cmd_evolve(args) -> int:
             from scipy.linalg import expm
 
             dense = expm(t * decomp.frame)
-            deviation = evolved.dense_deviation(dense)
+            # np.max, unlike the builtin max, lets a NaN through
+            deviation = float(np.max(np.abs(evolved.schur_matrix - dense)))
             _check_finite(deviation, t, f"the dense cross-check {dense.shape}")
             del dense
             entry["dense_deviation"] = _measured(deviation, _DENSE_CHECK_TOL)
@@ -494,15 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="command")
 
+    sites = _int_at_least(1, "expected a positive integer")
+    local_dim = _int_at_least(2, "local dimension must be >= 2")
+    seed = _int_at_least(0, "expected a non-negative integer")
+
     p = sub.add_parser("decompose", help="print the sector dimension table")
-    p.add_argument("--n", type=_positive_int, required=True, help="number of qudits")
-    p.add_argument("--d", type=_local_dim, required=True, help="local dimension")
+    p.add_argument("--n", type=sites, required=True, help="number of qudits")
+    p.add_argument("--d", type=local_dim, required=True, help="local dimension")
     p.add_argument("--out", help="write a JSON report to this path")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("schur-basis", help="build and export the adapted basis")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--d", type=_local_dim, required=True)
+    p.add_argument("--n", type=sites, required=True)
+    p.add_argument("--d", type=local_dim, required=True)
     p.add_argument("--out", required=True, help="basis file destination")
     p.set_defaults(func=cmd_schur_basis)
 
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel_file", help="channel description file (JSON)")
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_BLOCK_TOL,
                    help="block-structure tolerance (default 1e-8)")
-    p.add_argument("--seed", type=_seed, default=0, help="seed for the protection probe")
+    p.add_argument("--seed", type=seed, default=0, help="seed for the protection probe")
     p.add_argument("--out", help="write a JSON report to this path")
     p.set_defaults(func=cmd_analyze)
 

@@ -221,13 +221,13 @@ class _VectorizePlan:
     ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
     row 0) and W the clock powers.  So a string b with groups s and clock
     powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
-    which :meth:`rows` reads off, and
+    which :meth:`rows` reads off, W^{(x)n} being the conjugate of the
+    Kronecker product of the halves ``w_outer`` and ``w_inner``, and
     ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
     ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
     """
 
     col_s: np.ndarray  # (D, D): col_s[s, R] = col_s(R)
-    w: np.ndarray  # W^{(x)n}, complex
     lam: np.ndarray  # (dim,) Lambda_b
     gather: np.ndarray  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
     w_outer: np.ndarray  # conj(W)^{(x) ceil(n/2)}, float64 when W is real
@@ -237,7 +237,7 @@ class _VectorizePlan:
     phase: np.ndarray  # (dim,) conj(Lambda_b) / D
 
     def __post_init__(self) -> None:
-        _read_only(self.col_s, self.w, self.lam, self.gather)
+        _read_only(self.col_s, self.lam, self.gather)
         _read_only(self.w_outer, self.w_inner, self.order, self.phase)
 
     @classmethod
@@ -259,7 +259,6 @@ class _VectorizePlan:
         lam = np.prod((c * W[power, group])[labels], axis=1)
         return cls(
             col_s=col_s,
-            w=reduce(np.kron, [W] * n, np.ones((1, 1), dtype=np.complex128)),
             lam=lam,
             gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
             w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
@@ -273,7 +272,8 @@ class _VectorizePlan:
         """(column index, value) of the nonzero in each row of the strings
         ``basis.labels[labels]``, each of shape (c, d**n)."""
         k, s = np.divmod(self.order[labels], len(self.col_s))
-        return self.col_s[s], self.lam[labels, None] * self.w[k]
+        w = np.conj(np.kron(self.w_outer, self.w_inner))
+        return self.col_s[s], self.lam[labels, None] * w[k]
 
 
 def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:

@@ -489,18 +489,6 @@ def test_nan_twin_deviation_is_refused(schur_2_3, letters_3, monkeypatch):
         blockwise_exp(decomp, 0.5)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_dense_deviation_is_the_largest_entry_of_the_difference(n, schur_2_3, schur_2_4):
-    basis = {3: schur_2_3, 4: schur_2_4}[n]
-    lind = example_channel("single_jump", n=n)
-    decomp = decompose(lindblad_superop(lind, operator_basis(2, n)), basis)
-    evolved = blockwise_exp(decomp, 0.5)
-    dense = expm(0.5 * decomp.frame)
-    assert evolved.dense_deviation(dense) == np.max(np.abs(evolved.schur_matrix - dense))
-    dense[0, -1] = np.nan
-    assert math.isnan(evolved.dense_deviation(dense))
-
-
 def test_nan_leakage_is_refused(schur_2_3, letters_3):
     lind = example_channel("single_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)

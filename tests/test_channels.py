@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +523,26 @@ def test_example_channel_argument_errors():
     with pytest.raises(ValueError, match="bad parameters") as err:
         example_channel("collective_damping", n=3, gamma1=1.0)
     assert str(err.value).endswith("unknown parameter 'gamma1' (accepted: p)")
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("single_jump", {"gamma1": 10**400}, "gamma1: not finite in float64"),
+        ("single_jump", {"J": 10**400}, "J: not finite in float64"),
+        ("single_jump", {"gamma1": "1"}, "gamma1: expected a number, got '1'"),
+        ("single_jump", {"gamma1": None}, "gamma1: expected a number, got None"),
+        ("collective_damping", {"p": True}, "p: expected a number, got True"),
+        ("collective_jump", {"gamma3": float("inf")}, "gamma3: not finite in float64"),
+    ],
+)
+def test_example_channel_refuses_a_parameter_that_is_not_a_finite_number(name, params, message):
+    # the rule channel_from_dict applies to builder.params, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            example_channel(name, n=3, **params)
+    assert str(err.value) == f"bad parameters for {name!r}: {message}"
 
 
 # ---------------------------------------------------------------------------

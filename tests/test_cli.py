@@ -422,6 +422,29 @@ def test_generator_whose_superoperator_overflows_exit_2(command, case, tmp_path,
     assert not out.exists()
 
 
+def oversized_orthogonalize_doc(path, case):
+    """``orthogonalize: true`` on d = 2, n = 1 operators whose Gram matrix
+    overflows float64: two equal Kraus operators 1e200 I, two orthogonal
+    ones 1e200 X and 1e200 Z, or one Lindblad jump 1e200 Z."""
+    X, Z = 1e200 * np.array([[0, 1], [1, 0]]), 1e200 * np.diag([1.0, -1.0])
+    ops = {"kraus-equal": [1e200 * np.eye(2)] * 2, "kraus-orthogonal": [X, Z], "lindblad": [Z]}
+    kind = case.split("-")[0]
+    doc = {"d": 2, "n": 1, "kind": kind, "orthogonalize": True,
+           "operators": [matrix_doc(m) for m in ops[case]]}
+    return write_doc(path, doc)
+
+
+@pytest.mark.parametrize("case", ["kraus-equal", "kraus-orthogonal", "lindblad"])
+def test_orthogonalize_refuses_operators_too_large_for_float64(case, tmp_path, capsys):
+    spec = oversized_orthogonalize_doc(tmp_path / "big.json", case)
+    command = "evolve" if case == "lindblad" else "analyze"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, spec]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: operators too large: their Gram matrix is not finite in float64\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 @pytest.mark.parametrize(
     "text", ["1" + "0" * 400, "1e400", "-1e400", "NaN"], ids=["int", "inf", "-inf", "nan"]
@@ -711,11 +734,32 @@ def test_verify_full_passes(capsys):
     assert "21/21 suites passed (full)" in out
 
 
-def run_probe(probe: str) -> subprocess.CompletedProcess:
-    """Run a Python snippet in a fresh interpreter that imports this tree."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this tree, with arguments ``argv``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_probe(probe: str) -> subprocess.CompletedProcess:
+    """Run a Python snippet in a fresh interpreter that imports this tree."""
+    return run_python("-c", probe)
+
+
+def test_package_runs_as_a_process(tmp_path):
+    # python -m superschur: __main__, entrypoint() and the parser's exit code
+    done = run_python("-m", "superschur", "decompose", "--n", "3", "--d", "2")
+    assert done.returncode == 0, done.stderr
+    assert "total 64 = (d^2)^n = 64" in done.stdout
+    done = run_python("-m", "superschur", "decompose", "--n", "3", "--d", "1")
+    assert done.returncode == 1
+    assert done.stderr.endswith(
+        "superschur decompose: error: argument --d: local dimension must be >= 2, got 1\n"
+    )
+    spec = oversized_orthogonalize_doc(tmp_path / "big.json", "kraus-equal")
+    done = run_python("-W", "error::RuntimeWarning", "-m", "superschur", "analyze", spec)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: operators too large: their Gram matrix is not finite in float64\n"
 
 
 def test_cli_import_builds_no_basis():

@@ -1,12 +1,17 @@
-"""Property tests on random qubit Lindbladians.
+"""Property tests on random qubit Lindbladians and channel-file matrices.
 
 A generator built from collective sums of one single-site Hamiltonian and
 one traceless jump is S_n-symmetric: it must decompose into one block per
 shape, and its blockwise exponential must match the dense one in the
 frame.  The same pieces with a different weight on every site break the
 symmetry, and the blockwise exponential must refuse them.
+
+A matrix of a channel file, rows of [re, im] number pairs, must convert
+bit for bit to the complex matrix of those pairs, and one with one or two
+corrupt rows or entries must be refused, naming the first in reading order.
 """
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -17,15 +22,21 @@ from scipy.linalg import expm
 
 from superschur import (
     BlockStructureError,
+    ChannelSpecError,
+    InternalConsistencyError,
     Lindbladian,
     blockwise_exp,
+    channels,
     decompose,
     lindblad_superop,
     operator_basis,
     super_schur_basis,
 )
+from superschur.channels import _parse_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
+# parsing a matrix takes microseconds, so these draw many more examples
+PARSE_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -68,7 +79,7 @@ def test_symmetric_generators_decompose_and_exponentiate_by_shape(collective, n,
     evolved = blockwise_exp(decomp, t)
     assert list(evolved.blocks) == list(basis.shapes)
     scale = max(1.0, max(float(np.max(np.abs(E))) for E in evolved.blocks.values()))
-    assert evolved.dense_deviation(expm(t * decomp.frame)) <= 1e-10 * scale
+    assert np.max(np.abs(evolved.schur_matrix - expm(t * decomp.frame))) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("collective", [True, False], ids=["collective", "per-site"])
@@ -82,3 +93,87 @@ def test_site_dependent_generators_are_refused(collective, n, ops, step):
     assert list(decomp.blocks) == list(basis.shapes)
     with pytest.raises(BlockStructureError, match="exceeds tolerance"):
         blockwise_exp(decomp, 1.0)
+
+
+# --------------------------------------------------------------------------
+# channel-file matrices
+
+# every real number float64 holds, and integers up to 2**1023
+number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**1023), 2**1023),
+)
+# (d, n) = (2, 1), (3, 1) and (2, 2)
+dims = st.sampled_from([2, 3, 4])
+
+
+@st.composite
+def well_formed(draw, dim):
+    return [[[draw(number), draw(number)] for _ in range(dim)] for _ in range(dim)]
+
+
+def bits(m):
+    return np.asarray(m, dtype=np.complex128).view(np.uint64)
+
+
+@PARSE_SETTINGS
+@given(data=st.data(), dim=dims)
+def test_well_formed_matrices_convert_bit_for_bit(data, dim):
+    obj = data.draw(well_formed(dim))
+    got = _parse_matrix(obj, "operators[0]", dim)
+    want = [[complex(re, im) for re, im in row] for row in obj]
+    assert got.shape == (dim, dim)
+    assert np.array_equal(bits(got), bits(want))
+
+
+ROW_KINDS = {
+    "short row": lambda row: row[:-1],
+    "not a list": lambda row: 1.0,
+}
+PAIR_KINDS = {
+    "one number": lambda pair: pair[:1],
+    "three numbers": lambda pair: pair + [0.0],
+    "bare number": lambda pair: pair[0],
+    "bool": lambda pair: [True, pair[1]],
+    "string": lambda pair: [pair[0], "1"],
+}
+NON_FINITE_KINDS = {
+    "nan": lambda pair: [float("nan"), pair[1]],
+    "inf": lambda pair: [pair[0], float("-inf")],
+    "int beyond float64": lambda pair: [2**1024, pair[1]],
+}
+KINDS = {**ROW_KINDS, **PAIR_KINDS, **NON_FINITE_KINDS}
+
+
+@PARSE_SETTINGS
+@given(data=st.data(), dim=dims, count=st.integers(1, 2))
+def test_corrupt_matrices_are_refused_at_the_first_bad_row_or_entry(data, dim, count):
+    obj = data.draw(well_formed(dim))
+    cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    cells = data.draw(st.lists(cell, min_size=count, max_size=count, unique=True))
+    kinds = [data.draw(st.sampled_from(sorted(KINDS))) for _ in cells]
+    found = []  # (row, column or -1 for the row itself, message)
+    for (r, c), kind in zip(cells, kinds):
+        if kind in PAIR_KINDS or kind in NON_FINITE_KINDS:
+            obj[r][c] = KINDS[kind](obj[r][c])
+            words = "entries must be finite" if kind in NON_FINITE_KINDS else (
+                "expected a [re, im] pair of numbers")
+            found.append((r, c, f"operators[0][{r}][{c}]: {words}"))
+    # after the entries, so a corrupt row replaces the entries it held
+    for (r, c), kind in zip(cells, kinds):
+        if kind in ROW_KINDS:
+            obj[r] = ROW_KINDS[kind](obj[r])
+            found.append((r, -1, f"operators[0][{r}]: expected a row of {dim} entries"))
+    # a row is read before its entries
+    first = min(found)[2]
+    with pytest.raises(ChannelSpecError, match=re.escape(first)) as err:
+        _parse_matrix(obj, "operators[0]", dim)
+    assert str(err.value) == first
+
+
+def test_a_refusal_the_entrywise_walk_cannot_locate_is_an_internal_error(monkeypatch):
+    # the bulk check and the walk hold one rule; were they to disagree, the
+    # walk finds no bad entry and says so instead of returning a matrix
+    monkeypatch.setattr(channels, "_bulk_pairs", lambda obj, dim: None)
+    with pytest.raises(InternalConsistencyError, match="no row or entry is ill-formed"):
+        _parse_matrix([[[1.0, 0.0]]], "operators[0]", 1)

@@ -8,12 +8,10 @@ import pytest
 from superschur import (
     Partition,
     SizeGuardError,
-    irrep_matrices,
     partitions,
     super_schur_basis,
     syt_dimension,
     weyl_dimension,
-    young_orthogonal_generator,
 )
 from superschur import permutations, schur
 from superschur.combinatorics import kostka_numbers, letter_strings_by_weight
@@ -25,7 +23,13 @@ from superschur.permutations import (
     compose,
     string_index_map,
 )
-from superschur.schur import UNITARITY_TOL, SuperSchurBasis, column_labels
+from superschur.schur import (
+    UNITARITY_TOL,
+    SuperSchurBasis,
+    column_labels,
+    irrep_matrices,
+    young_orthogonal_generator,
+)
 
 from schur_oracle import dense_unitarity_deviation, factorial_basis
 
