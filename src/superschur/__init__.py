@@ -54,7 +54,6 @@ from .errors import (
 )
 from .liouville import (
     OperatorBasis,
-    QuditOperator,
     max_liouville_dim,
     operator_basis,
     single_site_letters,
@@ -79,7 +78,6 @@ __all__ = [
     "Lindbladian",
     "OperatorBasis",
     "Partition",
-    "QuditOperator",
     "SizeGuardError",
     "StandardTableau",
     "SuperOperatorMatrix",

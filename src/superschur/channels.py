@@ -1,5 +1,9 @@
 """Kraus channels, Lindblad generators, and permutation-symmetry certificates.
 
+A map holds its operators as one read-only complex128 (K, D, D) array,
+D = d**n, copied once on construction; the closure and Gram checks, the
+certificate and the superoperator kernel all read that array.
+
 A channel is *strongly* symmetric when every Kraus operator commutes with
 every site permutation, and *weakly* symmetric when permuting the sites
 merely mixes the Kraus operators by a unitary matrix.  Both notions are
@@ -45,7 +49,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import NoReturn
@@ -58,7 +61,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .liouville import OperatorBasis, QuditOperator, check_liouville_dim, vectorize
+from .liouville import OperatorBasis, check_liouville_dim, vectorize
 from .permutations import adjacent_transpositions, string_index_map
 
 CLOSURE_TOL = 1e-10
@@ -81,44 +84,51 @@ _NEGLIGIBLE_NORM_SQ = 1e-14
 IMAGINARY_PART_TOL = 1e-12
 
 
-def _as_operators(d: int, n: int, matrices) -> tuple[QuditOperator, ...]:
-    ops = []
-    for m in matrices:
-        op = m if isinstance(m, QuditOperator) else QuditOperator(d, n, m)
-        if (op.d, op.n) != (d, n):
+def _operator_stack(d: int, n: int, matrices, label: str) -> np.ndarray:
+    """A read-only complex128 copy of ``matrices`` as one (K, D, D) array,
+    D = d**n, K >= 0.  A matrix of another shape is a DimensionMismatchError,
+    one with a non-finite entry a ValueError, each named ``label.format(k)``."""
+    if d < 2 or n < 1:
+        raise DimensionMismatchError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    D = d**n
+    mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
+    for k, m in enumerate(mats):
+        if m.shape != (D, D):
             raise DimensionMismatchError(
-                f"operator (d={op.d}, n={op.n}) does not match channel (d={d}, n={n})"
+                f"{label.format(k)}: shape {m.shape} does not match d**n = {D} for d={d}, n={n}"
             )
-        ops.append(op)
-    return tuple(ops)
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{label.format(k)}: matrix entries must be finite")
+    stack = np.array(mats, dtype=np.complex128).reshape(len(mats), D, D)
+    stack.flags.writeable = False
+    return stack
 
 
-def _gram(matrices, dim: int) -> np.ndarray:
-    """The Gram matrix of ``matrices`` under the normalized trace pairing
-    Tr[A^dag B] / dim."""
-    stack = np.stack([m.reshape(-1) for m in matrices])
-    return np.conj(stack) @ stack.T / dim
+def _gram(S: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the (K, D, D) stack S under the normalized trace
+    pairing Tr[A^dag B] / D."""
+    rows = S.reshape(len(S), S.shape[1] * S.shape[2])
+    return np.conj(rows) @ rows.T / S.shape[1]
 
 
 def _orthogonality_bound(G: np.ndarray) -> float:
     """ORTHOGONALITY_TOL scaled by the largest squared operator norm on the
     Gram diagonal (never below the absolute tolerance), so that scaling
     every operator by c scales overlap and bound alike by c**2."""
-    return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real)))
+    return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real, initial=0.0)))
 
 
-def _checked_operator_set(
-    ops: tuple[QuditOperator, ...], noun: str, symbol: str, hint: str = ""
-) -> np.ndarray:
-    """The sum of op^dag op over ``ops``, once the set passes its checks.
+def _checked_operator_set(S: np.ndarray, noun: str, symbol: str, hint: str = "") -> np.ndarray:
+    """The sum of F^dag F over the (K, D, D) stack S, once the set passes
+    its checks; an empty set (K = 0) passes, with sum 0.
 
     A set whose Gram matrix or that sum overflows float64 is refused as
     input (ChannelSpecError) instead of reaching the superoperator kernel;
     a zero operator, or two operators that overlap, breaks an invariant
     (ChannelInvariantError)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _gram([op.matrix for op in ops], ops[0].dim)
-        total = sum(op.matrix.conj().T @ op.matrix for op in ops)
+        G = _gram(S)
+        total = sum((F.conj().T @ F for F in S), np.zeros(S.shape[1:]))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(total))):
         raise ChannelSpecError(
             f"{noun}s too large: their Gram matrix or sum {symbol}^dag {symbol} "
@@ -126,7 +136,7 @@ def _checked_operator_set(
         )
     if np.any(G.diagonal().real < _NEGLIGIBLE_NORM_SQ):
         raise ChannelInvariantError(f"zero {noun}")
-    off = float(np.max(np.abs(G - np.diag(G.diagonal()))))
+    off = float(np.max(np.abs(G - np.diag(G.diagonal())), initial=0.0))
     if off > _orthogonality_bound(G):
         raise ChannelInvariantError(f"{noun}s not mutually orthogonal: max overlap {off:.3e}{hint}")
     return total
@@ -140,18 +150,19 @@ class KrausChannel:
     under the normalized trace pairing (every orthogonal Kraus set
     diagonalizes the process matrix, so this is a choice of canonical
     representative, not a restriction -- see orthogonalize_kraus).
-    ``closure_deviation``, max |sum F^dag F - I|, is measured once, on
-    construction.
+    ``kraus_ops`` is held as one read-only complex128 (K, D, D) array,
+    D = d**n, copied from the matrices given.  ``closure_deviation``,
+    max |sum F^dag F - I|, is measured once, on construction.
     """
 
     d: int
     n: int
-    kraus_ops: tuple[QuditOperator, ...]
+    kraus_ops: np.ndarray
     closure_deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ops = _as_operators(self.d, self.n, self.kraus_ops)
-        if not ops:
+        ops = _operator_stack(self.d, self.n, self.kraus_ops, "Kraus operator {}")
+        if not len(ops):
             raise ChannelInvariantError("channel needs at least one Kraus operator")
         object.__setattr__(self, "kraus_ops", ops)
         closure = _checked_operator_set(ops, "Kraus operator", "F", "; run orthogonalize_kraus first")
@@ -169,6 +180,8 @@ class Lindbladian:
 
     Jump operators are kept traceless and mutually orthogonal, the
     standard gauge in which the generator's decomposition is unique.
+    ``hamiltonian`` is held as a read-only (D, D) array and ``jump_ops``
+    as a (K, D, D) array, K >= 0, as KrausChannel holds its operators.
 
     Construction also refuses a generator too large for float64: with
     D = d**n, tau = Tr K for K = sum_k L_k^dag L_k and eta = ||H||_F, it
@@ -184,36 +197,30 @@ class Lindbladian:
 
     d: int
     n: int
-    hamiltonian: QuditOperator
-    jump_ops: tuple[QuditOperator, ...]
+    hamiltonian: np.ndarray
+    jump_ops: np.ndarray
 
     def __post_init__(self) -> None:
-        ham = self.hamiltonian
-        if not isinstance(ham, QuditOperator):
-            ham = QuditOperator(self.d, self.n, ham)
-            object.__setattr__(self, "hamiltonian", ham)
-        if (ham.d, ham.n) != (self.d, self.n):
-            raise DimensionMismatchError("Hamiltonian does not match (d, n)")
+        H = _operator_stack(self.d, self.n, [self.hamiltonian], "Hamiltonian")[0]
+        object.__setattr__(self, "hamiltonian", H)
         # the same overflow test the jumps get through their Gram matrix
         with np.errstate(over="ignore", invalid="ignore"):
-            size = np.vdot(ham.matrix, ham.matrix).real
+            size = np.vdot(H, H).real
         if not np.isfinite(size):
             raise ChannelSpecError(
                 "Hamiltonian too large: sum |H_ij|^2 is not finite in float64"
             )
-        herm = float(np.max(np.abs(ham.matrix - ham.matrix.conj().T)))
+        herm = float(np.max(np.abs(H - H.conj().T)))
         if herm > HERMITICITY_TOL:
             raise ChannelInvariantError(f"Hamiltonian not Hermitian: {herm:.3e}")
-        ops = _as_operators(self.d, self.n, self.jump_ops)
+        ops = _operator_stack(self.d, self.n, self.jump_ops, "jump operator {}")
         object.__setattr__(self, "jump_ops", ops)
-        for k, op in enumerate(ops):
-            tr = abs(np.trace(op.matrix)) / self.d**self.n
+        for k, L in enumerate(ops):
+            tr = abs(np.trace(L)) / self.d**self.n
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
-        tau = 0.0
-        if ops:
-            with np.errstate(over="ignore"):
-                tau = float(np.trace(_checked_operator_set(ops, "jump operator", "L")).real)
+        with np.errstate(over="ignore"):
+            tau = float(np.trace(_checked_operator_set(ops, "jump operator", "L")).real)
         if not math.isfinite(2.0 * self.d ** (2 * self.n) * (tau + math.sqrt(size))):
             raise ChannelSpecError(
                 "generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite in float64"
@@ -226,28 +233,25 @@ def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
     Diagonalizing the Gram matrix of the operators recombines them by a
     unitary, which never changes the channel; the output operators are
     eigenvectors of the process matrix, ordered by decreasing weight.
-    Near-zero operators are dropped.  Lists that are already orthogonal
-    are returned unchanged (up to dropping zeros).  A list whose Gram
-    matrix overflows float64 is refused as input (ChannelSpecError).
+    Near-zero operators are dropped, and orthogonal lists are returned
+    unchanged.  The matrices are read as KrausChannel reads them, and a
+    list whose Gram matrix overflows float64 is a ChannelSpecError.
     """
-    ops = [np.asarray(m, dtype=np.complex128) for m in matrices]
-    if not ops:
+    S = _operator_stack(d, n, matrices, "operator {}")
+    if not len(S):
         return []
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _gram(ops, d**n)
+        G = _gram(S)
     if not np.all(np.isfinite(G)):
         raise ChannelSpecError("operators too large: their Gram matrix is not finite in float64")
     diag = np.diag(G).real
-    off = np.max(np.abs(G - np.diag(diag))) if len(ops) > 1 else 0.0
+    off = np.max(np.abs(G - np.diag(diag))) if len(S) > 1 else 0.0
     if off <= 1e-12 * max(1.0, diag.max(initial=0.0)):
-        return [m for m, w in zip(ops, diag) if w > _NEGLIGIBLE_NORM_SQ]
+        return [m for m, w in zip(S, diag) if w > _NEGLIGIBLE_NORM_SQ]
     w, W = np.linalg.eigh(G)
-    out = []
-    for a in reversed(range(len(ops))):  # largest weight first
-        if w[a] <= _NEGLIGIBLE_NORM_SQ:
-            continue
-        out.append(np.tensordot(W[:, a], np.stack(ops), axes=(0, 0)))
-    return out
+    # largest weight first
+    kept = [a for a in reversed(range(len(S))) if w[a] > _NEGLIGIBLE_NORM_SQ]
+    return [np.tensordot(W[:, a], S, axes=(0, 0)) for a in kept]
 
 
 def _psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -285,10 +289,9 @@ class SymmetryCertificate:
             raise ValueError(f"unknown classification {self.classification!r}")
 
 
-def mixing_unitary(
-    ops: tuple[QuditOperator, ...], pi: tuple[int, ...], d: int, n: int
-) -> tuple[np.ndarray, float, float]:
-    """Solve pi F_nu pi^dag = sum_mu F_mu U[mu, nu] by overlaps.
+def mixing_unitary(ops, pi: tuple[int, ...], d: int, n: int) -> tuple[np.ndarray, float, float]:
+    """Solve pi F_nu pi^dag = sum_mu F_mu U[mu, nu] by overlaps, for the
+    d**n x d**n matrices ``ops`` (a sequence or a (K, D, D) array).
 
     Returns (U, expansion residual, unitarity deviation).  The residual is
     the largest entry of the unexplained remainder; it vanishes exactly
@@ -296,8 +299,7 @@ def mixing_unitary(
     """
     # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
     s = np.argsort(string_index_map(pi, d, n))
-    ops = _as_operators(d, n, ops)
-    S = np.array([op.matrix for op in ops], dtype=np.complex128).reshape(len(ops), d**n, d**n)
+    S = _operator_stack(d, n, ops, "operator {}")
     return _mixing(S, S[:, s[:, None], s])
 
 
@@ -318,12 +320,10 @@ def _within(residuals: dict, *names: str) -> bool:
     return all(residuals[name] <= RESIDUAL_TOLS[name] for name in names)
 
 
-def _certificate(
-    ops: tuple[QuditOperator, ...], d: int, n: int, H: np.ndarray | None = None
-) -> SymmetryCertificate:
-    """Strong when every operator (and H, if given) commutes with the
-    generators, weak when the operators only mix by unitaries and H
-    commutes, else none.
+def _certificate(S: np.ndarray, d: int, n: int, H: np.ndarray | None = None) -> SymmetryCertificate:
+    """Strong when every operator of the (K, D, D) stack S (and H, if
+    given) commutes with the generators, weak when the operators only mix
+    by unitaries and H commutes, else none.
 
     One pass over the adjacent transpositions: each gathers the operator
     stack once, P F P^T = F[s][:, s], its index map s being its own
@@ -331,8 +331,6 @@ def _certificate(
     T - F = (P F - F P) P^T holds the entries of the commutator, negated
     and permuted, so max|T - F| is max|F P - P F| exactly.
     """
-    D = d**n
-    S = np.array([op.matrix for op in ops], dtype=np.complex128).reshape(len(ops), D, D)
     unitaries, comm, expansion, unitarity, ham = {}, 0.0, 0.0, 0.0, 0.0
     for g in adjacent_transpositions(n):
         s = string_index_map(g, d, n)
@@ -367,7 +365,7 @@ def classify_lindblad_symmetry(lind: Lindbladian) -> SymmetryCertificate:
     the jump operators then decide strong vs weak exactly as Kraus
     operators do.
     """
-    return _certificate(lind.jump_ops, lind.d, lind.n, lind.hamiltonian.matrix)
+    return _certificate(lind.jump_ops, lind.d, lind.n, lind.hamiltonian)
 
 
 @dataclass(frozen=True)
@@ -406,10 +404,9 @@ def _check_channel_basis(obj, basis: OperatorBasis) -> None:
         )
 
 
-def _letter_superop(
-    basis: OperatorBasis, sandwiched: list[np.ndarray], one_sided=None
-) -> np.ndarray:
-    """Letter-basis matrix of X -> A X + X A' + sum_F F X F^dag.
+def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.ndarray:
+    """Letter-basis matrix of X -> A X + X A' + sum_F F X F^dag, over the
+    (K, D, D) stack S of the F (K may be 0).
 
     ``one_sided`` is the pair (A, A') or None.  The map is sum_j L_j X R_j
     over the pairs (F, F^dag), plus (A, I) and (I, A') for a generator.
@@ -440,7 +437,6 @@ def _letter_superop(
     # the plan holds the halves of conj(w); at d = 2 they are real
     w_outer, w_inner = np.conj(plan.w_outer), np.conj(plan.w_inner)
     D1, D2 = len(w_outer), len(w_inner)
-    S = np.stack(sandwiched) if sandwiched else np.zeros((0, D, D))
     if not np.any(S.imag):
         S = S.real
     # T is real when every term is: real F, no one-sided terms, real letters
@@ -504,7 +500,7 @@ def _letter_superop(
 def kraus_superop(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:
     """Matrix of rho -> sum_mu F_mu rho F_mu^dag in the letter basis."""
     _check_channel_basis(channel, basis)
-    out = _letter_superop(basis, [op.matrix for op in channel.kraus_ops])
+    out = _letter_superop(basis, channel.kraus_ops)
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out)
 
 
@@ -515,8 +511,7 @@ def lindblad_superop(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMa
     A = -iH - K/2, A' = iH - K/2 and K = sum_k L_k^dag L_k.
     """
     _check_channel_basis(lind, basis)
-    H = lind.hamiltonian.matrix
-    jumps = [op.matrix for op in lind.jump_ops]
+    H, jumps = lind.hamiltonian, lind.jump_ops
     K = sum((L.conj().T @ L for L in jumps), np.zeros_like(H))
     out = _letter_superop(basis, jumps, (-1j * H - 0.5 * K, 1j * H - 0.5 * K))
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out)
@@ -555,7 +550,7 @@ def _channel(n: int, ops: list[np.ndarray]) -> KrausChannel:
     R = np.eye(2**n, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
     if not np.max(np.abs(R)) < 1e-14:
         ops = ops + [_psd_sqrt(R)]
-    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
+    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
 
 
 def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindbladian:
@@ -565,7 +560,7 @@ def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindb
     terms summed in ``itertools.combinations`` order."""
     terms = [h_x * T for T in _orbit(n, 1, _X)[::-1]] + [J * T for T in _orbit(n, 2, _Z)[::-1]]
     H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
-    return Lindbladian(2, n, QuditOperator(2, n, H), tuple(jumps))
+    return Lindbladian(2, n, H, jumps)
 
 
 def _build_collective_damping(n: int, p: float = 0.5) -> KrausChannel:
@@ -586,7 +581,7 @@ def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
 def _build_single_site_damping(n: int, p: float = 0.5) -> KrausChannel:
     # One site damps at a time; the 1/sqrt(n) weight restores closure.
     ops = [F / math.sqrt(n) for f in _damping_pair(p) for F in _orbit(n, 1, f)]
-    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
+    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
 
 
 def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
@@ -594,7 +589,7 @@ def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
     # permutation orbits of the patterns f1^k f0^(n-k).
     f0, f1 = _damping_pair(p)
     ops = [F for k in range(n + 1) for F in _orbit(n, k, f1, f0)]
-    return KrausChannel(2, n, tuple(orthogonalize_kraus(2, n, ops)))
+    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
 
 
 def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
@@ -682,11 +677,10 @@ def example_channel(name: str, n: int = 3, **params):
 
 def _param_problem(value) -> str | None:
     """Why ``value`` cannot be a builder parameter, or None: it must be a
-    real number, not a bool, finite in float64."""
+    real number, not a bool, finite in float64 (:func:`_finite_in_float64`)."""
     if not _is_number_type(type(value)):
         return f"expected a number, got {value!r}"
-    # NaN, inf or an integer beyond float64 would overflow in the builder
-    if not abs(value) <= sys.float_info.max:
+    if not _finite_in_float64(value):
         return "not finite in float64"
     return None
 
@@ -713,10 +707,20 @@ def _is_number_type(t: type) -> bool:
     return issubclass(t, (int, float)) and not issubclass(t, bool)
 
 
+def _finite_in_float64(x: int | float) -> bool:
+    """The one rule for numbers read from input: ``x`` converts to a finite
+    float64, with no OverflowError (so an integer below 2**1024 - 2**970
+    passes, rounded).  Numpy's bulk conversion draws the same line."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _bulk_pairs(obj: list, dim: int) -> np.ndarray | None:
     """The 2 * dim * dim numbers of a well-formed matrix as one float64
-    array, or None.  The types and lengths are collected with ``map``, so
-    no Python loop runs per entry."""
+    array, or None.  Types and lengths are collected with ``map``, so no
+    Python loop runs per entry; the numbers pass :func:`_finite_in_float64`."""
     if not all(isinstance(row, list) and len(row) == dim for row in obj):
         return None
     entries = list(itertools.chain.from_iterable(obj))
@@ -762,8 +766,7 @@ def _refuse_entrywise(obj: list, where: str, dim: int) -> NoReturn:
             ok = isinstance(entry, list) and len(entry) == 2
             if not (ok and all(_is_number_type(type(x)) for x in entry)):
                 raise ChannelSpecError(f"{where}[{r}][{c}]: expected a [re, im] pair of numbers")
-            # False for nan, inf and an integer beyond float64 alike
-            if not all(abs(x) <= sys.float_info.max for x in entry):
+            if not all(map(_finite_in_float64, entry)):
                 raise ChannelSpecError(f"{where}[{r}][{c}]: entries must be finite")
     raise InternalConsistencyError(f"{where}: refused in bulk, but no row or entry is ill-formed")
 
@@ -841,11 +844,7 @@ def channel_from_dict(doc):
     if kind == "kraus":
         if "hamiltonian" in doc:
             raise ChannelSpecError("hamiltonian: only valid for kind 'lindblad'")
-        return KrausChannel(d, n, tuple(QuditOperator(d, n, m) for m in mats))
-    if "hamiltonian" in doc:
-        H = _parse_matrix(doc["hamiltonian"], "hamiltonian", dim)
-    else:
-        H = np.zeros((dim, dim), dtype=np.complex128)
-    return Lindbladian(
-        d, n, QuditOperator(d, n, H), tuple(QuditOperator(d, n, m) for m in mats)
-    )
+        return KrausChannel(d, n, mats)
+    if "hamiltonian" not in doc:
+        return Lindbladian(d, n, np.zeros((dim, dim)), mats)
+    return Lindbladian(d, n, _parse_matrix(doc["hamiltonian"], "hamiltonian", dim), mats)

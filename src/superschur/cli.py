@@ -262,24 +262,20 @@ def _load_channel(path: str):
         # JSONDecodeError, UnicodeDecodeError, and an int literal past
         # Python's int-from-text limit
         raise ChannelSpecError(f"{path}: not valid JSON: {exc}") from None
-    channel = channel_from_dict(doc)
-    builder = doc.get("builder") if isinstance(doc, dict) else None
-    return channel, builder
+    # channel_from_dict refuses a document that is not an object
+    return channel_from_dict(doc), doc.get("builder")
 
 
 def _input_echo(args, channel, builder) -> dict:
-    echo = {
+    kraus = isinstance(channel, KrausChannel)
+    return {
         "path": args.channel_file,
         "d": channel.d,
         "n": channel.n,
-        "kind": "kraus" if isinstance(channel, KrausChannel) else "lindblad",
+        "kind": "kraus" if kraus else "lindblad",
         "builder": builder,
+        "operator_count": len(channel.kraus_ops if kraus else channel.jump_ops),
     }
-    if isinstance(channel, KrausChannel):
-        echo["operator_count"] = len(channel.kraus_ops)
-    else:
-        echo["operator_count"] = len(channel.jump_ops)
-    return echo
 
 
 def _pipeline(channel, tol: float):

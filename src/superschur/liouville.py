@@ -1,10 +1,13 @@
-"""Operators on n qudits, orthonormal letter bases, and vectorization.
+"""Orthonormal letter bases for n qudits, and vectorization.
 
-The inner product throughout is the normalized trace pairing
-``<A, B> = Tr[A^dag B] / d**n``, under which the tensor-product letter
-basis is orthonormal.  Vectorization writes an operator as its coefficient
-vector in that basis, so superoperators become ordinary matrices acting on
-letter-string coordinates.
+An operator on n qudits of local dimension d is a plain d**n x d**n array
+throughout the package; a channel or generator holds its operators as one
+(K, d**n, d**n) stack (see ``superschur.channels``).  The inner product
+throughout is the normalized trace pairing ``<A, B> = Tr[A^dag B] / d**n``,
+under which the tensor-product letter basis is orthonormal.  Vectorization
+writes an operator as its coefficient vector in that basis, so
+superoperators become ordinary matrices acting on letter-string
+coordinates.
 
 Vectorization runs from a plan built once per basis, which is also the
 basis's one monomial table.  Both follow from one table per d that writes
@@ -73,32 +76,6 @@ def check_liouville_dim(d: int, n: int) -> int:
             f"{limit}; raise {_MAX_DIM_ENV} to proceed"
         )
     return q**n
-
-
-@dataclass(frozen=True)
-class QuditOperator:
-    """A dense operator on n qudits of local dimension d."""
-
-    d: int
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.d < 2 or self.n < 1:
-            raise DimensionMismatchError(f"need d >= 2 and n >= 1, got d={self.d}, n={self.n}")
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        dim = self.d**self.n
-        if m.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match d**n = {dim} for d={self.d}, n={self.n}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
 
 
 def _letter_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import Partition
 from .errors import DimensionMismatchError
-from .liouville import OperatorBasis, QuditOperator, check_liouville_dim
+from .liouville import OperatorBasis, check_liouville_dim
 from .permutations import all_permutations, check_permutation, string_index_map
 from .schur import SuperSchurBasis, irrep_matrices
 
@@ -89,8 +89,8 @@ def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> Permuta
     )
 
 
-def devectorize(v: np.ndarray, basis: OperatorBasis) -> QuditOperator:
-    """Inverse of :func:`superschur.liouville.vectorize`."""
+def devectorize(v: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Inverse of :func:`superschur.liouville.vectorize`, as a d**n x d**n array."""
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (basis.dim,):
         raise DimensionMismatchError(f"vector length {v.shape} != basis dimension {basis.dim}")
@@ -104,4 +104,4 @@ def devectorize(v: np.ndarray, basis: OperatorBasis) -> QuditOperator:
         t = np.moveaxis(np.tensordot(N, t, axes=(0, k)), 0, k)
     t = t.reshape((d, d) * n)
     t = np.transpose(t, axes=[2 * k for k in range(n)] + [2 * k + 1 for k in range(n)])
-    return QuditOperator(d, n, t.reshape(d**n, d**n))
+    return t.reshape(d**n, d**n)

@@ -112,7 +112,7 @@ def _vectorize_round_trip() -> float:
         basis = operator_basis(d, n)
         m = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
         back = devectorize(vectorize(m, basis), basis)
-        deviations.append(np.max(np.abs(back.matrix - m)))
+        deviations.append(np.max(np.abs(back - m)))
     return float(np.max(deviations))
 
 

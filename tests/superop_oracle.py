@@ -24,7 +24,7 @@ def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperO
     """Matrix of rho -> sum_mu F_mu rho F_mu^dag in the letter basis."""
     _check_channel_basis(channel, basis)
     dim = basis.dim
-    mats = [op.matrix for op in channel.kraus_ops]
+    mats = list(channel.kraus_ops)
     out = np.empty((dim, dim), dtype=np.complex128)
     for a in range(dim):
         B = basis.element_matrix(a)
@@ -37,8 +37,8 @@ def lindblad_superop_columns(lind: Lindbladian, basis: OperatorBasis) -> SuperOp
     """Matrix of the generator rho -> -i[H, rho] + sum_k D[L_k](rho)."""
     _check_channel_basis(lind, basis)
     dim = basis.dim
-    H = lind.hamiltonian.matrix
-    jumps = [op.matrix for op in lind.jump_ops]
+    H = lind.hamiltonian
+    jumps = list(lind.jump_ops)
     sinks = [L.conj().T @ L for L in jumps]
     out = np.empty((dim, dim), dtype=np.complex128)
     for a in range(dim):

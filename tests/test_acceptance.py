@@ -27,7 +27,6 @@ import pytest
 import superschur
 from superschur import (
     KrausChannel,
-    QuditOperator,
     SuperOperatorMatrix,
     decompose,
     example_channel,
@@ -299,7 +298,7 @@ def lopsided_channel(n, p=0.5):
     f1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
     mats = [reduce(np.kron, [f] + [eye] * (n - 1)) for f in (f0, f1)]
-    return KrausChannel(2, n, tuple(QuditOperator(2, n, m) for m in mats))
+    return KrausChannel(2, n, mats)
 
 
 def random_weak_channel(n, rng):
@@ -313,7 +312,7 @@ def random_weak_channel(n, rng):
         for choice in itertools.product((k0, k1), repeat=n)
     ]
     mats = orthogonalize_kraus(2, n, mats)
-    return KrausChannel(2, n, tuple(QuditOperator(2, n, m) for m in mats))
+    return KrausChannel(2, n, mats)
 
 
 def random_asymmetric_channel(n, rng):
@@ -321,7 +320,7 @@ def random_asymmetric_channel(n, rng):
     A = rng.standard_normal((2 * dim, dim)) + 1j * rng.standard_normal((2 * dim, dim))
     Q = np.linalg.qr(A)[0]
     mats = orthogonalize_kraus(2, n, [Q[:dim, :], Q[dim:, :]])
-    return KrausChannel(2, n, tuple(QuditOperator(2, n, m) for m in mats))
+    return KrausChannel(2, n, mats)
 
 
 def test_criterion_8_property_suite(schur_2_2, schur_2_3, letters_2_2, letters_2_3):

@@ -11,7 +11,6 @@ from superschur import (
     KrausChannel,
     Lindbladian,
     Partition,
-    QuditOperator,
     SuperOperatorMatrix,
     blockwise_exp,
     classify_kraus_symmetry,
@@ -45,7 +44,7 @@ def lopsided_channel(n):
         reduce(np.kron, [f0] + [I2] * (n - 1)),
         reduce(np.kron, [f1] + [I2] * (n - 1)),
     ]
-    return KrausChannel(2, n, tuple(QuditOperator(2, n, m) for m in mats))
+    return KrausChannel(2, n, mats)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def letters_3():
 
 
 def test_identity_superop_decomposes_cleanly(schur_2_3, letters_3):
-    ch = KrausChannel(2, 3, (QuditOperator(2, 3, np.eye(8)),))
+    ch = KrausChannel(2, 3, (np.eye(8),))
     decomp = decompose(kraus_superop(ch, letters_3), schur_2_3)
     assert decomp.leakage < 1e-12
     for B in decomp.blocks.values():
@@ -298,7 +297,7 @@ def test_blockwise_exp_refuses_channels_and_leaky_generators(
         blockwise_exp(decomp, 1.0)
 
     H = np.kron(np.kron(np.diag([1.0, -1.0]), I2), I2)
-    leaky = Lindbladian(2, 3, QuditOperator(2, 3, H), ())
+    leaky = Lindbladian(2, 3, H, ())
     decomp = decompose(lindblad_superop(leaky, letters_3), schur_2_3)
     assert decomp.leakage > decomp.tol
     with pytest.raises(BlockStructureError, match="leakage"):

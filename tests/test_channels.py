@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from superschur import (
     DimensionMismatchError,
     KrausChannel,
     Lindbladian,
-    QuditOperator,
     channels,
     classify_kraus_symmetry,
     classify_lindblad_symmetry,
@@ -48,7 +48,7 @@ def damping_pair(p):
 
 
 def single_qubit_channel(*mats):
-    return KrausChannel(2, 1, tuple(QuditOperator(2, 1, m) for m in mats))
+    return KrausChannel(2, 1, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_kraus_channel_accepts_amplitude_damping():
 
 def test_kraus_closure_deviation_is_measured_once_on_construction():
     ch = example_channel("independent_damping", n=3, p=0.3)
-    closure = sum(op.matrix.conj().T @ op.matrix for op in ch.kraus_ops)
+    closure = sum(op.conj().T @ op for op in ch.kraus_ops)
     assert ch.closure_deviation == float(np.max(np.abs(closure - np.eye(8))))
     # a stored field, not a property that sums F^dag F again on each read
     assert vars(ch)["closure_deviation"] == ch.closure_deviation
@@ -88,19 +88,79 @@ def test_kraus_channel_rejects_zero_and_empty():
 
 def test_lindbladian_validation():
     with pytest.raises(ChannelInvariantError, match="Hermitian"):
-        Lindbladian(2, 1, QuditOperator(2, 1, LOWER), ())
+        Lindbladian(2, 1, LOWER, ())
     with pytest.raises(ChannelInvariantError, match="traceless"):
-        Lindbladian(2, 1, QuditOperator(2, 1, np.zeros((2, 2))), (QuditOperator(2, 1, I2),))
+        Lindbladian(2, 1, np.zeros((2, 2)), (I2,))
     with pytest.raises(ChannelInvariantError, match="orthogonal"):
         Lindbladian(
             2,
             1,
-            QuditOperator(2, 1, np.zeros((2, 2))),
-            (QuditOperator(2, 1, LOWER), QuditOperator(2, 1, 2 * LOWER)),
+            np.zeros((2, 2)),
+            (LOWER, 2 * LOWER),
         )
-    # a bare matrix Hamiltonian is wrapped; no jumps is a closed system
+    # no jumps is a closed system, held as a (0, D, D) stack
     lind = Lindbladian(2, 1, np.diag([1.0, -1.0]), ())
-    assert isinstance(lind.hamiltonian, QuditOperator)
+    assert lind.jump_ops.shape == (0, 2, 2) and len(lind.jump_ops) == 0
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CHANNELS))
+def test_operators_are_one_read_only_complex_stack(name):
+    ch = example_channel(name, n=3)
+    stacks = [ch.kraus_ops] if isinstance(ch, KrausChannel) else [ch.jump_ops]
+    if isinstance(ch, Lindbladian):
+        assert ch.hamiltonian.shape == (8, 8)
+        stacks.append(ch.hamiltonian)
+    for stack in stacks:
+        assert stack.dtype == np.complex128 and not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[...] = 0
+    ops = stacks[0]
+    assert ops.shape == (len(ops), 8, 8)
+    assert [F.shape for F in ops] == [(8, 8)] * len(ops)
+    # the closed system is the one family with no operators
+    assert (len(ops) == 0) == (name == "transverse_ising")
+
+
+@pytest.mark.parametrize(
+    "build, label",
+    [
+        (lambda bad: KrausChannel(2, 1, [I2 / math.sqrt(2), bad]), "Kraus operator 1"),
+        (lambda bad: Lindbladian(2, 1, np.zeros((2, 2)), [LOWER, LOWER.T, bad]), "jump operator 2"),
+        (lambda bad: Lindbladian(2, 1, bad, [LOWER]), "Hamiltonian"),
+        (lambda bad: mixing_unitary([LOWER, bad], (0,), 2, 1), "operator 1"),
+    ],
+    ids=["kraus", "jumps", "hamiltonian", "mixing_unitary"],
+)
+def test_a_wrong_shape_or_a_non_finite_entry_is_refused_by_index(build, label):
+    with pytest.raises(DimensionMismatchError) as err:
+        build(np.eye(3))
+    assert str(err.value) == f"{label}: shape (3, 3) does not match d**n = 2 for d=2, n=1"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError) as err:
+            build(np.array([[0.0, 1.0], [bad, 0.0]]))
+        assert str(err.value) == f"{label}: matrix entries must be finite"
+
+
+def test_a_map_of_too_few_levels_or_sites_is_refused():
+    with pytest.raises(DimensionMismatchError, match="need d >= 2 and n >= 1, got d=1, n=1"):
+        KrausChannel(1, 1, [np.eye(1)])
+    with pytest.raises(DimensionMismatchError, match="got d=2, n=0"):
+        Lindbladian(2, 0, np.zeros((1, 1)), [])
+
+
+def test_operators_are_copied_from_the_input():
+    given = np.stack([I2 / math.sqrt(2), np.diag([1.0, -1.0]) / math.sqrt(2)]).astype(np.complex128)
+    H = np.diag([1.0, -1.0]).astype(np.complex128)
+    ch = KrausChannel(2, 1, given)
+    lind = Lindbladian(2, 1, H, given[1:] * 0.5)
+    assert given.flags.writeable and H.flags.writeable
+    assert not np.shares_memory(ch.kraus_ops, given)
+    assert not np.shares_memory(lind.hamiltonian, H)
+    held = ch.kraus_ops.copy()
+    given[...] = 0
+    H[...] = 0
+    assert np.array_equal(ch.kraus_ops, held)
+    assert np.array_equal(lind.hamiltonian, np.diag([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +224,7 @@ def test_orthogonalize_passes_orthogonal_sets_through():
 
 def test_identity_channel_superop_is_identity():
     basis = operator_basis(2, 2)
-    ch = KrausChannel(2, 2, (QuditOperator(2, 2, np.eye(4)),))
+    ch = KrausChannel(2, 2, (np.eye(4),))
     S = kraus_superop(ch, basis)
     assert S.kind == "channel"
     assert np.max(np.abs(S.matrix - np.eye(16))) < 1e-12
@@ -210,8 +270,8 @@ def test_damping_lindblad_superop_matches_analytic_form():
     lind = Lindbladian(
         2,
         1,
-        QuditOperator(2, 1, np.zeros((2, 2))),
-        (QuditOperator(2, 1, math.sqrt(gamma) * LOWER),),
+        np.zeros((2, 2)),
+        (math.sqrt(gamma) * LOWER,),
     )
     G = lindblad_superop(lind, basis)
     assert G.kind == "generator"
@@ -228,7 +288,7 @@ def test_damping_lindblad_superop_matches_analytic_form():
 
 def test_hamiltonian_rotation_generator():
     basis = operator_basis(2, 1)
-    lind = Lindbladian(2, 1, QuditOperator(2, 1, np.diag([1.0, -1.0])), ())
+    lind = Lindbladian(2, 1, np.diag([1.0, -1.0]), ())
     G = lindblad_superop(lind, basis).matrix
     want = np.zeros((4, 4))
     want[2, 1] = 2.0  # -i[Z, X] = 2Y
@@ -302,8 +362,8 @@ def test_asymmetric_kraus_channel_classifies_none():
         2,
         2,
         (
-            QuditOperator(2, 2, np.kron(f0, I2)),
-            QuditOperator(2, 2, np.kron(f1, I2)),
+            np.kron(f0, I2),
+            np.kron(f1, I2),
         ),
     )
     cert = classify_kraus_symmetry(ch)
@@ -313,7 +373,7 @@ def test_asymmetric_kraus_channel_classifies_none():
 
 def test_nonuniform_field_lindblad_classifies_none():
     H = np.kron(np.diag([1.0, -1.0]), I2) + 2.0 * np.kron(I2, np.diag([1.0, -1.0]))
-    lind = Lindbladian(2, 2, QuditOperator(2, 2, H), ())
+    lind = Lindbladian(2, 2, H, ())
     cert = classify_lindblad_symmetry(lind)
     assert cert.classification == "none"
     assert cert.residuals["hamiltonian_invariance"] > 1e-3
@@ -359,7 +419,7 @@ def test_mixing_unitary_of_no_operators_is_empty():
 
 def test_mixing_unitary_refuses_operators_of_another_size():
     ch = example_channel("collective_damping", n=3)
-    with pytest.raises(DimensionMismatchError, match=r"\(d=2, n=3\) does not match"):
+    with pytest.raises(DimensionMismatchError, match=r"^operator 0: shape \(8, 8\) does not match"):
         mixing_unitary(ch.kraus_ops, (1, 0), 2, 2)
 
 
@@ -390,8 +450,8 @@ def test_classification_matches_superoperator_commutation():
         2,
         3,
         (
-            QuditOperator(2, 3, np.kron(np.kron(f0, I2), I2)),
-            QuditOperator(2, 3, np.kron(np.kron(f1, I2), I2)),
+            np.kron(np.kron(f0, I2), I2),
+            np.kron(np.kron(f1, I2), I2),
         ),
     )
     assert certificate(lopsided).classification == "none"
@@ -407,7 +467,7 @@ def test_weak_families_are_not_strong():
 def test_a_residual_equal_to_its_tolerance_passes(monkeypatch):
     # RESIDUAL_TOLS is the one table the classification reads: set one
     # tolerance to the measured residual, and that residual passes
-    z_on_site_0 = QuditOperator(2, 2, np.kron(np.diag([1.0, -1.0]), np.eye(2)))
+    z_on_site_0 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
     cases = [
         (example_channel("single_jump", n=3), "strong_commutator", "weak"),
         (Lindbladian(2, 2, z_on_site_0, ()), "hamiltonian_invariance", "none"),
@@ -456,7 +516,7 @@ def test_jump_families_sizes_and_rates():
     assert len(lind.jump_ops) == 3
     for op in lind.jump_ops:
         # Frobenius weight gamma1 * 2**(n-1) from the identity factors
-        assert np.vdot(op.matrix, op.matrix).real == pytest.approx(2.0)
+        assert np.vdot(op, op).real == pytest.approx(2.0)
     lind = example_channel("double_jump", n=3, gamma2=1.0)
     assert len(lind.jump_ops) == 3  # pairs (0,1), (0,2), (1,2)
     lind = example_channel("collective_jump", n=3, gamma3=1.0, gamma4=0.5, gamma5=0.25)
@@ -464,7 +524,7 @@ def test_jump_families_sizes_and_rates():
     lind = example_channel("collective_jump", n=3, gamma4=0.0)
     assert len(lind.jump_ops) == 2  # zero-rate jumps are omitted
     lind = example_channel("transverse_ising", n=3, h_x=0.7, J=0.2)
-    assert lind.jump_ops == ()
+    assert lind.jump_ops.shape == (0, 8, 8)
 
 
 NON_DEFAULT_PARAMS = {
@@ -482,8 +542,8 @@ NON_DEFAULT_PARAMS = {
 def family_arrays(channel):
     """Kraus operators, or the Hamiltonian followed by the jump operators."""
     if isinstance(channel, KrausChannel):
-        return [op.matrix for op in channel.kraus_ops]
-    return [channel.hamiltonian.matrix] + [op.matrix for op in channel.jump_ops]
+        return list(channel.kraus_ops)
+    return [channel.hamiltonian] + list(channel.jump_ops)
 
 
 @pytest.mark.parametrize("defaults", [True, False], ids=["default", "non-default"])
@@ -545,6 +605,51 @@ def test_example_channel_refuses_a_parameter_that_is_not_a_finite_number(name, p
     assert str(err.value) == f"bad parameters for {name!r}: {message}"
 
 
+def _refusal(call) -> str | None:
+    try:
+        call()
+    except (ChannelSpecError, ChannelInvariantError, ValueError) as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (sys.float_info.max, True),
+        (int(sys.float_info.max) + 2**969, True),  # rounds down to the largest float64
+        (2**1024 - 2**970 - 1, True),
+        (2**1024 - 2**970, False),  # halfway, rounds up to 2**1024: overflow
+        (10**400, False),
+        (math.nan, False),
+        (math.inf, False),
+    ],
+    ids=["max", "max+2**969", "2**1024-2**970-1", "2**1024-2**970", "10**400", "nan", "inf"],
+)
+def test_every_reader_draws_the_float64_boundary_alike(value, finite):
+    # one number as a builder parameter, as an operator entry (read in bulk,
+    # and by the entrywise walk when a later entry is bad) and as an
+    # example_channel argument; accepted numbers fail later, as too large
+    zero = [[0, 0], [0, 0]]
+    operator = [[[value, 0], [0, 0]], zero]
+    walked = [[[value, 0], [0, 0]], [[0, 0], [0, True]]]
+    refused = [
+        _refusal(lambda: channel_from_dict({
+            "d": 2, "n": 2, "kind": "lindblad",
+            "builder": {"name": "transverse_ising", "params": {"h_x": value}},
+        })) == "builder.params.h_x: not finite in float64",
+        _refusal(lambda: channel_from_dict({
+            "d": 2, "n": 1, "kind": "kraus", "operators": [operator],
+        })) == "operators[0][0][0]: entries must be finite",
+        _refusal(lambda: channel_from_dict({
+            "d": 2, "n": 1, "kind": "kraus", "operators": [walked],
+        })) == "operators[0][0][0]: entries must be finite",
+        _refusal(lambda: example_channel("transverse_ising", n=2, h_x=value))
+        == "bad parameters for 'transverse_ising': h_x: not finite in float64",
+    ]
+    assert refused == [not finite] * 4
+
+
 # ---------------------------------------------------------------------------
 # channel description documents
 
@@ -563,7 +668,7 @@ def test_channel_from_dict_kraus_round_trip():
     }
     ch = channel_from_dict(doc)
     assert isinstance(ch, KrausChannel)
-    assert np.max(np.abs(ch.kraus_ops[0].matrix - f0)) < 1e-15
+    assert np.max(np.abs(ch.kraus_ops[0] - f0)) < 1e-15
 
 
 def test_channel_from_dict_lindblad_with_hamiltonian():
@@ -583,7 +688,7 @@ def test_channel_from_dict_orthogonalize_flag():
     # a unitary recombination keeps the closure exact but breaks the
     # pairwise orthogonality, so the flag decides accept vs reject
     base = example_channel("collective_damping", n=2, p=0.4)
-    F = [op.matrix for op in base.kraus_ops]
+    F = list(base.kraus_ops)
     mixed = [(F[0] + F[1]) / math.sqrt(2), (F[0] - F[1]) / math.sqrt(2)] + F[2:]
     doc = {
         "d": 2,

@@ -852,7 +852,7 @@ def site_dependent_maps(d, n):
     from functools import reduce
     from itertools import product
 
-    from superschur import KrausChannel, Lindbladian, QuditOperator
+    from superschur import KrausChannel, Lindbladian
 
     shift = np.roll(np.eye(d), 1, axis=0).astype(complex)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
@@ -863,7 +863,7 @@ def site_dependent_maps(d, n):
 
     jumps = [math.sqrt(0.2 + 0.15 * k) * on_site(lower, k) for k in range(n)]
     H = sum((0.3 + 0.1 * k) * on_site(clock + clock.conj().T, k) for k in range(n))
-    lind = Lindbladian(d, n, QuditOperator(d, n, H), tuple(QuditOperator(d, n, L) for L in jumps))
+    lind = Lindbladian(d, n, H, jumps)
     local = []
     for k in range(n):
         p = 0.1 + 0.12 * k
@@ -872,8 +872,8 @@ def site_dependent_maps(d, n):
         else:
             local.append([math.sqrt(1 - p) * np.eye(d), math.sqrt(p / 2) * shift,
                           math.sqrt(p / 2) * clock])
-    ops = [QuditOperator(d, n, reduce(np.kron, choice)) for choice in product(*local)]
-    return {"lindblad": lind, "kraus": KrausChannel(d, n, tuple(ops))}
+    ops = [reduce(np.kron, choice) for choice in product(*local)]
+    return {"lindblad": lind, "kraus": KrausChannel(d, n, ops)}
 
 
 PIPELINE_INPUTS = [f"builder-{name}" for name in sorted(channels.EXAMPLE_CHANNELS)] + [

@@ -14,7 +14,6 @@ from superschur import (
     EXAMPLE_CHANNELS,
     KrausChannel,
     Lindbladian,
-    QuditOperator,
     classify_kraus_symmetry,
     classify_lindblad_symmetry,
     example_channel,
@@ -39,12 +38,11 @@ def dense_mixing(mats, P):
     return U, residual, float(np.max(np.abs(U.conj().T @ U - np.eye(k))))
 
 
-def dense_certificate(ops, d, n, hamiltonian=None):
+def dense_certificate(ops, d, n, H=None):
     """(mixing unitaries, residuals) of the certificate, from dense P."""
-    mats = [op.matrix for op in ops]
+    mats = list(ops)
     residuals = {}
-    if hamiltonian is not None:
-        H = hamiltonian.matrix
+    if H is not None:
         residuals["hamiltonian_invariance"] = max(
             float(np.max(np.abs(P @ H @ P.T - H)))
             for P in (permutation_matrix(g, d, n) for g in adjacent_transpositions(n))
@@ -90,7 +88,7 @@ def random_asymmetric_kraus(d, n, rng, count=3):
     A = rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
     Q = np.linalg.qr(A)[0]
     mats = orthogonalize_kraus(d, n, [Q[k * dim : (k + 1) * dim] for k in range(count)])
-    return KrausChannel(d, n, tuple(QuditOperator(d, n, m) for m in mats))
+    return KrausChannel(d, n, mats)
 
 
 def random_asymmetric_lindblad(d, n, rng, count=3):
@@ -100,9 +98,9 @@ def random_asymmetric_lindblad(d, n, rng, count=3):
         L = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         jumps.append(L - np.trace(L) / dim * np.eye(dim))
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    H = QuditOperator(d, n, (A + A.conj().T) / 2)
+    H = (A + A.conj().T) / 2
     mats = orthogonalize_kraus(d, n, jumps)
-    return Lindbladian(d, n, H, tuple(QuditOperator(d, n, m) for m in mats))
+    return Lindbladian(d, n, H, mats)
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])

@@ -9,6 +9,9 @@ symmetry, and the blockwise exponential must refuse them.
 A matrix of a channel file, rows of [re, im] number pairs, must convert
 bit for bit to the complex matrix of those pairs, and one with one or two
 corrupt rows or entries must be refused, naming the first in reading order.
+
+A map holds its operators as one stack, so the same matrices given as a
+list, a tuple or a stacked array must give the same bits in every stage.
 """
 
 import re
@@ -24,12 +27,17 @@ from superschur import (
     BlockStructureError,
     ChannelSpecError,
     InternalConsistencyError,
+    KrausChannel,
     Lindbladian,
     blockwise_exp,
     channels,
+    classify_kraus_symmetry,
+    classify_lindblad_symmetry,
     decompose,
+    kraus_superop,
     lindblad_superop,
     operator_basis,
+    orthogonalize_kraus,
     super_schur_basis,
 )
 from superschur.channels import _parse_matrix
@@ -177,3 +185,45 @@ def test_a_refusal_the_entrywise_walk_cannot_locate_is_an_internal_error(monkeyp
     monkeypatch.setattr(channels, "_bulk_pairs", lambda obj, dim: None)
     with pytest.raises(InternalConsistencyError, match="no row or entry is ill-formed"):
         _parse_matrix([[[1.0, 0.0]]], "operators[0]", 1)
+
+
+@PROPERTY_SETTINGS
+@given(
+    dn=st.sampled_from([(2, 1), (2, 2), (3, 1)]),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_list_a_tuple_and_a_stack_of_operators_give_the_same_bits(dn, count, seed):
+    d, n = dn
+    D = d**n
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # a random isometry cut into Kraus operators, and traceless jumps
+    Q = np.linalg.qr(gaussian(count * D, D))[0]
+    kraus = orthogonalize_kraus(d, n, [Q[k * D : (k + 1) * D] for k in range(count)])
+    L = gaussian(count, D, D)
+    L -= np.trace(L, axis1=1, axis2=2)[:, None, None] / D * np.eye(D)
+    jumps = orthogonalize_kraus(d, n, L)
+    B = gaussian(D, D)
+    H = (B + B.conj().T) / 2
+    letters = operator_basis(d, n)
+
+    def bits(ch, superop, classify):
+        cert = classify(ch)
+        units = [cert.generator_unitaries[g].tobytes() for g in sorted(cert.generator_unitaries)]
+        closure = getattr(ch, "closure_deviation", None)
+        matrix = superop(ch, letters).matrix.tobytes()
+        return matrix, cert.classification, cert.residuals, units, closure
+
+    maps = [
+        (lambda ops: KrausChannel(d, n, ops), kraus_superop, classify_kraus_symmetry, kraus),
+        (lambda ops: Lindbladian(d, n, H, ops), lindblad_superop, classify_lindblad_symmetry,
+         jumps),
+    ]
+    for build, superop, classify, ops in maps:
+        want = bits(build(list(ops)), superop, classify)
+        assert bits(build(tuple(ops)), superop, classify) == want
+        assert bits(build(np.stack(ops)), superop, classify) == want

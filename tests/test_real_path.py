@@ -15,7 +15,6 @@ from superschur import (
     InternalConsistencyError,
     KrausChannel,
     Lindbladian,
-    QuditOperator,
     blockwise_exp,
     decompose,
     dfs_report,
@@ -51,11 +50,8 @@ def scaled(channel, s):
     closes, so it is built unchecked; the kernel does not read closure."""
     d, n = channel.d, channel.n
     if isinstance(channel, KrausChannel):
-        ops = tuple(QuditOperator(d, n, np.sqrt(s) * F.matrix) for F in channel.kraus_ops)
-        return unchecked(KrausChannel, d=d, n=n, kraus_ops=ops)
-    H = QuditOperator(d, n, s * channel.hamiltonian.matrix)
-    jumps = tuple(QuditOperator(d, n, np.sqrt(s) * L.matrix) for L in channel.jump_ops)
-    return Lindbladian(d, n, H, jumps)
+        return unchecked(KrausChannel, d=d, n=n, kraus_ops=np.sqrt(s) * channel.kraus_ops)
+    return Lindbladian(d, n, s * channel.hamiltonian, np.sqrt(s) * channel.jump_ops)
 
 
 def pauli_string(word):
@@ -91,7 +87,7 @@ def test_real_kernel_matches_oracle_on_example_families(name, n, scale):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_kernel_matches_oracle_on_random_kraus_sets(n, scale):
     channel = random_kraus(2, n, 3, np.random.default_rng(200 + n))
-    assert all(np.any(F.matrix.imag) for F in channel.kraus_ops)
+    assert all(np.any(F.imag) for F in channel.kraus_ops)
     assert_real_and_matches_oracle(scaled(channel, scale), operator_basis(2, n))
 
 
@@ -99,8 +95,8 @@ def test_real_kernel_matches_oracle_on_random_kraus_sets(n, scale):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_kernel_matches_oracle_on_random_lindbladians(n, scale):
     lind = random_lindbladian(2, n, scale, np.random.default_rng(300 + n))
-    assert np.any(lind.hamiltonian.matrix.imag)
-    assert all(np.any(L.matrix.imag) for L in lind.jump_ops)
+    assert np.any(lind.hamiltonian.imag)
+    assert all(np.any(L.imag) for L in lind.jump_ops)
     assert_real_and_matches_oracle(lind, operator_basis(2, n))
 
 
@@ -132,7 +128,7 @@ def test_superoperator_matrix_keeps_complex_input_complex():
 def with_hamiltonian_offset(lind, offset):
     """``lind`` with ``offset`` added to H, built without the Hermiticity
     check."""
-    H = QuditOperator(lind.d, lind.n, lind.hamiltonian.matrix + offset)
+    H = lind.hamiltonian + offset
     return unchecked(Lindbladian, d=lind.d, n=lind.n, hamiltonian=H, jump_ops=lind.jump_ops)
 
 
@@ -146,7 +142,7 @@ def test_hamiltonian_just_inside_hermiticity_tol_is_accepted():
     letters = operator_basis(2, n)
     lind = example_channel("transverse_ising", n=n, h_x=0.01, J=0.01)
     offset = 1j * 0.495 * HERMITICITY_TOL * pauli_string("XIZ")
-    near = Lindbladian(2, n, QuditOperator(2, n, lind.hamiltonian.matrix + offset), lind.jump_ops)
+    near = Lindbladian(2, n, lind.hamiltonian + offset, lind.jump_ops)
     got = lindblad_superop(near, letters)
     assert got.matrix.dtype == np.float64
     dropped = np.max(np.abs(lindblad_superop_columns(near, letters).matrix.imag))

@@ -17,7 +17,6 @@ import pytest
 from superschur import (
     KrausChannel,
     Lindbladian,
-    QuditOperator,
     example_channel,
     operator_basis,
     orthogonalize_kraus,
@@ -47,7 +46,7 @@ def random_kraus(d, n, count, rng):
     Z = rng.standard_normal((count * dim, dim)) + 1j * rng.standard_normal((count * dim, dim))
     V, _ = np.linalg.qr(Z)  # an isometry: the stacked operators close to the identity
     ops = orthogonalize_kraus(d, n, [V[k * dim : (k + 1) * dim] for k in range(count)])
-    return KrausChannel(d, n, tuple(QuditOperator(d, n, F) for F in ops))
+    return KrausChannel(d, n, ops)
 
 
 def random_lindbladian(d, n, scale, rng):
@@ -62,8 +61,8 @@ def random_lindbladian(d, n, scale, rng):
         L = np.sqrt(scale) * (np.triu(L, 1) if k > 0 else np.tril(L, -1))
         if dim > 1:
             assert np.max(np.abs(L @ L.conj().T - L.conj().T @ L)) > 1e-3 * scale
-        jumps.append(QuditOperator(d, n, L))
-    return Lindbladian(d, n, QuditOperator(d, n, H), tuple(jumps))
+        jumps.append(L)
+    return Lindbladian(d, n, H, jumps)
 
 
 RANDOM_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2)]
@@ -127,7 +126,7 @@ def monomial_kraus(d, n, noisy, rng):
         else:
             sites.append([random_phases(d, rng)])
     ops = [reduce(np.kron, choice) for choice in itertools.product(*sites)]
-    return KrausChannel(d, n, tuple(QuditOperator(d, n, F) for F in ops))
+    return KrausChannel(d, n, ops)
 
 
 def sparse_lindbladian(d, n, rng, couplings=3):
@@ -151,8 +150,8 @@ def sparse_lindbladian(d, n, rng, couplings=3):
         L[rows[keep], perm[keep]] = rng.standard_normal(keep.sum()) + 1j * rng.standard_normal(
             keep.sum()
         )
-        jumps.append(QuditOperator(d, n, L))
-    return Lindbladian(d, n, QuditOperator(d, n, H), tuple(jumps))
+        jumps.append(L)
+    return Lindbladian(d, n, H, jumps)
 
 
 # (d, n, noisy sites): monomial sets whose Liouville matrix is sparse
@@ -171,7 +170,7 @@ def test_sparse_path_matches_oracle_on_monomial_kraus_sets(d, n, noisy):
 def test_sparse_path_matches_oracle_on_sparse_lindbladians(d, n):
     rng = np.random.default_rng(10 * d + n)
     lind = sparse_lindbladian(d, n, rng)
-    assert np.any(lind.hamiltonian.matrix.imag)
+    assert np.any(lind.hamiltonian.imag)
     assert_matches_oracle(lind, operator_basis(d, n))
 
 
@@ -200,7 +199,7 @@ def explicit_files(d, n):
     for i, j in itertools.combinations(range(n), 2):
         hop = embed({i: X, j: X.conj().T})
         H = H + (0.2 + 0.1 * (i + j)) * (hop + hop.conj().T)
-    lind = Lindbladian(d, n, QuditOperator(d, n, H), tuple(QuditOperator(d, n, L) for L in jumps))
+    lind = Lindbladian(d, n, H, jumps)
     local = []
     for k in range(n):
         p = 0.1 + 0.12 * k
@@ -209,7 +208,7 @@ def explicit_files(d, n):
         else:
             local.append([(1 - p) ** 0.5 * eye, (p / 2) ** 0.5 * X, (p / 2) ** 0.5 * Z])
     ops = [reduce(np.kron, choice) for choice in itertools.product(*local)]
-    kraus = KrausChannel(d, n, tuple(QuditOperator(d, n, F) for F in ops))
+    kraus = KrausChannel(d, n, ops)
     return {f"lindblad_d{d}n{n}": lind, f"kraus_d{d}n{n}": kraus}
 
 

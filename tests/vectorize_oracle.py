@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from superschur.liouville import OperatorBasis, QuditOperator
+from superschur.liouville import OperatorBasis
 
 
-def vectorize_by_sites(op: QuditOperator, basis: OperatorBasis) -> np.ndarray:
-    """Coefficient vector of ``op`` in the letter basis, site by site."""
+def vectorize_by_sites(op: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Coefficient vector of the d**n x d**n array ``op`` in the letter
+    basis, site by site."""
     d, n = basis.d, basis.n
     q = d * d
     M = np.stack([np.conj(letter.reshape(-1)) / d for letter in basis.letters])
-    t = op.matrix.reshape((d,) * (2 * n))
+    t = op.reshape((d,) * (2 * n))
     # (i_1..i_n, j_1..j_n) -> (i_1, j_1, ..., i_n, j_n): site k's index is i_k j_k
     t = np.transpose(t, axes=[ax for k in range(n) for ax in (k, n + k)])
     for _ in range(n):
