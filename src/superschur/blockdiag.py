@@ -13,9 +13,9 @@ exponential of a block-diagonal generator is nothing but its blocks: a
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame is one row
 pass applied twice, U^T M U = U^T (U^T M^T)^T, one class block at a time
-instead of two dense products, in the buffer of the frame itself: the only
-dense array it holds is the frame, besides the superoperator unless that
-is overwritten (``overwrite=True``).
+instead of two dense products, in the buffer of the superoperator itself:
+the superoperator is consumed, and the only dense array the decomposition
+holds is the frame it becomes.
 
 The basis matrix is real, so every stage keeps the dtype of the
 superoperator it is given.  For qubits that is float64 (the Pauli transfer
@@ -80,29 +80,26 @@ class BlockDecomposition:
     twin_deviation: dict[Partition, float]
 
 
-def to_schur_frame(
-    superop: SuperOperatorMatrix, basis: SuperSchurBasis, *, overwrite: bool = False
-) -> np.ndarray:
+def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.ndarray:
     """Conjugate a letter-basis superoperator matrix into the adapted frame.
 
     Computes U^T M U as U^T (U^T M^T)^T: one row pass (:func:`_rows_to_frame`)
     on the C-order buffer of M^T (the matrix is held in F order), an
     in-place transpose, and the row pass again.  Every product is a real
     class block times a row slab of the real view, even for a complex M, so
-    besides the result only a class-sized temporary lives.
+    only a class-sized temporary lives.
 
-    With ``overwrite=False`` the conjugation runs on a copy, and
-    ``superop.matrix`` is left as it was.  With ``overwrite=True`` it runs
-    in the buffer of ``superop.matrix``: the result is a C-order view of
-    it, bitwise equal to the copy's, and ``superop.matrix`` then reads the
-    frame transposed, so the superoperator is consumed.
+    The conjugation runs in the buffer of ``superop.matrix``: the result is
+    a C-order view of it, and ``superop.matrix`` then reads the frame
+    transposed, so the superoperator is consumed.  A basis of another
+    (d, n) raises DimensionMismatchError before anything is written.
     """
     if (superop.d, superop.n) != (basis.d, basis.n):
         raise DimensionMismatchError(
             f"superoperator (d={superop.d}, n={superop.n}) does not match "
             f"basis (d={basis.d}, n={basis.n})"
         )
-    S = superop.matrix.T if overwrite else superop.matrix.T.copy()
+    S = superop.matrix.T
     _rows_to_frame(S, basis)
     _transpose_in_place(S)
     _rows_to_frame(S, basis)
@@ -176,11 +173,7 @@ def _twin_deviation(twins: list[np.ndarray]) -> float:
 
 
 def decompose(
-    superop: SuperOperatorMatrix,
-    basis: SuperSchurBasis,
-    tol: float = DEFAULT_BLOCK_TOL,
-    *,
-    overwrite: bool = False,
+    superop: SuperOperatorMatrix, basis: SuperSchurBasis, tol: float = DEFAULT_BLOCK_TOL
 ) -> BlockDecomposition:
     """Split a superoperator into sector blocks and measure the residue.
 
@@ -191,11 +184,11 @@ def decompose(
     deviation: :func:`blockwise_exp` refuses a shape whose twins differ by
     more than ``tol``, and :func:`dfs_report` flags none.
 
-    ``overwrite`` is passed to :func:`to_schur_frame`: with True the frame
-    is a view of the buffer of ``superop.matrix``, overwritten, and no
-    second array of its size is allocated.
+    The frame is :func:`to_schur_frame`'s view of the buffer of
+    ``superop.matrix``, so the superoperator is consumed and no second
+    array of its size is allocated.
     """
-    S = to_schur_frame(superop, basis, overwrite=overwrite)
+    S = to_schur_frame(superop, basis)
     blocks = {}
     off_block = []
     twin_deviation = {}

@@ -119,8 +119,8 @@ def _orthogonality_bound(G: np.ndarray) -> float:
 
 
 def _checked_operator_set(S: np.ndarray, noun: str, symbol: str, hint: str = "") -> np.ndarray:
-    """The sum of F^dag F over the (K, D, D) stack S, once the set passes
-    its checks; an empty set (K = 0) passes, with sum 0.
+    """The sum of F^dag F over the (K, D, D) stack S, read-only, once the
+    set passes its checks; an empty set (K = 0) passes, with sum 0.
 
     A set whose Gram matrix or that sum overflows float64 is refused as
     input (ChannelSpecError) instead of reaching the superoperator kernel;
@@ -128,7 +128,7 @@ def _checked_operator_set(S: np.ndarray, noun: str, symbol: str, hint: str = "")
     (ChannelInvariantError)."""
     with np.errstate(over="ignore", invalid="ignore"):
         G = _gram(S)
-        total = sum((F.conj().T @ F for F in S), np.zeros(S.shape[1:]))
+        total = sum((F.conj().T @ F for F in S), np.zeros(S.shape[1:], dtype=np.complex128))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(total))):
         raise ChannelSpecError(
             f"{noun}s too large: their Gram matrix or sum {symbol}^dag {symbol} "
@@ -139,6 +139,7 @@ def _checked_operator_set(S: np.ndarray, noun: str, symbol: str, hint: str = "")
     off = float(np.max(np.abs(G - np.diag(G.diagonal())), initial=0.0))
     if off > _orthogonality_bound(G):
         raise ChannelInvariantError(f"{noun}s not mutually orthogonal: max overlap {off:.3e}{hint}")
+    total.flags.writeable = False
     return total
 
 
@@ -199,6 +200,7 @@ class Lindbladian:
     n: int
     hamiltonian: np.ndarray
     jump_ops: np.ndarray
+    _sink: np.ndarray = field(init=False, repr=False, compare=False)  # K, for lindblad_superop
 
     def __post_init__(self) -> None:
         H = _operator_stack(self.d, self.n, [self.hamiltonian], "Hamiltonian")[0]
@@ -219,8 +221,9 @@ class Lindbladian:
             tr = abs(np.trace(L)) / self.d**self.n
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
+        object.__setattr__(self, "_sink", _checked_operator_set(ops, "jump operator", "L"))
         with np.errstate(over="ignore"):
-            tau = float(np.trace(_checked_operator_set(ops, "jump operator", "L")).real)
+            tau = float(np.trace(self._sink).real)
         if not math.isfinite(2.0 * self.d ** (2 * self.n) * (tau + math.sqrt(size))):
             raise ChannelSpecError(
                 "generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite in float64"
@@ -376,7 +379,8 @@ class SuperOperatorMatrix:
     map), anything else as complex128; a complex matrix is never cast to
     real, whatever its imaginary part.  The matrix is held in F order, the
     order the kernel writes; one given in that order and dtype is held as
-    is, and any other is copied once.
+    is, and any other is copied once.  ``blockdiag.decompose`` conjugates
+    in this buffer, so it consumes the matrix.
     """
 
     d: int
@@ -389,8 +393,8 @@ class SuperOperatorMatrix:
             raise ValueError(f"kind must be 'channel' or 'generator', got {self.kind!r}")
         dim = (self.d * self.d) ** self.n
         m = np.asarray(self.matrix)
-        # F order, so that the transpose blockdiag.to_schur_frame works on is
-        # C order, every row contiguous, also in place (overwrite=True)
+        # F order, so that the transpose blockdiag.to_schur_frame conjugates
+        # in place is C order, every row contiguous
         m = np.asfortranarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
         if m.shape != (dim, dim):
             raise DimensionMismatchError(f"matrix shape {m.shape} != ({dim}, {dim})")
@@ -411,7 +415,7 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     ``one_sided`` is the pair (A, A') or None.  The map is sum_j L_j X R_j
     over the pairs (F, F^dag), plus (A, I) and (I, A') for a generator.
     The columns are formed one shift group at a time: the D = d**n strings
-    with plan position k*D + s for one s, B_b = lam_b diag(w[k_b]) P_s with
+    with table position k*D + s for one s, B_b = lam_b diag(w[k_b]) P_s with
     w = W^{(x)n} and P_s the permutation R -> col_s(R), whose images are
 
         lam_b sum_R w[k_b, R] T_s[R],  T_s[R, i, m] = sum_j L_j[i, R] R_j[col_s(R), m].
@@ -425,17 +429,16 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     besides the group's gather of the F^dag rows (K D**2 entries).  Each image is vectorized by its own
     ``vectorize`` call into one row of M^T: the matrix comes out in F order.
 
-    With Hermitian letters (the plan's ``real``, d = 2) the result is
+    With Hermitian letters (the basis's ``real``, d = 2) the result is
     float64: each row keeps the real part of its vector, and the largest
     imaginary part dropped must stay within IMAGINARY_PART_TOL * max|M|,
     plus HERMITICITY_TOL when ``one_sided`` carries a Hamiltonian (see the
     module docstring).
     """
-    plan = basis.vectorize_plan
     D = basis.d**basis.n
-    real = plan.real
-    # the plan holds the halves of conj(w); at d = 2 they are real
-    w_outer, w_inner = np.conj(plan.w_outer), np.conj(plan.w_inner)
+    real = basis.real
+    # the basis holds the halves of conj(w); at d = 2 they are real
+    w_outer, w_inner = np.conj(basis.w_outer), np.conj(basis.w_inner)
     D1, D2 = len(w_outer), len(w_inner)
     if not np.any(S.imag):
         S = S.real
@@ -447,13 +450,13 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     left = np.ascontiguousarray(S.transpose(2, 1, 0))
     right = np.ascontiguousarray(S.conj().transpose(2, 0, 1), dtype=T.dtype)
     R = np.arange(D)
-    # labels[k, s]: the string at plan position k*D + s
-    labels = np.argsort(plan.order).reshape(D, D)
+    # labels[k, s]: the string at table position k*D + s
+    labels = np.argsort(basis.order).reshape(D, D)
     out = np.empty((basis.dim, basis.dim), dtype=np.float64 if real else np.complex128)
     imag = np.empty((D, basis.dim)) if real else None
     dropped = []  # per group: the largest imaginary part dropped
     for s in range(D):
-        col = plan.col_s[s]
+        col = basis.col_s[s]
         if left.dtype == T.dtype:
             np.matmul(left, right[col], out=T)
         else:
@@ -470,7 +473,7 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
         np.matmul(w_outer, Yv.reshape(D1, -1), out=Tv.reshape(D1, -1))
         for k, b in enumerate(labels[:, s]):
             v = vectorize(T[k], basis)
-            v *= plan.lam[b]
+            v *= basis.lam[b]
             if real:
                 out[b] = v.real
                 imag[k] = v.imag
@@ -508,12 +511,12 @@ def lindblad_superop(lind: Lindbladian, basis: OperatorBasis) -> SuperOperatorMa
     """Matrix of the generator rho -> -i[H, rho] + sum_k D[L_k](rho).
 
     Written as rho -> A rho + rho A' + sum_k L_k rho L_k^dag with
-    A = -iH - K/2, A' = iH - K/2 and K = sum_k L_k^dag L_k.
+    A = -iH - K/2, A' = iH - K/2 and K = sum_k L_k^dag L_k, the sum the
+    generator checked on construction.
     """
     _check_channel_basis(lind, basis)
-    H, jumps = lind.hamiltonian, lind.jump_ops
-    K = sum((L.conj().T @ L for L in jumps), np.zeros_like(H))
-    out = _letter_superop(basis, jumps, (-1j * H - 0.5 * K, 1j * H - 0.5 * K))
+    H, K = lind.hamiltonian, lind._sink
+    out = _letter_superop(basis, lind.jump_ops, (-1j * H - 0.5 * K, 1j * H - 0.5 * K))
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="generator", matrix=out)
 
 
@@ -557,9 +560,13 @@ def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindb
     """The generator of ``jumps`` and the transverse-field Ising Hamiltonian:
     field h_x on every site plus uniform all-to-all coupling J on every pair
     (for three sites the all-to-all and nearest-neighbour rings agree), its
-    terms summed in ``itertools.combinations`` order."""
+    terms summed in ``itertools.combinations`` order.  A sum that overflows
+    float64 is a ValueError naming h_x and J."""
     terms = [h_x * T for T in _orbit(n, 1, _X)[::-1]] + [J * T for T in _orbit(n, 2, _Z)[::-1]]
-    H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"Hamiltonian: the h_x = {h_x:g} and J = {J:g} terms sum past float64")
     return Lindbladian(2, n, H, jumps)
 
 

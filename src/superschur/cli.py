@@ -281,10 +281,9 @@ def _input_echo(args, channel, builder) -> dict:
 def _pipeline(channel, tol: float):
     """Certificate, basis and block decomposition for a channel.
 
-    The letter-basis superoperator is not read after the decomposition, so
-    it is conjugated in place (``overwrite=True``): its buffer becomes the
-    frame matrix (``superop.matrix`` then reads it transposed), and the
-    whole pipeline holds one dense array of the Liouville dimension squared.
+    ``decompose`` conjugates the letter-basis superoperator in place: its
+    buffer becomes the frame matrix, and the whole pipeline holds one dense
+    array of the Liouville dimension squared.
     """
     ob = operator_basis(channel.d, channel.n)
     t0 = time.perf_counter()
@@ -297,7 +296,7 @@ def _pipeline(channel, tol: float):
     t1 = time.perf_counter()
     basis = super_schur_basis(channel.d, channel.n)
     t2 = time.perf_counter()
-    decomp = decompose(superop, basis, tol=tol, overwrite=True)
+    decomp = decompose(superop, basis, tol=tol)
     t3 = time.perf_counter()
     times = {"superoperator": t1 - t0, "basis": t2 - t1, "decompose": t3 - t2}
     return cert, basis, decomp, times

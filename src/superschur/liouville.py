@@ -9,21 +9,19 @@ writes an operator as its coefficient vector in that basis, so
 superoperators become ordinary matrices acting on letter-string
 coordinates.
 
-Vectorization runs from a plan built once per basis, which is also the
-basis's one monomial table.  Both follow from one table per d that writes
-each letter as ``c X^j Z^k`` (:func:`single_site_letters`): every letter
-is monomial (one nonzero per row and column), the d*d letters fall into d
-groups that share one permutation of the columns (one per shift j), and
-the phases of the letters with clock power k are ``lambda W[k]`` with W
-the diagonals of the clock powers (the +-1 Hadamard matrix for the
-Paulis, the Fourier matrix for clock-shift letters).  The string with
-groups s and clock powers k then has its nonzero in row R at column
-``col_s(R)``, with value ``Lambda W^{(x)n}[k, R]``, which the plan's
-``rows`` gives per string; the superoperator kernel takes the D strings of
-one group s together.  Its coefficient of X is
-``conj(Lambda) / d**n * sum_R conj(W^{(x)n})[k, R] X[R, col_s(R)]``: one
-gather of X, one product with ``conj(W)^{(x)n}`` (taken as two products
-with its Kronecker halves) and one gather with phases into letter order.
+A basis is its monomial table (:class:`OperatorBasis`), the one table of
+letter strings that vectorization and the superoperator kernel read.  It
+follows from one table per d that writes each letter as ``c X^j Z^k``
+(:func:`single_site_letters`): every letter is monomial (one nonzero per
+row and column), the d*d letters fall into d groups that share one
+permutation of the columns (one per shift j), and the phases of the
+letters with clock power k are ``lambda W[k]`` with W the diagonals of the
+clock powers (the +-1 Hadamard matrix for the Paulis, the Fourier matrix
+for clock-shift letters).  So vectorizing X is one gather of X, one
+product with ``conj(W)^{(x)n}`` (taken as two products with its Kronecker
+halves) and one gather with phases into letter order, and the kernel
+takes the D strings of one shift group together.  Dense letter strings
+are built only by ``superschur.oracle``.
 
 :func:`operator_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call; the size guard
@@ -124,40 +122,91 @@ def single_site_letters(d: int) -> list[np.ndarray]:
     return letters
 
 
+def _strings(base: int, n: int) -> np.ndarray:
+    """Every string of n digits below ``base``, one per row, in
+    lexicographic order."""
+    return np.asarray(list(itertools.product(range(base), repeat=n)), dtype=np.intp).reshape(-1, n)
+
+
+# a field set from (d, n) by __post_init__
+_derived = functools.partial(field, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Tensor-product letter basis of the operator space of n qudits.
+    """Tensor-product letter basis of the operator space of n qudits, held
+    as its monomial table.
 
-    Element a is the tensor product of the single-site letters
-    (:func:`single_site_letters`) indexed by the digits of the
-    lexicographically ordered letter string ``labels[a]``; element 0 is the
-    identity.  Everything is a function of (d, n): the letters, the labels
-    and the vectorize plan, the basis's one monomial table, which
-    :func:`vectorize` and the superoperator kernel both read, are built on
-    construction, after the size guard.  The instance is frozen, its
-    containers are tuples and its arrays read-only, so a basis shared
-    between callers cannot be edited.
+    Element b is the tensor product of the single-site letters
+    (:func:`single_site_letters`) indexed by the base-d*d digits of b, most
+    significant first: the letter strings in lexicographic order, element 0
+    the identity.  Letter a = ``c_a X^j Z^k`` has its entry in row r at
+    column ``(r + g(a)) mod d`` with ``g(a) = -j mod d``, and that entry is
+    ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
+    row 0) and W the clock powers.  So a string b with groups s and clock
+    powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
+    which :meth:`rows` reads off, W^{(x)n} being the conjugate of the
+    Kronecker product of the halves ``w_outer`` and ``w_inner``, and
+    ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
+    ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
+
+    The table is built on construction, after the size guard.  The instance
+    is frozen and its arrays read-only, so a basis shared between callers
+    cannot be edited, and two bases compare equal by (d, n).
     """
 
     d: int
     n: int
-    letters: tuple[np.ndarray, ...] = field(init=False, compare=False)
-    labels: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    vectorize_plan: _VectorizePlan = field(init=False, compare=False, repr=False)
+    col_s: np.ndarray = _derived()  # (D, D): col_s[s, R] = col_s(R)
+    lam: np.ndarray = _derived()  # (dim,) Lambda_b
+    gather: np.ndarray = _derived()  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
+    w_outer: np.ndarray = _derived()  # conj(W)^{(x) ceil(n/2)}, float64 when W is real
+    w_inner: np.ndarray = _derived()  # conj(W)^{(x) floor(n/2)}
+    real: bool = _derived()  # W is real (d = 2): vectorize and the kernel take real products
+    order: np.ndarray = _derived()  # (dim,) flat position k*D + s of each string in T
+    phase: np.ndarray = _derived()  # (dim,) conj(Lambda_b) / D
 
     def __post_init__(self) -> None:
         d, n = self.d, self.n
         check_liouville_dim(d, n)
-        object.__setattr__(self, "letters", _read_only(*single_site_letters(d)))
-        object.__setattr__(self, "labels", tuple(itertools.product(range(d * d), repeat=n)))
-        object.__setattr__(self, "vectorize_plan", _VectorizePlan.build(d, n))
+        D = d**n
+        shift, power, c = _letter_table(d)
+        W = _clock_powers(d)
+        group = -shift % d
+        Wc = np.conj(W)
+        real = not np.any(Wc.imag)
+        if real:
+            Wc = np.ascontiguousarray(Wc.real)
+        one = np.ones((1, 1), dtype=Wc.dtype)
+        labels = _strings(d * d, n)
+        place = d ** np.arange(n - 1, -1, -1)
+        digits = _strings(d, n)
+        # digit i of col_s(R) is (R_i + s_i) mod d
+        col_s = ((digits[:, None, :] + digits[None, :, :]) % d) @ place
+        lam = np.prod((c * W[power, group])[labels], axis=1)
+        table = dict(
+            col_s=col_s, lam=lam, real=real,
+            gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
+            w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
+            w_inner=reduce(np.kron, [Wc] * (n // 2), one),
+            order=(power[labels] @ place) * D + group[labels] @ place,
+            phase=np.conj(lam) / D,
+        )
+        for name, value in table.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return (self.d * self.d) ** self.n
 
-    def element_matrix(self, a: int) -> np.ndarray:
-        return reduce(np.kron, (self.letters[i] for i in self.labels[a]))
+    def rows(self, strings: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(column index, value) of the nonzero in each row of the letter
+        strings ``strings``, each of shape (c, d**n)."""
+        k, s = np.divmod(self.order[strings], len(self.col_s))
+        w = np.conj(np.kron(self.w_outer, self.w_inner))
+        return self.col_s[s], self.lam[strings, None] * w[k]
 
 
 def operator_basis(d: int, n: int) -> OperatorBasis:
@@ -182,85 +231,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _strings(base: int, n: int) -> np.ndarray:
-    """Every string of n digits below ``base``, one per row, in
-    lexicographic order."""
-    return np.asarray(list(itertools.product(range(base), repeat=n)), dtype=np.intp).reshape(-1, n)
-
-
-@dataclass(frozen=True)
-class _VectorizePlan:
-    """The monomial table of the letter strings of (d, n), and the
-    transforms that :func:`vectorize` runs.
-
-    Letter a = ``c_a X^j Z^k`` has its entry in row r at column
-    ``(r + g(a)) mod d`` with ``g(a) = -j mod d``, and that entry is
-    ``lambda_a W[k, r]`` with ``lambda_a = c_a W[k, g(a)]`` (its entry in
-    row 0) and W the clock powers.  So a string b with groups s and clock
-    powers k has the entry ``Lambda_b W^{(x)n}[k, R]`` at ``(R, col_s(R))``,
-    which :meth:`rows` reads off, W^{(x)n} being the conjugate of the
-    Kronecker product of the halves ``w_outer`` and ``w_inner``, and
-    ``<B_b, X> = conj(Lambda_b) / D * T[k, s]`` with
-    ``T = conj(W)^{(x)n} G`` and ``G[R, s] = X[R, col_s(R)]``.
-    """
-
-    col_s: np.ndarray  # (D, D): col_s[s, R] = col_s(R)
-    lam: np.ndarray  # (dim,) Lambda_b
-    gather: np.ndarray  # (D*D,) flat index into X: G[R, s] = X[R, col_s(R)]
-    w_outer: np.ndarray  # conj(W)^{(x) ceil(n/2)}, float64 when W is real
-    w_inner: np.ndarray  # conj(W)^{(x) floor(n/2)}
-    real: bool
-    order: np.ndarray  # (dim,) flat position k*D + s of each label in T
-    phase: np.ndarray  # (dim,) conj(Lambda_b) / D
-
-    def __post_init__(self) -> None:
-        _read_only(self.col_s, self.lam, self.gather)
-        _read_only(self.w_outer, self.w_inner, self.order, self.phase)
-
-    @classmethod
-    def build(cls, d: int, n: int) -> _VectorizePlan:
-        D = d**n
-        shift, power, c = _letter_table(d)
-        W = _clock_powers(d)
-        group = -shift % d
-        Wc = np.conj(W)
-        real = not np.any(Wc.imag)
-        if real:
-            Wc = np.ascontiguousarray(Wc.real)
-        one = np.ones((1, 1), dtype=Wc.dtype)
-        labels = _strings(d * d, n)
-        place = d ** np.arange(n - 1, -1, -1)
-        digits = _strings(d, n)
-        # digit i of col_s(R) is (R_i + s_i) mod d
-        col_s = ((digits[:, None, :] + digits[None, :, :]) % d) @ place
-        lam = np.prod((c * W[power, group])[labels], axis=1)
-        return cls(
-            col_s=col_s,
-            lam=lam,
-            gather=(np.arange(D)[:, None] * D + col_s.T).reshape(-1),
-            w_outer=reduce(np.kron, [Wc] * ((n + 1) // 2), one),
-            w_inner=reduce(np.kron, [Wc] * (n // 2), one),
-            real=real,
-            order=(power[labels] @ place) * D + group[labels] @ place,
-            phase=np.conj(lam) / D,
-        )
-
-    def rows(self, labels: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(column index, value) of the nonzero in each row of the strings
-        ``basis.labels[labels]``, each of shape (c, d**n)."""
-        k, s = np.divmod(self.order[labels], len(self.col_s))
-        w = np.conj(np.kron(self.w_outer, self.w_inner))
-        return self.col_s[s], self.lam[labels, None] * w[k]
-
-
 def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Coefficient vector of the d**n x d**n array ``matrix`` in the letter
-    basis.
-
-    Runs the basis's cached :class:`_VectorizePlan`: one gather of the
-    matrix, two small products with the Kronecker halves of
-    ``conj(W)^{(x)n}`` (real at d = 2) and one gather with phases into
-    letter order.  A matrix of another shape raises
+    basis, read off by the basis's monomial table (real products with
+    ``conj(W)^{(x)n}`` at d = 2).  A matrix of another shape raises
     DimensionMismatchError.
     """
     X = np.asarray(matrix, dtype=np.complex128)
@@ -270,14 +244,13 @@ def vectorize(matrix: np.ndarray, basis: OperatorBasis) -> np.ndarray:
             f"matrix shape {X.shape} does not match basis (d={basis.d}, n={basis.n}): "
             f"need ({D}, {D})"
         )
-    p = basis.vectorize_plan
-    D1, D2 = p.w_outer.shape[0], p.w_inner.shape[0]
-    G = X.ravel().take(p.gather)
-    if p.real:
+    D1, D2 = basis.w_outer.shape[0], basis.w_inner.shape[0]
+    G = X.ravel().take(basis.gather)
+    if basis.real:
         # a complex row is a row of (re, im) pairs, so the real W acts on
         # real and imaginary parts in one real product
         G = G.view(np.float64)
-    T = p.w_outer @ (p.w_inner @ G.reshape(D1, D2, -1)).reshape(D1, -1)
-    if p.real:
+    T = basis.w_outer @ (basis.w_inner @ G.reshape(D1, D2, -1)).reshape(D1, -1)
+    if basis.real:
         T = T.view(np.complex128)
-    return T.ravel().take(p.order) * p.phase
+    return T.ravel().take(basis.order) * basis.phase

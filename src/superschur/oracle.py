@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .combinatorics import Partition
 from .errors import DimensionMismatchError
-from .liouville import OperatorBasis, check_liouville_dim
+from .liouville import OperatorBasis, check_liouville_dim, single_site_letters
 from .permutations import all_permutations, check_permutation, string_index_map
 from .schur import SuperSchurBasis, irrep_matrices
 
@@ -89,6 +90,14 @@ def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> Permuta
     )
 
 
+def letter_string_matrix(basis: OperatorBasis, b: int) -> np.ndarray:
+    """Dense d**n x d**n matrix of letter string b: the Kronecker product of
+    the letters :func:`superschur.liouville.single_site_letters` names by
+    the base-d*d digits of b, most significant first."""
+    letters = single_site_letters(basis.d)
+    return reduce(np.kron, [letters[a] for a in np.unravel_index(b, (basis.d**2,) * basis.n)])
+
+
 def devectorize(v: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Inverse of :func:`superschur.liouville.vectorize`, as a d**n x d**n array."""
     v = np.asarray(v, dtype=np.complex128)
@@ -98,7 +107,7 @@ def devectorize(v: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     q = d * d
     # N[a, s] = letter_a[s]; the coefficients are <letter_a, op>, so by
     # letter orthonormality contracting every site with N rebuilds op
-    N = np.stack([letter.reshape(-1) for letter in basis.letters])
+    N = np.stack([letter.reshape(-1) for letter in single_site_letters(d)])
     t = v.reshape((q,) * n)
     for k in range(n):
         t = np.moveaxis(np.tensordot(N, t, axes=(0, k)), 0, k)

@@ -33,7 +33,8 @@ from .channels import (
 )
 from .combinatorics import Partition, partitions, syt_dimension, weyl_dimension
 from .liouville import operator_basis, vectorize
-from .oracle import devectorize, matrix_unit, permutation_in_schur, permutation_matrix
+from .oracle import devectorize, letter_string_matrix, matrix_unit, permutation_in_schur
+from .oracle import permutation_matrix
 from .permutations import adjacent_transpositions
 from .schur import super_schur_basis
 
@@ -84,7 +85,7 @@ def _letter_basis_orthonormal() -> float:
     deviations = []
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1)]:
         ob = operator_basis(d, n)
-        E = np.stack([ob.element_matrix(a).ravel() for a in range(ob.dim)])
+        E = np.stack([letter_string_matrix(ob, b).ravel() for b in range(ob.dim)])
         G = E.conj() @ E.T / d**n
         deviations.append(np.max(np.abs(G - np.eye(ob.dim))))
     return float(np.max(deviations))
@@ -92,15 +93,15 @@ def _letter_basis_orthonormal() -> float:
 
 def _letter_table() -> float:
     """Largest difference between each letter string's dense matrix and the
-    monomial the vectorize plan's ``rows`` give it, zero elsewhere."""
+    monomial the basis's ``rows`` give it, zero elsewhere."""
     deviations = []
     for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]:
         ob = operator_basis(d, n)
-        cols, vals = ob.vectorize_plan.rows(slice(None))
+        cols, vals = ob.rows(slice(None))
         D = d**n
         planned = np.zeros((ob.dim, D, D), dtype=np.complex128)
         planned[np.arange(ob.dim)[:, None], np.arange(D), cols] = vals
-        dense = np.stack([ob.element_matrix(a) for a in range(ob.dim)])
+        dense = np.stack([letter_string_matrix(ob, b) for b in range(ob.dim)])
         deviations.append(np.max(np.abs(dense - planned)))
     return float(np.max(deviations))
 
@@ -278,11 +279,13 @@ def _blockwise_exp_dense_n3() -> float:
     basis = super_schur_basis(2, 3)
     lind = example_channel("single_jump", n=3, gamma1=1.0, h_x=1.0, J=1.0)
     G = lindblad_superop(lind, operator_basis(2, 3))
+    # decompose consumes G, so the dense exponentials come first
+    dense = {t: expm(t * G.matrix) for t in (0.1, 1.0)}
     decomp = decompose(G, basis)
     U = basis.unitary
     return float(np.max([
-        np.max(np.abs(U @ blockwise_exp(decomp, t).schur_matrix @ U.T - expm(t * G.matrix)))
-        for t in (0.1, 1.0)
+        np.max(np.abs(U @ blockwise_exp(decomp, t).schur_matrix @ U.T - E))
+        for t, E in dense.items()
     ]))
 
 

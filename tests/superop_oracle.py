@@ -18,6 +18,7 @@ from superschur.channels import (
     _check_channel_basis,
 )
 from superschur.liouville import OperatorBasis, vectorize
+from superschur.oracle import letter_string_matrix
 
 
 def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperOperatorMatrix:
@@ -27,7 +28,7 @@ def kraus_superop_columns(channel: KrausChannel, basis: OperatorBasis) -> SuperO
     mats = list(channel.kraus_ops)
     out = np.empty((dim, dim), dtype=np.complex128)
     for a in range(dim):
-        B = basis.element_matrix(a)
+        B = letter_string_matrix(basis, a)
         image = sum(F @ B @ F.conj().T for F in mats)
         out[:, a] = vectorize(image, basis)
     return SuperOperatorMatrix(d=basis.d, n=basis.n, kind="channel", matrix=out)
@@ -42,7 +43,7 @@ def lindblad_superop_columns(lind: Lindbladian, basis: OperatorBasis) -> SuperOp
     sinks = [L.conj().T @ L for L in jumps]
     out = np.empty((dim, dim), dtype=np.complex128)
     for a in range(dim):
-        B = basis.element_matrix(a)
+        B = letter_string_matrix(basis, a)
         image = -1j * (H @ B - B @ H)
         for L, K in zip(jumps, sinks):
             image += L @ B @ L.conj().T - 0.5 * (K @ B + B @ K)

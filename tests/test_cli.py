@@ -395,6 +395,26 @@ def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
     assert "Hamiltonian too large: sum |H_ij|^2 is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, param, message",
+    [
+        ("transverse_ising", "J",
+         "builder: Hamiltonian: the h_x = 1 and J = 1e+308 terms sum past float64"),
+        ("single_jump", "h_x", "Hamiltonian too large: sum |H_ij|^2 is not finite in float64"),
+    ],
+    ids=["J", "h_x"],
+)
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
+def test_builder_hamiltonian_past_float64_exit_2(command, name, param, message, tmp_path, capsys):
+    # J = 1e308 on every pair sums past float64; h_x = 1e308 on every site
+    # stays finite entrywise but overflows sum |H_ij|^2
+    spec = builder_doc(tmp_path / "big_h.json", name, "lindblad", **{param: 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def overflowing_generator(path, case):
     """Generators whose checks pass but whose superoperator overflows
     float64: one qutrit jump with one entry 1.2e154, whose Tr L^dag L is

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from superschur import (
 )
 from superschur import liouville
 from superschur.liouville import OperatorBasis
-from superschur.oracle import devectorize, permutation_matrix
+from superschur.oracle import devectorize, letter_string_matrix, permutation_matrix
 from superschur.permutations import all_permutations, compose
 
 from vectorize_oracle import monomial_letters, string_monomials
@@ -57,27 +58,36 @@ def test_single_site_letters_unitary_and_orthonormal(d):
 
 def test_operator_basis_single_qubit_is_pauli():
     basis = operator_basis(2, 1)
-    assert basis.labels == ((0,), (1,), (2,), (3,))
+    assert basis.dim == 4
     for a, want in enumerate((I2, X, Y, Z)):
-        assert np.array_equal(basis.element_matrix(a), want)
+        assert np.array_equal(letter_string_matrix(basis, a), want)
 
 
 def test_operator_basis_two_qubits():
     basis = operator_basis(2, 2)
-    assert basis.dim == len(basis.labels) == 16
-    assert np.array_equal(basis.element_matrix(0), np.eye(4))
-    assert basis.labels == tuple(itertools.product(range(4), repeat=2))
+    assert basis.dim == 16
+    assert np.array_equal(letter_string_matrix(basis, 0), np.eye(4))
     # letter-string (1, 2) is X (x) Y
-    assert np.array_equal(basis.element_matrix(1 * 4 + 2), np.kron(X, Y))
+    assert np.array_equal(letter_string_matrix(basis, 1 * 4 + 2), np.kron(X, Y))
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_operator_basis_gram_is_identity(d, n):
     basis = operator_basis(d, n)
     dim = (d * d) ** n
-    flat = np.array([basis.element_matrix(a).reshape(-1) for a in range(dim)])
+    flat = np.array([letter_string_matrix(basis, a).reshape(-1) for a in range(dim)])
     gram = flat.conj() @ flat.T / d**n
     assert np.max(np.abs(gram - np.eye(dim))) < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_letter_string_matrix_is_the_kronecker_product_of_its_letters(d, n):
+    basis = operator_basis(d, n)
+    letters = single_site_letters(d)
+    for b, string in enumerate(itertools.product(range(d * d), repeat=n)):
+        got = letter_string_matrix(basis, b)
+        want = reduce(np.kron, (letters[a] for a in string))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (b, string)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +103,7 @@ def test_vectorize_identity_and_pure_strings():
 
     v = vectorize(np.kron(np.kron(X, X), Y), basis)
     want = np.zeros(64)
-    want[basis.labels.index((1, 1, 2))] = 1.0
+    want[int("112", 4)] = 1.0
     assert np.max(np.abs(v - want)) < 1e-12
 
 
@@ -131,9 +141,9 @@ def test_devectorize_unit_vector_and_length_check():
 def test_devectorize_known_three_letter_combination():
     basis = operator_basis(2, 3)
     v = np.zeros(64, dtype=np.complex128)
-    v[basis.labels.index((1, 1, 2))] = math.sqrt(2 / 3)
-    v[basis.labels.index((1, 2, 1))] = -math.sqrt(1 / 6)
-    v[basis.labels.index((2, 1, 1))] = -math.sqrt(1 / 6)
+    v[int("112", 4)] = math.sqrt(2 / 3)
+    v[int("121", 4)] = -math.sqrt(1 / 6)
+    v[int("211", 4)] = -math.sqrt(1 / 6)
     want = (
         math.sqrt(2 / 3) * np.kron(np.kron(X, X), Y)
         - math.sqrt(1 / 6) * np.kron(np.kron(X, Y), X)
@@ -240,28 +250,14 @@ def test_operator_basis_is_built_once_per_process():
 
 def test_cached_letter_basis_arrays_are_read_only():
     basis = operator_basis(2, 2)
-    for letter in basis.letters:
-        with pytest.raises(ValueError, match="read-only"):
-            letter[0, 0] = 0
-    plan = basis.vectorize_plan
-    shared = [plan.gather, plan.w_outer, plan.w_inner, plan.order, plan.phase]
-    shared += [plan.col_s, plan.lam]
+    shared = [basis.gather, basis.w_outer, basis.w_inner, basis.order, basis.phase]
+    shared += [basis.col_s, basis.lam]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
-
-
-def test_cached_letter_basis_containers_are_immutable():
-    basis = operator_basis(2, 2)
-    with pytest.raises(AttributeError):
-        basis.letters.pop()
-    with pytest.raises(AttributeError):
-        basis.labels.reverse()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        basis.letters = basis.letters[::-1]
-    again = operator_basis(2, 2)
-    assert len(again.letters) == 4
-    assert again.labels == tuple(itertools.product(range(4), repeat=2))
+        basis.order = basis.order[::-1]
+    assert operator_basis(2, 2).order[0] == 0
 
 
 def test_letter_basis_size_guard_runs_on_a_cache_hit(monkeypatch):
@@ -275,33 +271,34 @@ def test_failed_letter_basis_build_is_not_cached(monkeypatch, fresh_builders):
     class Failed(Exception):
         pass
 
-    def fail(d, n):
+    def fail(d):
         raise Failed
 
     with monkeypatch.context() as m:
-        m.setattr(liouville._VectorizePlan, "build", fail)
+        m.setattr(liouville, "_letter_table", fail)
         with pytest.raises(Failed):
             operator_basis(2, 2)
     basis = operator_basis(2, 2)
-    assert np.array_equal(basis.letters[1], X)
-    assert basis.vectorize_plan.col_s.shape == (4, 4)
+    assert basis.col_s.shape == (4, 4)
     assert operator_basis(2, 2) is basis
 
 
 def test_letter_basis_is_a_function_of_d_and_n():
-    assert [f.name for f in dataclasses.fields(OperatorBasis) if f.init] == ["d", "n"]
+    fields = dataclasses.fields(OperatorBasis)
+    assert [f.name for f in fields if f.init] == [f.name for f in fields if f.compare] == ["d", "n"]
     basis = OperatorBasis(3, 2)
-    assert basis == operator_basis(3, 2)
-    assert basis.labels == operator_basis(3, 2).labels
-    assert all(np.array_equal(a, b) for a, b in zip(basis.letters, operator_basis(3, 2).letters))
+    assert basis is not operator_basis(3, 2)
+    assert basis == operator_basis(3, 2) != OperatorBasis(2, 2)
+    cached = dataclasses.astuple(operator_basis(3, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(dataclasses.astuple(basis), cached))
 
 
 def test_letter_basis_runs_the_size_guard_before_it_allocates(monkeypatch):
     def refuse(*args):
         raise AssertionError("allocated before the size guard ran")
 
-    monkeypatch.setattr(liouville, "single_site_letters", refuse)
-    monkeypatch.setattr(liouville._VectorizePlan, "build", refuse)
+    monkeypatch.setattr(liouville, "_letter_table", refuse)
+    monkeypatch.setattr(liouville, "_strings", refuse)
     with pytest.raises(SizeGuardError, match=re.escape("2**80 for d=2, n=40")):
         OperatorBasis(2, 40)
 
@@ -309,18 +306,18 @@ def test_letter_basis_runs_the_size_guard_before_it_allocates(monkeypatch):
 @pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 4)])
 def test_string_tables_match_site_by_site_tables(d, n):
     basis = operator_basis(d, n)
-    cols, phases = monomial_letters(basis.letters)
-    labels = np.asarray(basis.labels)
+    cols, phases = monomial_letters(single_site_letters(d))
+    labels = np.array(list(itertools.product(range(d * d), repeat=n)))
     chunk = slice(basis.dim // 3, basis.dim // 3 + 7)
-    # The plan writes a letter's phases as lambda_a W[k(a)], off the letter's
+    # The basis writes a letter's phases as lambda_a W[k(a)], off the letter's
     # own by at most eps (exactly 0 for the Paulis).  A product of n unit
     # phases is then off by at most n eps, plus the roundoff of the 2n - 1
-    # complex products the plan takes and the n - 1 the site tables take,
+    # complex products the basis takes and the n - 1 the site tables take,
     # sqrt(5) u each.
-    one = operator_basis(d, 1).vectorize_plan.rows(slice(None))[1]
+    one = operator_basis(d, 1).rows(slice(None))[1]
     eps = np.max(np.abs(one - phases))
     bound = n * eps + (3 * n - 2) * np.sqrt(5) * np.finfo(float).eps / 2
-    got = basis.vectorize_plan.rows(chunk)
+    got = basis.rows(chunk)
     index, phase = string_monomials(cols, phases, labels[chunk])
     assert np.array_equal(got[0], index)
     if d == 2:

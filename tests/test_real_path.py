@@ -127,9 +127,11 @@ def test_superoperator_matrix_keeps_complex_input_complex():
 
 def with_hamiltonian_offset(lind, offset):
     """``lind`` with ``offset`` added to H, built without the Hermiticity
-    check."""
+    check; the jumps, and so their checked sum, are ``lind``'s."""
     H = lind.hamiltonian + offset
-    return unchecked(Lindbladian, d=lind.d, n=lind.n, hamiltonian=H, jump_ops=lind.jump_ops)
+    return unchecked(
+        Lindbladian, d=lind.d, n=lind.n, hamiltonian=H, jump_ops=lind.jump_ops, _sink=lind._sink
+    )
 
 
 def test_hamiltonian_just_inside_hermiticity_tol_is_accepted():

@@ -9,15 +9,15 @@ each site in turn is contracted with the dual letter matrix
 needs no monomial structure, and is kept as a test oracle for
 ``vectorize``.  ``monomial_letters`` and ``string_monomials`` read the
 position and phase of each letter's nonzeros from its dense matrix and
-combine them site by site: the oracle for the plan's ``rows`` and
-``columns``, which the package writes from its letter table instead.
+combine them site by site: the oracle for the basis's ``rows``, which
+the package writes from its letter table instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from superschur.liouville import OperatorBasis
+from superschur.liouville import OperatorBasis, single_site_letters
 
 
 def vectorize_by_sites(op: np.ndarray, basis: OperatorBasis) -> np.ndarray:
@@ -25,7 +25,7 @@ def vectorize_by_sites(op: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     basis, site by site."""
     d, n = basis.d, basis.n
     q = d * d
-    M = np.stack([np.conj(letter.reshape(-1)) / d for letter in basis.letters])
+    M = np.stack([np.conj(letter.reshape(-1)) / d for letter in single_site_letters(d)])
     t = op.reshape((d,) * (2 * n))
     # (i_1..i_n, j_1..j_n) -> (i_1, j_1, ..., i_n, j_n): site k's index is i_k j_k
     t = np.transpose(t, axes=[ax for k in range(n) for ax in (k, n + k)])
