@@ -1,7 +1,8 @@
 """Kraus channels, Lindblad generators, and permutation-symmetry certificates.
 
 A map holds its operators as one read-only complex128 (K, D, D) array,
-D = d**n, copied once on construction; the closure and Gram checks, the
+D = d**n, copied once on construction and put in canonical, Gram-diagonal
+form there (:func:`orthogonalize_kraus`); the closure check, the
 certificate and the superoperator kernel all read that array.
 
 A channel is *strongly* symmetric when every Kraus operator commutes with
@@ -118,41 +119,42 @@ def _orthogonality_bound(G: np.ndarray) -> float:
     return ORTHOGONALITY_TOL * max(1.0, float(np.max(G.diagonal().real, initial=0.0)))
 
 
-def _checked_operator_set(S: np.ndarray, noun: str, symbol: str, hint: str = "") -> np.ndarray:
-    """The sum of F^dag F over the (K, D, D) stack S, read-only, once the
-    set passes its checks; an empty set (K = 0) passes, with sum 0.
-
-    A set whose Gram matrix or that sum overflows float64 is refused as
-    input (ChannelSpecError) instead of reaching the superoperator kernel;
-    a zero operator, or two operators that overlap, breaks an invariant
-    (ChannelInvariantError)."""
+def _canonical(S: np.ndarray, noun: str, symbol: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`orthogonalize_kraus` of the (K, D, D) stack S, and the sum of
+    F^dag F over the result, both read-only (an empty set gives sum 0),
+    from one Gram matrix.  A set whose Gram matrix or sum overflows float64
+    is refused as input (ChannelSpecError) instead of reaching the
+    superoperator kernel."""
+    too_large = ChannelSpecError(f"{noun}s too large: their Gram matrix or sum "
+                                 f"{symbol}^dag {symbol} is not finite in float64")
     with np.errstate(over="ignore", invalid="ignore"):
         G = _gram(S)
-        total = sum((F.conj().T @ F for F in S), np.zeros(S.shape[1:], dtype=np.complex128))
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(total))):
-        raise ChannelSpecError(
-            f"{noun}s too large: their Gram matrix or sum {symbol}^dag {symbol} "
-            "is not finite in float64"
-        )
-    if np.any(G.diagonal().real < _NEGLIGIBLE_NORM_SQ):
-        raise ChannelInvariantError(f"zero {noun}")
-    off = float(np.max(np.abs(G - np.diag(G.diagonal())), initial=0.0))
-    if off > _orthogonality_bound(G):
-        raise ChannelInvariantError(f"{noun}s not mutually orthogonal: max overlap {off:.3e}{hint}")
-    total.flags.writeable = False
-    return total
+        if not np.all(np.isfinite(G)):
+            raise too_large
+        off = float(np.max(np.abs(G - np.diag(G.diagonal())), initial=0.0))
+        if off <= _orthogonality_bound(G):
+            keep = G.diagonal().real > _NEGLIGIBLE_NORM_SQ
+            C = S if keep.all() else S[keep]
+        else:
+            w, W = np.linalg.eigh(G)
+            kept = [a for a in reversed(range(len(S))) if w[a] > _NEGLIGIBLE_NORM_SQ]
+            C = np.array([np.tensordot(W[:, a], S, axes=(0, 0)) for a in kept])
+        total = sum((F.conj().T @ F for F in C), np.zeros(S.shape[1:], dtype=np.complex128))
+    if not np.all(np.isfinite(total)):
+        raise too_large
+    C.flags.writeable = total.flags.writeable = False
+    return C, total
 
 
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map in canonical Kraus form.
 
-    The operators must close to the identity and be mutually orthogonal
-    under the normalized trace pairing (every orthogonal Kraus set
-    diagonalizes the process matrix, so this is a choice of canonical
-    representative, not a restriction -- see orthogonalize_kraus).
-    ``kraus_ops`` is held as one read-only complex128 (K, D, D) array,
-    D = d**n, copied from the matrices given.  ``closure_deviation``,
+    The operators must close to the identity and need not be mutually
+    orthogonal: ``kraus_ops`` holds their canonical form
+    (:func:`orthogonalize_kraus`), which diagonalizes the process matrix
+    without changing the map, as one read-only complex128 (K, D, D) array,
+    D = d**n; K counts the canonical operators.  ``closure_deviation``,
     max |sum F^dag F - I|, is measured once, on construction.
     """
 
@@ -165,8 +167,8 @@ class KrausChannel:
         ops = _operator_stack(self.d, self.n, self.kraus_ops, "Kraus operator {}")
         if not len(ops):
             raise ChannelInvariantError("channel needs at least one Kraus operator")
+        ops, closure = _canonical(ops, "Kraus operator", "F")
         object.__setattr__(self, "kraus_ops", ops)
-        closure = _checked_operator_set(ops, "Kraus operator", "F", "; run orthogonalize_kraus first")
         dev = float(np.max(np.abs(closure - np.eye(self.d**self.n))))
         if not dev <= CLOSURE_TOL:
             raise ChannelInvariantError(
@@ -179,10 +181,11 @@ class KrausChannel:
 class Lindbladian:
     """A Markovian generator: Hermitian Hamiltonian plus jump operators.
 
-    Jump operators are kept traceless and mutually orthogonal, the
-    standard gauge in which the generator's decomposition is unique.
-    ``hamiltonian`` is held as a read-only (D, D) array and ``jump_ops``
-    as a (K, D, D) array, K >= 0, as KrausChannel holds its operators.
+    Jump operators must be traceless; they need not be mutually
+    orthogonal.  ``jump_ops`` holds them in the canonical form KrausChannel
+    gives its operators, the standard gauge in which the generator's
+    decomposition is unique, as a read-only (K, D, D) array, K >= 0;
+    ``hamiltonian`` is a read-only (D, D) array.
 
     Construction also refuses a generator too large for float64: with
     D = d**n, tau = Tr K for K = sum_k L_k^dag L_k and eta = ||H||_F, it
@@ -216,12 +219,13 @@ class Lindbladian:
         if herm > HERMITICITY_TOL:
             raise ChannelInvariantError(f"Hamiltonian not Hermitian: {herm:.3e}")
         ops = _operator_stack(self.d, self.n, self.jump_ops, "jump operator {}")
-        object.__setattr__(self, "jump_ops", ops)
         for k, L in enumerate(ops):
             tr = abs(np.trace(L)) / self.d**self.n
             if tr > TRACELESS_TOL:
                 raise ChannelInvariantError(f"jump operator {k} not traceless: {tr:.3e}")
-        object.__setattr__(self, "_sink", _checked_operator_set(ops, "jump operator", "L"))
+        ops, sink = _canonical(ops, "jump operator", "L")
+        object.__setattr__(self, "jump_ops", ops)
+        object.__setattr__(self, "_sink", sink)
         with np.errstate(over="ignore"):
             tau = float(np.trace(self._sink).real)
         if not math.isfinite(2.0 * self.d ** (2 * self.n) * (tau + math.sqrt(size))):
@@ -231,30 +235,18 @@ class Lindbladian:
 
 
 def orthogonalize_kraus(d: int, n: int, matrices) -> list[np.ndarray]:
-    """Rotate a Kraus list into canonical mutually orthogonal form.
+    """The canonical form KrausChannel and Lindbladian give their operators,
+    as read-only matrices: Gram-diagonal, with no negligible operator.
 
-    Diagonalizing the Gram matrix of the operators recombines them by a
-    unitary, which never changes the channel; the output operators are
-    eigenvectors of the process matrix, ordered by decreasing weight.
-    Near-zero operators are dropped, and orthogonal lists are returned
-    unchanged.  The matrices are read as KrausChannel reads them, and a
-    list whose Gram matrix overflows float64 is a ChannelSpecError.
+    A list whose overlaps are within :func:`_orthogonality_bound` is kept
+    as given, less its negligible operators; any other is recombined by
+    the unitary that diagonalizes its Gram matrix, which never changes the
+    map, into eigenvectors of the process matrix, largest weight first.
+    The matrices are read as KrausChannel reads them, and a list whose
+    Gram matrix or sum F^dag F overflows float64 is a ChannelSpecError.
     """
     S = _operator_stack(d, n, matrices, "operator {}")
-    if not len(S):
-        return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = _gram(S)
-    if not np.all(np.isfinite(G)):
-        raise ChannelSpecError("operators too large: their Gram matrix is not finite in float64")
-    diag = np.diag(G).real
-    off = np.max(np.abs(G - np.diag(diag))) if len(S) > 1 else 0.0
-    if off <= 1e-12 * max(1.0, diag.max(initial=0.0)):
-        return [m for m, w in zip(S, diag) if w > _NEGLIGIBLE_NORM_SQ]
-    w, W = np.linalg.eigh(G)
-    # largest weight first
-    kept = [a for a in reversed(range(len(S))) if w[a] > _NEGLIGIBLE_NORM_SQ]
-    return [np.tensordot(W[:, a], S, axes=(0, 0)) for a in kept]
+    return list(_canonical(S, "operator", "F")[0])
 
 
 def _psd_sqrt(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -548,24 +540,25 @@ def _orbit(n: int, k: int, one: np.ndarray, rest: np.ndarray = _I) -> list[np.nd
 
 def _channel(n: int, ops: list[np.ndarray]) -> KrausChannel:
     """The channel of a contractive set ``ops``, completed by the Kraus
-    operator sqrt(I - sum F^dag F) unless that remainder is negligible, in
-    canonical orthogonal form."""
+    operator sqrt(I - sum F^dag F) unless that remainder is negligible."""
     R = np.eye(2**n, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
     if not np.max(np.abs(R)) < 1e-14:
         ops = ops + [_psd_sqrt(R)]
-    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
+    return KrausChannel(2, n, ops)
 
 
 def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindbladian:
     """The generator of ``jumps`` and the transverse-field Ising Hamiltonian:
     field h_x on every site plus uniform all-to-all coupling J on every pair
     (for three sites the all-to-all and nearest-neighbour rings agree), its
-    terms summed in ``itertools.combinations`` order.  A sum that overflows
-    float64 is a ValueError naming h_x and J."""
+    terms summed in ``itertools.combinations`` order.  A sum whose
+    sum |H_ij|^2 overflows float64, the rule Lindbladian applies, is a
+    ValueError naming h_x and J."""
     terms = [h_x * T for T in _orbit(n, 1, _X)[::-1]] + [J * T for T in _orbit(n, 2, _Z)[::-1]]
     with np.errstate(over="ignore", invalid="ignore"):
         H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
-    if not np.all(np.isfinite(H)):
+        size = np.vdot(H, H).real
+    if not np.isfinite(size):
         raise ValueError(f"Hamiltonian: the h_x = {h_x:g} and J = {J:g} terms sum past float64")
     return Lindbladian(2, n, H, jumps)
 
@@ -588,7 +581,7 @@ def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
 def _build_single_site_damping(n: int, p: float = 0.5) -> KrausChannel:
     # One site damps at a time; the 1/sqrt(n) weight restores closure.
     ops = [F / math.sqrt(n) for f in _damping_pair(p) for F in _orbit(n, 1, f)]
-    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
+    return KrausChannel(2, n, ops)
 
 
 def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
@@ -596,7 +589,7 @@ def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
     # permutation orbits of the patterns f1^k f0^(n-k).
     f0, f1 = _damping_pair(p)
     ops = [F for k in range(n + 1) for F in _orbit(n, k, f1, f0)]
-    return KrausChannel(2, n, orthogonalize_kraus(2, n, ops))
+    return KrausChannel(2, n, ops)
 
 
 def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
@@ -623,9 +616,9 @@ def _build_collective_jump(
         _check_rate(name, rate)
         if rate > 0.0:
             jumps.append(math.sqrt(rate) * sum(_orbit(n, k, _LOWER)))
-    # at n = 2 the pair sum and the all-sites product coincide; the Gram
-    # rotation merges parallel jumps without changing the dissipator
-    return _lindbladian(n, orthogonalize_kraus(2, n, jumps), h_x, J)
+    # at n = 2 the pair sum and the all-sites product coincide; the
+    # Lindbladian's Gram rotation merges them without changing the dissipator
+    return _lindbladian(n, jumps, h_x, J)
 
 
 def _build_transverse_ising(n: int, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
@@ -661,7 +654,8 @@ def example_channel(name: str, n: int = 3, **params):
     (``gamma1`` .. ``gamma5``) and Hamiltonian couplings ``h_x``, ``J``.
     A parameter the family does not take is a ValueError that names the
     ones it does, and so is a value that is not a real number finite in
-    float64 (a bool is not a number), naming the parameter.
+    float64 (a bool is not a number), naming the parameter.  The map holds
+    the family's operators in canonical form.
     """
     if name not in EXAMPLE_CHANNELS:
         known = ", ".join(sorted(EXAMPLE_CHANNELS))
@@ -696,7 +690,7 @@ def _param_problem(value) -> str | None:
 # Channel description files
 
 
-_TOP_KEYS = {"d", "n", "kind", "operators", "hamiltonian", "builder", "orthogonalize"}
+_TOP_KEYS = {"d", "n", "kind", "operators", "hamiltonian", "builder"}
 
 
 def _require_int(doc: dict, key: str, minimum: int) -> int:
@@ -784,9 +778,10 @@ def channel_from_dict(doc):
     Accepted fields: ``d``, ``n``, ``kind`` ("kraus" | "lindblad"), and
     exactly one of ``operators`` (list of matrices, entries as [re, im]
     pairs) or ``builder`` ({"name", "params"} invoking example_channel).
-    A Lindbladian may add ``hamiltonian``; ``orthogonalize: true`` runs
-    the operator list through orthogonalize_kraus first.  A ``d``, ``n``
-    over the size guard raises SizeGuardError before anything is built.
+    A Lindbladian may add ``hamiltonian``.  The operators need not be
+    orthogonal.  A ``d``, ``n`` over the size guard raises SizeGuardError
+    before anything is built, and a builder's refusal becomes a
+    ChannelSpecError prefixed ``builder: ``.
     """
     if not isinstance(doc, dict):
         raise ChannelSpecError("top level: expected an object")
@@ -804,9 +799,8 @@ def channel_from_dict(doc):
         raise ChannelSpecError("exactly one of 'operators' or 'builder' is required")
 
     if "builder" in doc:
-        for key in ("hamiltonian", "orthogonalize"):
-            if key in doc:
-                raise ChannelSpecError(f"{key}: not allowed together with builder")
+        if "hamiltonian" in doc:
+            raise ChannelSpecError("hamiltonian: not allowed together with builder")
         b = doc["builder"]
         if not isinstance(b, dict):
             raise ChannelSpecError("builder: expected an object")
@@ -829,7 +823,7 @@ def channel_from_dict(doc):
             raise ChannelSpecError("builder: example families are qubit models; requires d = 2")
         try:
             built = example_channel(name, n=n, **params)
-        except ValueError as exc:
+        except (ValueError, ChannelSpecError) as exc:
             raise ChannelSpecError(f"builder: {exc}") from None
         built_kind = "kraus" if isinstance(built, KrausChannel) else "lindblad"
         if built_kind != kind:
@@ -838,16 +832,11 @@ def channel_from_dict(doc):
             )
         return built
 
-    ortho = doc.get("orthogonalize", False)
-    if not isinstance(ortho, bool):
-        raise ChannelSpecError(f"orthogonalize: expected true or false, got {ortho!r}")
     dim = d**n
     raw = doc["operators"]
     if not isinstance(raw, list):
         raise ChannelSpecError("operators: expected a list of matrices")
     mats = [_parse_matrix(m, f"operators[{i}]", dim) for i, m in enumerate(raw)]
-    if ortho:
-        mats = orthogonalize_kraus(d, n, mats)
     if kind == "kraus":
         if "hamiltonian" in doc:
             raise ChannelSpecError("hamiltonian: only valid for kind 'lindblad'")

@@ -19,7 +19,7 @@ class ChannelSpecError(SuperSchurError):
 
 class ChannelInvariantError(SuperSchurError):
     """Channel data violates a structural requirement (closure,
-    orthogonality, hermiticity, ...)."""
+    tracelessness, hermiticity, ...)."""
 
 
 class BlockStructureError(SuperSchurError):

@@ -3,6 +3,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from superschur.permutations import adjacent_transpositions, all_permutations, c
 
 import builder_oracle
 from dispatch import certificate, superop
+from superop_oracle import kraus_superop_columns, lindblad_superop_columns
 
 I2 = np.eye(2, dtype=np.complex128)
 LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -74,16 +76,23 @@ def test_kraus_channel_rejects_broken_closure():
         single_qubit_channel(f0)
 
 
-def test_kraus_channel_rejects_non_orthogonal_sets():
-    with pytest.raises(ChannelInvariantError, match="orthogonal"):
-        single_qubit_channel(I2 / math.sqrt(2), I2 / math.sqrt(2))
+def test_kraus_channel_rotates_non_orthogonal_sets():
+    # two halves of the identity overlap fully: their Gram matrix has one
+    # nonzero eigenvalue, so the canonical set is one operator, +-I
+    ch = single_qubit_channel(I2 / math.sqrt(2), I2 / math.sqrt(2))
+    assert ch.kraus_ops.shape == (1, 2, 2)
+    assert np.max(np.abs(np.abs(ch.kraus_ops[0]) - I2)) < 1e-15
+    assert ch.closure_deviation < 1e-15
 
 
-def test_kraus_channel_rejects_zero_and_empty():
-    with pytest.raises(ChannelInvariantError, match="zero"):
-        single_qubit_channel(I2, np.zeros((2, 2)))
-    with pytest.raises(ChannelInvariantError):
+def test_kraus_channel_drops_zero_operators_and_rejects_empty():
+    ch = single_qubit_channel(I2, np.zeros((2, 2)))
+    assert np.array_equal(ch.kraus_ops, I2[None])
+    with pytest.raises(ChannelInvariantError, match="at least one"):
         KrausChannel(2, 1, ())
+    # a set of zeros is dropped whole, and closes to nothing
+    with pytest.raises(ChannelInvariantError, match="closure"):
+        single_qubit_channel(np.zeros((2, 2)))
 
 
 def test_lindbladian_validation():
@@ -91,13 +100,11 @@ def test_lindbladian_validation():
         Lindbladian(2, 1, LOWER, ())
     with pytest.raises(ChannelInvariantError, match="traceless"):
         Lindbladian(2, 1, np.zeros((2, 2)), (I2,))
-    with pytest.raises(ChannelInvariantError, match="orthogonal"):
-        Lindbladian(
-            2,
-            1,
-            np.zeros((2, 2)),
-            (LOWER, 2 * LOWER),
-        )
+    # parallel jumps merge into one of the summed rate, sqrt(5) LOWER
+    lind = Lindbladian(2, 1, np.zeros((2, 2)), (LOWER, 2 * LOWER))
+    assert lind.jump_ops.shape == (1, 2, 2)
+    assert np.max(np.abs(np.abs(lind.jump_ops[0]) - math.sqrt(5) * LOWER)) < 1e-14
+    assert np.max(np.abs(lind._sink - 5 * LOWER.T @ LOWER)) < 1e-14
     # no jumps is a closed system, held as a (0, D, D) stack
     lind = Lindbladian(2, 1, np.diag([1.0, -1.0]), ())
     assert lind.jump_ops.shape == (0, 2, 2) and len(lind.jump_ops) == 0
@@ -216,6 +223,65 @@ def test_orthogonalize_passes_orthogonal_sets_through():
     out = orthogonalize_kraus(2, 1, [f0, f1, np.zeros((2, 2))])
     assert len(out) == 2
     assert orthogonalize_kraus(2, 1, []) == []
+
+
+def non_orthogonal_sets(d, n, seed, count=3):
+    """A Kraus set, the blocks of a random isometry mixed by a random
+    unitary, and a traceless jump set whose second jump overlaps the
+    first, with a random Hermitian H."""
+    rng = np.random.default_rng(seed)
+    D = d**n
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    V = np.linalg.qr(gaussian(count * D, D))[0].reshape(count, D, D)
+    kraus = np.tensordot(np.linalg.qr(gaussian(count, count))[0], V, axes=(1, 0))
+    jumps = gaussian(count, D, D)
+    jumps -= np.trace(jumps, axis1=1, axis2=2)[:, None, None] / D * np.eye(D)
+    jumps[1] += jumps[0]
+    B = gaussian(D, D)
+    return kraus, jumps, (B + B.conj().T) / 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1)])
+def test_canonicalizing_keeps_the_map(d, n, seed):
+    kraus, jumps, H = non_orthogonal_sets(d, n, seed)
+    basis = operator_basis(d, n)
+    # the oracles apply the raw operators, one dense column at a time
+    cases = [
+        (KrausChannel(d, n, kraus), kraus_superop_columns,
+         SimpleNamespace(d=d, n=n, kraus_ops=kraus), kraus),
+        (Lindbladian(d, n, H, jumps), lindblad_superop_columns,
+         SimpleNamespace(d=d, n=n, hamiltonian=H, jump_ops=jumps), jumps),
+    ]
+    for built, oracle, raw, ops in cases:
+        G = channels._gram(ops)
+        assert np.max(np.abs(G - np.diag(G.diagonal()))) > channels._orthogonality_bound(G)
+        want = oracle(raw, basis).matrix
+        held = built.kraus_ops if isinstance(built, KrausChannel) else built.jump_ops
+        G = channels._gram(held)
+        assert np.max(np.abs(G - np.diag(G.diagonal()))) <= channels._orthogonality_bound(G)
+        got = superop(built, basis).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize(
+    "name, stacks", [("collective_damping", 1), ("independent_damping", 1), ("collective_jump", 2)]
+)
+def test_a_builder_map_copies_its_operators_once_and_forms_one_gram_matrix(
+    name, stacks, monkeypatch
+):
+    calls = {"_operator_stack": 0, "_gram": 0}
+    for helper in calls:
+        def counted(*args, _real=getattr(channels, helper), _name=helper):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(channels, helper, counted)
+    example_channel(name, n=3)
+    # a Lindbladian also stacks its Hamiltonian, which has no Gram matrix
+    assert calls == {"_operator_stack": stacks, "_gram": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +751,9 @@ def test_channel_from_dict_lindblad_with_hamiltonian():
 
 
 def test_channel_from_dict_orthogonalize_flag():
-    # a unitary recombination keeps the closure exact but breaks the
-    # pairwise orthogonality, so the flag decides accept vs reject
+    # a unitary recombination keeps the map but breaks the pairwise
+    # orthogonality; the constructor rotates it back, so the flag that
+    # asked for that rotation is an unknown field
     base = example_channel("collective_damping", n=2, p=0.4)
     F = list(base.kraus_ops)
     mixed = [(F[0] + F[1]) / math.sqrt(2), (F[0] - F[1]) / math.sqrt(2)] + F[2:]
@@ -696,14 +763,15 @@ def test_channel_from_dict_orthogonalize_flag():
         "kind": "kraus",
         "operators": [matrix_doc(m) for m in mixed],
     }
-    with pytest.raises(ChannelInvariantError, match="orthogonal"):
-        channel_from_dict(doc)
-    ch = channel_from_dict({**doc, "orthogonalize": True})
+    ch = channel_from_dict(doc)
     assert ch.closure_deviation < 1e-10
     basis = operator_basis(2, 2)
     assert np.max(np.abs(
         kraus_superop(ch, basis).matrix - kraus_superop(base, basis).matrix
     )) < 1e-12
+    for value in (True, False):
+        with pytest.raises(ChannelSpecError, match="^orthogonalize: unknown field$"):
+            channel_from_dict({**doc, "orthogonalize": value})
 
 
 def test_channel_from_dict_builder():
@@ -801,18 +869,19 @@ def test_channel_from_dict_builder_errors():
         )
     with pytest.raises(ChannelSpecError, match="builder.name"):
         channel_from_dict({**base, "builder": {}})
-    with pytest.raises(ChannelSpecError, match="not allowed together"):
+    with pytest.raises(ChannelSpecError, match="^hamiltonian: not allowed together"):
         channel_from_dict(
-            {
-                **base,
-                "builder": {"name": "collective_damping"},
-                "orthogonalize": True,
-            }
+            {**base, "builder": {"name": "collective_damping"}, "hamiltonian": matrix_doc(I2)}
+        )
+    with pytest.raises(ChannelSpecError, match="^orthogonalize: unknown field$"):
+        channel_from_dict(
+            {**base, "builder": {"name": "collective_damping"}, "orthogonalize": True}
         )
 
 
 # ---------------------------------------------------------------------------
-# orthogonality relative to the operators' size
+# one orthogonality bound, relative to the operators' size, decides whether
+# a set is kept as given or rotated
 
 
 def random_traceless_jumps(seed, d=3, n=2, count=2):
@@ -825,26 +894,28 @@ def random_traceless_jumps(seed, d=3, n=2, count=2):
     return orthogonalize_kraus(d, n, mats)
 
 
+def kept_as_given(jumps):
+    return np.array_equal(Lindbladian(3, 2, np.zeros((9, 9)), jumps).jump_ops, np.stack(jumps))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_scaled_orthogonal_jumps_are_accepted(seed):
     # the Gram diagonal is ~1e6 here, so roundoff overlaps reach ~1e-9
     jumps = tuple(1e3 * m for m in random_traceless_jumps(seed))
-    lind = Lindbladian(3, 2, np.zeros((9, 9)), jumps)
-    assert len(lind.jump_ops) == 2
+    assert kept_as_given(jumps)
 
 
-def test_scaled_non_orthogonal_jumps_are_refused():
+def test_scaled_non_orthogonal_jumps_are_rotated():
     a, b = random_traceless_jumps(0)
     jumps = (1e3 * a, 1e3 * (b + 1e-6 * a))
-    with pytest.raises(ChannelInvariantError, match="orthogonal"):
-        Lindbladian(3, 2, np.zeros((9, 9)), jumps)
+    assert not kept_as_given(jumps)
+    G = channels._gram(Lindbladian(3, 2, np.zeros((9, 9)), jumps).jump_ops)
+    assert np.max(np.abs(G - np.diag(G.diagonal()))) <= channels._orthogonality_bound(G)
 
 
 def test_small_operators_keep_the_absolute_orthogonality_bound():
     a, b = random_traceless_jumps(1)
     # Gram diagonal 0.25 for a: the bound stays 1e-10, not 2.5e-11
     small = 0.5 / np.sqrt(np.vdot(a, a).real / 9)
-    H = np.zeros((9, 9))
-    Lindbladian(3, 2, H, (small * a, small * (b + 2e-10 * a)))  # overlap ~5e-11
-    with pytest.raises(ChannelInvariantError, match="orthogonal"):
-        Lindbladian(3, 2, H, (small * a, small * (b + 1e-9 * a)))  # overlap ~2.5e-10
+    assert kept_as_given((small * a, small * (b + 2e-10 * a)))  # overlap ~5e-11
+    assert not kept_as_given((small * a, small * (b + 1e-9 * a)))  # overlap ~2.5e-10

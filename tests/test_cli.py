@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from superschur import (
+    ChannelSpecError,
     channels,
     cli,
     combinatorics,
@@ -400,14 +401,16 @@ def test_overflowing_hamiltonian_exit_2(command, tmp_path, capsys):
     [
         ("transverse_ising", "J",
          "builder: Hamiltonian: the h_x = 1 and J = 1e+308 terms sum past float64"),
-        ("single_jump", "h_x", "Hamiltonian too large: sum |H_ij|^2 is not finite in float64"),
+        ("single_jump", "h_x",
+         "builder: Hamiltonian: the h_x = 1e+308 and J = 1 terms sum past float64"),
     ],
     ids=["J", "h_x"],
 )
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 def test_builder_hamiltonian_past_float64_exit_2(command, name, param, message, tmp_path, capsys):
     # J = 1e308 on every pair sums past float64; h_x = 1e308 on every site
-    # stays finite entrywise but overflows sum |H_ij|^2
+    # stays finite entrywise but overflows sum |H_ij|^2, which the builder
+    # judges by the Lindbladian's rule
     spec = builder_doc(tmp_path / "big_h.json", name, "lindblad", **{param: 1e308})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -418,16 +421,19 @@ def test_builder_hamiltonian_past_float64_exit_2(command, name, param, message, 
 def overflowing_generator(path, case):
     """Generators whose checks pass but whose superoperator overflows
     float64: one qutrit jump with one entry 1.2e154, whose Tr L^dag L is
-    1.44e308, and the collective jump family at gamma3 = 1e307."""
+    1.44e308, the collective jump family at gamma3 = 1e307 and the single
+    jump family at gamma1 = 1e307 (Tr sum L^dag L = 1.2e308 at n = 3)."""
     if case == "explicit":
         jump = np.zeros((9, 9))
         jump[0, 1] = 1.2e154
         doc = {"d": 3, "n": 2, "kind": "lindblad", "operators": [matrix_doc(jump)]}
         return write_doc(path, doc)
+    if case == "single_jump":
+        return builder_doc(path, "single_jump", "lindblad", gamma1=1e307)
     return builder_doc(path, "collective_jump", "lindblad", gamma3=1e307)
 
 
-@pytest.mark.parametrize("case", ["explicit", "builder"])
+@pytest.mark.parametrize("case", ["explicit", "builder", "single_jump"])
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 def test_generator_whose_superoperator_overflows_exit_2(command, case, tmp_path, capsys):
     spec = overflowing_generator(tmp_path / "big.json", case)
@@ -436,33 +442,45 @@ def test_generator_whose_superoperator_overflows_exit_2(command, case, tmp_path,
         warnings.simplefilter("error")
         assert main([command, spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err
+    # a builder's refusal names the builder
+    prefix = "" if case == "explicit" else "builder: "
     assert err == (
-        "error: generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite in float64\n"
+        f"error: {prefix}generator too large: 2 D^2 (Tr sum L^dag L + ||H||_F) is not finite "
+        "in float64\n"
     )
     assert not out.exists()
 
 
-def oversized_orthogonalize_doc(path, case):
-    """``orthogonalize: true`` on d = 2, n = 1 operators whose Gram matrix
-    overflows float64: two equal Kraus operators 1e200 I, two orthogonal
-    ones 1e200 X and 1e200 Z, or one Lindblad jump 1e200 Z."""
-    X, Z = 1e200 * np.array([[0, 1], [1, 0]]), 1e200 * np.diag([1.0, -1.0])
-    ops = {"kraus-equal": [1e200 * np.eye(2)] * 2, "kraus-orthogonal": [X, Z], "lindblad": [Z]}
-    kind = case.split("-")[0]
-    doc = {"d": 2, "n": 1, "kind": kind, "orthogonalize": True,
-           "operators": [matrix_doc(m) for m in ops[case]]}
+OVERSIZED = {
+    "kraus-equal": [1e200 * np.eye(2)] * 2,
+    "kraus-orthogonal": [1e200 * np.array([[0, 1], [1, 0]]), 1e200 * np.diag([1.0, -1.0])],
+    "lindblad": [1e200 * np.diag([1.0, -1.0])],
+}
+TOO_LARGE = "{0}s too large: their Gram matrix or sum {1}^dag {1} is not finite in float64"
+
+
+def oversized_operators_doc(path, case):
+    """d = 2, n = 1 operators whose Gram matrix overflows float64: two equal
+    Kraus operators 1e200 I, two orthogonal ones 1e200 X and 1e200 Z, or
+    one Lindblad jump 1e200 Z."""
+    doc = {"d": 2, "n": 1, "kind": case.split("-")[0],
+           "operators": [matrix_doc(m) for m in OVERSIZED[case]]}
     return write_doc(path, doc)
 
 
 @pytest.mark.parametrize("case", ["kraus-equal", "kraus-orthogonal", "lindblad"])
 def test_orthogonalize_refuses_operators_too_large_for_float64(case, tmp_path, capsys):
-    spec = oversized_orthogonalize_doc(tmp_path / "big.json", case)
+    # the constructors orthogonalize, so they refuse as orthogonalize_kraus does
+    spec = oversized_operators_doc(tmp_path / "big.json", case)
     command = "evolve" if case == "lindblad" else "analyze"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ChannelSpecError) as info:
+            channels.orthogonalize_kraus(2, 1, OVERSIZED[case])
         assert main([command, spec]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: operators too large: their Gram matrix is not finite in float64\n"
+    assert str(info.value) == TOO_LARGE.format("operator", "F")
+    noun, symbol = ("jump operator", "L") if case == "lindblad" else ("Kraus operator", "F")
+    assert capsys.readouterr().err == f"error: {TOO_LARGE.format(noun, symbol)}\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
@@ -583,6 +601,49 @@ def test_a_leakage_equal_to_the_tolerance_passes_in_analyze_and_evolve(tmp_path,
     assert report["leakage"] == {"value": leakage, "tol": leakage}
     assert [s["partition"] for s in report["sectors"] if s["flagged"]] == [[2, 1]]
     assert main(["evolve", spec, "--tol", repr(leakage)]) == 0
+
+
+def non_orthogonal_doc(case):
+    """A channel file whose operators overlap: the (F0 + F1)/sqrt 2 and
+    (F0 - F1)/sqrt 2 recombination of collective_damping's first two Kraus
+    operators at n = 3, or the ring-decay jumps (s_i + s_{i+1})/sqrt 2 of
+    the lowering operators s_i on the three sites of a ring."""
+    if case == "kraus":
+        F = list(example_channel("collective_damping", n=3).kraus_ops)
+        ops = [(F[0] + F[1]) / math.sqrt(2), (F[0] - F[1]) / math.sqrt(2)] + F[2:]
+    else:
+        s = [example_channel("single_jump", n=3).jump_ops[i] for i in range(3)]
+        ops = [(s[i] + s[(i + 1) % 3]) / math.sqrt(2) for i in range(3)]
+    return {"d": 2, "n": 3, "kind": case, "operators": ops}
+
+
+@pytest.mark.parametrize("case", ["kraus", "lindblad"])
+def test_non_orthogonal_operators_analyze_as_their_canonical_form(case, tmp_path, capsys):
+    doc = non_orthogonal_doc(case)
+    G = channels._gram(np.stack(doc["operators"]))
+    assert np.max(np.abs(G - np.diag(G.diagonal()))) > channels._orthogonality_bound(G)
+    canonical = channels.orthogonalize_kraus(2, 3, doc["operators"])
+    reports = []
+    for name, ops in (("raw", doc["operators"]), ("canonical", canonical)):
+        (tmp_path / name).mkdir()
+        spec = write_doc(tmp_path / name / "ch.json",
+                         {**doc, "operators": [matrix_doc(m) for m in ops]})
+        out = tmp_path / name / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", spec, "--out", str(out)]) == 0
+        reports.append(out.read_text().replace(spec, "PATH"))
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    count = read_report(tmp_path / "raw" / "report.json")["input"]["operator_count"]
+    assert count == len(canonical)
+
+
+def test_a_channel_file_with_the_orthogonalize_field_exits_2(tmp_path, capsys):
+    doc = {**non_orthogonal_doc("kraus"), "orthogonalize": True}
+    doc["operators"] = [matrix_doc(m) for m in doc["operators"]]
+    assert main(["analyze", write_doc(tmp_path / "ch.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: orthogonalize: unknown field\n"
 
 
 def test_analyze_invariant_violation_exits_3(tmp_path, capsys):
@@ -776,10 +837,10 @@ def test_package_runs_as_a_process(tmp_path):
     assert done.stderr.endswith(
         "superschur decompose: error: argument --d: local dimension must be >= 2, got 1\n"
     )
-    spec = oversized_orthogonalize_doc(tmp_path / "big.json", "kraus-equal")
+    spec = oversized_operators_doc(tmp_path / "big.json", "kraus-equal")
     done = run_python("-W", "error::RuntimeWarning", "-m", "superschur", "analyze", spec)
     assert done.returncode == 2, done.stderr
-    assert done.stderr == "error: operators too large: their Gram matrix is not finite in float64\n"
+    assert done.stderr == f"error: {TOO_LARGE.format('Kraus operator', 'F')}\n"
 
 
 def test_cli_import_builds_no_basis():

@@ -38,8 +38,10 @@ from superschur import (
     lindblad_superop,
     operator_basis,
     orthogonalize_kraus,
+    protection_check,
     super_schur_basis,
 )
+from superschur.blockdiag import PROTECTION_TRIALS
 from superschur.channels import _parse_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=12, derandomize=True, database=None, deadline=None)
@@ -101,6 +103,66 @@ def test_site_dependent_generators_are_refused(collective, n, ops, step):
     assert list(decomp.blocks) == list(basis.shapes)
     with pytest.raises(BlockStructureError, match="exceeds tolerance"):
         blockwise_exp(decomp, 1.0)
+
+
+# --------------------------------------------------------------------------
+# the protection probe
+
+# roundoff allowance of the probe bound, in units of eps * max|frame| * ||v||_1
+PROBE_ULPS = 4
+
+
+def probe_norm1(basis, seed):
+    """The largest ||v||_1 among the probe vectors v that protection_check
+    draws from default_rng(seed), replaying its draws in its order."""
+    rng = np.random.default_rng(seed)
+    norms = [0.0]
+    for _ in range(PROTECTION_TRIALS):
+        for shape in basis.shapes:
+            if basis.syt_count(shape) >= 2:
+                size = (basis.syt_count(shape), basis.multiplicity(shape))
+                C = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                norms.append(float(np.sum(np.abs(C))))
+    return max(norms)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "site-weighted", "kraus"])
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(2, 4),
+    ops=single_site(),
+    collective=st.booleans(),
+    map_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_protection_probe_is_bounded_by_leakage_and_twin_deviation(
+    kind, n, ops, collective, map_seed, seed
+):
+    # the probe reads only frame entries decompose has measured: each entry
+    # of S v - (B (x) I) v sums entries outside the blocks (leakage) or
+    # differences of twin blocks, each weighted by an entry of v
+    basis, letters = super_schur_basis(2, n), operator_basis(2, n)
+    if kind == "kraus":
+        # the blocks of a random isometry: a Kraus set, orthogonal or not
+        rng = np.random.default_rng(map_seed)
+        D, count = 2**n, 1 + map_seed % 3
+        A = rng.standard_normal((2, count * D, D))
+        Q = np.linalg.qr(A[0] + 1j * A[1])[0]
+        superop = kraus_superop(KrausChannel(2, n, Q.reshape(count, D, D)), letters)
+    else:
+        weights = [1.0 + (kind == "site-weighted") * 0.5 * k for k in range(n)]
+        superop = lindblad_superop(generator(n, *ops, weights, collective), letters)
+    decomp = decompose(superop, basis)
+    if n == 2:
+        # every qubit shape at n = 2 has one tableau: there is nothing to probe
+        with pytest.raises(BlockStructureError, match="protected dimension >= 2"):
+            protection_check(decomp, seed)
+        return
+    probe = protection_check(decomp, seed)
+    norm1 = probe_norm1(basis, seed)
+    measured = max(decomp.leakage, max(decomp.twin_deviation.values()))
+    roundoff = PROBE_ULPS * np.finfo(np.float64).eps * float(np.max(np.abs(decomp.frame))) * norm1
+    assert probe <= measured * norm1 + roundoff
 
 
 # --------------------------------------------------------------------------
