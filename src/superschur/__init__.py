@@ -35,7 +35,6 @@ from .channels import (
 )
 from .combinatorics import (
     Partition,
-    StandardTableau,
     kostka_numbers,
     letter_strings_by_weight,
     partitions,
@@ -79,7 +78,6 @@ __all__ = [
     "OperatorBasis",
     "Partition",
     "SizeGuardError",
-    "StandardTableau",
     "SuperOperatorMatrix",
     "SuperSchurBasis",
     "SuperSchurError",

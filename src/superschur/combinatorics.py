@@ -3,6 +3,8 @@
 Partitions of the site count n label the sectors of the permutation-group
 decomposition; standard tableaux index the symmetric-group multiplicity
 space and semistandard fillings index the commutant multiplicity space.
+A standard tableau is plain data, its row word: the row of each entry
+1..n in turn.
 :func:`kostka_numbers` counts those fillings by letter content: the number
 of basis columns of a shape and tableau on one content class.  The sectors
 themselves, and so their count by row number, are read off the one sector
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,12 +24,19 @@ from types import MappingProxyType
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A weakly decreasing tuple of positive integers."""
+    """A weakly decreasing tuple of positive integers.
+
+    Each part is read with ``operator.index``, so numpy integers are stored
+    as ``int``; a bool, a float or a string raises TypeError.
+    """
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
+        if any(isinstance(p, bool) for p in parts):
+            raise TypeError(f"parts must be integers, not bool: {parts}")
+        parts = tuple(operator.index(p) for p in parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("partition needs at least one part")
@@ -58,72 +68,6 @@ class Partition:
         return "{" + ",".join(str(p) for p in self.parts) + "}"
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """A filling of a partition shape with 1..n, increasing along rows and
-    down columns."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        self.shape  # validates the row lengths
-        n = sum(len(row) for row in rows)
-        if sorted(v for row in rows for v in row) != list(range(1, n + 1)):
-            raise ValueError(f"entries must be 1..{n} each once: {rows}")
-        if not _rows_and_columns_increase(rows):
-            raise ValueError(f"not a standard filling: {rows}")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self.rows))
-
-    @property
-    def n(self) -> int:
-        return sum(len(row) for row in self.rows)
-
-    def reading_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
-
-    def position(self, value: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if v == value:
-                    return r, c
-        raise ValueError(f"value {value} not in tableau")
-
-    def axial_distance(self, i: int) -> int:
-        """Content difference from the cell of i to the cell of i+1.
-
-        The content of cell (r, c) is c - r; entries sharing a row give +1,
-        entries sharing a column give -1.
-        """
-        r1, c1 = self.position(i)
-        r2, c2 = self.position(i + 1)
-        return (c2 - r2) - (c1 - r1)
-
-    def swap_adjacent(self, i: int) -> "StandardTableau | None":
-        """Exchange i and i+1; None if the result is not standard."""
-        swapped = tuple(
-            tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-            for row in self.rows
-        )
-        if not _rows_and_columns_increase(swapped):
-            return None
-        return StandardTableau(swapped)
-
-
-def _rows_and_columns_increase(rows: tuple[tuple[int, ...], ...]) -> bool:
-    for row in rows:
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return False
-    for upper, lower in zip(rows, rows[1:]):
-        if any(upper[c] >= lower[c] for c in range(len(lower))):
-            return False
-    return True
-
-
 def partitions(n: int, max_rows: int) -> list[Partition]:
     """All partitions of n with at most max_rows rows, in reverse
     lexicographic order (so {n} comes first)."""
@@ -146,29 +90,36 @@ def partitions(n: int, max_rows: int) -> list[Partition]:
     return out
 
 
-def standard_tableaux(shape: Partition) -> list[StandardTableau]:
-    """All standard tableaux of the given shape, sorted by row reading word.
+def standard_tableaux(shape: Partition) -> list[tuple[int, ...]]:
+    """All standard tableaux of the given shape, each as its row word:
+    ``word[k]`` is the 0-based row of entry k + 1.
 
-    The first tableau fills rows left to right, top to bottom; it is the
-    reference tableau used to seed the basis construction.
+    The words come sorted by the tableau's row reading word (the entries
+    row by row, top to bottom), so the first is the reference tableau,
+    which fills rows left to right, top to bottom; it seeds the basis
+    construction.  A word is standard exactly when every prefix fills the
+    rows as a partition and the whole word fills ``shape``.
     """
-    results: list[StandardTableau] = []
-    rows: list[list[int]] = [[] for _ in range(shape.rows)]
+    words: list[tuple[int, ...]] = []
+    word: list[int] = []
+    filled = [0] * shape.rows
 
-    def place(v: int) -> None:
-        if v > shape.n:
-            results.append(StandardTableau(tuple(tuple(r) for r in rows)))
+    def place() -> None:
+        if len(word) == shape.n:
+            words.append(tuple(word))
             return
-        for r in range(shape.rows):
-            c = len(rows[r])
-            if c < shape.parts[r] and (r == 0 or len(rows[r - 1]) > c):
-                rows[r].append(v)
-                place(v + 1)
-                rows[r].pop()
+        for r, width in enumerate(shape.parts):
+            if filled[r] < width and (r == 0 or filled[r - 1] > filled[r]):
+                filled[r] += 1
+                word.append(r)
+                place()
+                word.pop()
+                filled[r] -= 1
 
-    place(1)
-    results.sort(key=lambda t: t.reading_word())
-    return results
+    place()
+    # a stable sort of the positions by row lists the entries row by row
+    words.sort(key=lambda w: sorted(range(shape.n), key=w.__getitem__))
+    return words
 
 
 def syt_dimension(shape: Partition) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .combinatorics import Partition
 from .errors import DimensionMismatchError
 from .liouville import OperatorBasis, check_liouville_dim, single_site_letters
-from .permutations import all_permutations, check_permutation, string_index_map
+from .permutations import all_permutations, check_permutation, identity, string_index_map
 from .schur import SuperSchurBasis, irrep_matrices
 
 
@@ -46,12 +46,13 @@ def matrix_unit(shape: Partition, y: int, y0: int, d: int, n: int) -> np.ndarray
     """
     full = check_liouville_dim(d, n)
     rep = irrep_matrices(shape, n)
-    if not (0 <= y < rep.dim and 0 <= y0 < rep.dim):
+    dim = len(rep[identity(n)])
+    if not (0 <= y < dim and 0 <= y0 < dim):
         raise ValueError(f"tableau indices out of range for {shape}: {y}, {y0}")
-    scale = rep.dim / math.factorial(n)
+    scale = dim / math.factorial(n)
     M = np.zeros((full, full))
     for p in all_permutations(n):
-        M += rep.matrices[p][y, y0] * scale * permutation_matrix(p, d * d, n)
+        M += rep[p][y, y0] * scale * permutation_matrix(p, d * d, n)
     return M
 
 
@@ -78,7 +79,7 @@ def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> Permuta
     irrep_blocks = {}
     mults = {}
     for shape in basis.shapes:
-        D = irrep_matrices(shape, basis.n).matrices[pi]
+        D = irrep_matrices(shape, basis.n)[pi]
         m = basis.multiplicity(shape)
         sl = basis.sector_slice(shape)
         predicted[sl, sl] = np.kron(D, np.eye(m))

@@ -10,7 +10,11 @@ with the contents of the reference tableau as eigenvalues (Okounkov and
 Vershik); each X_k acts as a sum of transposition gathers on the class,
 and its spectrum is integer.  Young's orthogonal form then generates the
 columns of every other tableau from a neighbouring one through a single
-adjacent transposition, so no stage enumerates the group.  In the
+adjacent transposition, so no stage enumerates the group.  A tableau is
+its row word (see :func:`superschur.combinatorics.standard_tableaux`),
+and one table, :func:`_adjacent_swaps`, gives for each tableau and each
+adjacent transposition the axial distance and the exchanged tableau; the
+walk and :func:`young_orthogonal_generator` both read it.  In the
 resulting frame every site permutation is block diagonal with the sector
 pattern D x I (irrep matrix times identity on the multiplicity space).
 The basis is stored as one real square block per class, and unitarity is
@@ -53,7 +57,6 @@ from .errors import DimensionMismatchError, InternalConsistencyError, SizeGuardE
 from .liouville import _read_only, check_liouville_dim, max_liouville_dim
 from .permutations import (
     adjacent_transposition,
-    check_permutation,
     compose,
     identity,
     string_index_map,
@@ -63,44 +66,54 @@ UNITARITY_TOL = 1e-10
 SIGN_TOL = 1e-12
 
 
+def _adjacent_swaps(shape: Partition) -> list[tuple[tuple[int, int | None], ...]]:
+    """How each adjacent transposition acts on the tableaux of ``shape``.
+
+    Entry ``[y][i - 1]``, for the y-th word of :func:`standard_tableaux` and
+    1 <= i <= n-1, is (r, target).  r is the axial distance
+    content(i+1) - content(i), with the content (column minus row) of each
+    entry counted along the word: +1 when i and i+1 share a row, -1 when
+    they share a column, and never 0.  Exchanging i and i+1 keeps the
+    tableau standard exactly when |r| >= 2; target is then the index of the
+    exchanged word, and None otherwise.
+    """
+    words = standard_tableaux(shape)
+    index = {w: y for y, w in enumerate(words)}
+    table = []
+    for w in words:
+        filled, contents = [0] * shape.rows, []
+        for row in w:
+            contents.append(filled[row] - row)
+            filled[row] += 1
+        steps = []
+        for i in range(1, shape.n):
+            r = contents[i] - contents[i - 1]
+            swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+            steps.append((r, index[swapped] if abs(r) >= 2 else None))
+        table.append(tuple(steps))
+    return table
+
+
 def young_orthogonal_generator(shape: Partition, i: int) -> np.ndarray:
     """Orthogonal matrix of the transposition (i, i+1), 1 <= i <= n-1.
 
     Rows and columns follow the ``standard_tableaux`` order.  The diagonal
-    entry at tableau T is 1/r with r the axial distance from i to i+1 in T
-    (+1 same row, -1 same column); when exchanging i and i+1 keeps T
+    entry at tableau y is 1/r with r the axial distance from i to i+1 in y
+    (+1 same row, -1 same column); when exchanging i and i+1 keeps y
     standard, the two tableaux couple with off-diagonal sqrt(1 - 1/r^2).
+    Both are read from the :func:`_adjacent_swaps` table.
     """
     n = shape.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"transposition index must satisfy 1 <= i <= {n - 1}, got {i}")
-    tabs = standard_tableaux(shape)
-    index = {t: k for k, t in enumerate(tabs)}
-    M = np.zeros((len(tabs), len(tabs)))
-    for k, t in enumerate(tabs):
-        r = t.axial_distance(i)
-        M[k, k] = 1.0 / r
-        swapped = t.swap_adjacent(i)
-        if swapped is not None:
-            M[index[swapped], k] = math.sqrt(1.0 - 1.0 / r**2)
+    swaps = _adjacent_swaps(shape)
+    M = np.zeros((len(swaps), len(swaps)))
+    for y, steps in enumerate(swaps):
+        r, target = steps[i - 1]
+        M[y, y] = 1.0 / r
+        if target is not None:
+            M[target, y] = math.sqrt(1.0 - 1.0 / r**2)
     return M
-
-
-@dataclass(frozen=True)
-class IrrepMatrices:
-    """All n! orthogonal irrep matrices for one shape, keyed by one-line
-    permutation tuple."""
-
-    shape: Partition
-    n: int
-    dim: int
-    matrices: dict
-
-    def matrix(self, pi: tuple[int, ...]) -> np.ndarray:
-        return self.matrices[check_permutation(pi, self.n)]
-
-    def character(self, pi: tuple[int, ...]) -> float:
-        return float(np.trace(self.matrix(pi)))
 
 
 def _check_factorial_enumeration(n: int) -> None:
@@ -113,8 +126,10 @@ def _check_factorial_enumeration(n: int) -> None:
         )
 
 
-def irrep_matrices(shape: Partition, n: int) -> IrrepMatrices:
-    """Young's orthogonal representation for every group element.
+def irrep_matrices(shape: Partition, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Young's orthogonal representation for every group element, as a
+    dict from one-line permutation tuple to its ``syt_dimension(shape)``
+    square matrix.  The character of pi is ``np.trace`` of its matrix.
 
     Built by breadth-first products of the adjacent-transposition
     generator matrices, so the result is a genuine homomorphism up to
@@ -123,13 +138,11 @@ def irrep_matrices(shape: Partition, n: int) -> IrrepMatrices:
     if shape.n != n:
         raise ValueError(f"shape {shape} is not a partition of {n}")
     _check_factorial_enumeration(n)
-    tabs = standard_tableaux(shape)
-    dim = len(tabs)
     gens = [
         (adjacent_transposition(n, k), young_orthogonal_generator(shape, k + 1))
         for k in range(n - 1)
     ]
-    mats: dict[tuple[int, ...], np.ndarray] = {identity(n): np.eye(dim)}
+    mats: dict[tuple[int, ...], np.ndarray] = {identity(n): np.eye(syt_dimension(shape))}
     queue: deque[tuple[int, ...]] = deque([identity(n)])
     while queue:
         p = queue.popleft()
@@ -142,7 +155,7 @@ def irrep_matrices(shape: Partition, n: int) -> IrrepMatrices:
         raise InternalConsistencyError(
             f"generated {len(mats)} matrices, expected {math.factorial(n)}"
         )
-    return IrrepMatrices(shape=shape, n=n, dim=dim, matrices=mats)
+    return mats
 
 
 @dataclass(frozen=True)
@@ -290,26 +303,24 @@ class SuperSchurBasis:
 def _tableau_walk(shape: Partition) -> list[tuple[int, int, int, int]]:
     """Young's orthogonal-form walk over the tableaux of ``shape``, as steps
     (source, i, target, r) in breadth-first order from the reference
-    tableau.
+    tableau, read from the :func:`_adjacent_swaps` table.
 
     The target tableau is the source with i and i+1 exchanged, and r the
     axial distance from i to i+1 in the source.  With S_i the swap of sites
     i and i+1, S_i V_T = V_T / r + sqrt(1 - 1/r^2) V_T', so
     V_T' = (S_i V_T - V_T / r) / sqrt(1 - 1/r^2).
     """
-    tabs = standard_tableaux(shape)
-    index = {t: k for k, t in enumerate(tabs)}
+    swaps = _adjacent_swaps(shape)
     steps, seen, queue = [], {0}, deque([0])
     while queue:
         y = queue.popleft()
-        for i in range(1, shape.n):
-            twin = tabs[y].swap_adjacent(i)
-            if twin is None or index[twin] in seen:
+        for i, (r, target) in enumerate(swaps[y], start=1):
+            if target is None or target in seen:
                 continue
-            seen.add(index[twin])
-            steps.append((y, i, index[twin], tabs[y].axial_distance(i)))
-            queue.append(index[twin])
-    if len(seen) != len(tabs):
+            seen.add(target)
+            steps.append((y, i, target, r))
+            queue.append(target)
+    if len(seen) != len(swaps):
         raise InternalConsistencyError(f"shape {shape}: tableau walk left tableaux unfilled")
     return steps
 

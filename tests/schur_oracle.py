@@ -18,6 +18,7 @@ from superschur.combinatorics import (
     kostka_numbers,
     letter_strings_by_weight,
     partitions,
+    syt_dimension,
     weyl_dimension,
 )
 from superschur.liouville import check_liouville_dim
@@ -52,7 +53,8 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
     labels: list[ColumnLabel] = []
     for shape in partitions(n, min(n, q)):
         rep = irrep_matrices(shape, n)
-        scale = rep.dim / nfact
+        syt = syt_dimension(shape)
+        scale = syt / nfact
         m_lam = weyl_dimension(shape, q)
         kostka = kostka_numbers(shape, q)
         V0 = np.zeros((dim, m_lam))
@@ -68,7 +70,7 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
             local[cls] = np.arange(size)
             A = np.zeros((size, size))
             for p in perms:
-                c = rep.matrices[p][0, 0] * scale
+                c = rep[p][0, 0] * scale
                 if c != 0.0:
                     A[local[fwd[p][cls]], np.arange(size)] += c
             u, s, _ = np.linalg.svd(A)
@@ -84,10 +86,10 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
             pos += rank
         assert pos == m_lam
         sector = [V0]
-        for y in range(1, rep.dim):
+        for y in range(1, syt):
             Vy = np.zeros_like(V0)
             for p in perms:
-                c = rep.matrices[p][y, 0] * scale
+                c = rep[p][y, 0] * scale
                 if c != 0.0:
                     Vy += c * V0[gather[p]]
             sector.append(Vy)

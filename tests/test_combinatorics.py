@@ -1,11 +1,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from superschur import (
     Partition,
-    StandardTableau,
     kostka_numbers,
     letter_strings_by_weight,
     partitions,
@@ -46,6 +46,14 @@ def test_partition_validation():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((2, 0))
+    # parts are read with operator.index: no float, string or bool
+    # coerces, and numpy integers are stored as int
+    for parts in [(2.7, 1), ("3",), (True, True), (2, False), (np.float64(2.0),)]:
+        with pytest.raises(TypeError):
+            Partition(parts)
+    p = Partition((np.int64(3), np.uint8(1)))
+    assert p.parts == (3, 1) and all(type(x) is int for x in p.parts)
+    assert p == Partition((3, 1))
     p = Partition((3, 1))
     assert p.n == 4
     assert p.rows == 2
@@ -95,32 +103,21 @@ def test_row_count_tally_against_generating_function(n, tmp_path, capsys):
 # standard tableaux
 
 
-def test_standard_tableau_validation():
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 3), (2, 2)))  # duplicate entry
-    with pytest.raises(ValueError):
-        StandardTableau(((2, 1), (3,)))  # row not increasing
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 2), (4, 3)))
-    t = StandardTableau(((1, 2), (3,)))
-    assert t.shape.parts == (2, 1)
-    assert t.position(3) == (1, 0)
-
-
-def test_axial_distance_and_swap():
-    t = StandardTableau(((1, 2), (3,)))
-    assert t.axial_distance(1) == 1  # same row
-    assert t.axial_distance(2) == -2
-    assert t.swap_adjacent(1) is None  # would break the first row
-    assert t.swap_adjacent(2).rows == ((1, 3), (2,))
+def tableau_rows(word):
+    """The rows of the tableau with row word ``word``, entries 1-based."""
+    return [[k + 1 for k in range(len(word)) if word[k] == r] for r in range(max(word) + 1)]
 
 
 def test_standard_tableaux_small_shapes():
-    two_one = standard_tableaux(Partition((2, 1)))
-    assert [t.rows for t in two_one] == [((1, 2), (3,)), ((1, 3), (2,))]
-    two_two = standard_tableaux(Partition((2, 2)))
-    assert [t.rows for t in two_two] == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
-    assert [t.rows for t in standard_tableaux(Partition((3,)))] == [((1, 2, 3),)]
+    # {2,1}: rows ((1,2),(3,)) then ((1,3),(2,))
+    assert standard_tableaux(Partition((2, 1))) == [(0, 0, 1), (0, 1, 0)]
+    # {2,2}: rows ((1,2),(3,4)) then ((1,3),(2,4))
+    assert standard_tableaux(Partition((2, 2))) == [(0, 0, 1, 1), (0, 1, 0, 1)]
+    assert standard_tableaux(Partition((3,))) == [(0, 0, 0)]
+    assert [tableau_rows(w) for w in standard_tableaux(Partition((2, 1)))] == [
+        [[1, 2], [3]],
+        [[1, 3], [2]],
+    ]
 
 
 def test_first_tableau_is_row_filling():
@@ -130,10 +127,10 @@ def test_first_tableau_is_row_filling():
             filler = []
             v = 1
             for width in shape.parts:
-                filler.append(tuple(range(v, v + width)))
+                filler.append(list(range(v, v + width)))
                 v += width
-            assert tabs[0].rows == tuple(filler)
-            words = [t.reading_word() for t in tabs]
+            assert tableau_rows(tabs[0]) == filler
+            words = [sum(tableau_rows(w), []) for w in tabs]
             assert words == sorted(words)
 
 

@@ -9,6 +9,7 @@ from superschur import (
     Partition,
     SizeGuardError,
     partitions,
+    standard_tableaux,
     super_schur_basis,
     syt_dimension,
     weyl_dimension,
@@ -26,6 +27,7 @@ from superschur.permutations import (
 from superschur.schur import (
     UNITARITY_TOL,
     SuperSchurBasis,
+    _adjacent_swaps,
     column_labels,
     irrep_matrices,
     young_orthogonal_generator,
@@ -104,24 +106,78 @@ def test_generators_satisfy_braid_and_commutation(n):
                 assert np.max(np.abs(gens[i] @ gens[j] - gens[j] @ gens[i])) < 1e-12
 
 
+def lattice_words(shape):
+    """Independent enumeration of the standard tableaux as row words: the
+    distinct orderings of the shape's content word in which every prefix
+    fills the rows as a partition, in row-reading-word order.  (Filtering
+    all ``rows**n`` words instead visits 8**8 of them at {1^8}; the content
+    word fixes the final counts to the parts.)"""
+    content = [r for r, width in enumerate(shape.parts) for _ in range(width)]
+    found = []
+    for word in set(itertools.permutations(content)):
+        counts = [0] * shape.rows
+        for r in word:
+            counts[r] += 1
+            if r and counts[r] > counts[r - 1]:
+                break
+        else:
+            found.append(word)
+
+    def reading_word(w):  # the entries row by row, each row ascending
+        return [k + 1 for r in range(shape.rows) for k in range(shape.n) if w[k] == r]
+
+    return sorted(found, key=reading_word)
+
+
+def test_swap_table_matches_lattice_words():
+    for n in range(1, 9):
+        for shape in partitions(n, n):
+            words = lattice_words(shape)
+            assert standard_tableaux(shape) == words
+            assert len(words) == syt_dimension(shape)
+            index = {w: y for y, w in enumerate(words)}
+            table = _adjacent_swaps(shape)
+            assert len(table) == len(words)
+            for y, w in enumerate(words):
+                rows = [[k + 1 for k in range(n) if w[k] == r] for r in range(shape.rows)]
+                content = {v: c - r for r, row in enumerate(rows) for c, v in enumerate(row)}
+                assert len(table[y]) == n - 1
+                for i, (r, target) in enumerate(table[y], start=1):
+                    assert r == content[i + 1] - content[i]
+                    swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+                    # i and i+1 in one row leave the word as it is
+                    standard = swapped != w and swapped in index
+                    assert (target is None) == (abs(r) == 1) == (not standard)
+                    if target is not None:
+                        assert target == index[swapped]
+                        assert table[target][i - 1] == (-r, y)
+    # {2,1}: 1 and 2 share a row of tableau 0 (rows (1,2),(3)); exchanging
+    # 2 and 3 gives tableau 1 (rows (1,3),(2))
+    table = _adjacent_swaps(TWO_ONE)
+    assert table[0] == ((1, None), (-2, 1))
+    assert table[1] == ((-1, None), (2, 0))
+
+
 # ---------------------------------------------------------------------------
 # full irreducible representations
 
 
 def test_irrep_matrices_basics():
     rep = irrep_matrices(TWO_ONE, 3)
-    assert rep.dim == 2
-    assert len(rep.matrices) == 6
-    assert np.array_equal(rep.matrices[(0, 1, 2)], np.eye(2))
-    assert rep.character((0, 1, 2)) == pytest.approx(2.0)
+    assert len(rep) == 6
+    assert all(D.shape == (2, 2) for D in rep.values())
+    assert np.array_equal(rep[(0, 1, 2)], np.eye(2))
+    assert np.trace(rep[(0, 1, 2)]) == pytest.approx(2.0)
+    with pytest.raises(ValueError):
+        irrep_matrices(TWO_ONE, 4)  # not a partition of 4
 
 
 def test_irrep_homomorphism_exhaustive_n3():
     for shape in partitions(3, 3):
         rep = irrep_matrices(shape, 3)
         for p, q in itertools.product(all_permutations(3), repeat=2):
-            got = rep.matrices[p] @ rep.matrices[q]
-            assert np.max(np.abs(got - rep.matrices[compose(p, q)])) < 1e-12
+            got = rep[p] @ rep[q]
+            assert np.max(np.abs(got - rep[compose(p, q)])) < 1e-12
 
 
 def test_irrep_homomorphism_sampled_n5():
@@ -131,8 +187,8 @@ def test_irrep_homomorphism_sampled_n5():
         rep = irrep_matrices(shape, 5)
         for _ in range(15):
             p, q = (perms[i] for i in rng.choice(len(perms), size=2))
-            got = rep.matrices[p] @ rep.matrices[q]
-            assert np.max(np.abs(got - rep.matrices[compose(p, q)])) < 1e-11
+            got = rep[p] @ rep[q]
+            assert np.max(np.abs(got - rep[compose(p, q)])) < 1e-11
 
 
 def test_characters_are_class_functions():
@@ -141,16 +197,16 @@ def test_characters_are_class_functions():
             rep = irrep_matrices(shape, n)
             by_type = {}
             for p in all_permutations(n):
-                by_type.setdefault(cycle_type(p), set()).add(round(rep.character(p), 9))
+                by_type.setdefault(cycle_type(p), set()).add(round(np.trace(rep[p]), 9))
             for traces in by_type.values():
                 assert len(traces) == 1
 
 
 def test_two_one_characters():
     rep = irrep_matrices(TWO_ONE, 3)
-    assert rep.character((1, 0, 2)) == pytest.approx(0.0, abs=1e-12)
-    assert rep.character((1, 2, 0)) == pytest.approx(-1.0)
-    assert rep.character((2, 0, 1)) == pytest.approx(-1.0)
+    assert np.trace(rep[(1, 0, 2)]) == pytest.approx(0.0, abs=1e-12)
+    assert np.trace(rep[(1, 2, 0)]) == pytest.approx(-1.0)
+    assert np.trace(rep[(2, 0, 1)]) == pytest.approx(-1.0)
 
 
 def test_character_orthogonality_n4():
@@ -158,9 +214,7 @@ def test_character_orthogonality_n4():
     reps = {s: irrep_matrices(s, 4) for s in shapes}
     perms = all_permutations(4)
     for a, b in itertools.combinations_with_replacement(shapes, 2):
-        inner = sum(reps[a].character(p) * reps[b].character(p) for p in perms) / len(
-            perms
-        )
+        inner = sum(np.trace(reps[a][p]) * np.trace(reps[b][p]) for p in perms) / len(perms)
         assert inner == pytest.approx(1.0 if a == b else 0.0, abs=1e-10)
 
 
@@ -170,10 +224,10 @@ def test_matrix_entry_orthogonality_n3():
     reps = {s: irrep_matrices(s, 3) for s in shapes}
     perms = all_permutations(3)
     for a, b in itertools.product(shapes, repeat=2):
-        da, db = reps[a].dim, reps[b].dim
+        da, db = syt_dimension(a), syt_dimension(b)
         for i, j, k, l in itertools.product(range(da), range(da), range(db), range(db)):
             total = sum(
-                reps[a].matrices[p][i, j] * reps[b].matrices[p][k, l] for p in perms
+                reps[a][p][i, j] * reps[b][p][k, l] for p in perms
             )
             want = 6.0 / da if (a == b and i == k and j == l) else 0.0
             assert total == pytest.approx(want, abs=1e-12)
