@@ -12,7 +12,6 @@ import.
 from .blockdiag import (
     BlockDecomposition,
     BlockExponential,
-    DfsSector,
     blockwise_exp,
     decompose,
     dfs_report,
@@ -69,7 +68,6 @@ __all__ = [
     "ChannelInvariantError",
     "ChannelSpecError",
     "ColumnLabel",
-    "DfsSector",
     "DimensionMismatchError",
     "EXAMPLE_CHANNELS",
     "InternalConsistencyError",

@@ -5,6 +5,9 @@ is the direct sum over shapes lambda of B_lambda (x) I_syt(lambda): one
 block per partition shape, repeated once per standard tableau.  A shape
 whose tableau count exceeds one then carries a protected subsystem, the
 identity factor: the dynamics touches only the multiplicity space.  The
+basis alone fixes both dimensions of a sector (``syt_count`` protected,
+``multiplicity`` noisy), so :func:`dfs_report` returns nothing but one
+flag per shape: whether the measured residue lets that factor stand.  The
 decomposition keeps the whole frame, which its measurements read, and the
 blocks in that form: one array per shape, its tableau-0 block B.  The
 exponential of a block-diagonal generator is nothing but its blocks: a
@@ -213,36 +216,22 @@ def decompose(
     )
 
 
-@dataclass(frozen=True)
-class DfsSector:
-    """Protection summary for one shape: the tableau index is the
-    protected subsystem, the multiplicity space absorbs the noise."""
+def dfs_report(decomp: BlockDecomposition) -> dict[Partition, bool]:
+    """One flag per shape, keyed in frame order: whether its sector
+    carries a decoherence-free subsystem.
 
-    shape: Partition
-    protected_dim: int
-    noisy_dim: int
-    flagged: bool
-
-
-def dfs_report(decomp: BlockDecomposition) -> list[DfsSector]:
-    """Flag the sectors that carry a decoherence-free subsystem, one
-    :class:`DfsSector` per shape in frame order.
-
-    A shape is flagged when its protected dimension is at least two and
-    the measured leakage and twin deviation are at most the decomposition
-    tolerance.
+    A shape is flagged when its protected dimension
+    ``basis.syt_count(shape)`` is at least two and the leakage and its twin
+    deviation are at most the decomposition tolerance; a NaN passes
+    neither test.  Its noisy dimension is ``basis.multiplicity(shape)``.
     """
-    sectors = []
-    for shape in decomp.basis.shapes:
-        protected = decomp.basis.syt_count(shape)
-        noisy = decomp.basis.multiplicity(shape)
-        flagged = (
-            protected >= 2
-            and decomp.leakage <= decomp.tol
-            and decomp.twin_deviation[shape] <= decomp.tol
-        )
-        sectors.append(DfsSector(shape, protected, noisy, flagged))
-    return sectors
+    basis, tol = decomp.basis, decomp.tol
+    return {
+        shape: basis.syt_count(shape) >= 2
+        and decomp.leakage <= tol
+        and decomp.twin_deviation[shape] <= tol
+        for shape in basis.shapes
+    }
 
 
 @dataclass(frozen=True)

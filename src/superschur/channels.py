@@ -62,7 +62,7 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .liouville import OperatorBasis, check_liouville_dim, vectorize
+from .liouville import OperatorBasis, _check_sizes, check_liouville_dim, vectorize
 from .permutations import adjacent_transpositions, string_index_map
 
 CLOSURE_TOL = 1e-10
@@ -89,8 +89,7 @@ def _operator_stack(d: int, n: int, matrices, label: str) -> np.ndarray:
     """A read-only complex128 copy of ``matrices`` as one (K, D, D) array,
     D = d**n, K >= 0.  A matrix of another shape is a DimensionMismatchError,
     one with a non-finite entry a ValueError, each named ``label.format(k)``."""
-    if d < 2 or n < 1:
-        raise DimensionMismatchError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    _check_sizes(d, n)
     D = d**n
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     for k, m in enumerate(mats):
@@ -290,11 +289,16 @@ def mixing_unitary(ops, pi: tuple[int, ...], d: int, n: int) -> tuple[np.ndarray
 
     Returns (U, expansion residual, unitarity deviation).  The residual is
     the largest entry of the unexplained remainder; it vanishes exactly
-    when the permuted operators stay inside the original span.
+    when the permuted operators stay inside the original span.  An
+    operator whose normalized squared norm is negligible, the rule by which
+    the constructors drop one, has no overlap to divide by: ValueError.
     """
     # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
     s = np.argsort(string_index_map(pi, d, n))
     S = _operator_stack(d, n, ops, "operator {}")
+    for k, norm2 in enumerate(_gram(S).diagonal().real):
+        if not norm2 > _NEGLIGIBLE_NORM_SQ:
+            raise ValueError(f"operator {k}: normalized squared norm {norm2:.3e} is negligible")
     return _mixing(S, S[:, s[:, None], s])
 
 

@@ -5,7 +5,11 @@ Subcommands: ``decompose`` (sector dimension table), ``schur-basis``
 description file), ``evolve`` (blockwise Lindblad exponentials), and
 ``verify`` (self-check suites).  Human-readable text goes to stdout;
 ``--out`` writes a machine-readable JSON document whose bytes depend only
-on the input and the seed (timings are printed, never serialized).
+on the input and the seed (timings are printed, never serialized).  A
+payload holds plain Python values only, with no serialization hook, so a
+stray numpy integer or bool fails the write instead of being converted.
+``analyze`` reads each sector's dimensions from the basis, beside the one
+flag per shape that ``dfs_report`` decides.
 
 Exit codes: 0 success, 1 usage, 2 unreadable/ill-formed input, 3 input
 violating a structural invariant, 4 internal consistency failure.
@@ -41,7 +45,6 @@ from .channels import (
     kraus_superop,
     lindblad_superop,
 )
-from .combinatorics import Partition
 from .errors import (
     BlockStructureError,
     ChannelInvariantError,
@@ -71,18 +74,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, Partition):
-        return list(obj.parts)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -314,7 +307,7 @@ def _certificate_payload(cert) -> dict:
 def cmd_analyze(args) -> int:
     channel, builder = _load_channel(args.channel_file)
     cert, basis, decomp, times = _pipeline(channel, args.tol)
-    sectors = dfs_report(decomp)
+    flags = dfs_report(decomp)
     protection = None
     if any(basis.syt_count(s) >= 2 for s in basis.shapes):
         protection = protection_check(decomp, seed=args.seed)
@@ -330,11 +323,10 @@ def cmd_analyze(args) -> int:
         print(f"closure deviation: {channel.closure_deviation:.3e} (tol {CLOSURE_TOL:.1e})")
     print(f"leakage outside blocks: {decomp.leakage:.3e} (tol {args.tol:.1e})")
     print(f"{'partition':<12} {'protected':>9} {'noisy':>6} {'twin dev':>10}  dfs")
-    for sector in sectors:
-        twin = decomp.twin_deviation[sector.shape]
-        flag = "DFS" if sector.flagged else "-"
-        print(f"{str(sector.shape):<12} {sector.protected_dim:>9} "
-              f"{sector.noisy_dim:>6} {twin:>10.3e}  {flag}")
+    for shape, flagged in flags.items():
+        twin = decomp.twin_deviation[shape]
+        print(f"{str(shape):<12} {basis.syt_count(shape):>9} "
+              f"{basis.multiplicity(shape):>6} {twin:>10.3e}  {'DFS' if flagged else '-'}")
     if protection is not None:
         print(f"protection probe: {protection:.3e} "
               f"(trials {PROTECTION_TRIALS}, seed {args.seed}, tol {args.tol:.1e})")
@@ -352,15 +344,13 @@ def cmd_analyze(args) -> int:
             "leakage": _measured(decomp.leakage, args.tol),
             "sectors": [
                 {
-                    "partition": list(sector.shape.parts),
-                    "protected_dim": sector.protected_dim,
-                    "noisy_dim": sector.noisy_dim,
-                    "flagged": sector.flagged,
-                    "twin_deviation": _measured(
-                        decomp.twin_deviation[sector.shape], args.tol
-                    ),
+                    "partition": list(shape.parts),
+                    "protected_dim": basis.syt_count(shape),
+                    "noisy_dim": basis.multiplicity(shape),
+                    "flagged": flagged,
+                    "twin_deviation": _measured(decomp.twin_deviation[shape], args.tol),
                 }
-                for sector in sectors
+                for shape, flagged in flags.items()
             ],
             "liouville_dim": (channel.d**2) ** channel.n,
         }

@@ -61,14 +61,22 @@ def max_liouville_dim() -> int:
     return value
 
 
+def _check_sizes(d: int, n: int) -> None:
+    """DimensionMismatchError unless d >= 2 levels and n >= 1 sites."""
+    if d < 2 or n < 1:
+        raise DimensionMismatchError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+
+
 def check_liouville_dim(d: int, n: int) -> int:
-    """(d*d)**n, or SizeGuardError when it exceeds the limit.  For d >= 2
-    the power exceeds every limit of fewer than n bits, so it is formed
+    """(d*d)**n, or DimensionMismatchError for d < 2 or n < 1
+    (:func:`_check_sizes`), or SizeGuardError when it exceeds the limit.
+    The power exceeds every limit of fewer than n bits, so it is formed
     only when it is small enough to compare, and the message names it as
     d**(2n): the digits of the power, or of d*d, can run past Python's
     int-to-text limit, while d was itself read from text."""
+    _check_sizes(d, n)
     q, limit = d * d, max_liouville_dim()
-    if (q > 1 and n > limit.bit_length()) or q**n > limit:
+    if n > limit.bit_length() or q**n > limit:
         raise SizeGuardError(
             f"Liouville dimension {d}**{2 * n} for d={d}, n={n} exceeds the limit "
             f"{limit}; raise {_MAX_DIM_ENV} to proceed"

@@ -251,8 +251,7 @@ def _dfs_flags_n3() -> float:
     decoherence-free subsystem of protected dimension 2."""
     misses = 0
     for decomp in _decomposed_examples():
-        sector = next(s for s in dfs_report(decomp) if s.shape == TWO_ONE)
-        misses += not (sector.flagged and sector.protected_dim == 2)
+        misses += not (dfs_report(decomp)[TWO_ONE] and decomp.basis.syt_count(TWO_ONE) == 2)
     return float(misses)
 
 

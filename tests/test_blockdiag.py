@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from superschur import (
     BlockExponential,
     BlockStructureError,
     DimensionMismatchError,
+    EXAMPLE_CHANNELS,
     KrausChannel,
     Lindbladian,
     Partition,
@@ -214,7 +216,7 @@ def test_asymmetric_map_leaks_above_tol_on_the_class_path(schur_2_4):
     assert classify_kraus_symmetry(ch).classification == "none"
     decomp = decompose(kraus_superop(ch, operator_basis(2, 4)), schur_2_4)
     assert decomp.leakage > decomp.tol
-    assert not any(s.flagged for s in dfs_report(decomp))
+    assert not any(dfs_report(decomp).values())
 
 
 @pytest.mark.parametrize(
@@ -235,27 +237,48 @@ def test_every_example_family_block_diagonalizes(name, schur_2_3, letters_3):
     decomp = decompose(superop(ch, letters_3), schur_2_3)
     assert decomp.leakage < 1e-10
     assert decomp.twin_deviation[TWO_ONE] < 1e-10
-    sectors = dfs_report(decomp)
-    flags = {s.shape.parts: s.flagged for s in sectors}
+    flags = {shape.parts: flagged for shape, flagged in dfs_report(decomp).items()}
     assert flags == {(3,): False, (2, 1): True, (1, 1, 1): False}
-    dims = {s.shape.parts: (s.protected_dim, s.noisy_dim) for s in sectors}
+    basis = schur_2_3
+    dims = {s.parts: (basis.syt_count(s), basis.multiplicity(s)) for s in basis.shapes}
     assert dims == {(3,): (1, 20), (2, 1): (2, 20), (1, 1, 1): (1, 4)}
 
 
 def test_asymmetric_channel_leaks(schur_2_3, letters_3):
     decomp = decompose(kraus_superop(lopsided_channel(3), letters_3), schur_2_3)
     assert decomp.leakage > 1e-3
-    assert not any(s.flagged for s in dfs_report(decomp))
+    assert not any(dfs_report(decomp).values())
     assert classify_kraus_symmetry(lopsided_channel(3)).classification == "none"
 
 
 def test_two_qubit_sectors_have_no_protected_pairs(schur_2_2, letters_2_2):
     ch = example_channel("collective_damping", n=2, p=0.5)
     decomp = decompose(kraus_superop(ch, letters_2_2), schur_2_2)
-    sectors = dfs_report(decomp)
-    assert all(s.protected_dim == 1 for s in sectors)
-    assert not any(s.flagged for s in sectors)
-    assert sum(s.protected_dim * s.noisy_dim for s in sectors) == 16
+    assert all(schur_2_2.syt_count(s) == 1 for s in schur_2_2.shapes)
+    assert not any(dfs_report(decomp).values())
+    assert sum(schur_2_2.syt_count(s) * schur_2_2.multiplicity(s) for s in schur_2_2.shapes) == 16
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name in EXAMPLE_CHANNELS for n in range(2, 6)] + [("lopsided", 3)]
+)
+def test_dfs_report_is_one_flag_per_shape_by_the_rule(name, n):
+    ch = lopsided_channel(n) if name == "lopsided" else example_channel(name, n=n)
+    basis = super_schur_basis(2, n)
+    decomp = decompose(superop(ch, operator_basis(2, n)), basis)
+    flags = dfs_report(decomp)
+    assert type(flags) is dict and list(flags) == basis.shapes
+    for shape, flagged in flags.items():
+        protected = basis.syt_count(shape)
+        rule = protected >= 2 and decomp.leakage <= decomp.tol
+        assert flagged is (rule and decomp.twin_deviation[shape] <= decomp.tol)
+        # every family is symmetric; the lopsided map has no symmetry
+        assert flagged == (name != "lopsided" and protected >= 2)
+    # a NaN passes neither test
+    nan = float("nan")
+    assert not any(dfs_report(dataclasses.replace(decomp, leakage=nan)).values())
+    twins = dict.fromkeys(basis.shapes, nan)
+    assert not any(dfs_report(dataclasses.replace(decomp, twin_deviation=twins)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +488,7 @@ def test_unequal_twins_are_refused(schur_2_3):
     decomp = decompose(G, schur_2_3)
     assert decomp.leakage < 1e-12
     assert decomp.twin_deviation[TWO_ONE] > decomp.tol
-    assert not any(s.flagged for s in dfs_report(decomp))
+    assert not any(dfs_report(decomp).values())
     # one read-only array per shape, whatever its twins
     assert list(decomp.blocks) == list(schur_2_3.shapes)
     assert not any(B.flags.writeable for B in decomp.blocks.values())

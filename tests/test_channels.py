@@ -489,6 +489,18 @@ def test_mixing_unitary_refuses_operators_of_another_size():
         mixing_unitary(ch.kraus_ops, (1, 0), 2, 2)
 
 
+def test_mixing_unitary_refuses_a_negligible_operator_by_index():
+    X = np.kron(LOWER + LOWER.T, I2)
+    X = X + X[[0, 2, 1, 3]][:, [0, 2, 1, 3]]  # X (x) I + I (x) X, which the swap fixes
+    # normalized squared norms 0 and 1e-16, at most the constructors' drop bound
+    for scale in (0.0, 1e-8):
+        with pytest.raises(ValueError, match=r"^operator 1: normalized squared norm .* negligible$"):
+            mixing_unitary([X, scale * np.eye(4)], (1, 0), 2, 2)
+    # 1e-12 is above it: a tiny operator is not refused
+    U, res, udev = mixing_unitary([X, 1e-6 * np.eye(4)], (1, 0), 2, 2)
+    assert np.max(np.abs(U - np.eye(2))) < 1e-12 and res < 1e-12 and udev < 1e-12
+
+
 def test_mixing_unitary_identity_permutation():
     ch = example_channel("collective_damping", n=2, p=0.5)
     U, res, udev = mixing_unitary(ch.kraus_ops, (0, 1), 2, 2)

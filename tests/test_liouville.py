@@ -10,9 +10,11 @@ import pytest
 from superschur import (
     DimensionMismatchError,
     SizeGuardError,
+    SuperSchurBasis,
     max_liouville_dim,
     operator_basis,
     single_site_letters,
+    super_schur_basis,
     vectorize,
 )
 from superschur import liouville
@@ -236,6 +238,18 @@ def test_size_guard(monkeypatch):
     monkeypatch.setenv("SCHUR_DFS_MAX_DIM", "not-a-number")
     with pytest.raises(SizeGuardError):
         max_liouville_dim()
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (0, 2), (-2, 2), (2, 0), (2, -1)])
+@pytest.mark.parametrize(
+    "build",
+    [operator_basis, super_schur_basis, OperatorBasis, lambda d, n: SuperSchurBasis(d, n, ())],
+    ids=["operator_basis", "super_schur_basis", "OperatorBasis", "SuperSchurBasis"],
+)
+def test_too_few_levels_or_sites_are_refused_at_every_basis_entry(build, d, n):
+    with pytest.raises(DimensionMismatchError) as err:
+        build(d, n)
+    assert str(err.value) == f"need d >= 2 and n >= 1, got d={d}, n={n}"
 
 
 # ---------------------------------------------------------------------------
