@@ -29,7 +29,6 @@ from .channels import (
     example_channel,
     kraus_superop,
     lindblad_superop,
-    mixing_unitary,
     orthogonalize_kraus,
 )
 from .combinatorics import (
@@ -91,7 +90,6 @@ __all__ = [
     "letter_strings_by_weight",
     "lindblad_superop",
     "max_liouville_dim",
-    "mixing_unitary",
     "operator_basis",
     "orthogonalize_kraus",
     "partitions",

@@ -11,7 +11,10 @@ merely mixes the Kraus operators by a unitary matrix.  Both notions are
 decided on the adjacent transpositions, which generate the full group, in
 one pass: each transposition permutes the stack of operators by one index
 gather, never by a dense permutation matrix, and the commutator and the
-mixing matrix are both read from that gather.
+mixing matrix are both read from that gather.  The certificate's
+``generator_unitaries`` are the one solution of the mixing relation the
+package computes: for a weakly symmetric map, the mixing matrix of any
+other permutation is their product along a word of it.
 Lindblad generators additionally require a permutation-invariant
 Hamiltonian for either classification, measured in the same pass.
 
@@ -89,7 +92,7 @@ def _operator_stack(d: int, n: int, matrices, label: str) -> np.ndarray:
     """A read-only complex128 copy of ``matrices`` as one (K, D, D) array,
     D = d**n, K >= 0.  A matrix of another shape is a DimensionMismatchError,
     one with a non-finite entry a ValueError, each named ``label.format(k)``."""
-    _check_sizes(d, n)
+    d, n = _check_sizes(d, n)
     D = d**n
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     for k, m in enumerate(mats):
@@ -283,28 +286,16 @@ class SymmetryCertificate:
             raise ValueError(f"unknown classification {self.classification!r}")
 
 
-def mixing_unitary(ops, pi: tuple[int, ...], d: int, n: int) -> tuple[np.ndarray, float, float]:
+def _mixing(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Solve pi F_nu pi^dag = sum_mu F_mu U[mu, nu] by overlaps, for the
-    d**n x d**n matrices ``ops`` (a sequence or a (K, D, D) array).
+    (k, D, D) stacks S of the operators and T of the permuted operators;
+    k may be 0, and every operator of S has a non-negligible norm, as in a
+    canonical stack.
 
     Returns (U, expansion residual, unitarity deviation).  The residual is
     the largest entry of the unexplained remainder; it vanishes exactly
-    when the permuted operators stay inside the original span.  An
-    operator whose normalized squared norm is negligible, the rule by which
-    the constructors drop one, has no overlap to divide by: ValueError.
+    when the permuted operators stay inside the original span.
     """
-    # with P the shuffle e_i -> e_t[i], P F P^T is the gather F[s][:, s], s = t^-1
-    s = np.argsort(string_index_map(pi, d, n))
-    S = _operator_stack(d, n, ops, "operator {}")
-    for k, norm2 in enumerate(_gram(S).diagonal().real):
-        if not norm2 > _NEGLIGIBLE_NORM_SQ:
-            raise ValueError(f"operator {k}: normalized squared norm {norm2:.3e} is negligible")
-    return _mixing(S, S[:, s[:, None], s])
-
-
-def _mixing(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """:func:`mixing_unitary` of the (k, D, D) stacks S of the operators
-    and T of the permuted operators; k may be 0."""
     k, D = S.shape[:2]
     # one row per operator: overlaps and reconstructions are two products
     S, T = S.reshape(k, D * D), T.reshape(k, D * D)

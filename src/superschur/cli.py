@@ -86,8 +86,7 @@ def _measured(value: float, tol: float) -> dict:
 
 def _int_at_least(minimum: int, message: str):
     """The argparse type of an integer of at least ``minimum``, refusing a
-    smaller one with ``message``; with ``minimum`` of 1 or more, a value
-    below 1 is refused as not positive."""
+    smaller one with ``message``."""
 
     def parse(text: str) -> int:
         try:
@@ -95,8 +94,7 @@ def _int_at_least(minimum: int, message: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < minimum:
-            words = "expected a positive integer" if value < 1 <= minimum else message
-            raise argparse.ArgumentTypeError(f"{words}, got {value}")
+            raise argparse.ArgumentTypeError(f"{message}, got {value}")
         return value
 
     return parse

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import reduce
@@ -61,20 +62,31 @@ def max_liouville_dim() -> int:
     return value
 
 
-def _check_sizes(d: int, n: int) -> None:
-    """DimensionMismatchError unless d >= 2 levels and n >= 1 sites."""
+def _check_sizes(d: int, n: int) -> tuple[int, int]:
+    """d and n as Python ints, read with ``operator.index`` so that a numpy
+    integer cannot wrap around in a later power.  TypeError unless both
+    are integers (a bool is not one), then DimensionMismatchError unless
+    d >= 2 levels and n >= 1 sites."""
+    try:
+        if isinstance(d, bool) or isinstance(n, bool):
+            raise TypeError
+        d, n = operator.index(d), operator.index(n)
+    except TypeError:
+        raise TypeError(f"d and n must be integers (not bool), got d={d!r}, n={n!r}") from None
     if d < 2 or n < 1:
         raise DimensionMismatchError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    return d, n
 
 
 def check_liouville_dim(d: int, n: int) -> int:
-    """(d*d)**n, or DimensionMismatchError for d < 2 or n < 1
-    (:func:`_check_sizes`), or SizeGuardError when it exceeds the limit.
+    """(d*d)**n, or TypeError for a d or n that is not an integer and
+    DimensionMismatchError for d < 2 or n < 1 (:func:`_check_sizes`), or
+    SizeGuardError when it exceeds the limit.
     The power exceeds every limit of fewer than n bits, so it is formed
     only when it is small enough to compare, and the message names it as
     d**(2n): the digits of the power, or of d*d, can run past Python's
     int-to-text limit, while d was itself read from text."""
-    _check_sizes(d, n)
+    d, n = _check_sizes(d, n)
     q, limit = d * d, max_liouville_dim()
     if n > limit.bit_length() or q**n > limit:
         raise SizeGuardError(

@@ -25,7 +25,7 @@ shape, a standard tableau and a multiplicity label (a letter content and
 an index within it, counted by a Kostka number).  One cached table per
 (d, n) holds that layout: each content class with its rows (strings) and
 its frame columns, the Kostka numbers and the sector table.  The builder
-and every basis read it, and :func:`column_labels` gives its labels.
+and every basis read it, and ``SuperSchurBasis.labels`` gives its labels.
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis
@@ -214,23 +214,15 @@ def _layout(d: int, n: int) -> _Layout:
     return _Layout(MappingProxyType(classes), kostka, MappingProxyType(sectors), tuple(labels))
 
 
-def column_labels(d: int, n: int) -> tuple[ColumnLabel, ...]:
-    """The label of every basis column, in frame order: shapes largest
-    first, then tableau index, then letter-content class ordered by its
-    first string, then index within the class.  The layout is fixed by
-    (d, n) alone and built once per process, together with the class and
-    Kostka tables the basis builder reads; callers run the size guard first."""
-    return _layout(d, n).labels
-
-
 @dataclass(frozen=True)
 class SuperSchurBasis:
     """Orthonormal letter-string basis adapted to site permutations.
 
-    The column layout depends on (d, n) alone: ``labels`` is
-    ``column_labels(d, n)``, columns grouped by shape (largest first), then
-    tableau index, then letter content.  In this frame every site
-    permutation acts as a direct sum over shapes of D(pi) x I.
+    The column layout depends on (d, n) alone: ``labels`` holds the label
+    of every column in frame order, shapes largest first, then tableau
+    index, then letter-content class ordered by its first string, then
+    index within the class.  In this frame every site permutation acts as
+    a direct sum over shapes of D(pi) x I.
 
     Every column lives on the strings of its label's letter content, so the
     basis stores one real square block U[rows, cols] per content class, in
@@ -335,7 +327,7 @@ def super_schur_basis(d: int, n: int) -> SuperSchurBasis:
     """Build the permutation-adapted letter-string basis for n qudits.
 
     Each class's rows and columns and the Kostka numbers come from the
-    (d, n) layout that also gives :func:`column_labels`; its Kostka
+    (d, n) layout that also gives the basis its ``labels``; its Kostka
     numbers must sum to each shape's multiplicity.
 
     One letter-content class at a time: the reference-tableau columns of

@@ -28,7 +28,6 @@ from superschur.schur import (
     ColumnLabel,
     SuperSchurBasis,
     _layout,
-    column_labels,
     irrep_matrices,
 )
 
@@ -98,8 +97,9 @@ def factorial_basis(d: int, n: int) -> SuperSchurBasis:
             labels.extend(ColumnLabel(shape, y, content, j) for content, j in col_meta)
     U = np.hstack(blocks)
     assert dense_unitarity_deviation(U) < 1e-10
-    # the layout built here, independently of the production labels
-    assert tuple(labels) == column_labels(d, n)
     # the class blocks, at the rows and columns the layout gives each class
     placed = _layout(d, n).classes.values()
-    return SuperSchurBasis(d, n, [U[np.ix_(rows, cols)] for rows, cols in placed])
+    basis = SuperSchurBasis(d, n, [U[np.ix_(rows, cols)] for rows, cols in placed])
+    # the layout built here, independently of the production labels
+    assert tuple(labels) == basis.labels
+    return basis

@@ -20,7 +20,6 @@ from superschur import (
     example_channel,
     kraus_superop,
     lindblad_superop,
-    mixing_unitary,
     operator_basis,
     orthogonalize_kraus,
     vectorize,
@@ -33,7 +32,7 @@ from superschur.channels import (
     channel_from_dict,
 )
 from superschur.oracle import permutation_matrix
-from superschur.permutations import adjacent_transpositions, all_permutations, compose
+from superschur.permutations import adjacent_transpositions
 
 import builder_oracle
 from dispatch import certificate, superop
@@ -134,9 +133,8 @@ def test_operators_are_one_read_only_complex_stack(name):
         (lambda bad: KrausChannel(2, 1, [I2 / math.sqrt(2), bad]), "Kraus operator 1"),
         (lambda bad: Lindbladian(2, 1, np.zeros((2, 2)), [LOWER, LOWER.T, bad]), "jump operator 2"),
         (lambda bad: Lindbladian(2, 1, bad, [LOWER]), "Hamiltonian"),
-        (lambda bad: mixing_unitary([LOWER, bad], (0,), 2, 1), "operator 1"),
     ],
-    ids=["kraus", "jumps", "hamiltonian", "mixing_unitary"],
+    ids=["kraus", "jumps", "hamiltonian"],
 )
 def test_a_wrong_shape_or_a_non_finite_entry_is_refused_by_index(build, label):
     with pytest.raises(DimensionMismatchError) as err:
@@ -450,62 +448,6 @@ def test_certificate_rejects_unknown_classification():
 
     with pytest.raises(ValueError):
         SymmetryCertificate("sideways", {}, {})
-
-
-def test_mixing_unitaries_form_a_representation():
-    # U(pi) U(sigma) ~ U(pi o sigma) for words up to length three
-    ch = example_channel("single_site_damping", n=3, p=0.35)
-    gens = adjacent_transpositions(3)
-    words = [(g,) for g in gens]
-    words += [(a, b) for a in gens for b in gens]
-    words += [(a, b, c) for a in gens for b in gens for c in gens]
-    cache = {}
-
-    def U_of(pi):
-        if pi not in cache:
-            U, res, udev = mixing_unitary(ch.kraus_ops, pi, 2, 3)
-            assert res < 1e-8 and udev < 1e-8
-            cache[pi] = U
-        return cache[pi]
-
-    for word in words:
-        pi = (0, 1, 2)
-        U = np.eye(len(ch.kraus_ops), dtype=np.complex128)
-        for g in word:
-            pi = compose(g, pi)
-            U = U_of(g) @ U
-        assert np.max(np.abs(U - U_of(pi))) < 1e-6
-
-
-def test_mixing_unitary_of_no_operators_is_empty():
-    U, res, udev = mixing_unitary((), (1, 0), 2, 2)
-    assert U.shape == (0, 0)
-    assert res == 0.0 and udev == 0.0
-
-
-def test_mixing_unitary_refuses_operators_of_another_size():
-    ch = example_channel("collective_damping", n=3)
-    with pytest.raises(DimensionMismatchError, match=r"^operator 0: shape \(8, 8\) does not match"):
-        mixing_unitary(ch.kraus_ops, (1, 0), 2, 2)
-
-
-def test_mixing_unitary_refuses_a_negligible_operator_by_index():
-    X = np.kron(LOWER + LOWER.T, I2)
-    X = X + X[[0, 2, 1, 3]][:, [0, 2, 1, 3]]  # X (x) I + I (x) X, which the swap fixes
-    # normalized squared norms 0 and 1e-16, at most the constructors' drop bound
-    for scale in (0.0, 1e-8):
-        with pytest.raises(ValueError, match=r"^operator 1: normalized squared norm .* negligible$"):
-            mixing_unitary([X, scale * np.eye(4)], (1, 0), 2, 2)
-    # 1e-12 is above it: a tiny operator is not refused
-    U, res, udev = mixing_unitary([X, 1e-6 * np.eye(4)], (1, 0), 2, 2)
-    assert np.max(np.abs(U - np.eye(2))) < 1e-12 and res < 1e-12 and udev < 1e-12
-
-
-def test_mixing_unitary_identity_permutation():
-    ch = example_channel("collective_damping", n=2, p=0.5)
-    U, res, udev = mixing_unitary(ch.kraus_ops, (0, 1), 2, 2)
-    assert np.max(np.abs(U - np.eye(len(ch.kraus_ops)))) < 1e-12
-    assert res < 1e-12 and udev < 1e-12
 
 
 def test_classification_matches_superoperator_commutation():

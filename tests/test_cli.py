@@ -20,7 +20,7 @@ from superschur import (
     super_schur_basis,
 )
 from superschur.cli import main, write_basis_file
-from superschur.schur import SuperSchurBasis, column_labels
+from superschur.schur import SuperSchurBasis
 
 
 def write_doc(path, doc):
@@ -176,7 +176,7 @@ def test_basis_files_are_written_without_the_dense_matrix(d, n, tmp_path, monkey
     assert header == f"d={d} n={n} columns={(d * d) ** n}"
     at = [i for i, line in enumerate(lines) if line.startswith("lambda=")]
     assert at[0] == 0
-    assert [lines[i] for i in at] == [cli._label_line(lab) for lab in column_labels(d, n)]
+    assert [lines[i] for i in at] == [cli._label_line(lab) for lab in basis.labels]
     string_rows = {text: row for row, text in enumerate(cli._string_labels(d * d, n))}
     written = []
     for col, (start, stop) in enumerate(zip(at, at[1:] + [len(lines)])):
@@ -841,6 +841,22 @@ def test_package_runs_as_a_process(tmp_path):
     done = run_python("-W", "error::RuntimeWarning", "-m", "superschur", "analyze", spec)
     assert done.returncode == 2, done.stderr
     assert done.stderr == f"error: {TOO_LARGE.format('Kraus operator', 'F')}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["decompose", "--n", "3", "--d", "1"], "--d: local dimension must be >= 2, got 1"),
+        (["decompose", "--n", "3", "--d", "0"], "--d: local dimension must be >= 2, got 0"),
+        (["decompose", "--n", "3", "--d", "-3"], "--d: local dimension must be >= 2, got -3"),
+        (["decompose", "--n", "0", "--d", "2"], "--n: expected a positive integer, got 0"),
+        (["decompose", "--n", "-3", "--d", "2"], "--n: expected a positive integer, got -3"),
+        (["analyze", "spec.json", "--seed", "-3"], "--seed: expected a non-negative integer, got -3"),
+    ],
+)
+def test_each_integer_option_has_one_message(argv, words, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {words}\n")
 
 
 def test_cli_import_builds_no_basis():

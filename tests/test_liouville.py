@@ -9,10 +9,13 @@ import pytest
 
 from superschur import (
     DimensionMismatchError,
+    KrausChannel,
+    Lindbladian,
     SizeGuardError,
     SuperSchurBasis,
     max_liouville_dim,
     operator_basis,
+    orthogonalize_kraus,
     single_site_letters,
     super_schur_basis,
     vectorize,
@@ -250,6 +253,38 @@ def test_too_few_levels_or_sites_are_refused_at_every_basis_entry(build, d, n):
     with pytest.raises(DimensionMismatchError) as err:
         build(d, n)
     assert str(err.value) == f"need d >= 2 and n >= 1, got d={d}, n={n}"
+
+
+SIZE_ENTRIES = {
+    "operator_basis": operator_basis,
+    "OperatorBasis": OperatorBasis,
+    "super_schur_basis": super_schur_basis,
+    "SuperSchurBasis": lambda d, n: SuperSchurBasis(d, n, super_schur_basis(2, 1).blocks),
+    "KrausChannel": lambda d, n: KrausChannel(d, n, [np.eye(2)]),
+    "Lindbladian": lambda d, n: Lindbladian(d, n, np.zeros((2, 2)), []),
+    "orthogonalize_kraus": lambda d, n: orthogonalize_kraus(d, n, [np.eye(2)]),
+}
+
+
+@pytest.mark.parametrize("d, n", [(2.0, 1), (2, 1.5), (True, 1), (2, True), ("2", 1)])
+@pytest.mark.parametrize("build", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES.keys())
+def test_sizes_that_are_not_integers_are_refused_at_every_entry(build, d, n):
+    # a bool is refused although it compares as 0 or 1: (2, True) would
+    # otherwise share the cache slot of (2, 1)
+    with pytest.raises(TypeError) as err:
+        build(d, n)
+    assert str(err.value) == f"d and n must be integers (not bool), got d={d!r}, n={n!r}"
+
+
+@pytest.mark.parametrize("build", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES.keys())
+def test_numpy_integer_sizes_are_accepted_at_every_entry(build):
+    build(np.int64(2), np.int64(1))
+
+
+def test_numpy_integer_sizes_cannot_wrap_past_the_size_guard():
+    # (d*d)**n in int64 wraps to a negative number for d = 10**9, n = 2
+    with pytest.raises(SizeGuardError):
+        liouville.check_liouville_dim(np.int64(10**9), np.int64(2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ commutator as ``F[:, s] - F[s, :]``.  With P the dense 0/1 matrix of
 routes must agree under ``==``, not merely to a tolerance.
 """
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -19,16 +22,18 @@ from superschur import (
     example_channel,
     orthogonalize_kraus,
 )
+from superschur.channels import WEAK_TOL
 from superschur.oracle import permutation_matrix
-from superschur.permutations import adjacent_transpositions
+from superschur.permutations import adjacent_transpositions, compose, identity
 
 from dispatch import certificate
 
 
 def dense_mixing(mats, P):
     """(U, expansion residual, unitarity deviation) by dense conjugation,
-    with the stacked overlap and reconstruction products of
-    ``mixing_unitary``, so that equal inputs give equal bits."""
+    with the stacked overlap and reconstruction products the certificate
+    solves its ``generator_unitaries`` with, so that equal inputs give
+    equal bits."""
     k = len(mats)
     S = np.stack(mats).reshape(k, -1)
     T = np.stack([P @ F @ P.T for F in mats]).reshape(k, -1)
@@ -81,6 +86,34 @@ def assert_certificate_matches_dense(channel):
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CHANNELS))
 def test_builder_certificate_equals_dense_formulas(name, n):
     assert_certificate_matches_dense(example_channel(name, n=n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "name", ["single_site_damping", "independent_damping", "single_jump", "double_jump"]
+)
+def test_mixing_unitaries_form_a_representation(name, n):
+    # U(pi o g) = U(pi) U(g), composed breadth-first from the certificate's
+    # generator unitaries as irrep_matrices composes its generators, is the
+    # dense mixing matrix of every pi in S_n
+    channel = example_channel(name, n=n)
+    cert = certificate(channel)
+    assert cert.classification == "weak"
+    ops = channel.kraus_ops if isinstance(channel, KrausChannel) else channel.jump_ops
+    U = {identity(n): np.eye(len(ops))}
+    queue = deque(U)
+    while queue:
+        p = queue.popleft()
+        for g, Ug in cert.generator_unitaries.items():
+            pg = compose(p, g)
+            if pg not in U:
+                U[pg] = U[p] @ Ug
+                queue.append(pg)
+    assert len(U) == math.factorial(n)
+    for pi, U_pi in U.items():
+        dense, residual, unit_dev = dense_mixing(ops, permutation_matrix(pi, 2, n))
+        assert residual <= WEAK_TOL and unit_dev <= WEAK_TOL
+        assert np.max(np.abs(U_pi - dense)) < 1e-10
 
 
 def random_asymmetric_kraus(d, n, rng, count=3):

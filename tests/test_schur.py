@@ -28,7 +28,6 @@ from superschur.schur import (
     UNITARITY_TOL,
     SuperSchurBasis,
     _adjacent_swaps,
-    column_labels,
     irrep_matrices,
     young_orthogonal_generator,
 )
@@ -324,8 +323,12 @@ def test_basis_sector_bookkeeping(schur_2_3):
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2)])
 def test_labels_are_the_column_layout_of_d_and_n(d, n):
     basis = super_schur_basis(d, n)
-    assert basis.labels == column_labels(d, n)
     assert len(basis.labels) == basis.dim
+    # frame order: each tableau slice of each shape holds that shape's labels
+    for shape in basis.shapes:
+        for y in range(basis.syt_count(shape)):
+            cols = basis.labels[basis.tableau_slice(shape, y)]
+            assert {(lab.shape, lab.tableau_index) for lab in cols} == {(shape, y)}
     # the layout is no input: a basis is made from (d, n) and its classes
     with pytest.raises(TypeError):
         SuperSchurBasis(d, n, basis.blocks, basis.labels)
