@@ -43,9 +43,12 @@ that part is the same as using the Hermitian part of H.  Anything larger
 is an InternalConsistencyError.  Weyl letters (d >= 3) are not Hermitian
 and keep complex128.
 
-The built-in qubit families (EXAMPLE_CHANNELS) are sums and lists over
-site patterns: one local operator on k of the n qubits and another on the
-rest, for every 0/1 pattern with k ones, each pattern built once.
+The built-in qubit families (EXAMPLE_CHANNELS) build programs of orbit
+terms, one operator on k of the n qubits and another on the rest, summed or
+listed over the site patterns; one materializer makes any program's map.  A
+program is strong unless it lists an orbit of several patterns; where listed
+operators vanish or merge (p = 0 for single-site and independent damping,
+gamma1 = 0, gamma2 = 0 at n >= 3) the certificate measures strong, and stands.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -525,99 +528,126 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def _orbit(n: int, k: int, one: np.ndarray, rest: np.ndarray = _I) -> list[np.ndarray]:
+class _Term(NamedTuple):
     """``one`` on k of the n qubits and ``rest`` on the others, one product
-    per 0/1 site pattern with k ones, in lexicographic pattern order: the
-    reverse of the ``itertools.combinations`` order of the sites of ``one``."""
-    patterns = reversed(list(itertools.combinations(range(n), k)))
-    return [reduce(np.kron, [one if s in sites else rest for s in range(n)]) for sites in patterns]
+    per 0/1 site pattern with k ones, in lexicographic order (or, by_sites,
+    in ``itertools.combinations`` order of the sites of ``one``); listed or
+    summed, then times coef or over the root of the pattern count."""
+
+    k: int
+    one: np.ndarray
+    rest: np.ndarray = _I
+    coef: float | None = None
+    listed: bool = True
+    normalized: bool = False
+    by_sites: bool = False
 
 
-def _channel(n: int, ops: list[np.ndarray]) -> KrausChannel:
-    """The channel of a contractive set ``ops``, completed by the Kraus
-    operator sqrt(I - sum F^dag F) unless that remainder is negligible."""
-    R = np.eye(2**n, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
-    if not np.max(np.abs(R)) < 1e-14:
-        ops = ops + [_psd_sqrt(R)]
-    return KrausChannel(2, n, ops)
+class _Program(NamedTuple):
+    """A family on n qubits: Kraus or jump operator terms, a generator's
+    Hamiltonian terms (None for a channel), and whether to complete a channel."""
+
+    n: int
+    operators: tuple[_Term, ...]
+    hamiltonian: tuple[_Term, ...] | None = None
+    complete: bool = False
+
+    @property
+    def symmetry(self) -> str:
+        """Strong unless an operator term lists an orbit of several patterns."""
+        weak = any(t.listed and math.comb(self.n, t.k) > 1 for t in self.operators)
+        return "weak" if weak else "strong"
 
 
-def _lindbladian(n: int, jumps: list[np.ndarray], h_x: float, J: float) -> Lindbladian:
-    """The generator of ``jumps`` and the transverse-field Ising Hamiltonian:
-    field h_x on every site plus uniform all-to-all coupling J on every pair
-    (for three sites the all-to-all and nearest-neighbour rings agree), its
-    terms summed in ``itertools.combinations`` order.  A sum whose
-    sum |H_ij|^2 overflows float64, the rule Lindbladian applies, is a
-    ValueError naming h_x and J."""
-    terms = [h_x * T for T in _orbit(n, 1, _X)[::-1]] + [J * T for T in _orbit(n, 2, _Z)[::-1]]
+def _operators(n: int, t: _Term) -> list[np.ndarray]:
+    patterns = list(itertools.combinations(range(n), t.k))
+    ops = [reduce(np.kron, [t.one if s in sites else t.rest for s in range(n)])
+           for sites in (patterns if t.by_sites else patterns[::-1])]
+    if not t.listed:
+        ops = [sum(ops)]
+    if t.coef is not None or t.normalized:
+        ops = [F / math.sqrt(len(patterns)) if t.normalized else t.coef * F for F in ops]
+    return ops
+
+
+def _materialize(program: _Program) -> KrausChannel | Lindbladian:
+    """The map of ``program``; a completed channel gets sqrt(I - sum F^dag F)
+    unless negligible, and a Hamiltonian past Lindbladian's float64 rule is a ValueError."""
+    n = program.n
+    ops = [F for t in program.operators for F in _operators(n, t)]
+    if program.hamiltonian is None:
+        if program.complete:
+            R = np.eye(2**n, dtype=np.complex128) - sum(F.conj().T @ F for F in ops)
+            if not np.max(np.abs(R)) < 1e-14:
+                ops.append(_psd_sqrt(R))
+        return KrausChannel(2, n, ops)
+    terms = [T for t in program.hamiltonian for T in _operators(n, t)]
     with np.errstate(over="ignore", invalid="ignore"):
         H = sum(terms, np.zeros((2**n, 2**n), dtype=np.complex128))
         size = np.vdot(H, H).real
     if not np.isfinite(size):
+        h_x, J = (t.coef for t in program.hamiltonian)
         raise ValueError(f"Hamiltonian: the h_x = {h_x:g} and J = {J:g} terms sum past float64")
-    return Lindbladian(2, n, H, jumps)
+    return Lindbladian(2, n, H, ops)
 
 
-def _build_collective_damping(n: int, p: float = 0.5) -> KrausChannel:
+def _ising(h_x: float, J: float) -> tuple[_Term, _Term]:
+    # transverse field h_x on every site, all-to-all coupling J on every pair
+    return _Term(1, _X, coef=h_x, by_sites=True), _Term(2, _Z, coef=J, by_sites=True)
+
+
+def _build_collective_damping(n: int, p: float = 0.5) -> _Program:
     f0, f1 = _damping_pair(p)
-    return _channel(n, _orbit(n, 0, f1, f0) + _orbit(n, n, f1, f0))
+    return _Program(n, (_Term(0, f1, f0), _Term(n, f1, f0)), complete=True)
 
 
-def _build_correlated_damping(n: int, p: float = 0.5) -> KrausChannel:
+def _build_correlated_damping(n: int, p: float = 0.5) -> _Program:
     # Coherent sums over the permutation orbit of one (resp. two) damped
     # sites.  Each sum is scaled by 1/sqrt(orbit size): the raw sums
     # exceed contractivity for p > 2 - sqrt(3), while the scaled set is a
     # sub-sum of the full product closure and completes for every p.
     f0, f1 = _damping_pair(p)
-    orbits = [_orbit(n, k, f1, f0) for k in (1, 2)]
-    return _channel(n, [sum(orbit) / math.sqrt(len(orbit)) for orbit in orbits])
+    sums = tuple(_Term(k, f1, f0, listed=False, normalized=True) for k in (1, 2))
+    return _Program(n, sums, complete=True)
 
 
-def _build_single_site_damping(n: int, p: float = 0.5) -> KrausChannel:
+def _build_single_site_damping(n: int, p: float = 0.5) -> _Program:
     # One site damps at a time; the 1/sqrt(n) weight restores closure.
-    ops = [F / math.sqrt(n) for f in _damping_pair(p) for F in _orbit(n, 1, f)]
-    return KrausChannel(2, n, ops)
+    return _Program(n, tuple(_Term(1, f, normalized=True) for f in _damping_pair(p)))
 
 
-def _build_independent_damping(n: int, p: float = 0.5) -> KrausChannel:
+def _build_independent_damping(n: int, p: float = 0.5) -> _Program:
     # Every site damps independently: all 2**n products, the union of the
     # permutation orbits of the patterns f1^k f0^(n-k).
     f0, f1 = _damping_pair(p)
-    ops = [F for k in range(n + 1) for F in _orbit(n, k, f1, f0)]
-    return KrausChannel(2, n, ops)
+    return _Program(n, tuple(_Term(k, f1, f0) for k in range(n + 1)))
 
 
-def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
+def _build_single_jump(n: int, gamma1: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> _Program:
     _check_rate("gamma1", gamma1)
-    return _lindbladian(n, [math.sqrt(gamma1) * L for L in _orbit(n, 1, _LOWER)[::-1]], h_x, J)
+    return _Program(n, (_Term(1, _LOWER, coef=math.sqrt(gamma1), by_sites=True),), _ising(h_x, J))
 
 
-def _build_double_jump(n: int, gamma2: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
+def _build_double_jump(n: int, gamma2: float = 1.0, h_x: float = 1.0, J: float = 1.0) -> _Program:
     _check_rate("gamma2", gamma2)
-    return _lindbladian(n, [math.sqrt(gamma2) * L for L in _orbit(n, 2, _LOWER)[::-1]], h_x, J)
+    return _Program(n, (_Term(2, _LOWER, coef=math.sqrt(gamma2), by_sites=True),), _ising(h_x, J))
 
 
-def _build_collective_jump(
-    n: int,
-    gamma3: float = 1.0,
-    gamma4: float = 1.0,
-    gamma5: float = 1.0,
-    h_x: float = 1.0,
-    J: float = 1.0,
-) -> Lindbladian:
+def _build_collective_jump(n: int, gamma3: float = 1.0, gamma4: float = 1.0, gamma5: float = 1.0,
+                           h_x: float = 1.0, J: float = 1.0) -> _Program:
     # the single-site sum, the pair sum and the all-sites product
     jumps = []
     for name, k, rate in (("gamma3", 1, gamma3), ("gamma4", 2, gamma4), ("gamma5", n, gamma5)):
         _check_rate(name, rate)
         if rate > 0.0:
-            jumps.append(math.sqrt(rate) * sum(_orbit(n, k, _LOWER)))
+            jumps.append(_Term(k, _LOWER, coef=math.sqrt(rate), listed=False))
     # at n = 2 the pair sum and the all-sites product coincide; the
     # Lindbladian's Gram rotation merges them without changing the dissipator
-    return _lindbladian(n, jumps, h_x, J)
+    return _Program(n, tuple(jumps), _ising(h_x, J))
 
 
-def _build_transverse_ising(n: int, h_x: float = 1.0, J: float = 1.0) -> Lindbladian:
-    return _lindbladian(n, [], h_x, J)
+def _build_transverse_ising(n: int, h_x: float = 1.0, J: float = 1.0) -> _Program:
+    return _Program(n, (), _ising(h_x, J))
 
 
 def _check_rate(name: str, rate: float) -> None:
@@ -642,7 +672,7 @@ def _builder_params(name: str) -> tuple[str, ...]:
     return tuple(inspect.signature(EXAMPLE_CHANNELS[name]).parameters)[1:]
 
 
-def example_channel(name: str, n: int = 3, **params):
+def example_channel(name: str, /, n: int = 3, **params):
     """Build one of the named qubit families (KrausChannel or Lindbladian).
 
     Damping families take ``p``; jump families take decay rates
@@ -668,7 +698,7 @@ def example_channel(name: str, n: int = 3, **params):
         problem = _param_problem(value)
         if problem:
             raise ValueError(f"bad parameters for {name!r}: {key}: {problem}")
-    return EXAMPLE_CHANNELS[name](n, **params)
+    return _materialize(EXAMPLE_CHANNELS[name](n, **params))
 
 
 def _param_problem(value) -> str | None:

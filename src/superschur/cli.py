@@ -249,9 +249,9 @@ def _load_channel(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise ChannelSpecError(f"cannot read {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, and an int literal past
-        # Python's int-from-text limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an int literal past Python's
+        # int-from-text limit, and nesting too deep for the decoder
         raise ChannelSpecError(f"{path}: not valid JSON: {exc}") from None
     # channel_from_dict refuses a document that is not an object
     return channel_from_dict(doc), doc.get("builder")

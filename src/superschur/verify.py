@@ -24,7 +24,9 @@ from scipy.linalg import expm
 
 from .blockdiag import blockwise_exp, decompose, dfs_report, protection_check
 from .channels import (
+    EXAMPLE_CHANNELS,
     KrausChannel,
+    _builder_params,
     classify_kraus_symmetry,
     classify_lindblad_symmetry,
     example_channel,
@@ -183,23 +185,15 @@ def _matrix_unit_algebra_n3() -> float:
     return float(np.max(deviations))
 
 
-_DAMPING_CLASSES = {"collective_damping": "strong", "correlated_damping": "strong",
-                    "single_site_damping": "weak", "independent_damping": "weak"}
-_JUMP_RATES = {"single_jump": ("weak", ("gamma1",)), "double_jump": ("weak", ("gamma2",)),
-               "collective_jump": ("strong", ("gamma3", "gamma4", "gamma5"))}
-
-
 def _examples():
-    """(channel, expected class) at n = 3: every damping family at p in
-    {0.1, 0.5, 0.9}, every jump family with its rates at 0.5 and at 1.0,
-    and the transverse Ising generator."""
-    for name, want in _DAMPING_CLASSES.items():
-        for p in (0.1, 0.5, 0.9):
-            yield example_channel(name, n=3, p=p), want
-    for name, (want, rates) in _JUMP_RATES.items():
-        for rate in (0.5, 1.0):
-            yield example_channel(name, n=3, **dict.fromkeys(rates, rate)), want
-    yield example_channel("transverse_ising", n=3), "strong"
+    """(channel, expected class) at n = 3, the class its program states:
+    every damping family at p in {0.1, 0.5, 0.9}, every jump family with
+    its rates at 0.5 and at 1.0, and the transverse Ising generator."""
+    for name, build in EXAMPLE_CHANNELS.items():
+        rates = [key for key in _builder_params(name) if key == "p" or key.startswith("gamma")]
+        for value in (0.1, 0.5, 0.9) if rates == ["p"] else (0.5, 1.0) if rates else (None,):
+            params = dict.fromkeys(rates, value)
+            yield example_channel(name, n=3, **params), build(3, **params).symmetry
 
 
 def _classify(channel):

@@ -28,6 +28,7 @@ from superschur.channels import (
     EXAMPLE_CHANNELS,
     SuperOperatorMatrix,
     _builder_params,
+    _materialize,
     _psd_sqrt,
     channel_from_dict,
 )
@@ -589,6 +590,65 @@ def test_readme_builder_table_matches_the_registry():
     }
     assert list(table) == list(EXAMPLE_CHANNELS)
     assert table == {name: _builder_params(name) for name in EXAMPLE_CHANNELS}
+    # the symmetry column is the class each program states, at n = 3..6
+    # and, where the column names it, at n = 2
+    for row in rows:
+        name = row[0].strip(" `")
+        wide, at_two = re.fullmatch(r"\s*(\w+)(?: \((\w+) at n=2\))?\s*", row[3]).groups()
+        stated = [EXAMPLE_CHANNELS[name](n).symmetry for n in range(2, 7)]
+        assert stated == [at_two or wide] + [wide] * 4, name
+
+
+def zero_settings(name):
+    """The settings where a family's operators may vanish or merge: p at 0
+    and at 1, each rate at 0, and h_x = J = 0."""
+    params = _builder_params(name)
+    if "p" in params:
+        return [{"p": 0.0}, {"p": 1.0}]
+    return [{key: 0.0} for key in params if key.startswith("gamma")] + [{"h_x": 0.0, "J": 0.0}]
+
+
+# The cases where the program states weak and the certificate measures
+# strong, by (family, setting), with their site counts: the listed
+# operators vanish, or merge into one, so nothing is left to mix.
+MEASURED_STRONGER = {
+    # every f1 is zero and every f0 is I / sqrt(n): one operator, I
+    ("single_site_damping", "p=0.0"): range(2, 7),
+    # every product with an f1 is zero; the all-f0 product is I
+    ("independent_damping", "p=0.0"): range(2, 7),
+    # no jump operator is left
+    ("single_jump", "gamma1=0.0"): range(2, 7),
+    # no jump operator is left; at n = 2 the one pair already states strong
+    ("double_jump", "gamma2=0.0"): range(3, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(EXAMPLE_CHANNELS))
+def test_program_class_matches_the_measured_certificate(name):
+    # default and non-default parameters, and every zero setting, at n = 2..6
+    differ = set()
+    for params in [{}, NON_DEFAULT_PARAMS[name], *zero_settings(name)]:
+        setting = ",".join(f"{key}={value}" for key, value in params.items())
+        for n in range(2, 7):
+            program = EXAMPLE_CHANNELS[name](n, **params)
+            measured = certificate(_materialize(program)).classification
+            if measured != program.symmetry:
+                assert (program.symmetry, measured) == ("weak", "strong"), (setting, n)
+                differ.add((setting, n))
+    assert differ == {
+        (setting, n)
+        for (family, setting), counts in MEASURED_STRONGER.items() if family == name
+        for n in counts
+    }
+
+
+def test_example_channel_refuses_name_as_a_parameter():
+    # the family's name is positional-only, so a name keyword is a parameter
+    with pytest.raises(ValueError) as err:
+        example_channel("single_jump", n=3, name=1.0)
+    assert str(err.value) == (
+        "bad parameters for 'single_jump': unknown parameter 'name' (accepted: gamma1, h_x, J)"
+    )
 
 
 def test_example_channel_argument_errors():

@@ -330,6 +330,20 @@ def test_channel_file_that_is_not_json_text_exits_2_naming_the_path(text, reason
     assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON: {reason}")
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(b"[" * 200_000, id="whole-file"),
+    pytest.param(b'{"d": 2, "n": 1, "kind": "kraus", "operators": ' + b"[" * 100_000 + b"}",
+                 id="in-operators"),
+])
+def test_json_nested_too_deep_exits_2_without_a_traceback(text, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(text)
+    done = run_python("-m", "superschur", "analyze", str(path))
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: {path}: not valid JSON: maximum recursion depth")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("literal", [
     "NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digit-int"),
 ])
@@ -508,8 +522,13 @@ def test_builder_param_beyond_float64_exit_2(command, text, tmp_path, capsys):
             "unknown parameter 'p' (accepted: gamma1, h_x, J)",
         ),
         ({"n": 4}, "builder.params.n: the site count is the top-level n"),
+        (
+            {"name": 1.0},
+            "builder: bad parameters for 'single_jump': "
+            "unknown parameter 'name' (accepted: gamma1, h_x, J)",
+        ),
     ],
-    ids=["p", "n"],
+    ids=["p", "n", "name"],
 )
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
 def test_builder_param_the_family_does_not_take_exits_2(
