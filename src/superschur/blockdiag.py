@@ -42,7 +42,7 @@ import numpy as np
 from .channels import SuperOperatorMatrix
 from .combinatorics import Partition
 from .errors import BlockStructureError, DimensionMismatchError
-from .liouville import _read_only
+from .liouville import _CHUNK_ALIGN, _column_chunks, _read_only, _scratch_slab
 from .schur import SuperSchurBasis
 
 DEFAULT_BLOCK_TOL = 1e-8
@@ -89,8 +89,9 @@ def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.n
     Computes U^T M U as U^T (U^T M^T)^T: one row pass (:func:`_rows_to_frame`)
     on the C-order buffer of M^T (the matrix is held in F order), an
     in-place transpose, and the row pass again.  Every product is a real
-    class block times a row slab of the real view, even for a complex M, so
-    only a class-sized temporary lives.
+    class block times a column chunk of a row slab of the real view, even
+    for a complex M, written into one slab of ``liouville._SCRATCH_BYTES``,
+    so besides M only that slab, one row of M and one tile live.
 
     The conjugation runs in the buffer of ``superop.matrix``: the result is
     a C-order view of it, and ``superop.matrix`` then reads the frame
@@ -112,7 +113,8 @@ def to_schur_frame(superop: SuperOperatorMatrix, basis: SuperSchurBasis) -> np.n
 def _rows_to_frame(S: np.ndarray, basis: SuperSchurBasis) -> None:
     """S <- U^T S for a C-order S with rows on letter strings: the rows go
     into the layout's class order, each class's row slab is replaced by B^T
-    times it, and the rows go into frame order."""
+    times it, a chunk of columns at a time, and the rows go into frame
+    order."""
     placed = basis.layout.classes.values()
     _take_rows_in_place(S, np.concatenate([rows for rows, _ in placed]))
     bounds = np.cumsum([0] + [len(B) for B in basis.blocks])
@@ -120,8 +122,13 @@ def _rows_to_frame(S: np.ndarray, basis: SuperSchurBasis) -> None:
     # block multiplies real and imaginary parts in one real product (on a
     # real S the view is S itself)
     S_re = S.view(np.float64)
+    # one slab for every product, a chunk of the slab's columns at a time;
+    # an aligned chunk of a class outgrows it only far above the cap
+    slab = _scratch_slab(8 * _CHUNK_ALIGN * max(map(len, basis.blocks)))
     for B, start, stop in zip(basis.blocks, bounds, bounds[1:]):
-        S_re[start:stop] = B.T @ S_re[start:stop]
+        for c in _column_chunks(S_re.shape[1], len(B), len(slab)):
+            part = S_re[start:stop, c]
+            part[...] = np.matmul(B.T, part, out=slab[: part.size].reshape(part.shape))
     # position i now holds the frame row that the classes' concatenated
     # cols name at i
     _take_rows_in_place(S, np.argsort(np.concatenate([cols for _, cols in placed])))
@@ -163,16 +170,22 @@ def _transpose_in_place(A: np.ndarray) -> None:
 def _off_block_maxima(S: np.ndarray, sl: slice) -> list:
     """The largest |entry| of the rows of ``sl`` left and right of its
     diagonal block.  The tableau slices tile the frame, so over all of them
-    these cover everything outside the blocks, one row slab at a time."""
-    return [np.max(np.abs(side)) for side in (S[sl, : sl.start], S[sl, sl.stop :]) if side.size]
+    these cover everything outside the blocks, one row slab at a time.  A
+    real frame is read as max and -min, with no temporary; a NaN comes
+    through either way."""
+    sides = [side for side in (S[sl, : sl.start], S[sl, sl.stop :]) if side.size]
+    if np.iscomplexobj(S):
+        return [np.max(np.abs(side)) for side in sides]
+    return [max(side.max(), -side.min()) for side in sides]
 
 
 def _twin_deviation(twins: list[np.ndarray]) -> float:
     """The largest entrywise difference between two twin blocks, 0.0 for a
     shape with one tableau.  np.max, unlike the builtin max, lets a NaN
-    through."""
+    through, and inf - inf is a NaN without a floating-point warning."""
     pairs = itertools.combinations(twins, 2)
-    return float(np.max([np.max(np.abs(A - B)) for A, B in pairs], initial=0.0))
+    with np.errstate(invalid="ignore"):
+        return float(np.max([np.max(np.abs(A - B)) for A, B in pairs], initial=0.0))
 
 
 def decompose(

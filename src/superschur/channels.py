@@ -27,8 +27,10 @@ of one shift group share one column permutation, their phases being the
 rows of W^{(x)n} (see ``superschur.liouville``).  So the kernel forms the
 images of a whole group from one D x D x D array, filled by one batched
 product for all the sandwiches and two scatter-adds for the one-sided
-terms, and one product with W^{(x)n}.  Its scratch is two such arrays, 4 MB
-each at n = 6.  Each image is vectorized by its own ``vectorize`` call.
+terms, and one product with W^{(x)n}.  Its scratch is that array, 4 MB at
+n = 6, the gathers of the operators' rows and one slab of
+``liouville._SCRATCH_BYTES`` through which the product runs in chunks.
+Each image is vectorized by its own ``vectorize`` call.
 
 With Hermitian letters (the Pauli strings, d = 2) every Kraus channel and
 every Lindbladian with a Hermitian H maps Hermitian letter strings to
@@ -68,7 +70,15 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
 )
-from .liouville import OperatorBasis, _check_sizes, check_liouville_dim, vectorize
+from .liouville import (
+    _CHUNK_ALIGN,
+    OperatorBasis,
+    _column_chunks,
+    _check_sizes,
+    _scratch_slab,
+    check_liouville_dim,
+    vectorize,
+)
 from .permutations import adjacent_transpositions, string_index_map
 
 CLOSURE_TOL = 1e-10
@@ -414,9 +424,13 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     (D x K) @ (K x D), in real arithmetic on the complex view when every
     F is real; (A, I) and (I, A') add A[:, R] at T_s[R, :, col_s(R)] and
     A'[col_s(R), :] at T_s[R, R, :].  w is applied through its Kronecker
-    halves, as :func:`vectorize` applies conj(w).  Two D**3 arrays (4 MB
-    each at n = 6; float64 when every term is real) are all the scratch,
-    besides the group's gather of the F^dag rows (K D**2 entries).  Each image is vectorized by its own
+    halves, as :func:`vectorize` applies conj(w), back into T_s: the two
+    products run over chunks of T_s's last index through one slab of
+    ``_SCRATCH_BYTES`` (one chunk up to n = 5 at d = 2), which only splits
+    their output, never a sum, so the bits do not depend on the chunking.
+    The scratch is T_s (D**3 entries, 4 MB at n = 6; float64 when every
+    term is real), that slab and the gathers of the F and F^dag rows
+    (K D**2 entries each).  Each image is vectorized by its own
     ``vectorize`` call into one row of M^T: the matrix comes out in F order.
 
     With Hermitian letters (the basis's ``real``, d = 2) the result is
@@ -435,7 +449,16 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     # T is real when every term is: real F, no one-sided terms, real letters
     real_T = real and one_sided is None and S.dtype == np.float64
     T = np.empty((D, D, D), dtype=np.float64 if real_T else np.complex128)
-    Y = np.empty_like(T)
+    # T as (D1, D2, columns), on the real view at d = 2: a complex row is a
+    # row of (re, im) pairs, so the real halves of w act on both parts
+    T3 = (T.view(np.float64) if real else T).reshape(D1, D2, -1)
+    # the one slab of scratch, in turn the products' column chunks of T3 and,
+    # at d = 2, the imaginary parts dropped from a few rows of M^T; a row of
+    # M^T, or an aligned chunk, outgrows _SCRATCH_BYTES only far above the cap
+    slab = _scratch_slab(max(8 * basis.dim, _CHUNK_ALIGN * D * T3.itemsize), np.complex128)
+    Y, flat = slab.view(T3.dtype), slab.view(np.float64)
+    chunks = _column_chunks(T3.shape[2], D, len(Y))
+    rows = min(D, len(flat) // basis.dim)
     # left[R] = [F_1[:, R] ... F_K[:, R]], right[c] = the rows c of the F_j^dag
     left = np.ascontiguousarray(S.transpose(2, 1, 0))
     right = np.ascontiguousarray(S.conj().transpose(2, 0, 1), dtype=T.dtype)
@@ -443,8 +466,7 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     # labels[k, s]: the string at table position k*D + s
     labels = np.argsort(basis.order).reshape(D, D)
     out = np.empty((basis.dim, basis.dim), dtype=np.float64 if real else np.complex128)
-    imag = np.empty((D, basis.dim)) if real else None
-    dropped = []  # per group: the largest imaginary part dropped
+    dropped = []  # per chunk of rows: the largest imaginary part dropped
     for s in range(D):
         col = basis.col_s[s]
         if left.dtype == T.dtype:
@@ -457,21 +479,32 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
             A, A_right = one_sided
             T[R, :, col] += A.T
             T[R, R, :] += A_right[col]
-        # w @ T over the first index, as the Kronecker halves of w, back into T
-        Tv, Yv = (T.view(np.float64), Y.view(np.float64)) if real else (T, Y)
-        np.matmul(w_inner, Tv.reshape(D1, D2, -1), out=Yv.reshape(D1, D2, -1))
-        np.matmul(w_outer, Yv.reshape(D1, -1), out=Tv.reshape(D1, -1))
-        for k, b in enumerate(labels[:, s]):
-            v = vectorize(T[k], basis)
-            v *= basis.lam[b]
-            if real:
-                out[b] = v.real
-                imag[k] = v.imag
+        # w @ T over the first index, as the Kronecker halves of w, back into
+        # T chunk by chunk.  Chunked, the second product writes through a
+        # transposed view of the chunk, so it needs no copy; whole, it is one
+        # product, as the bits of a batch of D2 products over columns that
+        # are not a whole number of BLAS tiles (d = 3) can differ from it
+        for c in chunks:
+            Tc = T3[:, :, c]
+            Yc = Y[: Tc.size].reshape(Tc.shape)
+            np.matmul(w_inner, Tc, out=Yc)
+            if len(chunks) == 1:
+                np.matmul(w_outer, Yc.reshape(D1, -1), out=T3.reshape(D1, -1))
             else:
-                out[b] = v
-        if real:
-            # max and -min instead of abs: no temporary, and a NaN comes through
-            dropped.append(max(imag.max(), -imag.min()))
+                np.matmul(w_outer, Yc.transpose(1, 0, 2), out=Tc.transpose(1, 0, 2))
+        for start in range(0, D, rows):
+            imag = flat[: rows * basis.dim].reshape(rows, -1)[: D - start]
+            for k, b in enumerate(labels[start : start + rows, s], start):
+                v = vectorize(T[k], basis)
+                v *= basis.lam[b]
+                if real:
+                    out[b] = v.real
+                    imag[k - start] = v.imag
+                else:
+                    out[b] = v
+            if real:
+                # max and -min instead of abs: no temporary, and a NaN comes through
+                dropped.append(max(imag.max(), -imag.min()))
     if real:
         # a generator may also drop the anti-Hermitian part of an accepted H
         allowance = HERMITICITY_TOL if one_sided is not None else 0.0
@@ -679,12 +712,16 @@ def example_channel(name: str, /, n: int = 3, **params):
     (``gamma1`` .. ``gamma5``) and Hamiltonian couplings ``h_x``, ``J``.
     A parameter the family does not take is a ValueError that names the
     ones it does, and so is a value that is not a real number finite in
-    float64 (a bool is not a number), naming the parameter.  The map holds
-    the family's operators in canonical form.
+    float64 (a bool is not a number), naming the parameter.  ``n`` is read
+    as every size is (``liouville._check_sizes``, with d = 2): TypeError
+    unless it is an integer, DimensionMismatchError below 1, then
+    ValueError below 2.  The map holds the family's operators in canonical
+    form.
     """
     if name not in EXAMPLE_CHANNELS:
         known = ", ".join(sorted(EXAMPLE_CHANNELS))
         raise ValueError(f"unknown example channel {name!r}; known: {known}")
+    _, n = _check_sizes(2, n)
     if n < 2:
         raise ValueError(f"example channels need n >= 2, got {n}")
     accepted = _builder_params(name)

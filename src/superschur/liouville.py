@@ -43,6 +43,30 @@ from .errors import DimensionMismatchError, SizeGuardError
 
 DEFAULT_MAX_DIM = 4096
 _MAX_DIM_ENV = "SCHUR_DFS_MAX_DIM"
+# the one scratch slab the dense path keeps beside the (d*d)**n square array
+# it builds: the superoperator kernel (superschur.channels) and the frame
+# conjugation (superschur.blockdiag) run every larger temporary in chunks
+# that fit it
+_SCRATCH_BYTES = 512 * 1024
+# chunk widths are a multiple of this many columns.  A BLAS product gives a
+# column the same bits in a chunk as in the whole product only when it sits
+# in the same micro-tile of columns (x86 OpenBLAS tiles by 4, 8 or 16), and
+# a split at a multiple of the tile width keeps every tile whole
+_CHUNK_ALIGN = 16
+
+
+def _scratch_slab(least_bytes: int, dtype=np.float64) -> np.ndarray:
+    """An uninitialised slab of _SCRATCH_BYTES, or of ``least_bytes`` when
+    the caller needs more, as a flat array of ``dtype``."""
+    return np.empty(max(_SCRATCH_BYTES, least_bytes) // np.dtype(dtype).itemsize, dtype=dtype)
+
+
+def _column_chunks(columns: int, height: int, entries: int) -> list[slice]:
+    """Slices tiling ``range(columns)`` into chunks of as many columns of
+    ``height`` entries as fit in ``entries``, a multiple of _CHUNK_ALIGN and
+    at least that (one chunk when all columns fit)."""
+    width = max(_CHUNK_ALIGN, entries // height // _CHUNK_ALIGN * _CHUNK_ALIGN)
+    return [slice(c, c + width) for c in range(0, columns, width)]
 
 
 def max_liouville_dim() -> int:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -520,6 +521,46 @@ def test_nan_leakage_is_refused(schur_2_3, letters_3):
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
     decomp.leakage = float("nan")
     with pytest.raises(BlockStructureError, match="leakage nan exceeds tolerance"):
+        blockwise_exp(decomp, 0.5)
+
+
+def collective_qutrit_jump(n):
+    """A permutation-symmetric qutrit generator: the collective shift as
+    its one jump, and the sum of the sites' Z + Z^dag as H."""
+    X = np.roll(np.eye(3, dtype=np.complex128), 1, axis=0)
+    Z = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    eye = np.eye(3, dtype=np.complex128)
+
+    def on(k, A):
+        return reduce(np.kron, [A if j == k else eye for j in range(n)])
+
+    H = sum(on(k, Z + Z.conj().T) for k in range(n))
+    return Lindbladian(3, n, H, [sum(on(k, X) for k in range(n))])
+
+
+SYMMETRIC_GENERATORS = {
+    "real-frame": lambda: example_channel("collective_jump", n=3),
+    "complex-frame": lambda: collective_qutrit_jump(3),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("which", sorted(SYMMETRIC_GENERATORS))
+def test_a_non_finite_superoperator_entry_reaches_the_leakage(which, value):
+    lind = SYMMETRIC_GENERATORS[which]()
+    basis = super_schur_basis(lind.d, lind.n)
+    M = lindblad_superop(lind, operator_basis(lind.d, lind.n))
+    clean = decompose(dataclasses.replace(M, matrix=M.matrix.copy()), basis)
+    assert clean.leakage <= clean.tol and any(dfs_report(clean).values())
+    assert np.iscomplexobj(clean.frame) == (which == "complex-frame")
+    # an entry in a row and a column of letter-content classes of several
+    # strings, so the conjugation spreads it off the blocks
+    dim = basis.dim
+    M.matrix[dim // 2 + 1, dim // 3] = value
+    decomp = decompose(M, basis)
+    assert not np.isfinite(decomp.leakage)
+    assert not any(dfs_report(decomp).values())
+    with pytest.raises(BlockStructureError, match=r"^leakage (nan|inf) exceeds tolerance"):
         blockwise_exp(decomp, 0.5)
 
 

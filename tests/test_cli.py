@@ -999,8 +999,9 @@ PIPELINE_INPUTS = [f"builder-{name}" for name in sorted(channels.EXAMPLE_CHANNEL
 
 @pytest.mark.parametrize("case", PIPELINE_INPUTS)
 def test_pipeline_holds_one_dense_array(case):
-    # the superoperator's buffer becomes the frame, so besides it only
-    # class-sized and shift-group-sized temporaries are traced
+    # the superoperator's buffer becomes the frame, so besides it only the
+    # kernel's shift-group stack and gathers, the one scratch slab and the
+    # blocks are traced
     import tracemalloc
 
     if case.startswith("builder-"):

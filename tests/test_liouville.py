@@ -13,6 +13,7 @@ from superschur import (
     Lindbladian,
     SizeGuardError,
     SuperSchurBasis,
+    example_channel,
     max_liouville_dim,
     operator_basis,
     orthogonalize_kraus,
@@ -279,6 +280,20 @@ def test_sizes_that_are_not_integers_are_refused_at_every_entry(build, d, n):
 @pytest.mark.parametrize("build", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES.keys())
 def test_numpy_integer_sizes_are_accepted_at_every_entry(build):
     build(np.int64(2), np.int64(1))
+
+
+# the builders take n alone (d = 2), so they sit beside SIZE_ENTRIES
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
+def test_example_channel_reads_n_as_every_size_entry_does(n):
+    with pytest.raises(TypeError) as err:
+        example_channel("collective_jump", n=n)
+    assert str(err.value) == f"d and n must be integers (not bool), got d=2, n={n!r}"
+
+
+def test_example_channel_accepts_a_numpy_integer_n():
+    built = example_channel("collective_jump", n=np.int64(3))
+    assert type(built.n) is int
+    assert np.array_equal(built.jump_ops, example_channel("collective_jump", n=3).jump_ops)
 
 
 def test_numpy_integer_sizes_cannot_wrap_past_the_size_guard():

@@ -19,15 +19,16 @@ from superschur import (
     decompose,
     dfs_report,
     example_channel,
+    kraus_superop,
     lindblad_superop,
     operator_basis,
     protection_check,
     super_schur_basis,
 )
-from superschur import blockdiag, cli
+from superschur import blockdiag, channels, cli, liouville
 from superschur.blockdiag import PROTECTION_TRIALS
 from superschur.channels import EXAMPLE_CHANNELS, HERMITICITY_TOL, SuperOperatorMatrix
-from superschur.liouville import single_site_letters
+from superschur.liouville import single_site_letters, vectorize
 
 from dispatch import superop, superop_columns
 from superop_oracle import lindblad_superop_columns
@@ -159,6 +160,31 @@ def test_non_hermitian_hamiltonian_raises_internal_error():
     forced = with_hamiltonian_offset(lind, 1j * 1e-6 * pauli_string("XIZ"))
     with pytest.raises(InternalConsistencyError, match="imaginary part 2.000e-06 above the bound"):
         lindblad_superop(forced, operator_basis(2, 3))
+
+
+# with a 1536-byte slab the n = 3 kernel holds the dropped imaginary parts
+# of 3 of a shift group's 8 columns at a time, in chunks of 3, 3 and 2; the
+# vectorize call ``taint`` gets an imaginary part, and there are 64 calls
+@pytest.mark.parametrize("taint", [0, 7, 3 * 8 + 4, 63, None])
+def test_imaginary_part_guard_reads_every_chunk_of_rows(taint, monkeypatch):
+    monkeypatch.setattr(liouville, "_SCRATCH_BYTES", 1536)
+    calls = []
+
+    def tainted(matrix, basis):
+        v = vectorize(matrix, basis)
+        if len(calls) == taint:
+            # imaginary part 1e-6 whatever the string's phase (+-1, +-i)
+            v += 1e-6 * (1 + 1j)
+        calls.append(taint)
+        return v
+
+    monkeypatch.setattr(channels, "vectorize", tainted)
+    channel = example_channel("collective_damping", n=3)
+    if taint is None:
+        assert kraus_superop(channel, operator_basis(2, 3)).matrix.dtype == np.float64
+        return
+    with pytest.raises(InternalConsistencyError, match="imaginary part 1.000e-06 above the bound"):
+        kraus_superop(channel, operator_basis(2, 3))
 
 
 @pytest.mark.parametrize("command", ["analyze", "evolve"])
