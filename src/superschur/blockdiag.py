@@ -5,13 +5,14 @@ is the direct sum over shapes lambda of B_lambda (x) I_syt(lambda): one
 block per partition shape, repeated once per standard tableau.  A shape
 whose tableau count exceeds one then carries a protected subsystem, the
 identity factor: the dynamics touches only the multiplicity space.  The
-basis alone fixes both dimensions of a sector (``syt_count`` protected,
-``multiplicity`` noisy), so :func:`dfs_report` returns nothing but one
-flag per shape: whether the measured residue lets that factor stand.  The
-decomposition keeps the whole frame, which its measurements read, and the
-blocks in that form: one array per shape, its tableau-0 block B.  The
-exponential of a block-diagonal generator is nothing but its blocks: a
-:class:`BlockExponential` holds one exp(tB) per shape, and builds no frame.
+basis alone fixes a sector's columns and dimensions, in its record in
+``basis.sectors`` (``copies`` protected, ``multiplicity`` noisy), so
+:func:`dfs_report` returns one flag per shape: whether the measured
+residue lets that factor stand.  The decomposition keeps the whole frame,
+which its measurements read, and the blocks in that form: one array per
+shape, its tableau-0 block B.  The exponential of a block-diagonal
+generator is nothing but its blocks: a :class:`BlockExponential` holds
+one exp(tB) per shape, and builds no frame.
 
 The adapted basis is stored as one block per letter-content class (every
 column lives on one class), so the conjugation into the frame is one row
@@ -67,8 +68,8 @@ class BlockDecomposition:
 
     ``frame`` is the whole conjugated matrix U^T M U.  ``blocks`` maps each
     shape, in frame order, to a read-only copy of its tableau-0 block, the
-    ``B`` of ``B (x) I``; the frame holds ``basis.syt_count(shape)`` copies
-    of it.  ``leakage`` is the largest entry of the frame outside all
+    ``B`` of ``B (x) I``; the frame holds ``basis.sectors[shape].copies``
+    copies of it.  ``leakage`` is the largest entry of the frame outside all
     diagonal blocks and ``twin_deviation`` the largest difference between
     two blocks of the same shape; both are small exactly when the
     underlying map is permutation symmetric.
@@ -205,45 +206,33 @@ def decompose(
     array of its size is allocated.
     """
     S = to_schur_frame(superop, basis)
-    blocks = {}
-    off_block = []
-    twin_deviation = {}
-    for shape in basis.shapes:
-        slices = [basis.tableau_slice(shape, y) for y in range(basis.syt_count(shape))]
-        for sl in slices:
+    blocks, off_block, twin_deviation = {}, [], {}
+    for shape, sector in basis.sectors.items():
+        for sl in sector.tableaux:
             off_block.extend(_off_block_maxima(S, sl))
-        twins = [S[sl, sl] for sl in slices]
+        twins = [S[sl, sl] for sl in sector.tableaux]
         twin_deviation[shape] = _twin_deviation(twins)
         blocks[shape] = twins[0].copy()
     _read_only(*blocks.values())
     # np.max, unlike the builtin max, lets a NaN through
     leakage = float(np.max(off_block, initial=0.0))
-    return BlockDecomposition(
-        kind=superop.kind,
-        tol=tol,
-        basis=basis,
-        frame=S,
-        blocks=blocks,
-        leakage=leakage,
-        twin_deviation=twin_deviation,
-    )
+    return BlockDecomposition(superop.kind, tol, basis, S, blocks, leakage, twin_deviation)
 
 
 def dfs_report(decomp: BlockDecomposition) -> dict[Partition, bool]:
     """One flag per shape, keyed in frame order: whether its sector
     carries a decoherence-free subsystem.
 
-    A shape is flagged when its protected dimension
-    ``basis.syt_count(shape)`` is at least two and the leakage and its twin
-    deviation are at most the decomposition tolerance; a NaN passes
-    neither test.  Its noisy dimension is ``basis.multiplicity(shape)``.
+    A shape is flagged when its sector has at least two ``copies`` (the
+    protected dimension) and the leakage and its twin deviation are at
+    most the decomposition tolerance; a NaN passes neither test.  The
+    sector's ``multiplicity`` is its noisy dimension.
     """
-    basis, tol = decomp.basis, decomp.tol
     return {
-        shape: basis.syt_count(shape) >= 2
-        and decomp.leakage <= tol
-        and decomp.twin_deviation[shape] <= tol
-        for shape in basis.shapes
+        shape: sector.copies >= 2
+        and decomp.leakage <= decomp.tol
+        and decomp.twin_deviation[shape] <= decomp.tol
+        for shape, sector in decomp.basis.sectors.items()
     }
 
 
@@ -264,10 +253,9 @@ class BlockExponential:
         tableau slice, of their dtype, built anew on every read."""
         dtype = np.result_type(*self.blocks.values())
         out = np.zeros((self.basis.dim, self.basis.dim), dtype=dtype)
-        for shape, E in self.blocks.items():
-            for y in range(self.basis.syt_count(shape)):
-                sl = self.basis.tableau_slice(shape, y)
-                out[sl, sl] = E
+        for shape, sector in self.basis.sectors.items():
+            for sl in sector.tableaux:
+                out[sl, sl] = self.blocks[shape]
         return out
 
 
@@ -356,20 +344,17 @@ def protection_check(decomp: BlockDecomposition, seed: int = 0) -> float:
     product instead of a complex copy of itself.
     """
     basis = decomp.basis
-    eligible = [s for s in basis.shapes if basis.syt_count(s) >= 2]
+    eligible = {s: sector for s, sector in basis.sectors.items() if sector.copies >= 2}
     if not eligible:
         raise BlockStructureError("no sector with protected dimension >= 2")
     rng = np.random.default_rng(seed)
     S = decomp.frame
     deviations = []
     for _ in range(PROTECTION_TRIALS):
-        for shape in eligible:
-            protected = basis.syt_count(shape)
-            noisy = basis.multiplicity(shape)
-            C = rng.standard_normal((protected, noisy)) + 1j * rng.standard_normal(
-                (protected, noisy)
-            )
-            sl = basis.sector_slice(shape)
+        for shape, sector in eligible.items():
+            size = (sector.copies, sector.multiplicity)
+            C = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            sl = sector.columns
             v = C.reshape(-1)
             if np.iscomplexobj(S):
                 out = S[:, sl] @ v

@@ -429,9 +429,11 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     ``_SCRATCH_BYTES`` (one chunk up to n = 5 at d = 2), which only splits
     their output, never a sum, so the bits do not depend on the chunking.
     The scratch is T_s (D**3 entries, 4 MB at n = 6; float64 when every
-    term is real), that slab and the gathers of the F and F^dag rows
-    (K D**2 entries each).  Each image is vectorized by its own
-    ``vectorize`` call into one row of M^T: the matrix comes out in F order.
+    term is real), that slab, the columns of the F and one buffer each
+    group refills with its F^dag rows (K D**2 entries each; real rows reach
+    a complex buffer through a transient real copy).  Each image is
+    vectorized by its own ``vectorize`` call into one row of M^T: the
+    matrix comes out in F order.
 
     With Hermitian letters (the basis's ``real``, d = 2) the result is
     float64: each row keeps the real part of its vector, and the largest
@@ -459,9 +461,10 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     Y, flat = slab.view(T3.dtype), slab.view(np.float64)
     chunks = _column_chunks(T3.shape[2], D, len(Y))
     rows = min(D, len(flat) // basis.dim)
-    # left[R] = [F_1[:, R] ... F_K[:, R]], right[c] = the rows c of the F_j^dag
-    left = np.ascontiguousarray(S.transpose(2, 1, 0))
-    right = np.ascontiguousarray(S.conj().transpose(2, 0, 1), dtype=T.dtype)
+    # cols[R, j] = F_j[:, R]; a group's F^dag rows are right[R] = conj(cols[col_s(R)])
+    cols = np.ascontiguousarray(S.transpose(2, 0, 1))
+    left = cols.transpose(0, 2, 1)
+    right = np.zeros(cols.shape, dtype=T.dtype)
     R = np.arange(D)
     # labels[k, s]: the string at table position k*D + s
     labels = np.argsort(basis.order).reshape(D, D)
@@ -469,12 +472,16 @@ def _letter_superop(basis: OperatorBasis, S: np.ndarray, one_sided=None) -> np.n
     dropped = []  # per chunk of rows: the largest imaginary part dropped
     for s in range(D):
         col = basis.col_s[s]
+        # a real F fills the real parts alone: a complex buffer keeps its zero imaginary parts
+        np.take(cols, col, axis=0, out=right.real if np.isrealobj(cols) else right, mode="clip")
+        if np.iscomplexobj(cols):
+            np.conjugate(right, out=right)
         if left.dtype == T.dtype:
-            np.matmul(left, right[col], out=T)
+            np.matmul(left, right, out=T)
         else:
             # a complex row is a row of (re, im) pairs, so the real F
             # multiplies real and imaginary parts in one real product
-            np.matmul(left, right[col].view(np.float64), out=T.view(np.float64))
+            np.matmul(left, right.view(np.float64), out=T.view(np.float64))
         if one_sided is not None:
             A, A_right = one_sided
             T[R, :, col] += A.T

@@ -5,11 +5,13 @@ Subcommands: ``decompose`` (sector dimension table), ``schur-basis``
 description file), ``evolve`` (blockwise Lindblad exponentials), and
 ``verify`` (self-check suites).  Human-readable text goes to stdout;
 ``--out`` writes a machine-readable JSON document whose bytes depend only
-on the input and the seed (timings are printed, never serialized).  A
-payload holds plain Python values only, with no serialization hook, so a
-stray numpy integer or bool fails the write instead of being converted.
-``analyze`` reads each sector's dimensions from the basis, beside the one
-flag per shape that ``dfs_report`` decides.
+on the input and the seed, except that the products in ``evolve``'s
+exponentials can round differently with another BLAS thread count, and
+with them the last digit of a ``max_abs`` (timings are printed, never
+serialized).  A payload holds plain Python values only, with no
+serialization hook, so a stray numpy integer or bool fails the write
+instead of being converted.  ``decompose``, ``analyze`` and ``evolve`` read
+a sector's dimensions from its record in the basis's sector table.
 
 Exit codes: 0 success, 1 usage, 2 unreadable/ill-formed input, 3 input
 violating a structural invariant, 4 internal consistency failure.
@@ -139,22 +141,23 @@ def _time_list(text: str) -> list[float]:
 def cmd_decompose(args) -> int:
     t0 = time.perf_counter()
     n, d = args.n, args.d
-    rows = [(shape, syt, weyl) for shape, (_, syt, weyl) in _sector_table(d, n).items()]
-    total = sum(syt * weyl for _, syt, weyl in rows)
+    sectors = _sector_table(d, n)
+    total = sum(s.copies * s.multiplicity for s in sectors.values())
     liouville = (d * d) ** n
     # the table holds every shape of at most min(n, d*d) rows
-    by_rows = Counter(shape.rows for shape, _, _ in rows)
+    by_rows = Counter(shape.rows for shape in sectors)
     counts = [by_rows[k] for k in range(1, min(n, d * d) + 1)]
     elapsed = time.perf_counter() - t0
 
     print(f"sector decomposition for n={n} qudits of dimension d={d}")
-    width = max(12, max(len(str(shape)) for shape, _, _ in rows) + 1)
+    width = max(12, max(len(str(shape)) for shape in sectors) + 1)
     print(f"{'partition':<{width}} {'protected':>9} {'noisy':>9} {'product':>11}")
-    for shape, syt, weyl in rows:
-        print(f"{str(shape):<{width}} {syt:>9} {weyl:>9} {syt * weyl:>11}")
+    for shape, s in sectors.items():
+        print(f"{str(shape):<{width}} {s.copies:>9} {s.multiplicity:>9} "
+              f"{s.copies * s.multiplicity:>11}")
     print(f"total {total} = (d^2)^n = {liouville}")
     counts_text = " ".join(f"p_{k}({n})={c}" for k, c in enumerate(counts, start=1))
-    print(f"sectors: {len(rows)}; partitions of {n} by row count: {counts_text}")
+    print(f"sectors: {len(sectors)}; partitions of {n} by row count: {counts_text}")
     print(f"[time] decomposition table: {elapsed:.3f} s")
     if total != liouville:
         raise InternalConsistencyError(f"dimension sum {total} != {liouville}")
@@ -169,13 +172,13 @@ def cmd_decompose(args) -> int:
                 "sectors": [
                     {
                         "partition": list(shape.parts),
-                        "protected_dim": syt,
-                        "noisy_dim": weyl,
-                        "product": syt * weyl,
+                        "protected_dim": s.copies,
+                        "noisy_dim": s.multiplicity,
+                        "product": s.copies * s.multiplicity,
                     }
-                    for shape, syt, weyl in rows
+                    for shape, s in sectors.items()
                 ],
-                "sector_count": len(rows),
+                "sector_count": len(sectors),
                 "partition_counts_by_rows": counts,
                 "total": total,
                 "liouville_dim": liouville,
@@ -293,21 +296,12 @@ def _pipeline(channel, tol: float):
     return cert, basis, decomp, times
 
 
-def _certificate_payload(cert) -> dict:
-    return {
-        "classification": cert.classification,
-        "residuals": {
-            name: _measured(value, RESIDUAL_TOLS[name]) for name, value in cert.residuals.items()
-        },
-    }
-
-
 def cmd_analyze(args) -> int:
     channel, builder = _load_channel(args.channel_file)
     cert, basis, decomp, times = _pipeline(channel, args.tol)
     flags = dfs_report(decomp)
     protection = None
-    if any(basis.syt_count(s) >= 2 for s in basis.shapes):
+    if any(s.copies >= 2 for s in basis.sectors.values()):
         protection = protection_check(decomp, seed=args.seed)
 
     echo = _input_echo(args, channel, builder)
@@ -321,10 +315,9 @@ def cmd_analyze(args) -> int:
         print(f"closure deviation: {channel.closure_deviation:.3e} (tol {CLOSURE_TOL:.1e})")
     print(f"leakage outside blocks: {decomp.leakage:.3e} (tol {args.tol:.1e})")
     print(f"{'partition':<12} {'protected':>9} {'noisy':>6} {'twin dev':>10}  dfs")
-    for shape, flagged in flags.items():
-        twin = decomp.twin_deviation[shape]
-        print(f"{str(shape):<12} {basis.syt_count(shape):>9} "
-              f"{basis.multiplicity(shape):>6} {twin:>10.3e}  {'DFS' if flagged else '-'}")
+    for shape, s in basis.sectors.items():
+        print(f"{str(shape):<12} {s.copies:>9} {s.multiplicity:>6} "
+              f"{decomp.twin_deviation[shape]:>10.3e}  {'DFS' if flags[shape] else '-'}")
     if protection is not None:
         print(f"protection probe: {protection:.3e} "
               f"(trials {PROTECTION_TRIALS}, seed {args.seed}, tol {args.tol:.1e})")
@@ -338,17 +331,20 @@ def cmd_analyze(args) -> int:
             "seed": args.seed,
             "tol": args.tol,
             "classification": cert.classification,
-            "certificate": _certificate_payload(cert),
+            "certificate": {
+                "classification": cert.classification,
+                "residuals": {k: _measured(v, RESIDUAL_TOLS[k]) for k, v in cert.residuals.items()},
+            },
             "leakage": _measured(decomp.leakage, args.tol),
             "sectors": [
                 {
                     "partition": list(shape.parts),
-                    "protected_dim": basis.syt_count(shape),
-                    "noisy_dim": basis.multiplicity(shape),
-                    "flagged": flagged,
+                    "protected_dim": s.copies,
+                    "noisy_dim": s.multiplicity,
+                    "flagged": flags[shape],
                     "twin_deviation": _measured(decomp.twin_deviation[shape], args.tol),
                 }
-                for shape, flagged in flags.items()
+                for shape, s in basis.sectors.items()
             ],
             "liouville_dim": (channel.d**2) ** channel.n,
         }
@@ -386,12 +382,13 @@ def cmd_evolve(args) -> int:
         evolved = blockwise_exp(decomp, t)
         dt = time.perf_counter() - t0
         blocks = []
-        for shape, E in evolved.blocks.items():
+        for shape, s in basis.sectors.items():
+            E = evolved.blocks[shape]
             max_abs = float(np.max(np.abs(E)))
             _check_finite(max_abs, t, f"the exponential of {shape} block {E.shape}")
             blocks += [
                 {"partition": list(shape.parts), "tableau_index": y, "max_abs": max_abs}
-                for y in range(basis.syt_count(shape))
+                for y in range(s.copies)
             ]
         entry = {"t": t, "blocks": blocks}
         line = f"t={t}: {len(blocks)} blocks from {len(evolved.blocks)} exponentials"

@@ -78,13 +78,12 @@ def permutation_in_schur(pi: tuple[int, ...], basis: SuperSchurBasis) -> Permuta
     predicted = np.zeros_like(A)
     irrep_blocks = {}
     mults = {}
-    for shape in basis.shapes:
+    for shape, sector in basis.sectors.items():
         D = irrep_matrices(shape, basis.n)[pi]
-        m = basis.multiplicity(shape)
-        sl = basis.sector_slice(shape)
-        predicted[sl, sl] = np.kron(D, np.eye(m))
+        sl = sector.columns
+        predicted[sl, sl] = np.kron(D, np.eye(sector.multiplicity))
         irrep_blocks[shape] = D
-        mults[shape] = m
+        mults[shape] = sector.multiplicity
     leakage = float(np.max(np.abs(A - predicted)))
     return PermutationBlockStructure(
         pi=pi, matrix=A, irrep_blocks=irrep_blocks, multiplicities=mults, leakage=leakage

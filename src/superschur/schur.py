@@ -24,8 +24,9 @@ The column layout follows from Schur-Weyl duality alone: a column is a
 shape, a standard tableau and a multiplicity label (a letter content and
 an index within it, counted by a Kostka number).  One cached table per
 (d, n) holds that layout: each content class with its rows (strings) and
-its frame columns, the Kostka numbers and the sector table.  The builder
-and every basis read it, and ``SuperSchurBasis.labels`` gives its labels.
+its frame columns, the Kostka numbers and the sector table (one
+:class:`Sector` per shape, whence every column slice of a shape).  The
+builder and every basis read it, as ``.labels`` and ``.sectors``.
 
 :func:`super_schur_basis` builds the basis of each (d, n) once per process
 and returns that one read-only object on every later call: the basis
@@ -169,14 +170,32 @@ class ColumnLabel:
     weight_index: int
 
 
-def _sector_table(d: int, n: int) -> dict[Partition, tuple[int, int, int]]:
-    """Shape -> (first column, tableau count, multiplicity), in frame order."""
+class Sector(NamedTuple):
+    """A shape's frame columns: from ``start`` on, ``copies`` runs (one per
+    standard tableau: the protected dimension) of ``multiplicity`` columns
+    (the noisy dimension)."""
+
+    start: int
+    copies: int
+    multiplicity: int
+
+    @property
+    def columns(self) -> slice:
+        return slice(self.start, self.start + self.copies * self.multiplicity)
+
+    @property
+    def tableaux(self) -> tuple[slice, ...]:
+        m = self.multiplicity
+        return tuple(slice(a, a + m) for a in range(self.start, self.columns.stop, m))
+
+
+def _sector_table(d: int, n: int) -> dict[Partition, Sector]:
+    """Shape -> its Sector, in frame order."""
     q = d * d
     sectors, start = {}, 0
     for shape in partitions(n, min(n, q)):
-        syt, mult = syt_dimension(shape), weyl_dimension(shape, q)
-        sectors[shape] = (start, syt, mult)
-        start += syt * mult
+        sectors[shape] = Sector(start, syt_dimension(shape), weyl_dimension(shape, q))
+        start = sectors[shape].columns.stop
     return sectors
 
 
@@ -201,12 +220,14 @@ def _layout(d: int, n: int) -> _Layout:
     sectors = _sector_table(d, n)
     kostka = {shape: kostka_numbers(shape, q) for shape in sectors}
     columns, labels = {w: [] for w in order}, []
-    for shape, (_, syt, mult) in sectors.items():
+    for shape, sector in sectors.items():
         placed = [(w, kostka[shape][w]) for w in order if w in kostka[shape]]
         found = sum(k for _, k in placed)
-        if found != mult:
-            raise InternalConsistencyError(f"shape {shape}: found {found} columns, expected {mult}")
-        for y in range(syt):
+        if found != sector.multiplicity:
+            raise InternalConsistencyError(
+                f"shape {shape}: found {found} columns, expected {sector.multiplicity}"
+            )
+        for y in range(sector.copies):
             for w, k in placed:
                 columns[w].extend(range(len(labels), len(labels) + k))
                 labels.extend(ColumnLabel(shape, y, w, j) for j in range(k))
@@ -222,7 +243,7 @@ class SuperSchurBasis:
     of every column in frame order, shapes largest first, then tableau
     index, then letter-content class ordered by its first string, then
     index within the class.  In this frame every site permutation acts as
-    a direct sum over shapes of D(pi) x I.
+    a direct sum over shapes of D(pi) x I, on the columns ``sectors`` gives.
 
     Every column lives on the strings of its label's letter content, so the
     basis stores one real square block U[rows, cols] per content class, in
@@ -266,24 +287,13 @@ class SuperSchurBasis:
         return U
 
     @property
+    def sectors(self) -> MappingProxyType:
+        """Shape -> its :class:`Sector`, in frame order (read-only)."""
+        return self.layout.sectors
+
+    @property
     def shapes(self) -> list[Partition]:
         return list(self.layout.sectors)
-
-    def multiplicity(self, shape: Partition) -> int:
-        return self.layout.sectors[shape][2]
-
-    def syt_count(self, shape: Partition) -> int:
-        return self.layout.sectors[shape][1]
-
-    def sector_slice(self, shape: Partition) -> slice:
-        start, syt, mult = self.layout.sectors[shape]
-        return slice(start, start + syt * mult)
-
-    def tableau_slice(self, shape: Partition, y: int) -> slice:
-        start, syt, mult = self.layout.sectors[shape]
-        if not 0 <= y < syt:
-            raise ValueError(f"tableau index {y} out of range for {shape}")
-        return slice(start + y * mult, start + (y + 1) * mult)
 
     def unitarity_deviation(self) -> float:
         """max |U^T U - I|, one Gram matrix per letter-content class (columns

@@ -161,8 +161,8 @@ def _reference_projectors_n4() -> float:
     basis = super_schur_basis(2, 4)
     U = basis.unitary
     deviations = []
-    for shape in basis.shapes:
-        V0 = U[:, basis.tableau_slice(shape, 0)]
+    for shape, sector in basis.sectors.items():
+        V0 = U[:, sector.tableaux[0]]
         deviations.append(np.max(np.abs(V0 @ V0.T - matrix_unit(shape, 0, 0, 2, 4))))
     return float(np.max(deviations))
 
@@ -245,7 +245,7 @@ def _dfs_flags_n3() -> float:
     decoherence-free subsystem of protected dimension 2."""
     misses = 0
     for decomp in _decomposed_examples():
-        misses += not (dfs_report(decomp)[TWO_ONE] and decomp.basis.syt_count(TWO_ONE) == 2)
+        misses += not (dfs_report(decomp)[TWO_ONE] and decomp.basis.sectors[TWO_ONE].copies == 2)
     return float(misses)
 
 
@@ -262,7 +262,8 @@ def _sector_sizes_brute_force_n2() -> float:
     ranks = [np.linalg.matrix_rank((np.eye(16) + sign * swap) / 2) for sign in (1, -1)]
     shapes = [Partition((2,)), Partition((1, 1))]
     basis = super_schur_basis(2, 2)
-    wanted = [[weyl_dimension(s, 4) for s in shapes], [basis.multiplicity(s) for s in shapes], [10, 6]]
+    sizes = [basis.sectors[s].multiplicity for s in shapes]
+    wanted = [[weyl_dimension(s, 4) for s in shapes], sizes, [10, 6]]
     return float(sum(abs(r - w) for want in wanted for r, w in zip(ranks, want)))
 
 

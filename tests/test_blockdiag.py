@@ -83,8 +83,7 @@ def test_strong_channel_block_structure(schur_2_3, letters_3):
     # one block per tableau, B (x) I, and undoing the frame recovers the matrix
     R = np.zeros_like(decomp.frame)
     for shape, B in decomp.blocks.items():
-        for y in range(schur_2_3.syt_count(shape)):
-            sl = schur_2_3.tableau_slice(shape, y)
+        for sl in schur_2_3.sectors[shape].tableaux:
             R[sl, sl] = B
     assert np.max(np.abs(R - decomp.frame)) <= decomp.leakage + 1e-15
     U = schur_2_3.unitary
@@ -118,9 +117,8 @@ def masked_leakage(decomp):
     """Leakage as a masked copy of the frame matrix: zero every diagonal
     block, then take the largest remaining entry."""
     masked = decomp.frame.copy()
-    for shape in decomp.blocks:
-        for y in range(decomp.basis.syt_count(shape)):
-            sl = decomp.basis.tableau_slice(shape, y)
+    for sector in decomp.basis.sectors.values():
+        for sl in sector.tableaux:
             masked[sl, sl] = 0.0
     return float(np.max(np.abs(masked)))
 
@@ -241,7 +239,7 @@ def test_every_example_family_block_diagonalizes(name, schur_2_3, letters_3):
     flags = {shape.parts: flagged for shape, flagged in dfs_report(decomp).items()}
     assert flags == {(3,): False, (2, 1): True, (1, 1, 1): False}
     basis = schur_2_3
-    dims = {s.parts: (basis.syt_count(s), basis.multiplicity(s)) for s in basis.shapes}
+    dims = {s.parts: (sector.copies, sector.multiplicity) for s, sector in basis.sectors.items()}
     assert dims == {(3,): (1, 20), (2, 1): (2, 20), (1, 1, 1): (1, 4)}
 
 
@@ -255,9 +253,10 @@ def test_asymmetric_channel_leaks(schur_2_3, letters_3):
 def test_two_qubit_sectors_have_no_protected_pairs(schur_2_2, letters_2_2):
     ch = example_channel("collective_damping", n=2, p=0.5)
     decomp = decompose(kraus_superop(ch, letters_2_2), schur_2_2)
-    assert all(schur_2_2.syt_count(s) == 1 for s in schur_2_2.shapes)
+    sectors = schur_2_2.sectors.values()
+    assert all(sector.copies == 1 for sector in sectors)
     assert not any(dfs_report(decomp).values())
-    assert sum(schur_2_2.syt_count(s) * schur_2_2.multiplicity(s) for s in schur_2_2.shapes) == 16
+    assert sum(sector.copies * sector.multiplicity for sector in sectors) == 16
 
 
 @pytest.mark.parametrize(
@@ -270,7 +269,7 @@ def test_dfs_report_is_one_flag_per_shape_by_the_rule(name, n):
     flags = dfs_report(decomp)
     assert type(flags) is dict and list(flags) == basis.shapes
     for shape, flagged in flags.items():
-        protected = basis.syt_count(shape)
+        protected = basis.sectors[shape].copies
         rule = protected >= 2 and decomp.leakage <= decomp.tol
         assert flagged is (rule and decomp.twin_deviation[shape] <= decomp.tol)
         # every family is symmetric; the lopsided map has no symmetry
@@ -363,7 +362,7 @@ def test_protection_check_is_deterministic(schur_2_3, letters_3):
 def test_protection_check_lets_a_nan_through(schur_2_3, letters_3):
     lind = example_channel("single_jump", n=3)
     decomp = decompose(lindblad_superop(lind, letters_3), schur_2_3)
-    decomp.frame[0, schur_2_3.sector_slice(TWO_ONE).start] = np.nan
+    decomp.frame[0, schur_2_3.sectors[TWO_ONE].start] = np.nan
     assert math.isnan(protection_check(decomp))
 
 
@@ -398,7 +397,7 @@ def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
     # one block per shape, in frame order: a copy of its tableau-0 block
     assert list(decomp.blocks) == list(basis.shapes)
     for shape, B in decomp.blocks.items():
-        sl = basis.tableau_slice(shape, 0)
+        sl = basis.sectors[shape].tableaux[0]
         assert np.array_equal(B, decomp.frame[sl, sl]) and not np.shares_memory(B, decomp.frame)
     for t in (0.0, 0.1, 1.0):
         evolved = blockwise_exp(decomp, t)
@@ -406,8 +405,7 @@ def test_shared_exponentials_match_each_blocks_own(name, n, bases_3_to_5):
         for shape, E in evolved.blocks.items():
             # the one exponential of a shape against each twin's own block,
             # read from the frame
-            for y in range(basis.syt_count(shape)):
-                sl = basis.tableau_slice(shape, y)
+            for sl in basis.sectors[shape].tableaux:
                 expected = expm(t * decomp.frame[sl, sl])
                 scale = max(1.0, float(np.max(np.abs(expected))))
                 assert np.max(np.abs(E - expected)) <= 1e-12 * scale
@@ -475,10 +473,9 @@ def block_frame_generator(basis, rng):
     """U S U^T for a frame matrix S with one random block per (shape,
     tableau): no leakage, but twins of equal size that differ."""
     S = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for shape in basis.shapes:
-        for y in range(basis.syt_count(shape)):
-            sl = basis.tableau_slice(shape, y)
-            m = sl.stop - sl.start
+    for sector in basis.sectors.values():
+        for sl in sector.tableaux:
+            m = sector.multiplicity
             S[sl, sl] = 0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     U = basis.unitary
     return SuperOperatorMatrix(basis.d, basis.n, "generator", U @ S @ U.T)
@@ -502,7 +499,7 @@ def test_nan_twin_deviation_is_refused(schur_2_3, letters_3, monkeypatch):
 
     def nan_in_two_one_tableau_1(M, basis):
         S = frame(M, basis)
-        sl = basis.tableau_slice(TWO_ONE, 1)
+        sl = basis.sectors[TWO_ONE].tableaux[1]
         S[sl.start, sl.start] = np.nan
         return S
 

@@ -126,21 +126,22 @@ def test_n6_scratch_is_one_group_stack_and_slabs_beside_the_frame():
     finally:
         tracemalloc.stop()
     # the group stack T (complex: the generator has one-sided terms), the
-    # gathers of the F and F^dag rows and the group's F^dag rows, two slabs
-    stack, gathers = 16 * D**3, 3 * 16 * K * D**2
+    # gather of the F rows and the buffer of a group's F^dag rows, two slabs
+    stack, gathers = 16 * D**3, 2 * 16 * K * D**2
     assert kernel_peak <= stack + gathers + 2 * slab, f"{kernel_peak / MiB:.2f} MiB"
     blocks = sum(B.nbytes for B in decomp.blocks.values())
     assert decompose_peak <= slab + blocks, f"{decompose_peak / MiB:.2f} MiB"
 
 
-def test_n6_chunks_are_bitwise_one_chunk(monkeypatch):
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CHANNELS))
+def test_n6_chunks_are_bitwise_one_chunk(name, monkeypatch):
     # at n = 6 the default slab chunks the kernel's products and every row
     # pass of the conjugation into BLAS calls big enough for the blocked
     # kernels, whose last columns take another path when a split cuts a tile
-    lind = example_channel("collective_jump", n=6)
+    channel = example_channel(name, n=6)
     basis, frame_basis = operator_basis(2, 6), super_schur_basis(2, 6)
-    chunked = decompose(lindblad_superop(lind, basis), frame_basis)
+    chunked = decompose(superop(channel, basis), frame_basis)
     with monkeypatch.context() as patch:
         patch.setattr(liouville, "_SCRATCH_BYTES", 16 * MiB)
-        whole = decompose(lindblad_superop(lind, basis), frame_basis)
+        whole = decompose(superop(channel, basis), frame_basis)
     assert np.array_equal(chunked.frame, whole.frame)

@@ -118,9 +118,9 @@ def probe_norm1(basis, seed):
     rng = np.random.default_rng(seed)
     norms = [0.0]
     for _ in range(PROTECTION_TRIALS):
-        for shape in basis.shapes:
-            if basis.syt_count(shape) >= 2:
-                size = (basis.syt_count(shape), basis.multiplicity(shape))
+        for sector in basis.sectors.values():
+            if sector.copies >= 2:
+                size = (sector.copies, sector.multiplicity)
                 C = rng.standard_normal(size) + 1j * rng.standard_normal(size)
                 norms.append(float(np.sum(np.abs(C))))
     return max(norms)

@@ -212,10 +212,12 @@ def probe_reference(decomp, seed=0):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(PROTECTION_TRIALS):
-        for shape in [s for s in basis.shapes if basis.syt_count(s) >= 2]:
-            shape_dims = (basis.syt_count(shape), basis.multiplicity(shape))
+        for shape, sector in basis.sectors.items():
+            if sector.copies < 2:
+                continue
+            shape_dims = (sector.copies, sector.multiplicity)
             C = rng.standard_normal(shape_dims) + 1j * rng.standard_normal(shape_dims)
-            sl = basis.sector_slice(shape)
+            sl = sector.columns
             v = np.zeros(basis.dim, dtype=np.complex128)
             v[sl] = C.reshape(-1)
             predicted = np.zeros_like(v)

@@ -300,24 +300,34 @@ def test_basis_n1_is_the_identity():
     ]  # letter order, i.e. classes in first-member-string order
 
 
-def test_basis_sector_bookkeeping(schur_2_3):
-    basis = schur_2_3
-    assert [s.parts for s in basis.shapes] == [(3,), (2, 1), (1, 1, 1)]
-    for shape in basis.shapes:
-        assert basis.syt_count(shape) == syt_dimension(shape)
-        assert basis.multiplicity(shape) == weyl_dimension(shape, 4)
-        sl = basis.sector_slice(shape)
-        assert sl.stop - sl.start == basis.syt_count(shape) * basis.multiplicity(shape)
-        for y in range(basis.syt_count(shape)):
-            tsl = basis.tableau_slice(shape, y)
-            labs = basis.labels[tsl]
+@pytest.mark.parametrize("d,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 4)])
+def test_basis_sector_bookkeeping(d, n):
+    basis = super_schur_basis(d, n)
+    assert list(basis.sectors) == basis.shapes == list(partitions(n, min(n, d * d)))
+    tiles = []
+    for shape, sector in basis.sectors.items():
+        assert sector.copies == syt_dimension(shape)
+        assert sector.multiplicity == weyl_dimension(shape, d * d)
+        assert len(sector.tableaux) == sector.copies
+        assert sector.columns == slice(sector.tableaux[0].start, sector.tableaux[-1].stop)
+        for y, sl in enumerate(sector.tableaux):
+            labs = basis.labels[sl]
+            assert len(labs) == sector.multiplicity
             assert all(lab.shape == shape and lab.tableau_index == y for lab in labs)
             weights = [lab.weight for lab in labs]
             # first-member-string class order = descending on content tuples
             assert weights == sorted(weights, reverse=True)
-    assert sum(
-        basis.syt_count(s) * basis.multiplicity(s) for s in basis.shapes
-    ) == basis.dim == 64
+        tiles += sector.tableaux
+    # the tableau slices tile the columns in frame order
+    assert [sl.start for sl in tiles] == [0] + [sl.stop for sl in tiles[:-1]]
+    assert tiles[-1].stop == basis.dim == (d * d) ** n
+
+
+def test_sector_records_are_read_only(schur_2_3):
+    sector = schur_2_3.sectors[TWO_ONE]
+    assert sector == (20, 2, 20) and schur_2_3.sectors is schur_2_3.layout.sectors
+    with pytest.raises(AttributeError):
+        sector.copies = 3
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2)])
@@ -325,9 +335,9 @@ def test_labels_are_the_column_layout_of_d_and_n(d, n):
     basis = super_schur_basis(d, n)
     assert len(basis.labels) == basis.dim
     # frame order: each tableau slice of each shape holds that shape's labels
-    for shape in basis.shapes:
-        for y in range(basis.syt_count(shape)):
-            cols = basis.labels[basis.tableau_slice(shape, y)]
+    for shape, sector in basis.sectors.items():
+        for y, sl in enumerate(sector.tableaux):
+            cols = basis.labels[sl]
             assert {(lab.shape, lab.tableau_index) for lab in cols} == {(shape, y)}
     # the layout is no input: a basis is made from (d, n) and its classes
     with pytest.raises(TypeError):
@@ -364,8 +374,8 @@ def test_basis_columns_live_on_single_weight_classes(schur_2_3):
 def test_reference_tableau_sign_convention(schur_2_3, schur_3_2):
     for basis in (schur_2_3, schur_3_2):
         U = basis.unitary
-        for shape in basis.shapes:
-            for col in range(*basis.tableau_slice(shape, 0).indices(basis.dim)[:2]):
+        for sector in basis.sectors.values():
+            for col in range(*sector.tableaux[0].indices(basis.dim)[:2]):
                 v = U[:, col]
                 lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
                 assert lead.real > 0
@@ -396,8 +406,8 @@ def test_two_qubit_sector_sizes_match_brute_force(schur_2_2):
     sym_rank = np.linalg.matrix_rank((np.eye(16) + S) / 2)
     anti_rank = np.linalg.matrix_rank((np.eye(16) - S) / 2)
     assert (sym_rank, anti_rank) == (10, 6)
-    assert basis.multiplicity(Partition((2,))) == sym_rank
-    assert basis.multiplicity(Partition((1, 1))) == anti_rank
+    assert basis.sectors[Partition((2,))].multiplicity == sym_rank
+    assert basis.sectors[Partition((1, 1))].multiplicity == anti_rank
 
 
 def class_projectors(basis):
@@ -509,7 +519,7 @@ def test_seven_qubit_reference_columns_are_jucys_murphy_eigenvectors(
                 XV = sum(V[local[gathers[j, k][rows]]] for j in range(k))
                 worst = max(worst, float(np.max(np.abs(XV - contents[k] * V))))
             checked += len(sel)
-    assert checked == sum(basis.multiplicity(s) for s in basis.shapes)
+    assert checked == sum(sector.multiplicity for sector in basis.sectors.values())
     assert worst < 1e-10
 
 
@@ -627,7 +637,7 @@ def test_cached_basis_containers_are_immutable():
         basis.labels = basis.labels[:3]
     again = super_schur_basis(2, 2)
     assert len(again.labels) == 16 and len(again.blocks) == 10
-    assert again.multiplicity(Partition((2,))) == 10
+    assert again.sectors[Partition((2,))].multiplicity == 10
 
 
 def test_size_guard_runs_on_a_cache_hit(monkeypatch):
@@ -668,8 +678,8 @@ def test_equivariance_for_generators(fixture, request):
     for g in adjacent_transpositions(basis.n):
         block = permutation_in_schur(g, basis)
         assert block.leakage < 1e-10
-        for shape in basis.shapes:
-            sl = basis.sector_slice(shape)
+        for shape, sector in basis.sectors.items():
+            sl = sector.columns
             D = block.irrep_blocks[shape]
             m = block.multiplicities[shape]
             want = np.kron(D, np.eye(m))
